@@ -9,7 +9,6 @@ tools for soliton speeds and amplitudes.
 from .boxball import (
     BBSCState,
     UDField,
-    bbs_step,
     bbsc_step,
     bbsc_sweep,
     evolve_bbsc,
@@ -66,7 +65,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BBSCState", "ClusterTrack", "KPParams", "LatticeField", "Rat",
     "SolitonConstants", "SystemParams", "TroughTrack", "UDField",
-    "amplitude", "bbs_step", "bbsc_step", "bbsc_sweep", "check_kp_bilinear",
+    "amplitude", "bbsc_step", "bbsc_sweep", "check_kp_bilinear",
     "check_reduction", "det", "detect_bbsc_solitons", "dkdv_local",
     "evolve_bbsc", "evolve_gkdv", "field_from_state", "gkdv_local",
     "kp_tau", "limit_chain_check", "measure_amplitude", "measure_velocity",

@@ -103,16 +103,6 @@ def bbsc_step(state: BBSCState) -> BBSCState:
     return bbsc_sweep(state)[0]
 
 
-def bbs_step(state: BBSCState) -> BBSCState:
-    """One time step of the plain box-ball rule.
-
-    The carrier bound is ignored (treated as unbounded) whatever the state's
-    ``c_carrier`` says; use :func:`bbsc_step` for the bounded rule.
-    """
-    unbounded = BBSCState(state.u, state.c_box, math.inf)
-    return BBSCState(bbsc_step(unbounded).u, state.c_box, state.c_carrier)
-
-
 def evolve_bbsc(state: BBSCState, steps: int) -> list[BBSCState]:
     """Apply ``steps`` sweeps; returns all ``steps + 1`` states."""
     if steps < 0:

@@ -10,9 +10,7 @@ Subcommands:
 * ``verify``   exact self-checks; exit 0 on success, 2 on a failed check
 
 Exit codes: 0 success, 1 bad arguments or validation error, 2 verification
-failure.  ``--out -`` (the default) writes to stdout.  Worker threads for the
-scan and verify fan-out come from the SOLITON_LAB_THREADS environment
-variable; unset or invalid means single-threaded.
+failure.  ``--out -`` (the default) writes to stdout.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from random import Random
@@ -77,15 +74,6 @@ def _capacity(text: str) -> int | float:
         return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"capacity must be an integer or 'inf', got {text!r}")
-
-
-def worker_count() -> int:
-    """Thread count from SOLITON_LAB_THREADS; 1 when unset or invalid."""
-    raw = os.environ.get("SOLITON_LAB_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _open_out(path: str):
@@ -264,7 +252,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_scan(args) -> int:
     params = SystemParams(args.alpha, args.beta)
-    report = solitons.scan_monotonicity(params, args.grid, workers=worker_count())
+    report = solitons.scan_monotonicity(params, args.grid)
     _write(args.out, lambda s: (json.dump(report, s, indent=2), s.write("\n")))
     return 0
 
@@ -277,7 +265,6 @@ def _verify_exactness(args, log: IO[str]) -> bool:
     field = solitons.sample_field(params, modes, (t0, t0 + g), (n0, n0 + g))
     alpha, beta = params.alpha, params.beta
     total = g * g
-    rows = range(g)
 
     def residual_row(j: int) -> int:
         good = 0
@@ -292,13 +279,7 @@ def _verify_exactness(args, log: IO[str]) -> bool:
                 good += 1
         return good
 
-    workers = worker_count()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            good = sum(ex.map(residual_row, rows))
-    else:
-        good = sum(map(residual_row, rows))
+    good = sum(map(residual_row, range(g)))
     print(f"residual 0 at {good}/{total} points", file=log)
     return good == total
 
@@ -388,7 +369,12 @@ _COMMANDS = {
 
 def _fold_negative_windows(argv: Sequence[str]) -> list[str]:
     """Glue values like ``-30:90`` onto their flag so argparse does not read
-    the leading minus as an option prefix."""
+    the leading minus as an option prefix.
+
+    argparse alone cannot do this: it takes ``-30:90`` for an option string,
+    because it does not look like a negative number, so ``--n -30:90`` fails
+    with "expected one argument" and only ``--n=-30:90`` parses.
+    """
     out: list[str] = []
     fold = False
     for tok in argv:

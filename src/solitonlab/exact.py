@@ -9,6 +9,7 @@ and an exact determinant for matrices given as sequences of rows.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -29,8 +30,17 @@ def rat_parse(text: str) -> Fraction:
 
 
 def rat_str(value: Fraction) -> str:
-    """Canonical text form: ``"p/q"``, or just ``"p"`` when q == 1."""
-    return str(Fraction(value))
+    """Canonical text form: ``"p/q"``, or just ``"p"`` when q == 1.
+
+    The digits go through :class:`decimal.Decimal`, which has no limit on
+    their count; ``str(int)`` refuses ints above CPython's 4300-digit
+    int-to-str limit, which evolved rows pass within a few steps.
+    """
+    value = Fraction(value)
+    num = str(Decimal(value.numerator))
+    if value.denominator == 1:
+        return num
+    return f"{num}/{Decimal(value.denominator)}"
 
 
 def det(rows: Sequence[Sequence[Fraction | int]]) -> Fraction:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import IO, Iterable, Sequence
 
 from .errors import (
@@ -122,6 +123,18 @@ def _warn_if_escaped(x_right: Fraction, t: int | None = None) -> None:
             f"{abs(float(x_right) - 1.0):.3e}; content is being truncated"))
 
 
+def _sweep(xs: list[Fraction], y_left: Rat, n_lo: int, local,
+           ) -> tuple[list[Fraction], list[Fraction]]:
+    """Carry y left to right through ``local(x, y, site=...)`` over one row."""
+    x_next: list[Fraction] = []
+    y_row: list[Fraction] = [Fraction(y_left)]
+    for k, x in enumerate(xs):
+        x_up, y_right = local(x, y_row[-1], site=n_lo + k)
+        x_next.append(x_up)
+        y_row.append(y_right)
+    return x_next, y_row
+
+
 def step_gkdv(x_row: Sequence[Rat], params: SystemParams, *,
               y_left: Rat = ONE, n_lo: int = 0, t: int | None = None,
               ) -> tuple[list[Fraction], list[Fraction]]:
@@ -135,28 +148,15 @@ def step_gkdv(x_row: Sequence[Rat], params: SystemParams, *,
     """
     xs = _coerce_row(x_row)
     _warn_if_escaped(xs[-1], t)
-    x_next: list[Fraction] = []
-    y_row: list[Fraction] = [Fraction(y_left)]
-    for k, x in enumerate(xs):
-        x_up, y_right = gkdv_local(x, y_row[-1], params, site=n_lo + k)
-        x_next.append(x_up)
-        y_row.append(y_right)
-    return x_next, y_row
+    return _sweep(xs, y_left, n_lo, partial(gkdv_local, params=params))
 
 
 def step_dkdv(x_row: Sequence[Rat], delta: Rat, *,
               y_left: Rat = ONE, n_lo: int = 0,
               ) -> tuple[list[Fraction], list[Fraction]]:
     """Advance one window row of the one-parameter form by one time step."""
-    xs = _coerce_row(x_row)
-    delta = Fraction(delta)
-    x_next: list[Fraction] = []
-    y_row: list[Fraction] = [Fraction(y_left)]
-    for k, x in enumerate(xs):
-        x_up, y_right = dkdv_local(x, y_row[-1], delta, site=n_lo + k)
-        x_next.append(x_up)
-        y_row.append(y_right)
-    return x_next, y_row
+    return _sweep(_coerce_row(x_row), y_left, n_lo,
+                  partial(dkdv_local, delta=Fraction(delta)))
 
 
 @dataclass

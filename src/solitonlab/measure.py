@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import combinations, permutations
 from typing import Sequence
 
 import numpy as np
@@ -149,7 +148,8 @@ def track_troughs(field: LatticeField, threshold: float = 1e-3, *,
 
 def _assign(active: Sequence[TroughTrack], dets: Sequence[tuple[float, float]],
             t: int, base_gate: float) -> dict[int, int]:
-    """One-to-one track-to-detection assignment minimizing total cost."""
+    """One-to-one track-to-detection assignment: as many matches as the
+    gates allow, and of those the one with the lowest total cost."""
     cand: dict[int, dict[int, float]] = {}
     for ti, tr in enumerate(active):
         gap = t - tr.last_t  # >= 1
@@ -168,44 +168,57 @@ def _assign(active: Sequence[TroughTrack], dets: Sequence[tuple[float, float]],
                 row[di] = _match_cost(pred, depth, pos, dep, gate)
         if row:
             cand[ti] = row
-    if not cand:
-        return {}
-    tis = sorted(cand)
-    dis = sorted({di for row in cand.values() for di in row})
-    if len(tis) <= 6 and len(dis) <= 6:
-        # exhaustive: as many matches as possible first, lowest cost second
-        for m in range(min(len(tis), len(dis)), 0, -1):
-            best: dict[int, int] = {}
-            best_cost = math.inf
-            for chosen in combinations(tis, m):
-                for perm in permutations(dis, m):
-                    cost = 0.0
-                    pairs = {}
-                    for ti, di in zip(chosen, perm):
-                        c = cand[ti].get(di)
-                        if c is None:
-                            break
-                        cost += c
-                        pairs[ti] = di
-                    else:
-                        if cost < best_cost:
-                            best_cost = cost
-                            best = pairs
-            if best:
-                return best
-        return {}
-    # many tracks: greedy by cost
-    entries = sorted((c, ti, di) for ti, row in cand.items() for di, c in row.items())
-    used_t: set[int] = set()
-    used_d: set[int] = set()
-    out: dict[int, int] = {}
-    for c, ti, di in entries:
-        if ti in used_t or di in used_d:
-            continue
-        out[ti] = di
-        used_t.add(ti)
-        used_d.add(di)
-    return out
+    return _min_cost_matching(cand)
+
+
+def _min_cost_matching(cand: dict[int, dict[int, float]]) -> dict[int, int]:
+    """Largest one-to-one matching of the rows of a sparse cost table to its
+    columns, of least total cost among the largest.  Returns {row: column}.
+
+    Successive shortest augmenting paths: each round finds the cheapest path
+    from an unmatched row to an unmatched column that alternates unused
+    entries (cost +c) and matched ones (cost -c), and flips it.  After k
+    rounds the matching is a cheapest one of size k; the rounds end when no
+    such path is left.  Column potentials keep every step's cost
+    non-negative, so each round is a Dijkstra search over the columns.
+    """
+    col_of: dict[int, int] = {}  # row -> matched column
+    row_of: dict[int, int] = {}  # column -> matched row
+    pot = {c: 0.0 for row in cand.values() for c in row}
+    while True:
+        dist: dict[int, float] = {}  # column -> cost of the cheapest path so far
+        via: dict[int, int] = {}  # column -> the row that path arrives from
+        settled: set[int] = set()
+        expand = [(r, 0.0) for r in cand if r not in col_of]
+        while True:
+            for r, base in expand:
+                # a matched row's potential puts its own entry at cost 0
+                pr = pot[col_of[r]] - cand[r][col_of[r]] if r in col_of else 0.0
+                for c, cost in cand[r].items():
+                    d = base + max(0.0, cost + pr - pot[c])
+                    if c not in settled and d < dist.get(c, math.inf):
+                        dist[c] = d
+                        via[c] = r
+            reached = [c for c in dist if c not in settled]
+            if not reached:
+                break
+            c = min(reached, key=lambda c: (dist[c], c))
+            settled.add(c)
+            expand = [(row_of[c], dist[c])] if c in row_of else []
+        free = [c for c in dist if c not in row_of]
+        if not free:
+            return col_of
+        c = min(free, key=lambda c: dist[c] + pot[c])
+        for col, d in dist.items():
+            pot[col] += d
+        while True:  # flip the path, walking back from its free column
+            r = via[c]
+            prev = col_of.get(r)
+            col_of[r] = c
+            row_of[c] = r
+            if prev is None:
+                break
+            c = prev
 
 
 def _usable_samples(track: TroughTrack, others: Sequence[TroughTrack],

@@ -70,11 +70,8 @@ class SolitonConstants:
 
 
 def _soliton_constants(params: SystemParams, p: Fraction, gamma: Fraction) -> SolitonConstants:
-    dc = params.delta_cap
-    a = (-p + params.beta) / (p + ONE - params.alpha)
-    b = (p + ONE - params.beta) / (-p + params.alpha)
-    c = gamma / (2 * p + dc)
-    d = (-dc - p) / p
+    a, b, d = _abd(params, p)
+    c = gamma / (2 * p + params.delta_cap)
     return SolitonConstants(p=p, gamma=gamma, A=a, B=b, C=c, D=d)
 
 
@@ -148,56 +145,14 @@ def amplitude(params: SystemParams, p: Rat) -> float:
     return abs(f - 1.0)
 
 
-def _tau(consts: Sequence[SolitonConstants], dc: Fraction, t: int, n: int,
-         weighted: bool) -> Fraction:
-    rows = []
-    for i, ci in enumerate(consts):
-        w = ci.gamma * ci.A ** t * ci.B ** n
-        if weighted:
-            w *= ci.D
-        rows.append([(ONE if i == j else 0) + w / (ci.p + cj.p + dc)
-                     for j, cj in enumerate(consts)])
-    return det(rows)
+def _tau_grid(consts: Sequence[SolitonConstants], dc: Fraction, t0: int, n0: int,
+              nt: int, nn: int) -> list[list[tuple[Fraction, Fraction]]]:
+    """(f, g) at (t0 + j, n0 + k) for 0 <= j < nt and 0 <= k < nn.
 
-
-def tau_f(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
-          t: int, n: int) -> Fraction:
-    """First tau function at (t, n)."""
-    return _tau(validate(params, solitons), params.delta_cap, t, n, weighted=False)
-
-
-def tau_g(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
-          t: int, n: int) -> Fraction:
-    """Second tau function at (t, n), the one with the extra row weight."""
-    return _tau(validate(params, solitons), params.delta_cap, t, n, weighted=True)
-
-
-def sample_xy(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
-              t: int, n: int) -> tuple[Fraction, Fraction]:
-    """Exact (x, y) of the N-soliton state at one lattice point."""
-    field = sample_field(params, solitons, (t, t), (n, n))
-    return field.xs[0][0], field.ys[0][0]
-
-
-def sample_field(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
-                 t_range: tuple[int, int], n_range: tuple[int, int]) -> LatticeField:
-    """Exact (x, y) window of the N-soliton state.
-
-    Both ranges are inclusive.  The tau grid is evaluated once with shared
-    power tables, so sampling a T x N window costs (T+1)(N+1) determinant
-    pairs rather than six per point.
+    The per-mode powers A^t and B^n come from geometric tables shared by the
+    whole grid, so each point costs one determinant pair.
     """
-    t0, t1 = t_range
-    n0, n1 = n_range
-    if t1 < t0 or n1 < n0:
-        raise WindowTooSmall(f"empty range: t {t_range}, n {n_range}")
-    consts = validate(params, solitons)
-    dc = params.delta_cap
-    nt = t1 - t0 + 2  # one extra row/column of tau values for the shifts
-    nn = n1 - n0 + 2
     modes = len(consts)
-
-    # per-mode geometric tables A^t, B^n over the padded grid
     at = []
     bn = []
     for c in consts:
@@ -219,7 +174,43 @@ def sample_field(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
                    for jj in range(modes)] for i in range(modes)]
         return det(rows_f), det(rows_g)
 
-    taus = [[tau_pair(j, k) for k in range(nn)] for j in range(nt)]
+    return [[tau_pair(j, k) for k in range(nn)] for j in range(nt)]
+
+
+def tau_f(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
+          t: int, n: int) -> Fraction:
+    """First tau function at (t, n)."""
+    return _tau_grid(validate(params, solitons), params.delta_cap, t, n, 1, 1)[0][0][0]
+
+
+def tau_g(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
+          t: int, n: int) -> Fraction:
+    """Second tau function at (t, n), the one with the extra row weight."""
+    return _tau_grid(validate(params, solitons), params.delta_cap, t, n, 1, 1)[0][0][1]
+
+
+def sample_xy(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
+              t: int, n: int) -> tuple[Fraction, Fraction]:
+    """Exact (x, y) of the N-soliton state at one lattice point."""
+    field = sample_field(params, solitons, (t, t), (n, n))
+    return field.xs[0][0], field.ys[0][0]
+
+
+def sample_field(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
+                 t_range: tuple[int, int], n_range: tuple[int, int]) -> LatticeField:
+    """Exact (x, y) window of the N-soliton state.
+
+    Both ranges are inclusive.  The tau grid is evaluated once with shared
+    power tables, so sampling a T x N window costs (T+1)(N+1) determinant
+    pairs rather than six per point.
+    """
+    t0, t1 = t_range
+    n0, n1 = n_range
+    if t1 < t0 or n1 < n0:
+        raise WindowTooSmall(f"empty range: t {t_range}, n {n_range}")
+    nt = t1 - t0 + 2  # one extra row/column of tau values for the shifts
+    nn = n1 - n0 + 2
+    taus = _tau_grid(validate(params, solitons), params.delta_cap, t0, n0, nt, nn)
 
     xs: list[list[Fraction]] = []
     ys: list[list[Fraction]] = []
@@ -379,7 +370,7 @@ def random_kp_params(rng: Random, n_modes: int, *, constrained: bool = False) ->
 # monotonicity scan of the closed-form laws
 
 
-def scan_monotonicity(params: SystemParams, grid_size: int, *, workers: int = 1) -> dict:
+def scan_monotonicity(params: SystemParams, grid_size: int) -> dict:
     """Probe v(p) and W(p) on an interior grid and report monotonicity breaks.
 
     The grid has ``grid_size`` points p_k = k * span / (grid_size + 1).  W
@@ -395,14 +386,8 @@ def scan_monotonicity(params: SystemParams, grid_size: int, *, workers: int = 1)
             f"alpha + beta must exceed 1, got {params.alpha + params.beta}")
     mid = span / 2
     ps = [span * k / (grid_size + 1) for k in range(1, grid_size + 1)]
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            vs = list(ex.map(lambda p: velocity(params, p), ps))
-            wsamp = list(ex.map(lambda p: amplitude(params, p), ps))
-    else:
-        vs = [velocity(params, p) for p in ps]
-        wsamp = [amplitude(params, p) for p in ps]
+    vs = [velocity(params, p) for p in ps]
+    wsamp = [amplitude(params, p) for p in ps]
 
     tol = 1e-12  # float noise floor for adjacent comparisons
     violations: list[dict] = []

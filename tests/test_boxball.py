@@ -10,7 +10,6 @@ from solitonlab import (
     BBSCState,
     UDField,
     SystemParams,
-    bbs_step,
     bbsc_step,
     bbsc_sweep,
     evolve_bbsc,
@@ -74,16 +73,10 @@ def test_single_ball_speed_is_one():
 def test_unbounded_carrier_classic_cluster_jump():
     # 0/1 boxes, no carrier bound: a k-cluster hops k sites per step
     state = BBSCState((0, 1, 1, 0, 0, 0, 0), c_box=1)
-    assert bbs_step(state).u[:7] == (0, 0, 0, 1, 1, 0, 0)
+    assert bbsc_step(state).u[:7] == (0, 0, 0, 1, 1, 0, 0)
     # with roomier boxes the drop is still capped by free space
     tall = BBSCState((0, 4, 4, 0, 0, 0, 0, 0, 0, 0), c_box=5)
-    assert bbs_step(tall).u[:5] == (0, 0, 1, 5, 2)
-
-
-def test_bbs_step_ignores_carrier_field():
-    bounded = BBSCState((2, 0, 0, 0), c_box=2, c_carrier=1)
-    wide = BBSCState((2, 0, 0, 0), c_box=2)
-    assert bbs_step(bounded).u == bbs_step(wide).u
+    assert bbsc_step(tall).u[:5] == (0, 0, 1, 5, 2)
 
 
 def test_state_validation():

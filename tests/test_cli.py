@@ -1,9 +1,8 @@
 import json
-import os
 
 import pytest
 
-from solitonlab.cli import run, worker_count
+from solitonlab.cli import run
 
 
 def invoke(capsys, *argv):
@@ -128,19 +127,6 @@ def test_verify_all(capsys):
     assert code == 0
     assert "verify: OK" in out
     assert "residual 0 at" in out
-
-
-def test_verify_exactness_thread_invariant(capsys):
-    os.environ["SOLITON_LAB_THREADS"] = "4"
-    try:
-        assert worker_count() == 4
-        code, out4, _ = invoke(capsys, "verify", "exactness", "--grid", "6")
-    finally:
-        del os.environ["SOLITON_LAB_THREADS"]
-    assert worker_count() == 1
-    code1, out1, _ = invoke(capsys, "verify", "exactness", "--grid", "6")
-    assert code == code1 == 0
-    assert out4 == out1
 
 
 def test_usage_errors_exit_one(capsys):

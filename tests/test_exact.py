@@ -78,3 +78,11 @@ def test_rat_parse_rejects_garbage():
 @given(rationals)
 def test_rat_str_round_trips(q):
     assert rat_parse(rat_str(q)) == q
+
+
+def test_rat_str_beyond_int_str_digit_limit():
+    # CPython refuses str() of ints above 4300 digits by default; evolved
+    # rows pass that within a few steps, so rat_str must not depend on it
+    q = Fraction(10 ** 5000 + 1, 3)
+    assert rat_str(q) == "1" + "0" * 4999 + "1/3"
+    assert rat_str(Fraction(-(10 ** 5000))) == "-1" + "0" * 5000

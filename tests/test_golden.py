@@ -1,0 +1,53 @@
+"""Byte-identical CLI output for a fixed set of commands.
+
+Each case pins the exit code and the sha256 of stdout.  The digests were
+recorded before the tau grid, the lattice sweep, the box-ball step and the
+track assignment were each collapsed into a single implementation, so a
+refactor of any of them that changes one output byte fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from solitonlab.cli import run
+
+REF = ["--alpha", "5/6", "--beta", "14/15",
+       "--soliton", "2/15:-1/6", "--soliton", "1/30:-1/30"]
+WINDOW = ["--n", "-20:8", "--t", "0:4"]
+
+GOLDEN = {
+    "analyze_readme": (
+        ["analyze", *REF, "--n", "-30:90", "--t", "0:60"], 0,
+        "8a6ad360f528f649aaa038237a5795f6f78c9c6810acea32ac7cb7eab3400a86"),
+    "scan_alpha_lt_beta": (
+        ["scan", "--alpha", "5/6", "--beta", "14/15", "--grid", "101"], 0,
+        "1ed57f2ce9908f07ab688e7e5d27a72c78a03290371d267460500f7d7dd3c187"),
+    "scan_alpha_eq_beta": (
+        ["scan", "--alpha", "5/6", "--beta", "5/6", "--grid", "101"], 0,
+        "fc647d46a25272f76b33b7c71ece515ea2e466f14791af5631f0540d1924c6a6"),
+    "scan_alpha_gt_beta": (
+        ["scan", "--alpha", "14/15", "--beta", "5/6", "--grid", "101"], 0,
+        "6ff1878dad00394dea2d76815388d8f9180edcf074f5da01fb361718f4f51fb8"),
+    "verify_all": (
+        ["verify", "all", "--grid", "8", "--points", "6", "--steps", "2"], 0,
+        "768d88302d613d85158cdf2ba7a10d8cb9595ff5b2c03148b09a0978516db59d"),
+    "exact_values_exact": (
+        ["exact", *REF, *WINDOW, "--values", "exact"], 0,
+        "8caec248ac29c1f858c38c88e933d0ad89acea6235890243054fa028d44c2184"),
+    "evolve_values_exact": (
+        ["evolve", *REF, *WINDOW, "--values", "exact"], 0,
+        "80508a961ab535eaf0392a9880a1caafa57f143e2c7d57a4cc187e0b06317db5"),
+    "bbsc_readme": (
+        ["bbsc", "--cb", "1", "--init", "0111010000000", "--steps", "4",
+         "--render", "ascii"], 0,
+        "afc05157df5e411579c4565eeb5aecbba9222ca96d6cd5233c8781792270b9d6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_stdout(capsys, name):
+    argv, code, digest = GOLDEN[name]
+    assert run(argv) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

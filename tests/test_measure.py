@@ -25,6 +25,7 @@ from solitonlab.errors import (
     TooFewSamples,
     WrongTrackCount,
 )
+from solitonlab.measure import _assign
 
 REF_PARAMS = SystemParams(Fraction(5, 6), Fraction(14, 15))
 REF_SOLITONS = [(Fraction(2, 15), Fraction(-1, 6)),
@@ -196,3 +197,14 @@ def test_overtake_report_input_validation():
         overtake_report(tracks[:1])
     with pytest.raises(ValueError):
         overtake_report([tracks[0], TroughTrack([0, 1], [0.0, 1.0], [0.5, 0.5])])
+
+
+def test_assign_keeps_maximum_cardinality_with_many_tracks():
+    # six far-apart tracks matched exactly, plus A at 10.0 and B at 11.9 with
+    # detections at 10.1 and 8.1: the cheapest pair A->10.1 strands B, while
+    # A->8.1 and B->10.1 match both
+    far = [100.0 * (i + 1) for i in range(6)]
+    active = [TroughTrack([0], [x], [0.5]) for x in far + [10.0, 11.9]]
+    dets = [(x, 0.5) for x in far] + [(10.1, 0.5), (8.1, 0.5)]
+    assignment = _assign(active, dets, 1, 2.0)
+    assert assignment == {**{i: i for i in range(6)}, 6: 7, 7: 6}

@@ -1,4 +1,3 @@
-import json
 import warnings
 from fractions import Fraction
 from random import Random
@@ -150,9 +149,13 @@ def test_single_mode_matches_scalar_closed_form(mode, t, n):
 
 def test_tau_assembly_against_cofactor_expansion():
     # assemble the documented matrix by hand and expand it independently
-    consts = validate(REF_PARAMS, REF_SOLITONS)
+    three = REF_SOLITONS + [(Fraction(1, 2), Fraction(1, 5))]
     dc = REF_PARAMS.delta_cap
-    for t, n, weighted in [(0, 0, False), (2, -3, False), (-1, 4, True), (3, 2, True)]:
+    for modes, t, n, weighted in [
+            (REF_SOLITONS, 0, 0, False), (REF_SOLITONS, 2, -3, False),
+            (REF_SOLITONS, -1, 4, True), (REF_SOLITONS, 3, 2, True),
+            (three, -3, -5, False), (three, -3, -5, True)]:
+        consts = validate(REF_PARAMS, modes)
         rows = []
         for i, ci in enumerate(consts):
             w = ci.gamma * ci.A ** t * ci.B ** n
@@ -161,7 +164,7 @@ def test_tau_assembly_against_cofactor_expansion():
             rows.append([(1 if i == j else 0) + w / (ci.p + cj.p + dc)
                          for j, cj in enumerate(consts)])
         expected = det_cofactor(rows)
-        got = (tau_g if weighted else tau_f)(REF_PARAMS, REF_SOLITONS, t, n)
+        got = (tau_g if weighted else tau_f)(REF_PARAMS, modes, t, n)
         assert got == expected
 
 
@@ -246,9 +249,3 @@ def test_scan_shape_and_clean_regimes():
     equal = scan_monotonicity(SystemParams(Fraction(5, 6), Fraction(5, 6)), 25)
     assert equal["violations"] == []
     assert equal["v_extremum_p"] == "1/3"
-
-
-def test_scan_is_worker_invariant():
-    rep1 = scan_monotonicity(REF_PARAMS, 19, workers=1)
-    rep3 = scan_monotonicity(REF_PARAMS, 19, workers=3)
-    assert json.dumps(rep1) == json.dumps(rep3)
