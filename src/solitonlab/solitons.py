@@ -12,6 +12,16 @@ where D = 1 - alpha - beta and
     A_i = (-p_i + beta) / (p_i + 1 - alpha)
     B_i = (p_i + 1 - beta) / (-p_i + alpha).
 
+Both determinants are evaluated by their subset (Hirota) expansion,
+
+    f(t, n) = sum over mode subsets S of
+              prod_{i in S} C_i A_i^t B_i^n
+              * prod_{i<j in S} (p_i - p_j)^2 / (p_i + p_j + D)^2
+
+with C_i = gamma_i / (2 p_i + D); g takes the same terms times
+prod_{i in S} D_i.  On a window the terms are integers over one common
+denominator (see ``_tau_grid``).
+
 The lattice fields are the cross ratios x = f * g(n+1) / (g * f(n+1)) and
 y = g * f(t+1) / (f * g(t+1)).  A mode is a genuine soliton when
 0 < p < alpha + beta - 1 and gamma has the sign of (p - midpoint); then all
@@ -34,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from random import Random
 from typing import Sequence
 
@@ -103,9 +114,13 @@ def validate(params: SystemParams,
             if pairs[i][0] + pairs[j][0] == span:
                 raise DenominatorClash(i, j)
     consts = tuple(_soliton_constants(params, p, g) for p, g in pairs)
-    for c in consts:
-        # guaranteed by the checks above; cheap to keep as a hard invariant
-        assert c.A > 0 and c.B > 0 and c.C > 0 and c.D > 0
+    for i, c in enumerate(consts):
+        # guaranteed by the checks above; kept as a hard invariant because the
+        # taus and the speed and amplitude laws need all four positive
+        if not (c.A > 0 and c.B > 0 and c.C > 0 and c.D > 0):
+            raise ConstraintViolated(
+                f"mode {i}: A, B, C, D must all be positive, got "
+                f"{c.A}, {c.B}, {c.C}, {c.D}")
     return consts
 
 
@@ -145,48 +160,86 @@ def amplitude(params: SystemParams, p: Rat) -> float:
     return abs(f - 1.0)
 
 
-def _tau_grid(consts: Sequence[SolitonConstants], dc: Fraction, t0: int, n0: int,
-              nt: int, nn: int) -> list[list[tuple[Fraction, Fraction]]]:
-    """(f, g) at (t0 + j, n0 + k) for 0 <= j < nt and 0 <= k < nn.
+def _subset_terms(consts: Sequence[SolitonConstants], dc: Fraction, t: int, n: int,
+                  weighted: bool) -> list[Fraction]:
+    """Hirota term of every mode subset at (t, n): of f, or of g when weighted.
 
-    The per-mode powers A^t and B^n come from geometric tables shared by the
-    whole grid, so each point costs one determinant pair.
+    Subset S is the bitmask index (bit i set: mode i is in S).  Its term is
+    prod_{i in S} w_i * prod_{i<j in S} ((p_i - p_j) / (p_i + p_j + D))^2 with
+    w_i = C_i A_i^t B_i^n, times D_i when weighted, and the terms sum to the
+    determinant in the module docstring.
     """
-    modes = len(consts)
-    at = []
-    bn = []
-    for c in consts:
-        row = [c.A ** t0]
-        for _ in range(nt - 1):
-            row.append(row[-1] * c.A)
-        at.append(row)
-        col = [c.B ** n0]
-        for _ in range(nn - 1):
-            col.append(col[-1] * c.B)
-        bn.append(col)
-    coef = [[ONE / (ci.p + cj.p + dc) for cj in consts] for ci in consts]
+    terms = [ONE]
+    for i, ci in enumerate(consts):
+        w = ci.C * ci.A ** t * ci.B ** n
+        if weighted:
+            w *= ci.D
+        cross = [((cj.p - ci.p) / (cj.p + ci.p + dc)) ** 2 for cj in consts[:i]]
+        for s in range(1 << i):
+            term = terms[s] * w
+            for j in range(i):
+                if s >> j & 1:
+                    term *= cross[j]
+            terms.append(term)
+    return terms
 
-    def tau_pair(j: int, k: int) -> tuple[Fraction, Fraction]:
-        ws = [consts[i].gamma * at[i][j] * bn[i][k] for i in range(modes)]
-        rows_f = [[(ONE if i == jj else 0) + ws[i] * coef[i][jj]
-                   for jj in range(modes)] for i in range(modes)]
-        rows_g = [[(ONE if i == jj else 0) + ws[i] * consts[i].D * coef[i][jj]
-                   for jj in range(modes)] for i in range(modes)]
-        return det(rows_f), det(rows_g)
 
-    return [[tau_pair(j, k) for k in range(nn)] for j in range(nt)]
+def _subset_ratios(bases: Sequence[Fraction]) -> list[int]:
+    """prod_{i in S} num(base_i) * prod_{i not in S} den(base_i) for every
+    subset S, indexed as in :func:`_subset_terms`."""
+    ratios = [1]
+    for base in bases:
+        ratios = ([r * base.denominator for r in ratios]
+                  + [r * base.numerator for r in ratios])
+    return ratios
+
+
+def _tau_grid(consts: Sequence[SolitonConstants], dc: Fraction, t0: int, n0: int,
+              row_lengths: Sequence[int], which: str,
+              ) -> tuple[int, list[list[tuple[int, ...]]]]:
+    """Integer tau values at (t0 + j, n0 + k) for k < row_lengths[j].
+
+    ``which`` names the taus to evaluate ("f", "g" or "fg"); grid[j][k]
+    holds one integer for each, in that order.  The returned scale L is the
+    common denominator of their subset terms at (t0, n0), and grid[j][k]
+    is tau(t0 + j, n0 + k) * L * prod_i den(A_i)^j * den(B_i)^k.  That factor
+    is positive and the same for every tau at the point, so it cancels from
+    the cross ratios; at j = k = 0 it is L itself.
+
+    With integer coefficients c_S = L * term_S(t0, n0), the value is
+    sum_S c_S * P_S^j * Q_S^k, where P_S and Q_S are the subset ratios of
+    the A_i and B_i: plain integer products, computed once per row and once
+    per column.
+    """
+    terms = [_subset_terms(consts, dc, t0, n0, tau == "g") for tau in which]
+    scale = math.lcm(*(term.denominator for tts in terms for term in tts))
+    coefs = [[term.numerator * (scale // term.denominator) for term in tts]
+             for tts in terms]
+    p_ratio = _subset_ratios([c.A for c in consts])
+    q_ratio = _subset_ratios([c.B for c in consts])
+    q_pows = [[1] * len(q_ratio)]
+    for _ in range(max(row_lengths) - 1):
+        q_pows.append([q * r for q, r in zip(q_pows[-1], q_ratio)])
+    grid = []
+    for length in row_lengths:
+        grid.append([tuple(sum(map(mul, cs, q_pows[k])) for cs in coefs)
+                     for k in range(length)])
+        coefs = [[c * r for c, r in zip(cs, p_ratio)] for cs in coefs]
+    return scale, grid
 
 
 def tau_f(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
           t: int, n: int) -> Fraction:
     """First tau function at (t, n)."""
-    return _tau_grid(validate(params, solitons), params.delta_cap, t, n, 1, 1)[0][0][0]
+    scale, grid = _tau_grid(validate(params, solitons), params.delta_cap, t, n, [1], "f")
+    return Fraction(grid[0][0][0], scale)
 
 
 def tau_g(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
           t: int, n: int) -> Fraction:
     """Second tau function at (t, n), the one with the extra row weight."""
-    return _tau_grid(validate(params, solitons), params.delta_cap, t, n, 1, 1)[0][0][1]
+    scale, grid = _tau_grid(validate(params, solitons), params.delta_cap, t, n, [1], "g")
+    return Fraction(grid[0][0][0], scale)
 
 
 def sample_xy(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
@@ -200,31 +253,34 @@ def sample_field(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
                  t_range: tuple[int, int], n_range: tuple[int, int]) -> LatticeField:
     """Exact (x, y) window of the N-soliton state.
 
-    Both ranges are inclusive.  The tau grid is evaluated once with shared
-    power tables, so sampling a T x N window costs (T+1)(N+1) determinant
-    pairs rather than six per point.
+    Both ranges are inclusive.  The tau pair is evaluated once per point of
+    the window, plus one column for the n-shift in x and one row for the
+    t-shift in y, by the integer subset sums of :func:`_tau_grid`.  Each x
+    and y is then one integer ratio, reduced once.
     """
     t0, t1 = t_range
     n0, n1 = n_range
     if t1 < t0 or n1 < n0:
         raise WindowTooSmall(f"empty range: t {t_range}, n {n_range}")
-    nt = t1 - t0 + 2  # one extra row/column of tau values for the shifts
-    nn = n1 - n0 + 2
-    taus = _tau_grid(validate(params, solitons), params.delta_cap, t0, n0, nt, nn)
+    nt = t1 - t0 + 1
+    nn = n1 - n0 + 1
+    # the corner (t1 + 1, n1 + 1) feeds neither x nor y
+    _, taus = _tau_grid(validate(params, solitons), params.delta_cap, t0, n0,
+                        [nn + 1] * nt + [nn], "fg")
 
     xs: list[list[Fraction]] = []
     ys: list[list[Fraction]] = []
-    for j in range(nt - 1):
+    for j in range(nt):
         xrow: list[Fraction] = []
         yrow: list[Fraction] = []
-        for k in range(nn - 1):
+        for k in range(nn):
             f00, g00 = taus[j][k]
             fn, gn = taus[j][k + 1]
             ft, gt = taus[j + 1][k]
             if 0 in (f00, g00, fn, gn, ft, gt):
                 raise ZeroTau(t0 + j, n0 + k)
-            xrow.append(f00 * gn / (g00 * fn))
-            yrow.append(g00 * ft / (f00 * gt))
+            xrow.append(Fraction(f00 * gn, g00 * fn))
+            yrow.append(Fraction(g00 * ft, f00 * gt))
         xs.append(xrow)
         ys.append(yrow)
     return LatticeField(n_lo=n0, t0=t0, xs=xs, ys=ys)

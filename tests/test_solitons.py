@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from fractions import Fraction
 from random import Random
@@ -22,6 +23,7 @@ from solitonlab import (
     validate,
     velocity,
 )
+from solitonlab import solitons
 from solitonlab.errors import (
     ConstraintViolated,
     DegenerateP,
@@ -118,6 +120,21 @@ def test_validate_rejects_bad_modes():
                               (SPAN - Fraction(1, 3), Fraction(1))])
 
 
+def test_validate_raises_on_a_nonpositive_constant(monkeypatch):
+    # the positivity invariant is a raise, not an assert, so it holds under -O
+    real = solitons._soliton_constants
+
+    def broken(params, p, gamma):
+        consts = real(params, p, gamma)
+        if p == REF_SOLITONS[1][0]:
+            consts = dataclasses.replace(consts, D=-consts.D)
+        return consts
+
+    monkeypatch.setattr(solitons, "_soliton_constants", broken)
+    with pytest.raises(ConstraintViolated, match="mode 1"):
+        validate(REF_PARAMS, REF_SOLITONS)
+
+
 # --- tau functions and the sampled field --------------------------------------
 
 
@@ -147,25 +164,69 @@ def test_single_mode_matches_scalar_closed_form(mode, t, n):
     assert (x, y) == one_soliton_xy(params.alpha, params.beta, p, gamma, t, n)
 
 
-def test_tau_assembly_against_cofactor_expansion():
-    # assemble the documented matrix by hand and expand it independently
-    three = REF_SOLITONS + [(Fraction(1, 2), Fraction(1, 5))]
+FIVE = REF_SOLITONS + [(Fraction(1, 2), Fraction(1, 5)), (Fraction(3, 5), Fraction(2, 7)),
+                       (Fraction(1, 10), Fraction(-3, 4))]
+
+
+def cofactor_tau(consts, t, n, weighted):
+    """The documented matrix, assembled by hand and expanded independently."""
     dc = REF_PARAMS.delta_cap
+    rows = []
+    for i, ci in enumerate(consts):
+        w = ci.gamma * ci.A ** t * ci.B ** n
+        if weighted:
+            w *= ci.D
+        rows.append([(1 if i == j else 0) + w / (ci.p + cj.p + dc)
+                     for j, cj in enumerate(consts)])
+    return det_cofactor(rows)
+
+
+def test_tau_assembly_against_cofactor_expansion():
+    three = FIVE[:3]
     for modes, t, n, weighted in [
             (REF_SOLITONS, 0, 0, False), (REF_SOLITONS, 2, -3, False),
             (REF_SOLITONS, -1, 4, True), (REF_SOLITONS, 3, 2, True),
             (three, -3, -5, False), (three, -3, -5, True)]:
-        consts = validate(REF_PARAMS, modes)
-        rows = []
-        for i, ci in enumerate(consts):
-            w = ci.gamma * ci.A ** t * ci.B ** n
-            if weighted:
-                w *= ci.D
-            rows.append([(1 if i == j else 0) + w / (ci.p + cj.p + dc)
-                         for j, cj in enumerate(consts)])
-        expected = det_cofactor(rows)
+        expected = cofactor_tau(validate(REF_PARAMS, modes), t, n, weighted)
         got = (tau_g if weighted else tau_f)(REF_PARAMS, modes, t, n)
         assert got == expected
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 5])
+def test_sample_field_against_cofactor_cross_ratios(n_modes):
+    # every x and y of a window that straddles t = 0 and n = 0; unlike
+    # tau_f and tau_g, this reaches the power tables past the grid origin
+    modes = FIVE[:n_modes]
+    consts = validate(REF_PARAMS, modes)
+    taus = {}
+
+    def tau(t, n, weighted):
+        if (t, n, weighted) not in taus:
+            taus[t, n, weighted] = cofactor_tau(consts, t, n, weighted)
+        return taus[t, n, weighted]
+
+    field = sample_field(REF_PARAMS, modes, (-3, 2), (-5, 4))
+    assert (field.t0, field.n_lo) == (-3, -5)
+    assert (len(field.xs), len(field.xs[0])) == (6, 10)
+    for j, t in enumerate(range(-3, 3)):
+        for k, n in enumerate(range(-5, 5)):
+            f, g = tau(t, n, False), tau(t, n, True)
+            assert field.xs[j][k] == f * tau(t, n + 1, True) / (g * tau(t, n + 1, False))
+            assert field.ys[j][k] == g * tau(t + 1, n, False) / (f * tau(t + 1, n, True))
+
+
+def test_sample_xy_skips_the_unused_corner(monkeypatch):
+    # x needs the n-shifted taus and y the t-shifted ones; nothing needs both
+    calls = []
+    real = solitons._tau_grid
+
+    def spy(consts, dc, t0, n0, row_lengths, which):
+        calls.append((list(row_lengths), which))
+        return real(consts, dc, t0, n0, row_lengths, which)
+
+    monkeypatch.setattr(solitons, "_tau_grid", spy)
+    sample_xy(REF_PARAMS, REF_SOLITONS, 2, -3)
+    assert calls == [([2, 1], "fg")]
 
 
 @pytest.mark.filterwarnings("ignore::solitonlab.errors.SolitonEscapedWindow")
