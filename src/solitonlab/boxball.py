@@ -25,6 +25,7 @@ gap between the rational map at finite eps and the tropical step.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import IO, Sequence
 
@@ -53,20 +54,27 @@ def _check_capacity(name: str, value: Capacity) -> Capacity:
 
 @dataclass(frozen=True)
 class BBSCState:
-    """Box occupancies plus the two capacities."""
+    """Box occupancies plus the two capacities.
+
+    Capacity is checked on every state, sweep outputs included: a box
+    outside ``[0, c_box]`` raises :class:`CapacityViolation` naming the
+    first such box.
+    """
 
     u: tuple[int, ...]
     c_box: int
     c_carrier: Capacity = math.inf
 
     def __post_init__(self):
-        object.__setattr__(self, "u", tuple(int(v) for v in self.u))
+        u = tuple(map(int, self.u))
+        object.__setattr__(self, "u", u)
         _check_capacity("c_box", self.c_box)
         _check_capacity("c_carrier", self.c_carrier)
-        for k, v in enumerate(self.u):
-            if not 0 <= v <= self.c_box:
-                raise CapacityViolation(
-                    f"box {k} holds {v}, outside [0, {self.c_box}]")
+        if u and (min(u) < 0 or max(u) > self.c_box):
+            for k, v in enumerate(u):
+                if not 0 <= v <= self.c_box:
+                    raise CapacityViolation(
+                        f"box {k} holds {v}, outside [0, {self.c_box}]")
 
     @property
     def balls(self) -> int:
@@ -84,18 +92,21 @@ def bbsc_sweep(state: BBSCState) -> tuple[BBSCState, list[int]]:
     out: list[int] = []
     loads: list[int] = [0]
     v = 0
+    # min and max as conditional expressions, which save two builtin calls
+    # per box; w > cc never holds for cc = inf, so no separate inf test
     for u in state.u:
-        spill = max(0, u + v - cc) if cc != math.inf else 0
-        u2 = min(cb - u, v) + spill
-        v = u + v - u2
+        w = u + v
+        room = cb - u
+        u2 = (room if room < v else v) + (w - cc if w > cc else 0)
+        v = w - u2
         out.append(u2)
         loads.append(v)
     while v > 0:
-        u2 = min(cb, v)  # an appended empty box; no spill since v <= cc
+        u2 = cb if cb < v else v  # an appended empty box; no spill since v <= cc
         v -= u2
         out.append(u2)
         loads.append(v)
-    return BBSCState(tuple(out), cb, cc), loads
+    return BBSCState(out, cb, cc), loads
 
 
 def bbsc_step(state: BBSCState) -> BBSCState:
@@ -124,19 +135,33 @@ def render_ascii(history: Sequence[BBSCState]) -> str:
     if any(s.c_box > 9 for s in history):
         raise ValueError("occupancies above 9 cannot be drawn as single digits")
     width = max(len(s.u) for s in history)
-    lines = []
-    for s in history:
-        row = "".join("." if v == 0 else str(v) for v in s.u)
-        lines.append(row.ljust(width, "."))
-    return "\n".join(lines)
+    cell = _cell_table(history, ".", "").__getitem__
+    return "\n".join("".join(map(cell, s.u)).ljust(width, ".") for s in history)
 
 
 def write_bbsc_csv(history: Sequence[BBSCState], stream: IO[str]) -> None:
-    """Write rows ``t,n,u`` for every state in the history."""
+    """Write rows ``t,n,u`` for every state in the history.
+
+    Each state's rows are assembled from lookup tables and written whole,
+    in one ``stream.write`` per state.
+    """
     stream.write("t,n,u\n")
+    width = max((len(s.u) for s in history), default=0)
+    sites = [f",{n}," for n in range(width)]
+    cell = _cell_table(history, "0\n", "\n").__getitem__
     for t, s in enumerate(history):
-        for n, v in enumerate(s.u):
-            stream.write(f"{t},{n},{v}\n")
+        if s.u:
+            # the lines "t,n,v\n" of one state are t followed by the pieces
+            # ",n,v\n" joined with t
+            lead = str(t)
+            stream.write(lead + lead.join(map(operator.add, sites, map(cell, s.u))))
+
+
+def _cell_table(history: Sequence[BBSCState], zero: str, end: str) -> list[str]:
+    """Text of each cell value, indexed by the value: ``zero`` for 0, then
+    ``f"{v}{end}"`` up to the largest occupancy in the history."""
+    top = max((max(s.u) for s in history if s.u), default=0)
+    return [zero] + [f"{v}{end}" for v in range(1, top + 1)]
 
 
 # ---------------------------------------------------------------------------

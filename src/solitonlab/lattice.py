@@ -182,7 +182,7 @@ class LatticeField:
         for xr, yr in zip(self.xs, self.ys):
             if len(xr) != width or len(yr) != width:
                 raise ValueError("ragged field rows")
-            if any(v == 0 for v in xr) or any(v == 0 for v in yr):
+            if not all(xr) or not all(yr):
                 raise ValueError("field values must be nonzero")
         if len(self.ys) != len(self.xs):
             raise ValueError("xs and ys must hold the same number of rows")

@@ -64,3 +64,26 @@ def one_soliton_xy(alpha: Fraction, beta: Fraction, p: Fraction,
 def tropical_alt(x: float, y: float, cap_a: float, cap_b: float) -> float:
     """The piecewise-linear update written as two plateau terms."""
     return y + min(0.0, cap_b + x + y) - min(0.0, cap_a + x + y)
+
+
+def bbsc_sweep_longhand(u: Sequence[int], c_box: int, c_carrier
+                        ) -> tuple[list[int], list[int]]:
+    """One carrier sweep, u' = min(c_box-u, v) + max(0, u+v-c_carrier).
+
+    Returns the new occupancies and the carrier loads (the load entering
+    each box, then the load after the last one).  Empty boxes are appended
+    while the carrier still holds balls.
+    """
+    cells = list(u)
+    out: list[int] = []
+    loads = [0]
+    v = 0
+    k = 0
+    while k < len(cells) or v > 0:
+        uk = cells[k] if k < len(cells) else 0
+        u2 = min(c_box - uk, v) + max(0, uk + v - c_carrier)
+        v = uk + v - u2
+        out.append(u2)
+        loads.append(v)
+        k += 1
+    return out, loads

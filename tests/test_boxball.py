@@ -28,7 +28,7 @@ from solitonlab.errors import (
     NonPositiveParameter,
 )
 
-from _oracles import tropical_alt
+from _oracles import bbsc_sweep_longhand, tropical_alt
 
 
 # --- automaton hand traces ----------------------------------------------------
@@ -84,6 +84,12 @@ def test_state_validation():
         BBSCState((4,), c_box=3, c_carrier=1)
     with pytest.raises(CapacityViolation):
         BBSCState((-1,), c_box=3, c_carrier=1)
+    # the message names the first box out of range
+    with pytest.raises(CapacityViolation, match=r"^box 2 holds 4, outside \[0, 3\]$"):
+        BBSCState((0, 3, 4, -1, 5), c_box=3, c_carrier=1)
+    with pytest.raises(CapacityViolation, match=r"^box 1 holds -1,"):
+        BBSCState((2, -1, 7), c_box=3)
+    assert BBSCState((), c_box=3).u == ()
     with pytest.raises(NonPositiveParameter):
         BBSCState((1,), c_box=0, c_carrier=1)
     with pytest.raises(NonPositiveParameter):
@@ -109,6 +115,17 @@ def test_balls_conserved_and_capacities_respected(setup, steps):
         state = bbsc_step(state)
         assert state.balls == total
         assert all(0 <= v <= cb for v in state.u)
+
+
+@given(occupancies)
+@settings(max_examples=200, deadline=None)
+def test_sweep_matches_longhand_min_max(setup):
+    cb, cells, cc = setup
+    state, loads = bbsc_sweep(BBSCState(tuple(cells), c_box=cb, c_carrier=cc))
+    expected_u, expected_loads = bbsc_sweep_longhand(cells, cb, cc)
+    assert list(state.u) == expected_u
+    assert loads == expected_loads
+    assert (state.c_box, state.c_carrier) == (cb, cc)
 
 
 @given(occupancies)
@@ -145,6 +162,34 @@ def test_write_bbsc_csv():
     lines = buf.getvalue().splitlines()
     assert lines[0] == "t,n,u"
     assert lines[1] == "0,0,1"
+
+
+def csv_longhand(history):
+    return "t,n,u\n" + "".join(f"{t},{n},{v}\n"
+                               for t, s in enumerate(history)
+                               for n, v in enumerate(s.u))
+
+
+CSV_HISTORIES = {
+    "empty": lambda: [],
+    "one_empty_state": lambda: [BBSCState((), c_box=2)],
+    # rows of 3, 0, 6 and 1 boxes
+    "ragged": lambda: [BBSCState((1, 0, 2), c_box=2), BBSCState((), c_box=2),
+                       BBSCState((0, 0, 1, 2, 2, 1), c_box=2),
+                       BBSCState((2,), c_box=2)],
+    # cells up to 12, and more than ten sites and states
+    "two_digit": lambda: evolve_bbsc(
+        BBSCState((9, 0, 0, 9, 9, 0, 3), c_box=12, c_carrier=5), 12),
+    "unbounded_box": lambda: [BBSCState((0, 10, 123, 7), c_box=math.inf)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_HISTORIES))
+def test_write_bbsc_csv_matches_per_line_rows(name):
+    history = CSV_HISTORIES[name]()
+    buf = io.StringIO()
+    write_bbsc_csv(history, buf)
+    assert buf.getvalue() == csv_longhand(history)
 
 
 # --- tropical form ---------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Each case pins the exit code and the sha256 of stdout.  The digests were
 recorded before the tau grid, the lattice sweep, the box-ball step and the
-track assignment were each collapsed into a single implementation, so a
-refactor of any of them that changes one output byte fails here.
+track assignment were each collapsed into a single implementation, and the
+two bounded-carrier ``bbsc`` digests before the box-ball sweep and CSV
+writer were rewritten to work per row, so a refactor of any of them that
+changes one output byte fails here.
 """
 
 import hashlib
@@ -42,6 +44,14 @@ GOLDEN = {
         ["bbsc", "--cb", "1", "--init", "0111010000000", "--steps", "4",
          "--render", "ascii"], 0,
         "afc05157df5e411579c4565eeb5aecbba9222ca96d6cd5233c8781792270b9d6"),
+    "bbsc_bounded_csv_two_digit": (
+        ["bbsc", "--cb", "12", "--cc", "5", "--init", "0999099000900",
+         "--steps", "12", "--render", "csv"], 0,
+        "798068d0a7052fcf81e10c242fd84e9502890218d9423c28f9ab91a5b3253965"),
+    "bbsc_bounded_ascii": (
+        ["bbsc", "--cb", "3", "--cc", "1", "--init", "3300020001000",
+         "--steps", "10", "--render", "ascii"], 0,
+        "56dfcd32eee345e4411c773d8762c5b5cd4bb295f73181979cc16bf78c883941"),
 }
 
 
