@@ -29,8 +29,6 @@ import operator
 from dataclasses import dataclass
 from typing import IO, Sequence
 
-import numpy as np
-
 from .errors import (
     CapacityViolation,
     EmptyField,
@@ -188,16 +186,17 @@ class UDField:
             raise NonPositiveParameter("A and B must be positive")
 
 
-def tropical_step(field: UDField) -> np.ndarray:
+def tropical_step(field: UDField) -> tuple[float, ...]:
     """The piecewise-linear update X' = min(-X, B+Y) + max(X+Y+A, 0) - A."""
-    x = np.asarray(field.X, dtype=float)
-    y = np.asarray(field.Y, dtype=float)
-    return np.minimum(-x, field.B + y) + np.maximum(x + y + field.A, 0.0) - field.A
+    a, b = field.A, field.B
+    return tuple(min(-x, b + y) + max(x + y + a, 0.0) - a
+                 for x, y in zip(field.X, field.Y))
 
 
-def shift_to_uv(field: UDField) -> tuple[np.ndarray, np.ndarray]:
+def shift_to_uv(field: UDField) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Shift to carrier coordinates: U = X + A, V = Y + B."""
-    return (np.asarray(field.X) + field.A, np.asarray(field.Y) + field.B)
+    return (tuple(x + field.A for x in field.X),
+            tuple(y + field.B for y in field.Y))
 
 
 def field_from_state(state: BBSCState, loads: Sequence[int]) -> UDField:
@@ -215,14 +214,24 @@ def field_from_state(state: BBSCState, loads: Sequence[int]) -> UDField:
     return UDField(X=xs, Y=ys, A=a, B=b)
 
 
-def _log1mexp(z: np.ndarray) -> np.ndarray:
+_LOG2 = math.log(2.0)
+
+
+def _log1mexp(z: float) -> float:
     """log(1 - exp(z)) for z < 0, stable over the whole range."""
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    small = z < -math.log(2.0)
-    out[small] = np.log1p(-np.exp(z[small]))
-    out[~small] = np.log(-np.expm1(z[~small]))
-    return out
+    if z < -_LOG2:
+        return math.log1p(-math.exp(z))
+    return math.log(-math.expm1(z))
+
+
+def _logaddexp(x: float, y: float) -> float:
+    """log(exp(x) + exp(y)) without overflow: x + log 2 when x == y, else
+    the larger argument plus log1p(exp(-|x - y|))."""
+    if x == y:
+        return x + _LOG2
+    if x > y:
+        return x + math.log1p(math.exp(y - x))
+    return y + math.log1p(math.exp(x - y))
 
 
 def ud_limit_check(field: UDField, epsilons: Sequence[float],
@@ -242,20 +251,17 @@ def ud_limit_check(field: UDField, epsilons: Sequence[float],
         raise NonPositiveEpsilon("epsilons below 1e-6 are outside the float-validated range")
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilons must be strictly decreasing")
-    x = np.asarray(field.X, dtype=float)
-    y = np.asarray(field.Y, dtype=float)
     a, b = field.A, field.B
     trop = tropical_step(field)
     out: list[tuple[float, float]] = []
     for eps in eps_list:
         # log((1-beta) + beta * x * y) with beta = exp(-B/eps):
         #   logaddexp(log(1 - exp(-B/eps)), -(B + X + Y)/eps)
-        t_beta = np.logaddexp(_log1mexp(np.full_like(x, -b / eps)),
-                              -(b + x + y) / eps)
-        t_alpha = np.logaddexp(_log1mexp(np.full_like(x, -a / eps)),
-                               -(a + x + y) / eps)
-        x_next = y - eps * t_beta + eps * t_alpha
-        gap = float(np.max(np.abs(x_next - trop)))
+        lb = _log1mexp(-b / eps)
+        la = _log1mexp(-a / eps)
+        gap = max(abs(y - eps * _logaddexp(lb, -(b + x + y) / eps)
+                      + eps * _logaddexp(la, -(a + x + y) / eps) - tr)
+                  for x, y, tr in zip(field.X, field.Y, trop))
         out.append((eps, gap))
     return out
 

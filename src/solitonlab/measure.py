@@ -7,7 +7,8 @@ that widens across detection gaps, plus a depth-similarity term in the match
 cost so two troughs that merge during a collision and reappear later keep
 their identities.
 
-Speeds are least-squares slopes.  Samples taken while another track is within
+Speeds are least-squares slopes, computed exactly from the float positions
+and rounded once to a float.  Samples taken while another track is within
 ``exclusion_radius`` lattice units are dropped, and the fit allows a separate
 intercept per surviving contiguous segment: a collision shifts a soliton's
 phase, so forcing one intercept across the jump would bias the slope.
@@ -19,11 +20,11 @@ integer arithmetic; their speeds are exact rationals.
 from __future__ import annotations
 
 import math
+import statistics
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .boxball import BBSCState
 from .errors import (
@@ -65,7 +66,23 @@ class TroughTrack:
 
     def position_at(self, t: int) -> float:
         """Position at time t, linearly interpolated across gaps."""
-        return float(np.interp(t, self.times, self.positions))
+        return _interp(t, self.times, self.positions)
+
+
+def _interp(x: float, xp: Sequence[float], fp: Sequence[float]) -> float:
+    """Piecewise-linear interpolation of the knots (xp, fp) at x.
+
+    ``xp`` is increasing.  Outside its range the end values are held, at a
+    knot the knot's value is returned exactly, and in between the value is
+    ``slope * (x - xp[j]) + fp[j]``.
+    """
+    j = bisect_right(xp, x) - 1
+    if j < 0:
+        return float(fp[0])
+    if j == len(xp) - 1 or xp[j] == x:
+        return float(fp[j])
+    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+    return slope * (x - xp[j]) + fp[j]
 
 
 def _row_minima(row: Sequence[float], threshold: float) -> list[tuple[float, float]]:
@@ -161,7 +178,7 @@ def _assign(active: Sequence[TroughTrack], dets: Sequence[tuple[float, float]],
         else:
             vel = 0.0
         pred = tr.positions[-1] + vel * gap
-        depth = float(np.median(tr.depths[-5:]))
+        depth = statistics.median(tr.depths[-5:])
         row = {}
         for di, (pos, dep) in enumerate(dets):
             if abs(pos - tr.positions[-1]) <= gate or abs(pos - pred) <= base_gate:
@@ -262,6 +279,8 @@ def measure_velocity(track: TroughTrack, others: Sequence[TroughTrack] = (), *,
     Collision samples (within ``exclusion_radius`` of another track) are
     excluded; the fit shares one slope across the remaining contiguous
     segments with a free intercept each, since collisions shift the phase.
+    The slope is computed exactly from the integer times and the float
+    positions taken as exact rationals, and rounded once to a float.
     Raises TooFewSamples when fewer than two usable samples remain or no
     segment has two points.
     """
@@ -276,19 +295,19 @@ def measure_velocity(track: TroughTrack, others: Sequence[TroughTrack] = (), *,
             segments.append([])
         segments[-1].append((t, pos))
         prev_t = t
-    num = 0.0
-    den = 0.0
+    num = Fraction(0)
+    den = Fraction(0)
     for seg in segments:
         if len(seg) < 2:
             continue
-        ts = np.array([s[0] for s in seg], dtype=float)
-        xs = np.array([s[1] for s in seg], dtype=float)
-        ts -= ts.mean()
-        num += float(np.dot(ts, xs))
-        den += float(np.dot(ts, ts))
-    if den == 0.0:
+        mean_t = Fraction(sum(t for t, _ in seg), len(seg))
+        for t, pos in seg:
+            dt = t - mean_t
+            num += dt * Fraction(pos)
+            den += dt * dt
+    if den == 0:
         raise TooFewSamples("no segment with two or more samples")
-    return num / den
+    return float(num / den)
 
 
 def measure_amplitude(row: Sequence[float]) -> float:
@@ -481,7 +500,7 @@ def overtake_report(tracks: Sequence[TroughTrack | ClusterTrack]) -> dict:
     t_start = max(start_span)
     t_end = min(end_span)
     if isinstance(a, ClusterTrack):
-        at = lambda tr, t: float(np.interp(t, tr.times, tr.leftmost))  # noqa: E731
+        at = lambda tr, t: _interp(t, tr.times, tr.leftmost)  # noqa: E731
     else:
         at = lambda tr, t: tr.position_at(t)  # noqa: E731
     if t_end <= t_start:

@@ -87,3 +87,30 @@ def bbsc_sweep_longhand(u: Sequence[int], c_box: int, c_carrier
         loads.append(v)
         k += 1
     return out, loads
+
+
+def lsq_slope_exact(samples: Sequence[tuple[int, float]]) -> Fraction:
+    """Pooled within-segment least-squares slope of (t, position) samples.
+
+    A gap of more than 2 rows starts a new segment, and each segment has
+    its own intercept.  Written in normal-equation form over exact
+    rationals: the slope is the sum over segments of
+    S_tx - S_t S_x / m, divided by the sum of S_tt - S_t^2 / m.
+    Raises ZeroDivisionError when no segment has two samples.
+    """
+    segments: list[list[tuple[int, Fraction]]] = []
+    prev = None
+    for t, x in samples:
+        if prev is None or t - prev > 2:
+            segments.append([])
+        segments[-1].append((t, Fraction(x)))
+        prev = t
+    num = Fraction(0)
+    den = Fraction(0)
+    for seg in segments:
+        m = len(seg)
+        s_t = sum(t for t, _ in seg)
+        s_x = sum(x for _, x in seg)
+        num += sum(t * x for t, x in seg) - s_t * s_x / m
+        den += sum(t * t for t, _ in seg) - Fraction(s_t * s_t, m)
+    return num / den

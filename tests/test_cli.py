@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -151,3 +155,11 @@ def test_verify_failure_exits_two(capsys):
     code, out, err = invoke(capsys, "verify", "udlimit",
                             "--epsilons", "1,0.9,0.95")
     assert code in (1, 2)
+
+
+def test_cli_start_up_imports_no_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = ("import solitonlab; from solitonlab import cli; cli.build_parser(); "
+            "import sys; sys.exit('numpy' in sys.modules)")
+    assert subprocess.run([sys.executable, "-s", "-c", code], env=env).returncode == 0

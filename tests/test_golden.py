@@ -5,7 +5,10 @@ recorded before the tau grid, the lattice sweep, the box-ball step and the
 track assignment were each collapsed into a single implementation, and the
 two bounded-carrier ``bbsc`` digests before the box-ball sweep and CSV
 writer were rewritten to work per row, so a refactor of any of them that
-changes one output byte fails here.
+changes one output byte fails here.  The ``analyze_readme`` digest was
+re-recorded once, when the speed fit became exact: its two ``"speed"``
+values moved by one ulp each to the correctly rounded slope, and no other
+byte changed.
 """
 
 import hashlib
@@ -21,7 +24,7 @@ WINDOW = ["--n", "-20:8", "--t", "0:4"]
 GOLDEN = {
     "analyze_readme": (
         ["analyze", *REF, "--n", "-30:90", "--t", "0:60"], 0,
-        "8a6ad360f528f649aaa038237a5795f6f78c9c6810acea32ac7cb7eab3400a86"),
+        "ad98f30db89701a3cf40e27e00bf75d6f290908109654cec65320f69052aa4b5"),
     "scan_alpha_lt_beta": (
         ["scan", "--alpha", "5/6", "--beta", "14/15", "--grid", "101"], 0,
         "1ed57f2ce9908f07ab688e7e5d27a72c78a03290371d267460500f7d7dd3c187"),

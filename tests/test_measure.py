@@ -2,6 +2,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from solitonlab import (
     BBSCState,
@@ -26,6 +27,8 @@ from solitonlab.errors import (
     WrongTrackCount,
 )
 from solitonlab.measure import _assign
+
+from _oracles import lsq_slope_exact
 
 REF_PARAMS = SystemParams(Fraction(5, 6), Fraction(14, 15))
 REF_SOLITONS = [(Fraction(2, 15), Fraction(-1, 6)),
@@ -126,6 +129,33 @@ def test_single_soliton_measurement():
 def test_velocity_of_a_straight_line_is_one():
     tr = TroughTrack([0, 1, 2, 3], [0.0, 1.0, 2.0, 3.0], [0.5] * 4)
     assert measure_velocity(tr) == 1.0
+
+
+# (row step, position) pairs: steps above 2 split a track into segments, so
+# the draws include gapped tracks and single-sample segments
+track_samples = st.lists(
+    st.tuples(st.integers(1, 5),
+              st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)),
+    min_size=2, max_size=40)
+
+
+@given(st.integers(-50, 50), track_samples)
+@settings(max_examples=300, deadline=None)
+def test_velocity_is_the_exact_slope_rounded_once(t0, steps):
+    times = []
+    t = t0
+    for step, _ in steps:
+        t += step
+        times.append(t)
+    positions = [pos for _, pos in steps]
+    tr = TroughTrack(times, positions, [0.5] * len(times))
+    try:
+        expected = lsq_slope_exact(list(zip(times, positions)))
+    except ZeroDivisionError:  # no segment with two samples
+        with pytest.raises(TooFewSamples):
+            measure_velocity(tr)
+        return
+    assert measure_velocity(tr) == float(expected)
 
 
 def test_measure_amplitude_empty_row():
