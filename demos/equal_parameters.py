@@ -3,13 +3,12 @@ exchange: one step shifts every profile one site right, so all speeds are 1
 and solitons keep their spacing forever.
 """
 
-import warnings
 from fractions import Fraction
 
 from solitonlab import (
     SystemParams,
     measure_velocity,
-    sample_field,
+    sample_x_float,
     step_gkdv,
     track_troughs,
 )
@@ -24,10 +23,8 @@ print("  after: ", [str(v) for v in x_next])
 print("  (everything moved one box to the right; y = 1 refilled the edge)\n")
 
 solitons = [(Fraction(1, 15), Fraction(-20)), (Fraction(1, 30), Fraction(-1, 60))]
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")
-    field = sample_field(params, solitons, (0, 40), (-10, 50))
-tracks = track_troughs(field)
+rows = sample_x_float(params, solitons, (0, 40), (-10, 50))
+tracks = track_troughs(rows, n_lo=-10, t0=0)
 print(f"two-soliton field, {len(tracks)} tracks measured:")
 for tr in tracks:
     others = [o for o in tracks if o is not tr]

@@ -52,6 +52,7 @@ from .solitons import (
     kp_tau,
     random_kp_params,
     sample_field,
+    sample_x_float,
     sample_xy,
     scan_monotonicity,
     tau_f,
@@ -70,8 +71,8 @@ __all__ = [
     "evolve_bbsc", "evolve_gkdv", "field_from_state", "gkdv_local",
     "kp_tau", "limit_chain_check", "measure_amplitude", "measure_velocity",
     "overtake_report", "param_correspondence", "random_kp_params",
-    "rat_parse", "rat_str", "render_ascii", "sample_field", "sample_xy",
-    "scale_to_yb", "scan_monotonicity", "shift_to_uv", "step_dkdv",
+    "rat_parse", "rat_str", "render_ascii", "sample_field", "sample_x_float",
+    "sample_xy", "scale_to_yb", "scan_monotonicity", "shift_to_uv", "step_dkdv",
     "step_gkdv", "tau_f", "tau_g", "track_amplitude", "track_troughs",
     "tropical_step", "ud_limit_check", "validate", "velocity",
     "write_bbsc_csv", "yb_map",

@@ -219,8 +219,8 @@ def _cmd_bbsc(args) -> int:
 def _cmd_analyze(args) -> int:
     params = SystemParams(args.alpha, args.beta)
     consts = solitons.validate(params, args.soliton)
-    field = solitons.sample_field(params, args.soliton, args.t, args.n)
-    tracks = measure.track_troughs(field, threshold=args.threshold)
+    rows = solitons.sample_x_float(params, args.soliton, args.t, args.n)
+    tracks = measure.track_troughs(rows, args.n[0], args.t[0], threshold=args.threshold)
     closed = [{
         "p": rat_str(c.p),
         "gamma": rat_str(c.gamma),

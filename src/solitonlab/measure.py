@@ -1,6 +1,6 @@
 """Blind measurement of soliton tracks in simulated fields.
 
-Troughs of the rational field (local minima of x below the background 1) are
+Troughs of the float rows of x (local minima below the background 1) are
 located per row to sub-lattice precision with a parabolic fit in log x, then
 linked across rows into tracks.  Linking is nearest-neighbor with a jump gate
 that widens across detection gaps, plus a depth-similarity term in the match
@@ -33,7 +33,6 @@ from .errors import (
     TooFewSamples,
     WrongTrackCount,
 )
-from .lattice import LatticeField
 
 # How close (lattice units) another soliton may come before a sample is
 # discarded as collision-contaminated.  Calibrated against the closed-form
@@ -120,24 +119,24 @@ def _match_cost(pred_pos: float, pred_depth: float, det_pos: float,
     return abs(pred_pos - det_pos) / gate + 3.0 * abs(pred_depth - det_depth)
 
 
-def track_troughs(field: LatticeField, threshold: float = 1e-3, *,
-                  v_max: float = 1.0, max_gap: int = 40,
+def track_troughs(rows: Sequence[Sequence[float]], n_lo: int, t0: int,
+                  threshold: float = 1e-3, *, v_max: float = 1.0, max_gap: int = 40,
                   min_samples: int = 3) -> list[TroughTrack]:
     """Link per-row trough detections into tracks.
 
-    ``threshold`` is the minimum |x - 1| for a detection, ``v_max`` bounds
-    the per-step jump gate, ``max_gap`` is how many rows a track may coast
-    undetected (troughs merge during collisions), and tracks shorter than
+    ``rows[j][k]`` is x at time ``t0 + j`` and site ``n_lo + k``, as
+    :func:`solitonlab.solitons.sample_x_float` returns it.  ``threshold``
+    is the minimum |x - 1| for a detection, ``v_max`` bounds the per-step
+    jump gate, ``max_gap`` is how many rows a track may coast undetected
+    (troughs merge during collisions), and tracks shorter than
     ``min_samples`` are discarded as noise.  Tracks are returned sorted by
     first appearance, then position.
     """
     base_gate = max(2.0, math.ceil(2.0 * v_max))
-    rows = field.x_float()
     active: list[TroughTrack] = []
     done: list[TroughTrack] = []
-    for j, t in enumerate(field.times):
-        dets = [(field.n_lo + pos, depth)
-                for pos, depth in _row_minima(rows[j], threshold)]
+    for t, row in enumerate(rows, t0):
+        dets = [(n_lo + pos, depth) for pos, depth in _row_minima(row, threshold)]
         # retire tracks that have coasted too long
         still = []
         for tr in active:

@@ -222,8 +222,8 @@ def _tau_grid(consts: Sequence[SolitonConstants], dc: Fraction, t0: int, n0: int
         q_pows.append([q * r for q, r in zip(q_pows[-1], q_ratio)])
     grid = []
     for length in row_lengths:
-        grid.append([tuple(sum(map(mul, cs, q_pows[k])) for cs in coefs)
-                     for k in range(length)])
+        cols = q_pows[:length]
+        grid.append(list(zip(*[[sum(map(mul, cs, qs)) for qs in cols] for cs in coefs])))
         coefs = [[c * r for c, r in zip(cs, p_ratio)] for cs in coefs]
     return scale, grid
 
@@ -249,6 +249,30 @@ def sample_xy(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
     return field.xs[0][0], field.ys[0][0]
 
 
+def _window_taus(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
+                 t_range: tuple[int, int], n_range: tuple[int, int], t_shift: bool,
+                 ) -> list[list[tuple[int, int]]]:
+    """Integer (f, g) pairs of :func:`_tau_grid` for a window and its n-shift
+    column, plus its t-shift row when ``t_shift`` is set.
+
+    Both ranges are inclusive.  The corner (t1 + 1, n1 + 1) is never
+    evaluated: it feeds neither x nor y.  Raises ZeroTau naming the first
+    site, row by row, where a tau vanishes.
+    """
+    t0, t1 = t_range
+    n0, n1 = n_range
+    if t1 < t0 or n1 < n0:
+        raise WindowTooSmall(f"empty range: t {t_range}, n {n_range}")
+    nn = n1 - n0 + 1
+    rows = [nn + 1] * (t1 - t0 + 1) + ([nn] if t_shift else [])
+    _, taus = _tau_grid(validate(params, solitons), params.delta_cap, t0, n0, rows, "fg")
+    for j, row in enumerate(taus):
+        if not all(map(all, row)):
+            k = next(k for k, pair in enumerate(row) if not all(pair))
+            raise ZeroTau(t0 + j, n0 + k)
+    return taus
+
+
 def sample_field(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
                  t_range: tuple[int, int], n_range: tuple[int, int]) -> LatticeField:
     """Exact (x, y) window of the N-soliton state.
@@ -256,34 +280,30 @@ def sample_field(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
     Both ranges are inclusive.  The tau pair is evaluated once per point of
     the window, plus one column for the n-shift in x and one row for the
     t-shift in y, by the integer subset sums of :func:`_tau_grid`.  Each x
-    and y is then one integer ratio, reduced once.
+    and y is then one integer ratio, reduced once.  Its float counterpart,
+    :func:`sample_x_float`, divides the same integers straight to floats.
     """
-    t0, t1 = t_range
-    n0, n1 = n_range
-    if t1 < t0 or n1 < n0:
-        raise WindowTooSmall(f"empty range: t {t_range}, n {n_range}")
-    nt = t1 - t0 + 1
-    nn = n1 - n0 + 1
-    # the corner (t1 + 1, n1 + 1) feeds neither x nor y
-    _, taus = _tau_grid(validate(params, solitons), params.delta_cap, t0, n0,
-                        [nn + 1] * nt + [nn], "fg")
+    taus = _window_taus(params, solitons, t_range, n_range, t_shift=True)
+    xs = [[Fraction(f00 * gn, g00 * fn) for (f00, g00), (fn, gn) in zip(row, row[1:])]
+          for row in taus[:-1]]
+    ys = [[Fraction(g00 * ft, f00 * gt) for (f00, g00), (ft, gt) in zip(row[:-1], up)]
+          for row, up in zip(taus, taus[1:])]
+    return LatticeField(n_lo=n_range[0], t0=t_range[0], xs=xs, ys=ys)
 
-    xs: list[list[Fraction]] = []
-    ys: list[list[Fraction]] = []
-    for j in range(nt):
-        xrow: list[Fraction] = []
-        yrow: list[Fraction] = []
-        for k in range(nn):
-            f00, g00 = taus[j][k]
-            fn, gn = taus[j][k + 1]
-            ft, gt = taus[j + 1][k]
-            if 0 in (f00, g00, fn, gn, ft, gt):
-                raise ZeroTau(t0 + j, n0 + k)
-            xrow.append(Fraction(f00 * gn, g00 * fn))
-            yrow.append(Fraction(g00 * ft, f00 * gt))
-        xs.append(xrow)
-        ys.append(yrow)
-    return LatticeField(n_lo=n0, t0=t0, xs=xs, ys=ys)
+
+def sample_x_float(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
+                   t_range: tuple[int, int], n_range: tuple[int, int],
+                   ) -> list[list[float]]:
+    """x of the N-soliton state as float rows, one per time of ``t_range``.
+
+    Equal, bit for bit, to ``sample_field(...).x_float()``: each x is the
+    same integer ratio as there, and ``int / int`` is correctly rounded, so
+    the ratio goes straight to the nearest float with no ``Fraction`` and no
+    gcd.  No t-shifted row is evaluated, since y is not returned.
+    """
+    taus = _window_taus(params, solitons, t_range, n_range, t_shift=False)
+    return [[f00 * gn / (g00 * fn) for (f00, g00), (fn, gn) in zip(row, row[1:])]
+            for row in taus]
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from solitonlab import (
     overtake_report,
     random_kp_params,
     sample_field,
+    sample_x_float,
     scan_monotonicity,
     step_gkdv,
     track_amplitude,
@@ -94,8 +95,8 @@ def test_criterion_03_exact_solution_property():
 @pytest.fixture(scope="module")
 def overtake_run():
     start = time.monotonic()
-    field = _quiet_field(REF_PARAMS, REF_SOLITONS, (0, 60), (-30, 90))
-    tracks = track_troughs(field)
+    rows = sample_x_float(REF_PARAMS, REF_SOLITONS, (0, 60), (-30, 90))
+    tracks = track_troughs(rows, -30, 0)
     return tracks, time.monotonic() - start
 
 
@@ -127,8 +128,8 @@ def test_criterion_05_equal_parameter_degeneration():
     exchange_ok = x_next == [Fraction(1)] + row[:-1] and y_row == [Fraction(1)] + row
 
     sols = [(Fraction(1, 15), Fraction(-20)), (Fraction(1, 30), Fraction(-1, 60))]
-    field = _quiet_field(params, sols, (0, 40), (-10, 50))
-    tracks = track_troughs(field)
+    rows = sample_x_float(params, sols, (0, 40), (-10, 50))
+    tracks = track_troughs(rows, -10, 0)
     speeds = [measure_velocity(tr, [o for o in tracks if o is not tr])
               for tr in tracks]
     speeds_ok = len(tracks) == 2 and all(abs(v - 1.0) <= 1e-6 for v in speeds)

@@ -8,7 +8,10 @@ writer were rewritten to work per row, so a refactor of any of them that
 changes one output byte fails here.  The ``analyze_readme`` digest was
 re-recorded once, when the speed fit became exact: its two ``"speed"``
 values moved by one ulp each to the correctly rounded slope, and no other
-byte changed.
+byte changed.  The ``analyze_one_mode`` and ``analyze_three_modes``
+digests, which pin the per-track branch of ``analyze`` (any track count
+other than two), were recorded before ``analyze`` moved to float-first
+sampling.
 """
 
 import hashlib
@@ -25,6 +28,17 @@ GOLDEN = {
     "analyze_readme": (
         ["analyze", *REF, "--n", "-30:90", "--t", "0:60"], 0,
         "ad98f30db89701a3cf40e27e00bf75d6f290908109654cec65320f69052aa4b5"),
+    "analyze_one_mode": (
+        ["analyze", "--alpha", "5/6", "--beta", "14/15",
+         "--soliton", "2/15:-1/6", "--n", "-30:90", "--t", "0:60"], 0,
+        "cbd9ae13a027cb4f0149d494301f66df2d9ad61c9184a983e63dc5292991d5e2"),
+    "analyze_three_modes": (
+        ["analyze", "--alpha", "5/6", "--beta", "14/15",
+         "--soliton", "1/60:-11/1000000000000000000000",
+         "--soliton", "2/15:-38000000000",
+         "--soliton", "7/30:-346000000000000000",
+         "--n", "-30:90", "--t", "0:60"], 0,
+        "a7bc908046bc48bfedd64b11f7499f5b89b13121c8a14a06930b74b3b9dcf838"),
     "scan_alpha_lt_beta": (
         ["scan", "--alpha", "5/6", "--beta", "14/15", "--grid", "101"], 0,
         "1ed57f2ce9908f07ab688e7e5d27a72c78a03290371d267460500f7d7dd3c187"),

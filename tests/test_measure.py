@@ -1,4 +1,3 @@
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -15,7 +14,7 @@ from solitonlab import (
     measure_amplitude,
     measure_velocity,
     overtake_report,
-    sample_field,
+    sample_x_float,
     track_amplitude,
     track_troughs,
     velocity,
@@ -35,16 +34,14 @@ REF_SOLITONS = [(Fraction(2, 15), Fraction(-1, 6)),
                 (Fraction(1, 30), Fraction(-1, 30))]
 
 
-def _field(params, solitons, t_range, n_range):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return sample_field(params, solitons, t_range, n_range)
+def _tracks(params, solitons, t_range, n_range):
+    rows = sample_x_float(params, solitons, t_range, n_range)
+    return track_troughs(rows, n_range[0], t_range[0])
 
 
 @pytest.fixture(scope="module")
 def two_soliton_tracks():
-    field = _field(REF_PARAMS, REF_SOLITONS, (0, 60), (-30, 90))
-    return track_troughs(field)
+    return _tracks(REF_PARAMS, REF_SOLITONS, (0, 60), (-30, 90))
 
 
 def test_two_tracks_found(two_soliton_tracks):
@@ -79,8 +76,7 @@ def test_overtake_inferred_from_merged_start(two_soliton_tracks):
 
 
 def test_order_swap_visible_on_a_wider_window():
-    field = _field(REF_PARAMS, REF_SOLITONS, (-30, 40), (-60, 70))
-    tracks = track_troughs(field)
+    tracks = _tracks(REF_PARAMS, REF_SOLITONS, (-30, 40), (-60, 70))
     assert len(tracks) == 2
     report = overtake_report(tracks)
     assert report["crossing"] is True
@@ -92,8 +88,7 @@ def test_order_swap_visible_on_a_wider_window():
 def test_swapped_parameters_larger_leads():
     # alpha > beta reverses the speed law: the taller soliton wins the race
     params = SystemParams(Fraction(14, 15), Fraction(5, 6))
-    field = _field(params, REF_SOLITONS, (0, 60), (-30, 110))
-    tracks = track_troughs(field)
+    tracks = _tracks(params, REF_SOLITONS, (0, 60), (-30, 110))
     assert len(tracks) == 2
     report = overtake_report(tracks)
     assert report["anomaly"] == "none"
@@ -104,8 +99,7 @@ def test_swapped_parameters_larger_leads():
 def test_equal_parameters_tracks_are_parallel():
     params = SystemParams(Fraction(5, 6), Fraction(5, 6))
     sols = [(Fraction(1, 15), Fraction(-20)), (Fraction(1, 30), Fraction(-1, 60))]
-    field = _field(params, sols, (0, 40), (-10, 50))
-    tracks = track_troughs(field)
+    tracks = _tracks(params, sols, (0, 40), (-10, 50))
     assert len(tracks) == 2
     for tr in tracks:
         others = [o for o in tracks if o is not tr]
@@ -116,14 +110,25 @@ def test_equal_parameters_tracks_are_parallel():
 
 
 def test_single_soliton_measurement():
-    field = _field(REF_PARAMS, [REF_SOLITONS[1]], (0, 45), (-10, 50))
-    (track,) = track_troughs(field)
+    rows = sample_x_float(REF_PARAMS, [REF_SOLITONS[1]], (0, 45), (-10, 50))
+    (track,) = track_troughs(rows, -10, 0)
     assert measure_velocity(track) == pytest.approx(0.723, abs=0.01)
     assert track_amplitude(track) == pytest.approx(0.722, abs=0.005)
     # the raw row maximum only reads true when the trough sits on a site
-    centered = max(measure_amplitude(row) for row in field.x_float())
+    centered = max(measure_amplitude(row) for row in rows)
     assert centered == pytest.approx(0.722, abs=0.005)
     assert measure_amplitude([1.0] * 5) == 0.0
+
+
+def test_tracks_are_in_lattice_coordinates():
+    # times count from t0 and positions from n_lo: each sample lies within
+    # half a site of its row's minimum
+    rows = sample_x_float(REF_PARAMS, [REF_SOLITONS[1]], (5, 30), (-10, 50))
+    (track,) = track_troughs(rows, -10, 5)
+    assert track.times == list(range(5, 31))
+    for t, pos in zip(track.times, track.positions):
+        row = rows[t - 5]
+        assert abs(pos - (-10 + row.index(min(row)))) <= 0.5
 
 
 def test_velocity_of_a_straight_line_is_one():

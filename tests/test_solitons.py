@@ -15,6 +15,7 @@ from solitonlab import (
     kp_tau,
     random_kp_params,
     sample_field,
+    sample_x_float,
     sample_xy,
     scan_monotonicity,
     step_gkdv,
@@ -33,6 +34,7 @@ from solitonlab.errors import (
     InvalidInterval,
     POutOfRange,
     WindowTooSmall,
+    ZeroTau,
 )
 
 from _oracles import det_cofactor, one_soliton_xy
@@ -227,6 +229,106 @@ def test_sample_xy_skips_the_unused_corner(monkeypatch):
     monkeypatch.setattr(solitons, "_tau_grid", spy)
     sample_xy(REF_PARAMS, REF_SOLITONS, 2, -3)
     assert calls == [([2, 1], "fg")]
+
+
+@st.composite
+def big_quotients(draw):
+    """(a, b) of 1k-4k bits each, both signs, whose quotient fits a float.
+
+    Besides plain draws, a is built as m * b (+-1) for an odd 54-bit m, so
+    a / b lies on, just above or just below a rounding tie, and a and b may
+    share a large common factor, as the unreduced tau ratios do.
+    """
+    def bits(lo, hi):
+        n = draw(st.integers(lo, hi))
+        return draw(st.integers(2 ** (n - 1), 2 ** n - 1))
+
+    kind = draw(st.sampled_from(["plain", "tie", "above", "below", "common"]))
+    if kind == "common":
+        g = bits(500, 2500)
+        a, b = bits(500, 1500) * g, bits(500, 1500) * g
+    elif kind == "plain":
+        b = bits(1000, 4000)
+        n = b.bit_length()
+        a = bits(max(1000, n - 1000), min(4000, n + 1000))
+    else:
+        b = bits(1000, 3900)
+        m = 2 * draw(st.integers(2 ** 52, 2 ** 53 - 1)) + 1
+        a = m * b + {"tie": 0, "above": 1, "below": -1}[kind]
+    a *= draw(st.sampled_from([1, -1]))
+    b *= draw(st.sampled_from([1, -1]))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(big_quotients())
+def test_int_true_division_is_correctly_rounded(ab):
+    # the float sampler's bit-equality with sample_field(...).x_float()
+    # rests on this: int / int rounds the exact quotient once, as
+    # float(Fraction) does after reducing it
+    a, b = ab
+    assert (a / b).hex() == float(Fraction(a, b)).hex()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1000, 2900), st.integers(1030, 1100), st.data())
+def test_int_true_division_overflows_like_fraction(b_bits, extra, data):
+    b = data.draw(st.integers(2 ** (b_bits - 1), 2 ** b_bits - 1))
+    a = data.draw(st.integers(2 ** (b_bits + extra - 1), 2 ** (b_bits + extra)))
+    a *= data.draw(st.sampled_from([1, -1]))
+    with pytest.raises(OverflowError):
+        a / b
+    with pytest.raises(OverflowError):
+        float(Fraction(a, b))
+
+
+def _hex_rows(rows):
+    return [[v.hex() for v in row] for row in rows]
+
+
+@pytest.mark.parametrize("params", [REF_PARAMS, SystemParams(Fraction(14, 15), Fraction(5, 6))],
+                         ids=["alpha_lt_beta", "alpha_gt_beta"])
+@pytest.mark.parametrize("n_modes", [0, 1, 2, 3, 4, 5])
+def test_sample_x_float_equals_x_float_of_sample_field(params, n_modes):
+    modes = FIVE[:n_modes]
+    expected = sample_field(params, modes, (-3, 2), (-5, 4)).x_float()
+    assert _hex_rows(sample_x_float(params, modes, (-3, 2), (-5, 4))) == _hex_rows(expected)
+
+
+def test_sample_x_float_equals_x_float_on_the_readme_window():
+    expected = sample_field(REF_PARAMS, REF_SOLITONS, (0, 60), (-30, 90)).x_float()
+    got = sample_x_float(REF_PARAMS, REF_SOLITONS, (0, 60), (-30, 90))
+    assert (len(got), len(got[0])) == (61, 121)
+    assert _hex_rows(got) == _hex_rows(expected)
+
+
+def test_sample_x_float_skips_the_t_shifted_row(monkeypatch):
+    calls = []
+    real = solitons._tau_grid
+
+    def spy(consts, dc, t0, n0, row_lengths, which):
+        calls.append((t0, n0, list(row_lengths), which))
+        return real(consts, dc, t0, n0, row_lengths, which)
+
+    monkeypatch.setattr(solitons, "_tau_grid", spy)
+    sample_x_float(REF_PARAMS, REF_SOLITONS, (2, 5), (-3, 6))
+    assert calls == [(2, -3, [11] * 4, "fg")]
+
+
+@pytest.mark.parametrize("sampler", [sample_field, sample_x_float])
+def test_a_vanishing_tau_raises_zero_tau_naming_its_site(monkeypatch, sampler):
+    real = solitons._tau_grid
+
+    def with_a_zero(consts, dc, t0, n0, row_lengths, which):
+        scale, grid = real(consts, dc, t0, n0, row_lengths, which)
+        f, _ = grid[2][3]
+        grid[2][3] = (f, 0)  # g vanishes at (t0 + 2, n0 + 3)
+        return scale, grid
+
+    monkeypatch.setattr(solitons, "_tau_grid", with_a_zero)
+    with pytest.raises(ZeroTau, match=r"\(t=3, n=-2\)") as info:
+        sampler(REF_PARAMS, REF_SOLITONS, (1, 5), (-5, 4))
+    assert info.value.point == (3, -2)
 
 
 @pytest.mark.filterwarnings("ignore::solitonlab.errors.SolitonEscapedWindow")
