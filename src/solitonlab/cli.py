@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``exact``    sample an N-soliton window exactly and write it as CSV
-* ``evolve``   evolve an initial row under the lattice map and write CSV
+* ``evolve``   evolve the exact initial row under the lattice map and write CSV
 * ``bbsc``     run the box-ball automaton and render ASCII or CSV
 * ``analyze``  track troughs and report closed-form vs measured laws as JSON
 * ``scan``     monotonicity scan of the speed/amplitude laws as JSON
@@ -121,7 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", choices=("float", "exact"), default="float",
                    help="CSV value format")
 
-    p = sub.add_parser("evolve", help="evolve the exact initial row with the lattice map")
+    p = sub.add_parser("evolve", help="sweep the lattice map from the exact initial row "
+                       "and left edge; prints what exact prints")
     add_system(p)
     add_solitons(p)
     add_window(p)
@@ -189,8 +190,12 @@ def _cmd_exact(args) -> int:
 def _cmd_evolve(args) -> int:
     params = SystemParams(args.alpha, args.beta)
     t0, t1 = args.t
+    n_lo = args.n[0]
     row0 = solitons.sample_field(params, args.soliton, (t0, t0), args.n).xs[0]
-    field = evolve_gkdv(row0, params, t1 - t0, n_lo=args.n[0], t0=t0)
+    # the solution's own carrier at the left edge, so the sweep stays on it
+    edge = solitons.sample_field(params, args.soliton, args.t, (n_lo, n_lo)).ys
+    field = evolve_gkdv(row0, params, t1 - t0, n_lo=n_lo, t0=t0,
+                        y_left=[y for (y,) in edge])
     _write(args.out, lambda s: field.write_csv(s, values=args.values))
     return 0
 

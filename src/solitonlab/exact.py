@@ -34,7 +34,8 @@ def rat_str(value: Fraction) -> str:
 
     The digits go through :class:`decimal.Decimal`, which has no limit on
     their count; ``str(int)`` refuses ints above CPython's 4300-digit
-    int-to-str limit, which evolved rows pass within a few steps.
+    int-to-str limit, which rows evolved from a free initial row (carrier
+    entering at 1) pass within a few steps.
     """
     value = Fraction(value)
     num = str(Decimal(value.numerator))

@@ -8,9 +8,10 @@ The core update couples a field x (advanced in time) with a carrier field y
 
 with parameters 0 < a, b < 1 written ``alpha`` and ``beta`` below.  A window
 [n_lo, n_hi] is advanced by sweeping n left to right; y enters the window at
-the background value 1 and the value carried past n_hi is discarded.  The
-product x*y at a site is preserved exactly by one update, which is the main
-conservation check used throughout the tests.
+the left edge with a value given per row (the solution's own carrier there,
+or by default the background value 1) and the value carried past n_hi is
+discarded.  The product x*y at a site is preserved exactly by one update,
+which is the main conservation check used throughout the tests.
 
 Two relatives of the map live here as well: the classic one-parameter form
 (``step_dkdv``), and the symmetric two-parameter normal form (``yb_map``)
@@ -25,6 +26,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from math import gcd
 from typing import IO, Iterable, Sequence
 
 from .errors import (
@@ -61,13 +63,69 @@ class SystemParams:
 
 
 def gkdv_local(x: Rat, y: Rat, params: SystemParams, site: int | None = None) -> tuple[Rat, Rat]:
-    """One local update: returns (x advanced in t, y advanced in n)."""
-    w = x * y
-    den_a = (ONE - params.alpha) + params.alpha * w
-    den_b = (ONE - params.beta) + params.beta * w
-    if den_a == 0 or den_b == 0:
+    """One local update: returns (x advanced in t, y advanced in n).
+
+    Runs on numerators and denominators.  With x = xn/xd, y = yn/yd,
+    alpha = an/ad, beta = bn/bd, P/Q = x*y in lowest terms and
+
+        A = (ad-an)*Q + an*P,    B = (bd-bn)*Q + bn*P,
+
+    the two map denominators are A/(ad*Q) and B/(bd*Q), so their ratio is
+    R = B*ad / (A*bd), x' = R*y and y~ = x/R.  R is reduced cheaply: a prime
+    power dividing A and B divides (ad*bn - an*bd)*Q and (ad*bn - an*bd)*P,
+    hence the small integer ad*bn - an*bd, since P and Q are coprime.  The
+    products with y and x are then reduced by operand-sized cross gcds, as
+    ``Fraction`` multiplication does, never by one gcd of the full products.
+    """
+    xn, xd = x.numerator, x.denominator
+    yn, yd = y.numerator, y.denominator
+    an, ad = params.alpha.numerator, params.alpha.denominator
+    bn, bd = params.beta.numerator, params.beta.denominator
+    g1 = gcd(xn, yd)
+    g2 = gcd(yn, xd)
+    p = (xn // g1) * (yn // g2)
+    q = (xd // g2) * (yd // g1)
+    a = (ad - an) * q + an * p
+    b = (bd - bn) * q + bn * p
+    if not a or not b:
         raise ZeroDenominator(site)
-    return den_b / den_a * y, den_a / den_b * x
+    # gcd(a, b) divides ad*bn - an*bd; when that is 0, a == b and this is |a|
+    g = gcd(gcd(a, ad * bn - an * bd), b)
+    a //= g
+    b //= g
+    g = gcd(ad, bd)
+    ad //= g
+    bd //= g
+    ga = gcd(a, ad)
+    gb = gcd(b, bd)
+    rn = (b // gb) * (ad // ga)
+    rd = (a // ga) * (bd // gb)
+    if rd < 0:
+        rn, rd = -rn, -rd
+    # x' = rn*yn / (rd*yd) and y~ = rd*xn / (rn*xd), each pair of factors
+    # already coprime on its own
+    g1 = gcd(rn, yd)
+    g2 = gcd(yn, rd)
+    x_up = _coprime_fraction((rn // g1) * (yn // g2), (rd // g2) * (yd // g1))
+    g1 = gcd(rd, xd)
+    g2 = gcd(xn, rn)
+    num = (rd // g1) * (xn // g2)
+    den = (rn // g2) * (xd // g1)
+    if den < 0:
+        num, den = -num, -den
+    return x_up, _coprime_fraction(num, den)
+
+
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """``Fraction(num, den)`` for coprime num and den > 0, without the gcd.
+
+    Sets the two slots that ``Fraction`` keeps, as its own arithmetic does
+    for results it has already reduced.
+    """
+    out = object.__new__(Fraction)
+    out._numerator = num
+    out._denominator = den
+    return out
 
 
 def dkdv_local(x: Rat, y: Rat, delta: Rat, site: int | None = None) -> tuple[Rat, Rat]:
@@ -164,10 +222,10 @@ class LatticeField:
     """A window of exact (x, y) values over times t0..t0+len(xs)-1.
 
     ``xs[j][k]`` and ``ys[j][k]`` hold x and y at time ``t0 + j`` and site
-    ``n_lo + k``.  Fields built by :func:`evolve_gkdv` keep x = y = 1 at the
-    left edge as long as the initial row does; fields sampled from a closed
-    solution satisfy that only up to the tail of the solution, which is the
-    point of the escape warning.
+    ``n_lo + k``.  A field built by :func:`evolve_gkdv` has the left-edge y
+    it was given; from a sampled solution's initial row and left column it
+    equals the sampled field.  A solution is at the background x = y = 1
+    only up to its tails, which is the point of the escape warning.
     """
 
     n_lo: int
@@ -226,19 +284,29 @@ class LatticeField:
 
 
 def evolve_gkdv(x0_row: Sequence[Rat], params: SystemParams, steps: int, *,
-                n_lo: int = 0, t0: int = 0) -> LatticeField:
+                n_lo: int = 0, t0: int = 0,
+                y_left: Sequence[Rat] | None = None) -> LatticeField:
     """Evolve an initial row for ``steps`` time steps; store every row.
 
-    The carrier enters each sweep at the background value 1.  The returned
-    field holds ``steps + 1`` rows of x and of the same-time y.
+    ``y_left[j]`` is the carrier entering site ``n_lo`` at time ``t0 + j``,
+    one value per stored row.  Given the left-edge column of a solution,
+    the sweep reproduces that solution exactly; by default the carrier
+    enters at the background value 1.  The returned field holds
+    ``steps + 1`` rows of x and of the same-time y.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    if y_left is None:
+        y_left = [ONE] * (steps + 1)
+    elif len(y_left) != steps + 1:
+        raise ValueError(f"y_left needs one value per row, {steps + 1}, got {len(y_left)}")
+    local = partial(gkdv_local, params=params)
     rows_x: list[list[Fraction]] = []
     rows_y: list[list[Fraction]] = []
     cur = _coerce_row(x0_row)
     for j in range(steps + 1):
-        nxt, y_row = step_gkdv(cur, params, n_lo=n_lo, t=t0 + j)
+        _warn_if_escaped(cur[-1], t0 + j)
+        nxt, y_row = _sweep(cur, y_left[j], n_lo, local)
         rows_x.append(cur)
         rows_y.append(y_row[:-1])  # drop the value carried past the edge
         cur = nxt

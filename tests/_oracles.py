@@ -61,6 +61,20 @@ def one_soliton_xy(alpha: Fraction, beta: Fraction, p: Fraction,
     return x, y
 
 
+def gkdv_local_longhand(x: Fraction, y: Fraction, alpha: Fraction,
+                        beta: Fraction) -> tuple[Fraction, Fraction]:
+    """The two-parameter local update as ``Fraction`` arithmetic.
+
+    x' = ((1-beta) + beta*x*y) / ((1-alpha) + alpha*x*y) * y, and y~ the
+    reciprocal ratio times x; every intermediate is reduced by ``Fraction``.
+    Raises ZeroDivisionError when a map denominator vanishes.
+    """
+    w = x * y
+    den_a = (1 - alpha) + alpha * w
+    den_b = (1 - beta) + beta * w
+    return den_b / den_a * y, den_a / den_b * x
+
+
 def tropical_alt(x: float, y: float, cap_a: float, cap_b: float) -> float:
     """The piecewise-linear update written as two plateau terms."""
     return y + min(0.0, cap_b + x + y) - min(0.0, cap_a + x + y)

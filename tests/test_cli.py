@@ -46,18 +46,36 @@ def test_exact_stdout_default(capsys):
 
 
 def test_evolve_agrees_with_exact_sampling(capsys):
-    # evolve re-seeds y = 1 at the left edge, so agreement holds away from it
-    code, out_exact, _ = invoke(capsys, "exact", *BASE_ARGS, "--n", "-20:8",
-                                "--t", "0:3")
-    assert code == 0
-    code, out_evolved, _ = invoke(capsys, "evolve", *BASE_ARGS, "--n", "-20:8",
-                                  "--t", "0:3")
-    assert code == 0
-    for le, lv in zip(out_exact.splitlines()[1:], out_evolved.splitlines()[1:]):
-        n, t, x_exact = le.split(",")[:3]
-        assert lv.split(",")[:2] == [n, t]
-        if int(n) >= -10:
-            assert lv.split(",")[2] == x_exact
+    # evolve seeds each sweep with the solution's carrier at the left edge,
+    # so the lattice sweep reproduces the sampled window byte for byte
+    window = ["--n", "-20:8", "--t", "0:4"]
+    for values in ("float", "exact"):
+        code, out_exact, _ = invoke(capsys, "exact", *BASE_ARGS, *window,
+                                    "--values", values)
+        assert code == 0
+        code, out_evolved, _ = invoke(capsys, "evolve", *BASE_ARGS, *window,
+                                      "--values", values)
+        assert code == 0
+        assert out_evolved == out_exact
+
+
+MODES = ["2/15:-1/6", "1/30:-1/30", "1/2:1/5"]
+
+
+@pytest.mark.parametrize("system", [("5/6", "14/15"), ("14/15", "5/6")],
+                         ids=["alpha_lt_beta", "alpha_gt_beta"])
+@pytest.mark.parametrize("n_modes", [0, 1, 2, 3])
+def test_evolve_equals_exact_for_each_mode_count(capsys, system, n_modes):
+    # the lattice sweep against the integer tau grid: two independent paths
+    argv = ["--alpha", system[0], "--beta", system[1], "--n", "-5:4", "--t", "-3:2"]
+    for mode in MODES[:n_modes]:
+        argv += ["--soliton", mode]
+    for values in ("float", "exact"):
+        code, out_exact, _ = invoke(capsys, "exact", *argv, "--values", values)
+        assert code == 0
+        code, out_evolved, _ = invoke(capsys, "evolve", *argv, "--values", values)
+        assert code == 0
+        assert out_evolved == out_exact
 
 
 def test_bbsc_ascii(capsys):

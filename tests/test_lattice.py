@@ -1,5 +1,6 @@
 import io
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,8 @@ from solitonlab.errors import (
     WindowTooSmall,
     ZeroDenominator,
 )
+
+from _oracles import gkdv_local_longhand
 
 # open interval (0, 1), exact
 unit_open = st.fractions(
@@ -73,6 +76,66 @@ def test_param_validation():
         SystemParams(Fraction(1, 2), Fraction(1))
     with pytest.raises(ParamOutOfRange):
         SystemParams(Fraction(3, 2), Fraction(1, 2))
+
+
+# signed rationals with numerators and denominators of up to ~4k bits
+big_int = st.integers(0, 4000).flatmap(lambda bits: st.integers(1, 2 ** bits))
+
+
+@st.composite
+def big_pair(draw):
+    """(x, y), nonzero and of either sign, where xn and yd (and yn and xd)
+    often share a factor, as neighbouring lattice values do."""
+    s1, s2 = draw(big_int), draw(big_int)
+    xn, xd, yn, yd = (draw(big_int) for _ in range(4))
+    sx, sy = draw(st.sampled_from([1, -1])), draw(st.sampled_from([1, -1]))
+    return Fraction(sx * xn * s1, xd * s2), Fraction(sy * yn * s2, yd * s1)
+
+
+# 5/6 and 14/15 (also 1/6 and 5/9, 3/4 and 1/2) have denominators that
+# share a factor
+shared_denominators = st.sampled_from([
+    (Fraction(5, 6), Fraction(14, 15)), (Fraction(14, 15), Fraction(5, 6)),
+    (Fraction(1, 6), Fraction(5, 9)), (Fraction(3, 4), Fraction(1, 2)),
+])
+any_regime = st.one_of(
+    shared_denominators,
+    unit_open.map(lambda a: (a, a)),
+    st.tuples(unit_open, unit_open),
+)
+
+
+def _lowest_terms(v: Fraction) -> bool:
+    return v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
+
+
+@given(big_pair(), any_regime)
+@settings(max_examples=300, deadline=None)
+def test_local_map_matches_longhand_fractions(pair, ab):
+    x, y = pair
+    params = SystemParams(*ab)
+    try:
+        expected = gkdv_local_longhand(x, y, params.alpha, params.beta)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDenominator):
+            gkdv_local(x, y, params)
+        return
+    got = gkdv_local(x, y, params)
+    assert got == expected
+    assert all(_lowest_terms(v) for v in got)
+
+
+@given(big_int, st.sampled_from([1, -1]), any_regime, st.booleans(),
+       st.integers(-50, 50))
+@settings(max_examples=100, deadline=None)
+def test_local_map_vanishing_denominator_names_the_site(yn, sign, ab, use_beta, site):
+    params = SystemParams(*ab)
+    c = params.beta if use_beta else params.alpha
+    y = Fraction(sign * yn, 7)
+    x = (c - 1) / (c * y)  # (1-c) + c*x*y = 0
+    with pytest.raises(ZeroDenominator) as info:
+        gkdv_local(x, y, params, site=site)
+    assert info.value.site == site and f"n={site}" in str(info.value)
 
 
 def test_local_map_zero_denominator():
@@ -141,6 +204,15 @@ def test_evolution_conserves_site_products(row, params, steps):
         for n in range(len(row) - 1):
             assert (field.xs[j + 1][n] * field.ys[j][n + 1]
                     == field.xs[j][n] * field.ys[j][n])
+
+
+def test_evolve_needs_one_left_carrier_per_row():
+    params = SystemParams(Fraction(5, 6), Fraction(14, 15))
+    row = [Fraction(1), Fraction(2), Fraction(1)]
+    with pytest.raises(ValueError):
+        evolve_gkdv(row, params, 2, y_left=[Fraction(1)] * 2)
+    field = evolve_gkdv(row, params, 2, y_left=[Fraction(1), Fraction(3), Fraction(1, 2)])
+    assert [r[0] for r in field.ys] == [1, 3, Fraction(1, 2)]
 
 
 def test_field_accessors_and_csv():
