@@ -20,6 +20,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import partial
 from random import Random
 from typing import IO, Sequence
 
@@ -229,8 +230,8 @@ def _cmd_analyze(args) -> int:
     closed = [{
         "p": rat_str(c.p),
         "gamma": rat_str(c.gamma),
-        "velocity": solitons.velocity(params, c.p),
-        "amplitude": solitons.amplitude(params, c.p),
+        "velocity": c.velocity,
+        "amplitude": c.amplitude,
     } for c in consts]
     if len(tracks) == 2:
         measured = measure.overtake_report(tracks)
@@ -289,34 +290,17 @@ def _verify_exactness(args, log: IO[str]) -> bool:
     return good == total
 
 
-def _verify_kp(args, log: IO[str]) -> bool:
+def _verify_kp_residuals(args, log: IO[str], what: str, constrained: bool,
+                         is_zero) -> bool:
+    """Count the random probe points where ``is_zero(kp, point)`` holds, for
+    a random draw of one mode and one of ``--n-solitons`` modes."""
     rng = Random(args.rng_seed)
     ok = True
     for n_modes in (1, args.n_solitons):
-        kp = random_kp_params(rng, n_modes)
-        zero = 0
-        for _ in range(args.points):
-            point = tuple(rng.randint(-3, 3) for _ in range(4))
-            r1, r2 = solitons.check_kp_bilinear(kp, point)
-            if r1 == 0 and r2 == 0:
-                zero += 1
-        print(f"bilinear residuals 0 at {zero}/{args.points} points (N={n_modes})",
-              file=log)
-        ok = ok and zero == args.points
-    return ok
-
-
-def _verify_reduction(args, log: IO[str]) -> bool:
-    rng = Random(args.rng_seed)
-    ok = True
-    for n_modes in (1, args.n_solitons):
-        kp = random_kp_params(rng, n_modes, constrained=True)
-        zero = 0
-        for _ in range(args.points):
-            point = tuple(rng.randint(-3, 3) for _ in range(4))
-            if solitons.check_reduction(kp, point) == 0:
-                zero += 1
-        print(f"reduction residuals 0 at {zero}/{args.points} points (N={n_modes})",
+        kp = random_kp_params(rng, n_modes, constrained=constrained)
+        zero = sum(is_zero(kp, tuple(rng.randint(-3, 3) for _ in range(4)))
+                   for _ in range(args.points))
+        print(f"{what} residuals 0 at {zero}/{args.points} points (N={n_modes})",
               file=log)
         ok = ok and zero == args.points
     return ok
@@ -349,8 +333,10 @@ def _verify_udlimit(args, log: IO[str]) -> bool:
 def _cmd_verify(args) -> int:
     suites = {
         "exactness": _verify_exactness,
-        "kp": _verify_kp,
-        "reduction": _verify_reduction,
+        "kp": partial(_verify_kp_residuals, what="bilinear", constrained=False,
+                      is_zero=lambda kp, pt: solitons.check_kp_bilinear(kp, pt) == (0, 0)),
+        "reduction": partial(_verify_kp_residuals, what="reduction", constrained=True,
+                             is_zero=lambda kp, pt: solitons.check_reduction(kp, pt) == 0),
         "udlimit": _verify_udlimit,
     }
     names = list(suites) if args.suite == "all" else [args.suite]

@@ -264,12 +264,13 @@ class LatticeField:
     def x_float(self) -> list[list[float]]:
         return [[float(v) for v in row] for row in self.xs]
 
-    def write_csv(self, stream: IO[str], *, values: str = "float",
-                  precision: int = 12) -> None:
+    def write_csv(self, stream: IO[str], *, values: str = "float") -> None:
         """Write rows ``n,t,x,y`` ordered by t then n.
 
-        ``values`` selects ``"float"`` (default, ``precision`` significant
-        digits) or ``"exact"`` (``p/q`` text).
+        ``values`` selects ``"float"`` (default, 12 significant digits) or
+        ``"exact"`` (``p/q`` text).  A float value is ``numerator /
+        denominator``, which is correctly rounded, as ``float()`` is, without
+        the generic ``numbers.Rational.__float__`` behind it.
         """
         if values not in ("float", "exact"):
             raise ValueError(f"unknown value mode {values!r}")
@@ -280,7 +281,8 @@ class LatticeField:
                 if values == "exact":
                     stream.write(f"{n},{t},{rat_str(x)},{rat_str(y)}\n")
                 else:
-                    stream.write(f"{n},{t},{float(x):.{precision}g},{float(y):.{precision}g}\n")
+                    stream.write(f"{n},{t},{x.numerator / x.denominator:.12g},"
+                                 f"{y.numerator / y.denominator:.12g}\n")
 
 
 def evolve_gkdv(x0_row: Sequence[Rat], params: SystemParams, steps: int, *,

@@ -9,9 +9,11 @@ their identities.
 
 Speeds are least-squares slopes, computed exactly from the float positions
 and rounded once to a float.  Samples taken while another track is within
-``exclusion_radius`` lattice units are dropped, and the fit allows a separate
+``EXCLUSION_RADIUS`` lattice units are dropped, and the fit allows a separate
 intercept per surviving contiguous segment: a collision shifts a soliton's
 phase, so forcing one intercept across the jump would bias the slope.
+The linker's jump gate and the exclusion cone share the speed bound
+``V_MAX``; tracks coast at most ``MAX_GAP`` rows and need ``MIN_SAMPLES``.
 
 Ball-count clusters of the box-ball automaton get the same treatment in
 integer arithmetic; their speeds are exact rationals.
@@ -40,6 +42,9 @@ from .errors import (
 # refined depth by more than 5e-3 out to roughly 4 units, while velocities
 # stay within 1e-2 already at 3.  One radius serves both measurements.
 EXCLUSION_RADIUS = 4.5
+V_MAX = 1.0  # speed bound of the studied regime, in sites per step
+MAX_GAP = 40
+MIN_SAMPLES = 3
 
 
 @dataclass
@@ -120,19 +125,18 @@ def _match_cost(pred_pos: float, pred_depth: float, det_pos: float,
 
 
 def track_troughs(rows: Sequence[Sequence[float]], n_lo: int, t0: int,
-                  threshold: float = 1e-3, *, v_max: float = 1.0, max_gap: int = 40,
-                  min_samples: int = 3) -> list[TroughTrack]:
+                  threshold: float = 1e-3) -> list[TroughTrack]:
     """Link per-row trough detections into tracks.
 
     ``rows[j][k]`` is x at time ``t0 + j`` and site ``n_lo + k``, as
     :func:`solitonlab.solitons.sample_x_float` returns it.  ``threshold``
-    is the minimum |x - 1| for a detection, ``v_max`` bounds the per-step
-    jump gate, ``max_gap`` is how many rows a track may coast undetected
-    (troughs merge during collisions), and tracks shorter than
-    ``min_samples`` are discarded as noise.  Tracks are returned sorted by
+    is the minimum |x - 1| for a detection.  ``V_MAX`` bounds the per-step
+    jump gate, a track may coast undetected for ``MAX_GAP`` rows (troughs
+    merge during collisions), and tracks with fewer than ``MIN_SAMPLES``
+    detections are discarded as noise.  Tracks are returned sorted by
     first appearance, then position.
     """
-    base_gate = max(2.0, math.ceil(2.0 * v_max))
+    base_gate = max(2.0, math.ceil(2.0 * V_MAX))
     active: list[TroughTrack] = []
     done: list[TroughTrack] = []
     for t, row in enumerate(rows, t0):
@@ -140,7 +144,7 @@ def track_troughs(rows: Sequence[Sequence[float]], n_lo: int, t0: int,
         # retire tracks that have coasted too long
         still = []
         for tr in active:
-            (done if t - tr.last_t > max_gap else still).append(tr)
+            (done if t - tr.last_t > MAX_GAP else still).append(tr)
         active = still
         if active and dets:
             assignment = _assign(active, dets, t, base_gate)
@@ -157,7 +161,7 @@ def track_troughs(rows: Sequence[Sequence[float]], n_lo: int, t0: int,
             if di not in claimed:
                 active.append(TroughTrack([t], [pos], [depth]))
     done.extend(active)
-    done = [tr for tr in done if len(tr.times) >= min_samples]
+    done = [tr for tr in done if len(tr.times) >= MIN_SAMPLES]
     done.sort(key=lambda tr: (tr.first_t, tr.positions[0]))
     return done
 
@@ -238,17 +242,16 @@ def _min_cost_matching(cand: dict[int, dict[int, float]]) -> dict[int, int]:
 
 
 def _usable_samples(track: TroughTrack, others: Sequence[TroughTrack],
-                    exclusion_radius: float) -> list[tuple[int, float, float]]:
-    """(t, position, depth) samples not within the exclusion radius of any
+                    ) -> list[tuple[int, float, float]]:
+    """(t, position, depth) samples not within ``EXCLUSION_RADIUS`` of any
     other track.
 
     For times inside another track's life span the radius applies to its
     interpolated position.  Outside, the other soliton was merged into some
     trough and unresolved, so its position is only known to lie within a
-    cone |pos - endpoint| <= radius + v_max * dt from the nearer endpoint;
-    samples inside that cone are excluded too.
+    cone |pos - endpoint| <= EXCLUSION_RADIUS + V_MAX * dt from the nearer
+    endpoint; samples inside that cone are excluded too.
     """
-    v_cone = 1.0  # speed bound in the studied regime
     out = []
     for t, pos, dep in zip(track.times, track.positions, track.depths):
         clear = True
@@ -257,12 +260,12 @@ def _usable_samples(track: TroughTrack, others: Sequence[TroughTrack],
                 continue
             if t < other.first_t:
                 near = abs(pos - other.positions[0]) \
-                    <= exclusion_radius + v_cone * (other.first_t - t)
+                    <= EXCLUSION_RADIUS + V_MAX * (other.first_t - t)
             elif t > other.last_t:
                 near = abs(pos - other.positions[-1]) \
-                    <= exclusion_radius + v_cone * (t - other.last_t)
+                    <= EXCLUSION_RADIUS + V_MAX * (t - other.last_t)
             else:
-                near = abs(other.position_at(t) - pos) <= exclusion_radius
+                near = abs(other.position_at(t) - pos) <= EXCLUSION_RADIUS
             if near:
                 clear = False
                 break
@@ -271,11 +274,10 @@ def _usable_samples(track: TroughTrack, others: Sequence[TroughTrack],
     return out
 
 
-def measure_velocity(track: TroughTrack, others: Sequence[TroughTrack] = (), *,
-                     exclusion_radius: float = EXCLUSION_RADIUS) -> float:
+def measure_velocity(track: TroughTrack, others: Sequence[TroughTrack] = ()) -> float:
     """Least-squares speed of a track.
 
-    Collision samples (within ``exclusion_radius`` of another track) are
+    Collision samples (within ``EXCLUSION_RADIUS`` of another track) are
     excluded; the fit shares one slope across the remaining contiguous
     segments with a free intercept each, since collisions shift the phase.
     The slope is computed exactly from the integer times and the float
@@ -283,7 +285,7 @@ def measure_velocity(track: TroughTrack, others: Sequence[TroughTrack] = (), *,
     Raises TooFewSamples when fewer than two usable samples remain or no
     segment has two points.
     """
-    usable = _usable_samples(track, others, exclusion_radius)
+    usable = _usable_samples(track, others)
     if len(usable) < 2:
         raise TooFewSamples(f"{len(usable)} usable samples")
     # split into contiguous runs (gap of more than 2 rows starts a new one)
@@ -317,8 +319,7 @@ def measure_amplitude(row: Sequence[float]) -> float:
     return max(arr)
 
 
-def track_amplitude(track: TroughTrack, others: Sequence[TroughTrack] = (), *,
-                    exclusion_radius: float = EXCLUSION_RADIUS) -> float:
+def track_amplitude(track: TroughTrack, others: Sequence[TroughTrack] = ()) -> float:
     """Deepest refined trough over the track's collision-free samples.
 
     The refined per-sample depth oscillates slightly with the trough's
@@ -326,7 +327,7 @@ def track_amplitude(track: TroughTrack, others: Sequence[TroughTrack] = (), *,
     the true amplitude; collision samples are excluded because overlapping
     solitons distort each other's depth.
     """
-    usable = _usable_samples(track, others, exclusion_radius)
+    usable = _usable_samples(track, others)
     if not usable:
         raise TooFewSamples("no collision-free samples")
     return max(dep for _, _, dep in usable)

@@ -79,11 +79,15 @@ class SolitonConstants:
     C: Fraction
     D: Fraction
 
+    @property
+    def velocity(self) -> float:
+        """Closed-form speed of this mode, as :func:`velocity` gives it."""
+        return _speed(self.A, self.B, self.D)
 
-def _soliton_constants(params: SystemParams, p: Fraction, gamma: Fraction) -> SolitonConstants:
-    a, b, d = _abd(params, p)
-    c = gamma / (2 * p + params.delta_cap)
-    return SolitonConstants(p=p, gamma=gamma, A=a, B=b, C=c, D=d)
+    @property
+    def amplitude(self) -> float:
+        """Closed-form amplitude of this mode, as :func:`amplitude` gives it."""
+        return _depth(self.A, self.B, self.D)
 
 
 def validate(params: SystemParams,
@@ -93,71 +97,82 @@ def validate(params: SystemParams,
     Each entry is a (p, gamma) pair.  Raises InvalidInterval when no soliton
     can exist at all, and the per-mode / per-pair errors otherwise.
     """
-    span = params.alpha + params.beta - ONE
-    if span <= 0:
-        raise InvalidInterval(
-            f"alpha + beta must exceed 1 for solitons, got {params.alpha + params.beta}")
+    span = _span(params)
     mid = span / 2
-    pairs = [(Fraction(p), Fraction(g)) for p, g in solitons]
-    for i, (p, gamma) in enumerate(pairs):
-        if not (0 < p < span):
-            raise POutOfRange(i, f"p={p}, interval (0, {span})")
+    consts = []
+    for i, (p, gamma) in enumerate(solitons):
+        p, gamma = Fraction(p), Fraction(gamma)
+        a, b, d = _abd(params, p, i)
         if p == mid:
             raise DegenerateP(i)
         if gamma * (p - mid) <= 0:
             raise GammaSignCondition(i)
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            if pairs[i][0] == pairs[j][0]:
-                raise DuplicateP(i, j)
-            # p_i + p_j - span = 0 would blow up an off-diagonal entry
-            if pairs[i][0] + pairs[j][0] == span:
-                raise DenominatorClash(i, j)
-    consts = tuple(_soliton_constants(params, p, g) for p, g in pairs)
-    for i, c in enumerate(consts):
+        c = gamma / (2 * p + params.delta_cap)
         # guaranteed by the checks above; kept as a hard invariant because the
         # taus and the speed and amplitude laws need all four positive
-        if not (c.A > 0 and c.B > 0 and c.C > 0 and c.D > 0):
+        if not (a > 0 and b > 0 and c > 0 and d > 0):
             raise ConstraintViolated(
-                f"mode {i}: A, B, C, D must all be positive, got "
-                f"{c.A}, {c.B}, {c.C}, {c.D}")
-    return consts
+                f"mode {i}: A, B, C, D must all be positive, got {a}, {b}, {c}, {d}")
+        consts.append(SolitonConstants(p=p, gamma=gamma, A=a, B=b, C=c, D=d))
+    for i in range(len(consts)):
+        for j in range(i + 1, len(consts)):
+            if consts[i].p == consts[j].p:
+                raise DuplicateP(i, j)
+            # p_i + p_j - span = 0 would blow up an off-diagonal entry
+            if consts[i].p + consts[j].p == span:
+                raise DenominatorClash(i, j)
+    return tuple(consts)
 
 
-def _abd(params: SystemParams, p: Rat) -> tuple[Fraction, Fraction, Fraction]:
-    """A, B, D for one wavenumber.  Unlike the full constants this is defined
-    at the midpoint too (the phase coefficient C is not, but the speed and
-    amplitude laws never touch it)."""
+def _span(params: SystemParams) -> Fraction:
+    """Length alpha + beta - 1 of the wavenumber interval; raises
+    InvalidInterval when it is empty, since then no soliton can exist."""
     span = params.alpha + params.beta - ONE
     if span <= 0:
         raise InvalidInterval(
-            f"alpha + beta must exceed 1, got {params.alpha + params.beta}")
+            f"alpha + beta must exceed 1 for solitons, got {params.alpha + params.beta}")
+    return span
+
+
+def _abd(params: SystemParams, p: Rat, mode: int = 0) -> tuple[Fraction, Fraction, Fraction]:
+    """A, B, D of wavenumber p, after the one admissibility check of p: the
+    interval (0, alpha + beta - 1) must exist and hold p, else POutOfRange
+    names ``mode``.  Unlike C, all three are defined at the midpoint too."""
+    span = _span(params)
     p = Fraction(p)
     if not (0 < p < span):
-        raise POutOfRange(0, f"p={p}, interval (0, {span})")
+        raise POutOfRange(mode, f"p={p}, interval (0, {span})")
     a = (-p + params.beta) / (p + ONE - params.alpha)
     b = (p + ONE - params.beta) / (-p + params.alpha)
     d = (span - p) / p
     return a, b, d
 
 
-def velocity(params: SystemParams, p: Rat) -> float:
-    """Closed-form speed -log A / log B; exactly 1 at the interval midpoint."""
-    a, b, _ = _abd(params, p)
+def _speed(a: Fraction, b: Fraction, _d: Fraction) -> float:
+    """The speed law -log A / log B of one :func:`_abd` result."""
     if a * b == 1:
         return 1.0
     return -math.log(float(a)) / math.log(float(b))
 
 
-def amplitude(params: SystemParams, p: Rat) -> float:
-    """Closed-form trough amplitude |x_min - 1|; 0 at the interval midpoint."""
-    _, b, d = _abd(params, p)
+def _depth(_a: Fraction, b: Fraction, d: Fraction) -> float:
+    """The amplitude law of one :func:`_abd` result."""
     if b * d == 1:
         return 0.0
     s = math.sqrt(float(b * d))
     r = math.sqrt(float(d / b))
     f = (1.0 + 1.0 / s) * (1.0 + s) / ((1.0 + r) * (1.0 + 1.0 / r))
     return abs(f - 1.0)
+
+
+def velocity(params: SystemParams, p: Rat) -> float:
+    """Closed-form speed -log A / log B; exactly 1 at the interval midpoint."""
+    return _speed(*_abd(params, p))
+
+
+def amplitude(params: SystemParams, p: Rat) -> float:
+    """Closed-form trough amplitude |x_min - 1|; 0 at the interval midpoint."""
+    return _depth(*_abd(params, p))
 
 
 def _subset_terms(consts: Sequence[SolitonConstants], dc: Fraction, t: int, n: int,
@@ -195,14 +210,12 @@ def _subset_ratios(bases: Sequence[Fraction]) -> list[int]:
 
 
 def _tau_grid(consts: Sequence[SolitonConstants], dc: Fraction, t0: int, n0: int,
-              row_lengths: Sequence[int], which: str,
-              ) -> tuple[int, list[list[tuple[int, ...]]]]:
-    """Integer tau values at (t0 + j, n0 + k) for k < row_lengths[j].
+              row_lengths: Sequence[int]) -> tuple[int, list[list[tuple[int, int]]]]:
+    """Integer (f, g) pairs at (t0 + j, n0 + k) for k < row_lengths[j].
 
-    ``which`` names the taus to evaluate ("f", "g" or "fg"); grid[j][k]
-    holds one integer for each, in that order.  The returned scale L is the
-    common denominator of their subset terms at (t0, n0), and grid[j][k]
-    is tau(t0 + j, n0 + k) * L * prod_i den(A_i)^j * den(B_i)^k.  That factor
+    The returned scale L is the common denominator of the subset terms of f
+    and g at (t0, n0), and each tau of grid[j][k] is
+    tau(t0 + j, n0 + k) * L * prod_i den(A_i)^j * den(B_i)^k.  That factor
     is positive and the same for every tau at the point, so it cancels from
     the cross ratios; at j = k = 0 it is L itself.
 
@@ -211,7 +224,7 @@ def _tau_grid(consts: Sequence[SolitonConstants], dc: Fraction, t0: int, n0: int
     the A_i and B_i: plain integer products, computed once per row and once
     per column.
     """
-    terms = [_subset_terms(consts, dc, t0, n0, tau == "g") for tau in which]
+    terms = [_subset_terms(consts, dc, t0, n0, weighted) for weighted in (False, True)]
     scale = math.lcm(*(term.denominator for tts in terms for term in tts))
     coefs = [[term.numerator * (scale // term.denominator) for term in tts]
              for tts in terms]
@@ -231,15 +244,15 @@ def _tau_grid(consts: Sequence[SolitonConstants], dc: Fraction, t0: int, n0: int
 def tau_f(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
           t: int, n: int) -> Fraction:
     """First tau function at (t, n)."""
-    scale, grid = _tau_grid(validate(params, solitons), params.delta_cap, t, n, [1], "f")
+    scale, grid = _tau_grid(validate(params, solitons), params.delta_cap, t, n, [1])
     return Fraction(grid[0][0][0], scale)
 
 
 def tau_g(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
           t: int, n: int) -> Fraction:
     """Second tau function at (t, n), the one with the extra row weight."""
-    scale, grid = _tau_grid(validate(params, solitons), params.delta_cap, t, n, [1], "g")
-    return Fraction(grid[0][0][0], scale)
+    scale, grid = _tau_grid(validate(params, solitons), params.delta_cap, t, n, [1])
+    return Fraction(grid[0][0][1], scale)
 
 
 def sample_xy(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
@@ -265,7 +278,7 @@ def _window_taus(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
         raise WindowTooSmall(f"empty range: t {t_range}, n {n_range}")
     nn = n1 - n0 + 1
     rows = [nn + 1] * (t1 - t0 + 1) + ([nn] if t_shift else [])
-    _, taus = _tau_grid(validate(params, solitons), params.delta_cap, t0, n0, rows, "fg")
+    _, taus = _tau_grid(validate(params, solitons), params.delta_cap, t0, n0, rows)
     for j, row in enumerate(taus):
         if not all(map(all, row)):
             k = next(k for k, pair in enumerate(row) if not all(pair))
@@ -456,23 +469,26 @@ def scan_monotonicity(params: SystemParams, grid_size: int) -> dict:
     """
     if grid_size < 3:
         raise ValueError("grid_size must be at least 3")
-    span = params.alpha + params.beta - ONE
-    if span <= 0:
-        raise InvalidInterval(
-            f"alpha + beta must exceed 1, got {params.alpha + params.beta}")
+    span = _span(params)
     mid = span / 2
     ps = [span * k / (grid_size + 1) for k in range(1, grid_size + 1)]
-    vs = [velocity(params, p) for p in ps]
-    wsamp = [amplitude(params, p) for p in ps]
+    abds = [_abd(params, p) for p in ps]
+    vs = [_speed(*abd) for abd in abds]
+    wsamp = [_depth(*abd) for abd in abds]
 
     tol = 1e-12  # float noise floor for adjacent comparisons
     violations: list[dict] = []
 
     def check(kind: str, k: int, direction: int) -> None:
-        # direction +1: must not decrease from k to k+1; -1: must not increase
-        left = vs[k] if kind == "v" else wsamp[k]
-        right = vs[k + 1] if kind == "v" else wsamp[k + 1]
-        bad = right < left - tol if direction > 0 else right > left + tol
+        # direction +1: must not decrease from k to k+1; -1: must not
+        # increase; 0: both ends must equal 1 (v when alpha = beta)
+        left, right = (vs if kind == "v" else wsamp)[k:k + 2]
+        if direction > 0:
+            bad = right < left - tol
+        elif direction < 0:
+            bad = right > left + tol
+        else:
+            bad = abs(left - 1.0) > 1e-9 or abs(right - 1.0) > 1e-9
         if bad:
             violations.append({
                 "quantity": kind,
@@ -492,18 +508,8 @@ def scan_monotonicity(params: SystemParams, grid_size: int) -> dict:
         else:
             continue  # straddles the midpoint; no adjacent constraint
         check("w", k, -1 if half == "left" else +1)
-        if equal_ab:
-            if abs(vs[k] - 1.0) > 1e-9 or abs(vs[k + 1] - 1.0) > 1e-9:
-                violations.append({
-                    "quantity": "v",
-                    "p_left": rat_str(ps[k]),
-                    "p_right": rat_str(ps[k + 1]),
-                    "left": vs[k],
-                    "right": vs[k + 1],
-                })
-        else:
-            up = v_up_first if half == "left" else not v_up_first
-            check("v", k, +1 if up else -1)
+        up = v_up_first if half == "left" else not v_up_first
+        check("v", k, 0 if equal_ab else (+1 if up else -1))
 
     if equal_ab:
         v_ext = mid  # v is constant; the branch point is the only natural marker

@@ -15,7 +15,10 @@ sampling.  The ``evolve_values_exact`` digest was re-recorded once, when
 ``evolve`` began to seed each sweep with the solution's own carrier at the
 left edge instead of the background value 1: the sweep then stays on the
 sampled solution, so its output equals ``exact_values_exact`` byte for byte,
-which the test asserts.
+which the test asserts.  The ``exact_values_float`` and
+``evolve_values_float`` digests pin the float CSV, the default ``--values``
+format; they were recorded before ``LatticeField.write_csv`` stopped going
+through ``float()`` for each value.
 """
 
 import hashlib
@@ -61,6 +64,12 @@ GOLDEN = {
     "evolve_values_exact": (
         ["evolve", *REF, *WINDOW, "--values", "exact"], 0,
         "8caec248ac29c1f858c38c88e933d0ad89acea6235890243054fa028d44c2184"),
+    "exact_values_float": (
+        ["exact", *REF, *WINDOW], 0,
+        "cdefa54e6e895f45fc434a127b38392ca1909125b6a3f498f3be8bb1b41996f5"),
+    "evolve_values_float": (
+        ["evolve", *REF, *WINDOW], 0,
+        "cdefa54e6e895f45fc434a127b38392ca1909125b6a3f498f3be8bb1b41996f5"),
     "bbsc_readme": (
         ["bbsc", "--cb", "1", "--init", "0111010000000", "--steps", "4",
          "--render", "ascii"], 0,
@@ -88,3 +97,4 @@ def test_evolve_digest_equals_exact():
     # the lattice sweep from the exact left boundary reproduces the sampled
     # solution, so both commands print the same bytes
     assert GOLDEN["evolve_values_exact"][2] == GOLDEN["exact_values_exact"][2]
+    assert GOLDEN["evolve_values_float"][2] == GOLDEN["exact_values_float"][2]

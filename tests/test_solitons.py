@@ -1,4 +1,4 @@
-import dataclasses
+import math
 import warnings
 from fractions import Fraction
 from random import Random
@@ -37,7 +37,7 @@ from solitonlab.errors import (
     ZeroTau,
 )
 
-from _oracles import det_cofactor, one_soliton_xy
+from _oracles import det_cofactor, one_soliton_constants, one_soliton_xy
 
 REF_PARAMS = SystemParams(Fraction(5, 6), Fraction(14, 15))
 REF_SOLITONS = [(Fraction(2, 15), Fraction(-1, 6)),
@@ -82,6 +82,73 @@ def test_speed_and_amplitude_symmetric_about_midpoint(p):
         amplitude(REF_PARAMS, SPAN - p), abs=1e-12)
 
 
+def _laws_longhand(alpha, beta, p):
+    """v = -log A / log B and W from the longhand constants.  A B = 1 exactly
+    when alpha = beta or p is the midpoint, and B D = 1 only at the midpoint,
+    where C (and so the longhand constants) is undefined."""
+    if p == (alpha + beta - 1) / 2:
+        return 1.0, 0.0
+    a, b, _, d = one_soliton_constants(alpha, beta, p, Fraction(1))
+    v = 1.0 if alpha == beta else -math.log(float(a)) / math.log(float(b))
+    s, r = math.sqrt(float(b * d)), math.sqrt(float(d / b))
+    return v, abs((1.0 + 1.0 / s) * (1.0 + s) / ((1.0 + r) * (1.0 + 1.0 / r)) - 1.0)
+
+
+@st.composite
+def wavenumbers(draw):
+    """(params, p) in each regime alpha < beta, alpha = beta, alpha > beta;
+    p is the interval midpoint in about half of the draws."""
+    a, b = (draw(st.fractions(min_value=Fraction(11, 20), max_value=Fraction(19, 20),
+                              max_denominator=60)) for _ in range(2))
+    regime = draw(st.sampled_from(["lt", "eq", "gt"]))
+    if regime == "eq":
+        b = a
+    else:
+        assume(a != b)
+        a, b = (min(a, b), max(a, b)) if regime == "lt" else (max(a, b), min(a, b))
+    span = a + b - 1
+    if draw(st.booleans()):
+        return SystemParams(a, b), span / 2
+    n = draw(st.integers(min_value=2, max_value=2000))
+    return SystemParams(a, b), span * draw(st.integers(min_value=1, max_value=n - 1)) / n
+
+
+@given(wavenumbers())
+@settings(max_examples=200, deadline=None)
+def test_laws_equal_the_longhand_constants_bit_for_bit(case):
+    params, p = case
+    v, w = _laws_longhand(params.alpha, params.beta, p)
+    assert velocity(params, p).hex() == v.hex()
+    assert amplitude(params, p).hex() == w.hex()
+
+
+def test_scan_evaluates_each_wavenumber_once(monkeypatch):
+    calls = []
+    real = solitons._abd
+
+    def spy(params, p, mode=0):
+        calls.append(p)
+        return real(params, p, mode)
+
+    monkeypatch.setattr(solitons, "_abd", spy)
+    scan_monotonicity(REF_PARAMS, 37)
+    assert len(calls) == 37
+    assert len(set(calls)) == 37
+
+
+@pytest.mark.parametrize("call", [
+    lambda params: validate(params, []),
+    lambda params: velocity(params, Fraction(1, 10)),
+    lambda params: amplitude(params, Fraction(1, 10)),
+    lambda params: scan_monotonicity(params, 5),
+], ids=["validate", "velocity", "amplitude", "scan_monotonicity"])
+@pytest.mark.parametrize("alpha,beta", [(Fraction(1, 2), Fraction(1, 2)),
+                                        (Fraction(1, 3), Fraction(1, 2))])
+def test_an_empty_interval_raises_invalid_interval(call, alpha, beta):
+    with pytest.raises(InvalidInterval, match="alpha \\+ beta must exceed 1"):
+        call(SystemParams(alpha, beta))
+
+
 def test_velocity_regimes():
     # beta > alpha: everything subluminal; swapped: superluminal
     for k in range(1, 12):
@@ -124,15 +191,13 @@ def test_validate_rejects_bad_modes():
 
 def test_validate_raises_on_a_nonpositive_constant(monkeypatch):
     # the positivity invariant is a raise, not an assert, so it holds under -O
-    real = solitons._soliton_constants
+    real = solitons._abd
 
-    def broken(params, p, gamma):
-        consts = real(params, p, gamma)
-        if p == REF_SOLITONS[1][0]:
-            consts = dataclasses.replace(consts, D=-consts.D)
-        return consts
+    def broken(params, p, mode=0):
+        a, b, d = real(params, p, mode)
+        return (a, b, -d) if p == REF_SOLITONS[1][0] else (a, b, d)
 
-    monkeypatch.setattr(solitons, "_soliton_constants", broken)
+    monkeypatch.setattr(solitons, "_abd", broken)
     with pytest.raises(ConstraintViolated, match="mode 1"):
         validate(REF_PARAMS, REF_SOLITONS)
 
@@ -222,13 +287,13 @@ def test_sample_xy_skips_the_unused_corner(monkeypatch):
     calls = []
     real = solitons._tau_grid
 
-    def spy(consts, dc, t0, n0, row_lengths, which):
-        calls.append((list(row_lengths), which))
-        return real(consts, dc, t0, n0, row_lengths, which)
+    def spy(consts, dc, t0, n0, row_lengths):
+        calls.append(list(row_lengths))
+        return real(consts, dc, t0, n0, row_lengths)
 
     monkeypatch.setattr(solitons, "_tau_grid", spy)
     sample_xy(REF_PARAMS, REF_SOLITONS, 2, -3)
-    assert calls == [([2, 1], "fg")]
+    assert calls == [[2, 1]]
 
 
 @st.composite
@@ -306,21 +371,21 @@ def test_sample_x_float_skips_the_t_shifted_row(monkeypatch):
     calls = []
     real = solitons._tau_grid
 
-    def spy(consts, dc, t0, n0, row_lengths, which):
-        calls.append((t0, n0, list(row_lengths), which))
-        return real(consts, dc, t0, n0, row_lengths, which)
+    def spy(consts, dc, t0, n0, row_lengths):
+        calls.append((t0, n0, list(row_lengths)))
+        return real(consts, dc, t0, n0, row_lengths)
 
     monkeypatch.setattr(solitons, "_tau_grid", spy)
     sample_x_float(REF_PARAMS, REF_SOLITONS, (2, 5), (-3, 6))
-    assert calls == [(2, -3, [11] * 4, "fg")]
+    assert calls == [(2, -3, [11] * 4)]
 
 
 @pytest.mark.parametrize("sampler", [sample_field, sample_x_float])
 def test_a_vanishing_tau_raises_zero_tau_naming_its_site(monkeypatch, sampler):
     real = solitons._tau_grid
 
-    def with_a_zero(consts, dc, t0, n0, row_lengths, which):
-        scale, grid = real(consts, dc, t0, n0, row_lengths, which)
+    def with_a_zero(consts, dc, t0, n0, row_lengths):
+        scale, grid = real(consts, dc, t0, n0, row_lengths)
         f, _ = grid[2][3]
         grid[2][3] = (f, 0)  # g vanishes at (t0 + 2, n0 + 3)
         return scale, grid
