@@ -19,7 +19,11 @@ update becomes
 
 (``tropical_step``), and the shift U = X + A, V = Y + B turns that into the
 carrier rule with c_box = A, c_carrier = B.  ``ud_limit_check`` measures the
-gap between the rational map at finite eps and the tropical step.
+gap between the rational map at finite eps and the tropical step.  This limit
+sends alpha + beta -> 0, outside the soliton regime alpha + beta > 1, where
+``solitons.validate`` raises ``InvalidInterval``.  The limit that stays in
+the soliton regime sends alpha, beta -> 1, with 1 - alpha = exp(-A/eps) and
+1 - beta = exp(-B/eps); this package does not check it yet.
 """
 
 from __future__ import annotations

@@ -1,23 +1,23 @@
-"""Coupled two-parameter lattice map, window evolution, and related maps.
+"""The two-point lattice map, its relatives, and window evolution.
 
-The core update couples a field x (advanced in time) with a carrier field y
-(advanced in space):
+Every map here is the one exact two-point update (x, y) -> (R*y, x/R) with
+R = (c1 + d1*x*y) / (c2 + d2*x*y); only the constants (c1, d1, c2, d2) differ:
 
-    x' = ((1-b) + b*x*y) / ((1-a) + a*x*y) * y
-    y~ = ((1-a) + a*x*y) / ((1-b) + b*x*y) * x
+* the two-parameter map (``gkdv_local``), with 0 < alpha, beta < 1:
+  (1-beta, beta, 1-alpha, alpha).  It couples a field x, advanced in time,
+  with a carrier field y, advanced in space;
+* the classic one-parameter form (``dkdv_local``): (1+delta, 0, 1, delta);
+* the symmetric normal form (``yb_map``), reached by scaling x and y
+  (``scale_to_yb``): (1, b, 1, a);
+* the normal form read in the frame of the one-parameter form
+  (``limit_chain_check``): (1+delta, (1+delta)/a, 1, delta) with
+  delta = 1/b, which tends to the one-parameter form as a grows.
 
-with parameters 0 < a, b < 1 written ``alpha`` and ``beta`` below.  A window
-[n_lo, n_hi] is advanced by sweeping n left to right; y enters the window at
-the left edge with a value given per row (the solution's own carrier there,
-or by default the background value 1) and the value carried past n_hi is
-discarded.  The product x*y at a site is preserved exactly by one update,
-which is the main conservation check used throughout the tests.
-
-Two relatives of the map live here as well: the classic one-parameter form
-(``step_dkdv``), and the symmetric two-parameter normal form (``yb_map``)
-reached by scaling x and y (``scale_to_yb``).  ``limit_chain_check`` measures
-how the symmetric form degenerates into the one-parameter form as its first
-parameter grows.
+A window [n_lo, n_hi] is advanced by sweeping n left to right; y enters the
+window at the left edge with a value given per row (the solution's own
+carrier there, or by default the background value 1) and the value carried
+past n_hi is discarded.  The product x*y at a site is preserved exactly by
+one update, which is the main conservation check used throughout the tests.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from math import gcd
+from math import gcd, lcm
 from typing import IO, Iterable, Sequence
 
 from .errors import (
@@ -62,44 +61,54 @@ class SystemParams:
         return ONE - self.alpha - self.beta
 
 
-def gkdv_local(x: Rat, y: Rat, params: SystemParams, site: int | None = None) -> tuple[Rat, Rat]:
-    """One local update: returns (x advanced in t, y advanced in n).
+def _map_constants(c1: Rat, d1: Rat, c2: Rat, d2: Rat) -> tuple[int, ...]:
+    """Integer constants of the two-point map with R = (c1 + d1*w) / (c2 + d2*w).
 
-    Runs on numerators and denominators.  With x = xn/xd, y = yn/yd,
-    alpha = an/ad, beta = bn/bd, P/Q = x*y in lowest terms and
-
-        A = (ad-an)*Q + an*P,    B = (bd-bn)*Q + bn*P,
-
-    the two map denominators are A/(ad*Q) and B/(bd*Q), so their ratio is
-    R = B*ad / (A*bd), x' = R*y and y~ = x/R.  R is reduced cheaply: a prime
-    power dividing A and B divides (ad*bn - an*bd)*Q and (ad*bn - an*bd)*P,
-    hence the small integer ad*bn - an*bd, since P and Q are coprime.  The
-    products with y and x are then reduced by operand-sized cross gcds, as
-    ``Fraction`` multiplication does, never by one gcd of the full products.
+    Each pair is scaled by its own denominator l1 or l2 to integers C1, D1
+    and C2, D2, so that for w = P/Q in lowest terms R = N1*l2 / (N2*l1) with
+    N1 = C1*Q + D1*P and N2 = C2*Q + D2*P.  A prime power dividing N1 and N2
+    divides K*Q and K*P, hence the small integer K = C1*D2 - D1*C2, since P
+    and Q are coprime.  Returns (C1, D1, C2, D2, K, l1, l2), with the common
+    factor of l1 and l2 divided out.
     """
+    c1, d1, c2, d2 = (Fraction(v) for v in (c1, d1, c2, d2))
+    l1 = lcm(c1.denominator, d1.denominator)
+    l2 = lcm(c2.denominator, d2.denominator)
+    big_c1, big_d1, big_c2, big_d2 = int(c1 * l1), int(d1 * l1), int(c2 * l2), int(d2 * l2)
+    g = gcd(l1, l2)
+    return (big_c1, big_d1, big_c2, big_d2, big_c1 * big_d2 - big_d1 * big_c2,
+            l1 // g, l2 // g)
+
+
+def _two_point(x: Rat, y: Rat, k: tuple[int, ...], site: int | None = None,
+               ) -> tuple[Fraction, Fraction]:
+    """The two-point map (x, y) -> (R*y, x/R), on numerators and denominators.
+
+    ``k`` holds the constants of R from :func:`_map_constants`.  R is reduced
+    by a gcd with the small K and by the scales; the products with y and x
+    are then reduced by operand-sized cross gcds, as ``Fraction``
+    multiplication does, never by one gcd of the full products.  Raises
+    :class:`ZeroDenominator` naming ``site`` when N1 or N2 vanishes.
+    """
+    c1, d1, c2, d2, big_k, l1, l2 = k
     xn, xd = x.numerator, x.denominator
     yn, yd = y.numerator, y.denominator
-    an, ad = params.alpha.numerator, params.alpha.denominator
-    bn, bd = params.beta.numerator, params.beta.denominator
     g1 = gcd(xn, yd)
     g2 = gcd(yn, xd)
     p = (xn // g1) * (yn // g2)
     q = (xd // g2) * (yd // g1)
-    a = (ad - an) * q + an * p
-    b = (bd - bn) * q + bn * p
-    if not a or not b:
+    n1 = c1 * q + d1 * p
+    n2 = c2 * q + d2 * p
+    if not n1 or not n2:
         raise ZeroDenominator(site)
-    # gcd(a, b) divides ad*bn - an*bd; when that is 0, a == b and this is |a|
-    g = gcd(gcd(a, ad * bn - an * bd), b)
-    a //= g
-    b //= g
-    g = gcd(ad, bd)
-    ad //= g
-    bd //= g
-    ga = gcd(a, ad)
-    gb = gcd(b, bd)
-    rn = (b // gb) * (ad // ga)
-    rd = (a // ga) * (bd // gb)
+    # gcd(n1, n2) divides K; when K is 0 this is gcd(n1, n2) itself
+    g = gcd(gcd(n1, big_k), n2)
+    n1 //= g
+    n2 //= g
+    g1 = gcd(n1, l1)
+    g2 = gcd(n2, l2)
+    rn = (n1 // g1) * (l2 // g2)
+    rd = (n2 // g2) * (l1 // g1)
     if rd < 0:
         rn, rd = -rn, -rd
     # x' = rn*yn / (rd*yd) and y~ = rd*xn / (rn*xd), each pair of factors
@@ -128,13 +137,18 @@ def _coprime_fraction(num: int, den: int) -> Fraction:
     return out
 
 
+def _gkdv_constants(params: SystemParams) -> tuple[int, ...]:
+    return _map_constants(1 - params.beta, params.beta, 1 - params.alpha, params.alpha)
+
+
+def gkdv_local(x: Rat, y: Rat, params: SystemParams, site: int | None = None) -> tuple[Rat, Rat]:
+    """One local update: returns (x advanced in t, y advanced in n)."""
+    return _two_point(x, y, _gkdv_constants(params), site)
+
+
 def dkdv_local(x: Rat, y: Rat, delta: Rat, site: int | None = None) -> tuple[Rat, Rat]:
     """One local update of the one-parameter form."""
-    den = ONE + delta * x * y
-    one_plus = ONE + delta
-    if den == 0 or one_plus == 0:
-        raise ZeroDenominator(site)
-    return one_plus * y / den, den * x / one_plus
+    return _two_point(x, y, _map_constants(1 + delta, 0, 1, delta), site)
 
 
 def yb_map(u: Rat, v: Rat, a: Rat, b: Rat) -> tuple[Rat, Rat]:
@@ -143,13 +157,7 @@ def yb_map(u: Rat, v: Rat, a: Rat, b: Rat) -> tuple[Rat, Rat]:
     Returns (u', v') with u' = (1 + b*u*v) v / (1 + a*u*v) and
     v' = (1 + a*u*v) u / (1 + b*u*v).
     """
-    u, v, a, b = Fraction(u), Fraction(v), Fraction(a), Fraction(b)
-    w = u * v
-    den_a = ONE + a * w
-    den_b = ONE + b * w
-    if den_a == 0 or den_b == 0:
-        raise ZeroDenominator()
-    return den_b * v / den_a, den_a * u / den_b
+    return _two_point(Fraction(u), Fraction(v), _map_constants(1, b, 1, a))
 
 
 def scale_to_yb(x: Rat, y: Rat, params: SystemParams) -> tuple[Rat, Rat, Rat, Rat]:
@@ -181,40 +189,38 @@ def _warn_if_escaped(x_right: Fraction, t: int | None = None) -> None:
             f"{abs(float(x_right) - 1.0):.3e}; content is being truncated"))
 
 
-def _sweep(xs: list[Fraction], y_left: Rat, n_lo: int, local,
+def _sweep(xs: list[Fraction], y_left: Rat, k: tuple[int, ...], n_lo: int,
            ) -> tuple[list[Fraction], list[Fraction]]:
-    """Carry y left to right through ``local(x, y, site=...)`` over one row."""
+    """Carry y left to right through the two-point map with constants ``k``
+    over one row whose first site is ``n_lo``."""
     x_next: list[Fraction] = []
     y_row: list[Fraction] = [Fraction(y_left)]
-    for k, x in enumerate(xs):
-        x_up, y_right = local(x, y_row[-1], site=n_lo + k)
+    for i, x in enumerate(xs):
+        x_up, y_right = _two_point(x, y_row[-1], k, n_lo + i)
         x_next.append(x_up)
         y_row.append(y_right)
     return x_next, y_row
 
 
-def step_gkdv(x_row: Sequence[Rat], params: SystemParams, *,
-              y_left: Rat = ONE, n_lo: int = 0, t: int | None = None,
+def step_gkdv(x_row: Sequence[Rat], params: SystemParams, *, y_left: Rat = ONE,
               ) -> tuple[list[Fraction], list[Fraction]]:
     """Advance one window row by one time step.
 
-    Returns ``(x_next, y_row)`` where ``y_row[k]`` is the same-time carrier
-    value entering site ``n_lo + k``; it has one extra trailing entry, the
-    value carried past the right edge (discarded by the window evolution).
+    Returns ``(x_next, y_row)`` where ``y_row[i]`` is the same-time carrier
+    value entering site ``i``; it has one extra trailing entry, the value
+    carried past the right edge (discarded by the window evolution).
     Warns with :class:`SolitonEscapedWindow` when the input row's right edge
     has left the background.
     """
     xs = _coerce_row(x_row)
-    _warn_if_escaped(xs[-1], t)
-    return _sweep(xs, y_left, n_lo, partial(gkdv_local, params=params))
+    _warn_if_escaped(xs[-1])
+    return _sweep(xs, y_left, _gkdv_constants(params), 0)
 
 
-def step_dkdv(x_row: Sequence[Rat], delta: Rat, *,
-              y_left: Rat = ONE, n_lo: int = 0,
-              ) -> tuple[list[Fraction], list[Fraction]]:
-    """Advance one window row of the one-parameter form by one time step."""
-    return _sweep(_coerce_row(x_row), y_left, n_lo,
-                  partial(dkdv_local, delta=Fraction(delta)))
+def step_dkdv(x_row: Sequence[Rat], delta: Rat) -> tuple[list[Fraction], list[Fraction]]:
+    """Advance one window row of the one-parameter form by one time step,
+    with the carrier entering at 1."""
+    return _sweep(_coerce_row(x_row), ONE, _map_constants(1 + delta, 0, 1, delta), 0)
 
 
 @dataclass
@@ -302,13 +308,13 @@ def evolve_gkdv(x0_row: Sequence[Rat], params: SystemParams, steps: int, *,
         y_left = [ONE] * (steps + 1)
     elif len(y_left) != steps + 1:
         raise ValueError(f"y_left needs one value per row, {steps + 1}, got {len(y_left)}")
-    local = partial(gkdv_local, params=params)
+    k = _gkdv_constants(params)
     rows_x: list[list[Fraction]] = []
     rows_y: list[list[Fraction]] = []
     cur = _coerce_row(x0_row)
     for j in range(steps + 1):
         _warn_if_escaped(cur[-1], t0 + j)
-        nxt, y_row = _sweep(cur, y_left[j], n_lo, local)
+        nxt, y_row = _sweep(cur, y_left[j], k, n_lo)
         rows_x.append(cur)
         rows_y.append(y_row[:-1])  # drop the value carried past the edge
         cur = nxt
@@ -322,11 +328,11 @@ def limit_chain_check(u: Rat, v: Rat, a_values: Sequence[Rat], b: Rat,
     The input (u, v) is read in the scaled frame that keeps the one-parameter
     limit finite.  For each ``a`` the pair is pulled back (u/s_u, v/s_v) with
     s_u*s_v = a*b and s_u/s_v = (b+1)/b, pushed through :func:`yb_map`, and
-    scaled forward again; the result is compared against one application of
-    :func:`dkdv_local` with delta = 1/b.  The scale square roots cancel in
-    these ratios, so everything is computed exactly; only the reported
-    discrepancy is a float.  Returns ``[(a, max component discrepancy)]`` in
-    input order; the discrepancy decays like 1/a.
+    scaled forward again; the scale square roots cancel, which leaves the
+    two-point map with constants (1+delta, (1+delta)/a, 1, delta), delta = 1/b.
+    It is compared against :func:`dkdv_local` with the same delta.  Returns
+    ``[(a, max component discrepancy)]`` in input order, exact but for the
+    final float; the discrepancy decays like 1/a.
     """
     u, v, b = Fraction(u), Fraction(v), Fraction(b)
     if b <= 0:
@@ -337,16 +343,10 @@ def limit_chain_check(u: Rat, v: Rat, a_values: Sequence[Rat], b: Rat,
     if any(a2 <= a1 for a1, a2 in zip(avs, avs[1:])):
         raise ValueError("a_values must be strictly increasing")
     delta = ONE / b
+    zeta2, xi2 = dkdv_local(u, v, delta)
     out: list[tuple[float, float]] = []
     for a in avs:
-        zeta2, xi2 = dkdv_local(u, v, delta)
-        w = u * v / (a * b)  # product of the pulled-back pair
-        den_a = ONE + a * w
-        den_b = ONE + b * w
-        if den_a == 0 or den_b == 0:
-            raise ZeroDenominator()
-        zeta1 = (ONE + delta) * v * den_b / den_a
-        xi1 = u * den_a / ((ONE + delta) * den_b)
+        zeta1, xi1 = _two_point(u, v, _map_constants(1 + delta, (1 + delta) / a, 1, delta))
         disc = max(abs(zeta1 - zeta2), abs(xi1 - xi2))
         out.append((float(a), float(disc)))
     return out

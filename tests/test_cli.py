@@ -166,13 +166,57 @@ def test_domain_errors_exit_one(capsys):
                           "--soliton", "1/30:1/30", "--n", "0:1", "--t", "0:0")
     assert code == 1
     assert "gamma" in err
+    # an epsilon list that goes the wrong way is rejected before any check
+    code, _, err = invoke(capsys, "verify", "udlimit", "--epsilons", "1,0.9,0.95")
+    assert code == 1
+    assert "strictly decreasing" in err
 
 
 def test_verify_failure_exits_two(capsys):
-    # an epsilon list that goes the wrong way cannot certify convergence
-    code, out, err = invoke(capsys, "verify", "udlimit",
-                            "--epsilons", "1,0.9,0.95")
-    assert code in (1, 2)
+    # eps = 0.5 is too coarse to bring the deviation below 1e-2
+    code, out, _ = invoke(capsys, "verify", "udlimit", "--epsilons", "1,0.5")
+    assert code == 2
+    assert "final deviation is not below 1e-2" in out
+    assert "verify: FAILED" in out
+
+
+def _patch_sampled_field(monkeypatch, edit):
+    """Make ``verify exactness`` check a sampled field altered by ``edit``."""
+    from solitonlab import solitons
+
+    sample = solitons.sample_field
+
+    def altered(params, modes, t_window, n_window):
+        field = sample(params, modes, t_window, n_window)
+        edit(params, field)
+        return field
+
+    monkeypatch.setattr(solitons, "sample_field", altered)
+
+
+def test_verify_exactness_catches_a_wrong_value(capsys, monkeypatch):
+    # y at one interior site enters the update there and is the carry
+    # checked at its left neighbour, so two sites fail
+    def bump_y(params, field):
+        field.ys[3][4] += 1
+
+    _patch_sampled_field(monkeypatch, bump_y)
+    code, out, _ = invoke(capsys, "verify", "exactness", "--grid", "8")
+    assert code == 2
+    assert "residual 0 at 62/64 points" in out
+
+
+def test_verify_exactness_counts_a_vanishing_denominator_as_failed(capsys, monkeypatch):
+    # (1-alpha) + alpha*x*y = 0 at one site of the first row, which no
+    # other site checks
+    def singular_x(params, field):
+        a, y = params.alpha, field.ys[0][2]
+        field.xs[0][2] = (a - 1) / (a * y)
+
+    _patch_sampled_field(monkeypatch, singular_x)
+    code, out, _ = invoke(capsys, "verify", "exactness", "--grid", "8")
+    assert code == 2
+    assert "residual 0 at 63/64 points" in out
 
 
 def test_cli_start_up_imports_no_numpy():

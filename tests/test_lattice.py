@@ -25,7 +25,7 @@ from solitonlab.errors import (
     ZeroDenominator,
 )
 
-from _oracles import gkdv_local_longhand
+from _oracles import dkdv_local_longhand, gkdv_local_longhand, yb_map_longhand
 
 # open interval (0, 1), exact
 unit_open = st.fractions(
@@ -146,6 +146,63 @@ def test_local_map_zero_denominator():
         gkdv_local(x, Fraction(1), params)
     with pytest.raises(ZeroDenominator):
         dkdv_local(Fraction(-1), Fraction(1), Fraction(1))
+
+
+def _same_fractions_as(oracle, local, *args):
+    """``local(*args)`` equals ``oracle(*args)`` bit for bit, or raises
+    ZeroDenominator where the oracle divides by zero."""
+    try:
+        expected = oracle(*args)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDenominator):
+            local(*args)
+        return
+    got = local(*args)
+    assert [(v.numerator, v.denominator, hash(v)) for v in got] == [
+        (v.numerator, v.denominator, hash(v)) for v in expected]
+    assert all(type(v) is Fraction and _lowest_terms(v) for v in got)
+
+
+@st.composite
+def map_operands(draw):
+    """A big (x, y) pair of either sign, sometimes with zeros."""
+    x, y = draw(big_pair())
+    zeros = draw(st.sampled_from(["", "x", "y", "xy"]))
+    return (Fraction(0) if "x" in zeros else x, Fraction(0) if "y" in zeros else y)
+
+
+def map_constant(w: Fraction):
+    """A signed constant c, often one that makes 1 + c or 1 + c*w vanish."""
+    signed = st.builds(lambda s, n, d: Fraction(s * n, d),
+                       st.sampled_from([1, -1]), big_int, big_int)
+    special = [Fraction(0), Fraction(-1)] + ([-1 / w] if w else [])
+    return st.one_of(signed, st.sampled_from(special))
+
+
+@given(map_operands(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_dkdv_local_matches_longhand(pair, data):
+    x, y = pair
+    delta = data.draw(map_constant(x * y))
+    _same_fractions_as(dkdv_local_longhand, dkdv_local, x, y, delta)
+
+
+@given(map_operands(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_yb_map_matches_longhand(pair, data):
+    u, v = pair
+    a, b = data.draw(map_constant(u * v)), data.draw(map_constant(u * v))
+    _same_fractions_as(yb_map_longhand, yb_map, u, v, a, b)
+
+
+def test_dkdv_and_yb_vanishing_denominators():
+    x, y = Fraction(3, 7), Fraction(-14, 9)  # x*y = -2/3
+    for delta in (Fraction(-1), Fraction(3, 2)):
+        with pytest.raises(ZeroDenominator):
+            dkdv_local(x, y, delta)
+    for a, b in ((Fraction(3, 2), Fraction(5)), (Fraction(-4), Fraction(3, 2))):
+        with pytest.raises(ZeroDenominator):
+            yb_map(x, y, a, b)
 
 
 @given(positive, positive, system_params())
@@ -270,6 +327,41 @@ def test_limit_chain_converges():
     gaps = [d for _, d in out]
     assert all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
     assert gaps[-1] < 1e-3
+
+
+# (u, v, a_values, b) and the (a, discrepancy) floats recorded from the
+# longhand Fraction formulas of the two maps
+LIMIT_CHAIN_CORPUS = [
+    ((Fraction(7, 5), Fraction(3, 4), [Fraction(1), Fraction(10), Fraction(100),
+                                       Fraction(10 ** 4)], Fraction(2, 3)),
+     [(1.0, 0.7645631067961165), (10.0, 0.13702262443438915),
+      (100.0, 0.014983671449777337), (10000.0, 0.00015139410361912)]),
+    ((Fraction(-3, 2), Fraction(5, 7), [Fraction(1, 2), Fraction(3), Fraction(50)],
+      Fraction(9, 4)),
+     [(0.5, 4.220779220779221), (3.0, 0.7034632034632035), (50.0, 0.04220779220779221)]),
+    ((Fraction(2 ** 70 + 3, 3 ** 40), Fraction(-(5 ** 30), 2 ** 65 + 1),
+      [Fraction(7, 3), Fraction(2 ** 40)], Fraction(11, 13)),
+     [(2.3333333333333335, 129016.48007472984),
+      (1099511627776.0, 0.00028736355979847505)]),
+    ((Fraction(0), Fraction(4, 9), [Fraction(2), Fraction(5)], Fraction(1, 7)),
+     [(2.0, 0.0), (5.0, 0.0)]),
+    ((Fraction(6, 5), Fraction(5, 6), [Fraction(1, 3), Fraction(3, 2), Fraction(3)],
+      Fraction(3, 2)),
+     [(0.3333333333333333, 2.5), (1.5, 0.5555555555555556), (3.0, 0.3)]),
+]
+
+
+@pytest.mark.parametrize("args, expected", LIMIT_CHAIN_CORPUS)
+def test_limit_chain_pinned_floats(args, expected):
+    assert limit_chain_check(*args) == expected
+
+
+def test_limit_chain_vanishing_denominators():
+    # u*v = -a at a = 2, and u*v = -b with delta = 1/b
+    with pytest.raises(ZeroDenominator):
+        limit_chain_check(Fraction(-2), Fraction(1), [Fraction(1), Fraction(2)], Fraction(5))
+    with pytest.raises(ZeroDenominator):
+        limit_chain_check(Fraction(-3), Fraction(1), [Fraction(1)], Fraction(3))
 
 
 def test_limit_chain_validation():
