@@ -68,6 +68,26 @@ def _int_range(text: str) -> tuple[int, int]:
     return lo_i, hi_i
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _epsilons(text: str) -> list[float]:
+    try:
+        eps = [float(v) for v in text.split(",") if v]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad epsilon list {text!r}")
+    if not eps:
+        raise argparse.ArgumentTypeError(f"no epsilons in {text!r}")
+    return eps
+
+
 def _capacity(text: str) -> int | float:
     if text.lower() in ("inf", "infinity"):
         return math.inf
@@ -159,18 +179,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=_rat, default=Fraction(14, 15))
     p.add_argument("--soliton", type=_soliton, action="append", default=[],
                    metavar="P:GAMMA")
-    p.add_argument("--grid", type=int, default=20,
+    p.add_argument("--grid", type=_positive_int, default=20,
                    help="exactness: residual grid is grid x grid")
-    p.add_argument("--n-solitons", type=int, default=2,
+    p.add_argument("--n-solitons", type=_positive_int, default=2,
                    help="kp/reduction: modes per random draw")
-    p.add_argument("--points", type=int, default=20,
+    p.add_argument("--points", type=_positive_int, default=20,
                    help="kp/reduction: random probe points")
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--cb", type=_capacity, default=3, help="udlimit: box capacity")
     p.add_argument("--cc", type=_capacity, default=1, help="udlimit: carrier capacity")
     p.add_argument("--init", default="300010", help="udlimit: initial occupancies")
     p.add_argument("--steps", type=int, default=3, help="udlimit: sweeps before sampling")
-    p.add_argument("--epsilons", default="1,0.1,0.01,0.001",
+    p.add_argument("--epsilons", type=_epsilons, default="1,0.1,0.01,0.001",
                    help="udlimit: comma-separated decreasing epsilons")
     return top
 
@@ -233,24 +253,11 @@ def _cmd_analyze(args) -> int:
         "velocity": c.velocity,
         "amplitude": c.amplitude,
     } for c in consts]
-    if len(tracks) == 2:
-        measured = measure.overtake_report(tracks)
-    else:
-        rows = []
-        for tr in tracks:
-            others = [o for o in tracks if o is not tr]
-            rows.append({
-                "amplitude": measure.track_amplitude(tr, others),
-                "speed": measure.measure_velocity(tr, others),
-                "first_t": tr.first_t,
-                "last_t": tr.last_t,
-            })
-        measured = {"tracks": rows, "crossing": False, "anomaly": "none"}
     payload = {
         "alpha": rat_str(params.alpha),
         "beta": rat_str(params.beta),
         "closed_form": closed,
-        "measured": measured,
+        "measured": measure.overtake_report(tracks),
     }
     _write(args.out, lambda s: (json.dump(payload, s, indent=2), s.write("\n")))
     return 0
@@ -300,10 +307,6 @@ def _verify_kp_residuals(args, log: IO[str], what: str, constrained: bool,
 
 
 def _verify_udlimit(args, log: IO[str]) -> bool:
-    try:
-        eps = [float(v) for v in args.epsilons.split(",") if v]
-    except ValueError:
-        raise _CliError(f"bad --epsilons {args.epsilons!r}")
     if args.cc == math.inf:
         raise _CliError("udlimit needs a finite carrier capacity")
     state = boxball.BBSCState(_parse_init(args.init), args.cb, args.cc)
@@ -311,7 +314,7 @@ def _verify_udlimit(args, log: IO[str]) -> bool:
         state = boxball.bbsc_step(state)
     _, loads = boxball.bbsc_sweep(state)
     field = boxball.field_from_state(state, loads)
-    gaps = boxball.ud_limit_check(field, eps)
+    gaps = boxball.ud_limit_check(field, args.epsilons)
     for e, gap in gaps:
         print(f"eps={e:g}: max deviation {gap:.3e}", file=log)
     decreasing = all(g2 < g1 for (_, g1), (_, g2) in zip(gaps, gaps[1:]))

@@ -111,14 +111,6 @@ class InconsistentCapacities(SolitonLabError):
     """States in one history disagree on box or carrier capacity."""
 
 
-class WrongTrackCount(SolitonLabError):
-    """The overtake report needs exactly two tracks."""
-
-    def __init__(self, got: int):
-        self.got = got
-        super().__init__(f"overtake report needs exactly 2 tracks, got {got}")
-
-
 class SolitonEscapedWindow(UserWarning):
     """The right window edge is no longer at the background value.
 

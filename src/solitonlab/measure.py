@@ -16,7 +16,9 @@ The linker's jump gate and the exclusion cone share the speed bound
 ``V_MAX``; tracks coast at most ``MAX_GAP`` rows and need ``MIN_SAMPLES``.
 
 Ball-count clusters of the box-ball automaton get the same treatment in
-integer arithmetic; their speeds are exact rationals.
+integer arithmetic; their speeds are exact rationals.  ``overtake_report``
+summarizes any set of tracks of one kind, and for two of them tells
+whether the smaller soliton overtook the larger.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .errors import (
     EmptyField,
     InconsistentCapacities,
     TooFewSamples,
-    WrongTrackCount,
 )
 
 # How close (lattice units) another soliton may come before a sample is
@@ -369,6 +370,10 @@ class ClusterTrack:
         i0, i1 = self.times.index(ts[0]), self.times.index(ts[-1])
         return Fraction(self.leftmost[i1] - self.leftmost[i0], ts[-1] - ts[0])
 
+    def position_at(self, t: int) -> float:
+        """Leftmost position at time t, linearly interpolated across gaps."""
+        return _interp(t, self.times, self.leftmost)
+
 
 def _clusters(state: BBSCState) -> list[tuple[int, int, int]]:
     """(leftmost, rightmost, ball count) for each run of nonzero boxes."""
@@ -461,55 +466,50 @@ def _fraction_or_float(v):
 
 
 def overtake_report(tracks: Sequence[TroughTrack | ClusterTrack]) -> dict:
-    """Summarize two tracks: per-track amplitude/speed/span, whether their
-    order swaps, and whether the smaller one outran the larger.
+    """Summarize measured tracks: per-track amplitude/speed/span and, for
+    exactly two, whether their order swaps and whether the smaller one
+    outran the larger.
 
-    Accepts exactly two tracks (trough or cluster kind, not mixed).  The
-    amplitude of a trough track is its collision-free refined depth; of a
-    cluster track, its ball count.  ``anomaly`` is ``"smaller_faster"`` when
-    the smaller-amplitude track ends ahead after starting behind, or after
-    emerging from an unresolved collision at the start of the common span
-    with the greater measured speed; else ``"none"``.
+    Accepts any number of tracks of one kind (trough or cluster, not mixed).
+    The amplitude and speed of a trough track are measured clear of all the
+    other tracks; a cluster track has its ball count and exact speed.  For
+    any count other than two, ``crossing`` is false and ``anomaly`` is
+    ``"none"``.  Of two tracks, ``anomaly`` is ``"smaller_faster"`` when
+    the smaller-amplitude track ends ahead after starting behind, or, for
+    troughs, after emerging from an unresolved collision at the start of the
+    common span with the greater measured speed; else ``"none"``.
     """
-    if len(tracks) != 2:
-        raise WrongTrackCount(len(tracks))
-    a, b = tracks
-    if isinstance(a, ClusterTrack) != isinstance(b, ClusterTrack):
+    kinds = {isinstance(tr, ClusterTrack) for tr in tracks}
+    if len(kinds) > 1:
         raise ValueError("cannot mix trough and cluster tracks in one report")
-    rows = []
-    if isinstance(a, ClusterTrack):
-        amps = [a.amplitude, b.amplitude]
-        speeds = [a.speed, b.speed]
-        pos = [(tr.leftmost[0], tr.leftmost[-1]) for tr in (a, b)]
-        start_span = (a.times[0], b.times[0])
-        end_span = (a.times[-1], b.times[-1])
+    clusters = kinds == {True}
+    # all amplitudes first: when several fits fail, an amplitude's is raised
+    if clusters:
+        amps = [tr.amplitude for tr in tracks]
+        speeds = [tr.speed for tr in tracks]
     else:
-        amps = [track_amplitude(a, [b]), track_amplitude(b, [a])]
-        speeds = [measure_velocity(a, [b]), measure_velocity(b, [a])]
-        pos = [(tr.positions[0], tr.positions[-1]) for tr in (a, b)]
-        start_span = (a.first_t, b.first_t)
-        end_span = (a.last_t, b.last_t)
-    for tr, amp, spd in zip((a, b), amps, speeds):
-        rows.append({
-            "amplitude": _fraction_or_float(amp),
-            "speed": _fraction_or_float(spd),
-            "first_t": tr.first_t,
-            "last_t": tr.last_t,
-        })
+        others = [[o for o in tracks if o is not tr] for tr in tracks]
+        amps = [track_amplitude(tr, rest) for tr, rest in zip(tracks, others)]
+        speeds = [measure_velocity(tr, rest) for tr, rest in zip(tracks, others)]
+    rows = [{
+        "amplitude": _fraction_or_float(amp),
+        "speed": _fraction_or_float(spd),
+        "first_t": tr.first_t,
+        "last_t": tr.last_t,
+    } for tr, amp, spd in zip(tracks, amps, speeds)]
+    if len(tracks) != 2:
+        return {"tracks": rows, "crossing": False, "anomaly": "none"}
+    a, b = tracks
     # compare positions at the shared start and end of the common life span
-    t_start = max(start_span)
-    t_end = min(end_span)
-    if isinstance(a, ClusterTrack):
-        at = lambda tr, t: _interp(t, tr.times, tr.leftmost)  # noqa: E731
-    else:
-        at = lambda tr, t: tr.position_at(t)  # noqa: E731
+    t_start = max(a.first_t, b.first_t)
+    t_end = min(a.last_t, b.last_t)
     if t_end <= t_start:
         # no common life span; fall back to each track's own endpoints
-        d0 = pos[0][0] - pos[1][0]
-        d1 = pos[0][1] - pos[1][1]
+        d0 = a.position_at(a.first_t) - b.position_at(b.first_t)
+        d1 = a.position_at(a.last_t) - b.position_at(b.last_t)
     else:
-        d0 = at(a, t_start) - at(b, t_start)
-        d1 = at(a, t_end) - at(b, t_end)
+        d0 = a.position_at(t_start) - b.position_at(t_start)
+        d1 = a.position_at(t_end) - b.position_at(t_end)
     crossing = d0 * d1 < 0
     anomaly = "none"
     if amps[0] != amps[1]:
@@ -519,7 +519,7 @@ def overtake_report(tracks: Sequence[TroughTrack | ClusterTrack]) -> dict:
         # if the window opens on an unresolved collision the tracks emerge
         # closer than the exclusion radius; the smaller one being measurably
         # faster then implies it entered the collision from behind
-        emerged_merged = (not isinstance(a, ClusterTrack)
+        emerged_merged = (not clusters
                           and abs(ds[0]) <= EXCLUSION_RADIUS
                           and speeds[small] > speeds[big])
         if ds[1] > 0 and (started_behind or emerged_merged):

@@ -428,31 +428,24 @@ def random_kp_params(rng: Random, n_modes: int, *, constrained: bool = False) ->
         a1, a2, b, c = (small() for _ in range(4))
         if len({a1, a2, b, c}) != 4:
             continue
-        dirs = {a1, a2, b, c}
-        ps: list[Fraction] = []
-        qs: list[Fraction] = []
-        gs: list[Fraction] = []
-        ok = True
+        modes: list[tuple[Fraction, Fraction, Fraction]] = []
         for _ in range(n_modes):
             for _attempt in range(200):
                 p = small()
                 q = a1 + a2 - p if constrained else small()
-                if p == q or p in dirs or q in dirs or p in ps or p in qs \
-                        or q in qs or q in ps:
+                try:  # KPParams rejects a (p, q) that clashes with anything
+                    KPParams(a1, a2, b, c, (*modes, (p, q, ONE)))
+                except (DegenerateP, DuplicateP, DenominatorClash):
                     continue
                 g = small()
                 if g == 0:
                     continue
-                ps.append(p)
-                qs.append(q)
-                gs.append(g)
+                modes.append((p, q, g))
                 break
             else:
-                ok = False
                 break
-        if ok:
-            return KPParams(a1=a1, a2=a2, b=b, c=c,
-                            modes=tuple(zip(ps, qs, gs)))
+        if len(modes) == n_modes:
+            return KPParams(a1, a2, b, c, tuple(modes))
 
 
 # ---------------------------------------------------------------------------

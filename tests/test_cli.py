@@ -172,6 +172,23 @@ def test_domain_errors_exit_one(capsys):
     assert "strictly decreasing" in err
 
 
+def test_verify_rejects_an_empty_epsilon_list(capsys):
+    code, out, err = invoke(capsys, "verify", "udlimit", "--epsilons", ",")
+    assert code == 1
+    assert out == "" and err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("suite, flag", [("exactness", "--grid"), ("kp", "--points"),
+                                         ("reduction", "--points"),
+                                         ("kp", "--n-solitons")])
+def test_verify_rejects_counts_below_one(capsys, suite, flag):
+    # a zero count would check nothing and still print "verify: OK"
+    for value in ("0", "-1"):
+        code, out, err = invoke(capsys, "verify", suite, flag, value)
+        assert code == 1
+        assert out == "" and err.startswith("usage error:")
+
+
 def test_verify_failure_exits_two(capsys):
     # eps = 0.5 is too coarse to bring the deviation below 1e-2
     code, out, _ = invoke(capsys, "verify", "udlimit", "--epsilons", "1,0.5")

@@ -9,8 +9,8 @@ changes one output byte fails here.  The ``analyze_readme`` digest was
 re-recorded once, when the speed fit became exact: its two ``"speed"``
 values moved by one ulp each to the correctly rounded slope, and no other
 byte changed.  The ``analyze_one_mode`` and ``analyze_three_modes``
-digests, which pin the per-track branch of ``analyze`` (any track count
-other than two), were recorded before ``analyze`` moved to float-first
+digests, which pin the ``analyze`` report for track counts other than
+two, were recorded before ``analyze`` moved to float-first
 sampling.  The ``evolve_values_exact`` digest was re-recorded once, when
 ``evolve`` began to seed each sweep with the solution's own carrier at the
 left edge instead of the background value 1: the sweep then stays on the

@@ -23,7 +23,6 @@ from solitonlab.errors import (
     EmptyField,
     InconsistentCapacities,
     TooFewSamples,
-    WrongTrackCount,
 )
 from solitonlab.measure import _assign
 
@@ -118,6 +117,11 @@ def test_single_soliton_measurement():
     centered = max(measure_amplitude(row) for row in rows)
     assert centered == pytest.approx(0.722, abs=0.005)
     assert measure_amplitude([1.0] * 5) == 0.0
+    report = overtake_report([track])
+    assert report == {"tracks": [{"amplitude": track_amplitude(track),
+                                  "speed": measure_velocity(track),
+                                  "first_t": 0, "last_t": 45}],
+                      "crossing": False, "anomaly": "none"}
 
 
 def test_tracks_are_in_lattice_coordinates():
@@ -228,10 +232,68 @@ def test_detect_rejects_mixed_capacities():
 def test_overtake_report_input_validation():
     hist = evolve_bbsc(BBSCState((3, 0, 0, 0, 1), c_box=3, c_carrier=1), 9)
     tracks = detect_bbsc_solitons(hist)
-    with pytest.raises(WrongTrackCount):
-        overtake_report(tracks[:1])
+    trough = TroughTrack([0, 1], [0.0, 1.0], [0.5, 0.5])
     with pytest.raises(ValueError):
-        overtake_report([tracks[0], TroughTrack([0, 1], [0.0, 1.0], [0.5, 0.5])])
+        overtake_report([tracks[0], trough])
+    with pytest.raises(ValueError):
+        overtake_report([*tracks, trough])
+
+
+def test_overtake_report_of_no_tracks():
+    assert overtake_report([]) == {"tracks": [], "crossing": False, "anomaly": "none"}
+
+
+def test_overtake_report_measures_each_trough_against_the_others():
+    # A runs at speed 1 through B, which stands at 10; A's depth reads 0.9
+    # at the collision and 0.5 elsewhere.  C stays far from both.
+    times = list(range(20))
+    a = TroughTrack(times, [float(t) for t in times],
+                    [0.9 if t == 10 else 0.5 for t in times])
+    b = TroughTrack(times, [10.0] * 20, [0.3] * 20)
+    c = TroughTrack(times, [100.0 + 0.5 * t for t in times], [0.2] * 20)
+    tracks = [a, b, c]
+    report = overtake_report(tracks)
+    expected = []
+    for tr in tracks:
+        others = [o for o in tracks if o is not tr]
+        expected.append({"amplitude": track_amplitude(tr, others),
+                         "speed": measure_velocity(tr, others),
+                         "first_t": 0, "last_t": 19})
+    assert report == {"tracks": expected, "crossing": False, "anomaly": "none"}
+    assert [row["amplitude"] for row in report["tracks"]] == [0.5, 0.3, 0.2]
+    assert [row["speed"] for row in report["tracks"]] == [1.0, 0.0, 0.5]
+
+
+def _cluster_rows(tracks):
+    return [{"amplitude": float(tr.amplitude), "speed": str(tr.speed),
+             "first_t": tr.first_t, "last_t": tr.last_t} for tr in tracks]
+
+
+def test_overtake_report_of_one_and_three_clusters():
+    hist = evolve_bbsc(BBSCState((1, 0, 0, 3, 0, 0, 0, 0, 0, 0),
+                                 c_box=3, c_carrier=1), 12)
+    tracks = detect_bbsc_solitons(hist)
+    assert len(tracks) == 3
+    for subset in (tracks[:1], tracks):
+        assert overtake_report(subset) == {"tracks": _cluster_rows(subset),
+                                           "crossing": False, "anomaly": "none"}
+
+
+def test_overtake_report_without_a_common_life_span():
+    # the spans [0, 2] and [5, 7] are disjoint, so each track's own endpoints
+    # are compared: the single ball starts 5 sites behind and ends 1 ahead
+    small = ClusterTrack([0, 1, 2], [0, 1, 2], 1)
+    big = ClusterTrack([5, 6, 7], [5, 3, 1], 2)
+    report = overtake_report([small, big])
+    assert report["crossing"] is True
+    assert report["anomaly"] == "smaller_faster"
+
+
+def test_cluster_position_at():
+    tr = ClusterTrack([2, 4, 5], [10, 13, 14], 1)
+    assert [tr.position_at(t) for t in (2, 4, 5)] == [10.0, 13.0, 14.0]
+    assert tr.position_at(3) == 11.5
+    assert tr.position_at(0) == 10.0 and tr.position_at(9) == 14.0
 
 
 def test_assign_keeps_maximum_cardinality_with_many_tracks():

@@ -444,6 +444,29 @@ def test_kp_reduction_needs_the_constraint():
         check_reduction(free, (0, 0, 0, 0))
 
 
+def test_random_kp_params_draws_are_pinned():
+    # draws and the rng state after them, recorded before the candidate
+    # checks moved into KPParams
+    F = Fraction
+    rng = Random(3)
+    kp = random_kp_params(rng, 2)
+    assert kp == KPParams(F(-2, 9), F(-5, 6), F(3), F(-9, 8),
+                          ((F(-1, 9), F(-1, 2), F(2, 3)), (F(-2, 3), F(1), F(-9, 2))))
+    assert rng.randrange(10 ** 6) == 167142
+    rng = Random(11)
+    kp = random_kp_params(rng, 4)
+    assert kp.modes == ((F(-7, 9), F(-8, 7), F(5, 3)), (F(-1), F(-7), F(-2)),
+                        (F(-2), F(5, 6), F(5, 4)), (F(-9, 2), F(1), F(4, 9)))
+    assert rng.randrange(10 ** 6) == 976942
+    rng = Random(11)
+    kp = random_kp_params(rng, 4, constrained=True)
+    assert (kp.a1, kp.a2, kp.b, kp.c) == (F(5, 9), F(5, 8), F(7, 4), F(-4, 9))
+    assert kp.modes == ((F(2), F(-59, 72), F(-3, 4)), (F(0), F(85, 72), F(-7, 9)),
+                        (F(-8, 7), F(1171, 504), F(5, 3)),
+                        (F(-1), F(157, 72), F(-7)))
+    assert rng.randrange(10 ** 6) == 37384
+
+
 def test_kp_tau_is_rational_and_nonzero_at_origin():
     rng = Random(3)
     kp = random_kp_params(rng, 2)
