@@ -68,14 +68,19 @@ def _int_range(text: str) -> tuple[int, int]:
     return lo_i, hi_i
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """argparse type for an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _epsilons(text: str) -> list[float]:
@@ -156,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="carrier capacity, integer or inf (default inf)")
     p.add_argument("--init", required=True,
                    help="initial occupancies as digits, e.g. 300010")
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_int_at_least(0), required=True)
     p.add_argument("--render", choices=("ascii", "csv"), default="ascii")
     add_out(p, "output")
 
@@ -171,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="monotonicity scan of the speed/amplitude laws")
     add_system(p)
     add_out(p, "JSON")
-    p.add_argument("--grid", type=int, default=101, help="number of interior grid points")
+    p.add_argument("--grid", type=_int_at_least(3), default=101,
+                   help="number of interior grid points")
 
     p = sub.add_parser("verify", help="exact self-checks")
     p.add_argument("suite", choices=("exactness", "kp", "reduction", "udlimit", "all"))
@@ -179,17 +185,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=_rat, default=Fraction(14, 15))
     p.add_argument("--soliton", type=_soliton, action="append", default=[],
                    metavar="P:GAMMA")
-    p.add_argument("--grid", type=_positive_int, default=20,
+    p.add_argument("--grid", type=_int_at_least(1), default=20,
                    help="exactness: residual grid is grid x grid")
-    p.add_argument("--n-solitons", type=_positive_int, default=2,
+    p.add_argument("--n-solitons", type=_int_at_least(1), default=2,
                    help="kp/reduction: modes per random draw")
-    p.add_argument("--points", type=_positive_int, default=20,
+    p.add_argument("--points", type=_int_at_least(1), default=20,
                    help="kp/reduction: random probe points")
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--cb", type=_capacity, default=3, help="udlimit: box capacity")
     p.add_argument("--cc", type=_capacity, default=1, help="udlimit: carrier capacity")
     p.add_argument("--init", default="300010", help="udlimit: initial occupancies")
-    p.add_argument("--steps", type=int, default=3, help="udlimit: sweeps before sampling")
+    p.add_argument("--steps", type=_int_at_least(0), default=3,
+                   help="udlimit: sweeps before sampling")
     p.add_argument("--epsilons", type=_epsilons, default="1,0.1,0.01,0.001",
                    help="udlimit: comma-separated decreasing epsilons")
     return top

@@ -25,6 +25,10 @@ class WindowTooSmall(SolitonLabError):
     """The lattice window has no room for the requested operation."""
 
 
+class GridTooSmall(SolitonLabError):
+    """A scan grid has too few points to compare neighbours on both halves."""
+
+
 class NonPositiveParameter(SolitonLabError):
     """A parameter that must be strictly positive is not."""
 

@@ -32,7 +32,11 @@ four constants A, B, C = gamma / (2p + D), D_i are positive and the mode has
                s = sqrt(B * D_i), r = sqrt(D_i / B).
 
 Both laws are exactly symmetric under p -> alpha + beta - 1 - p, which is
-what makes the speed/size ordering flip with the sign of alpha - beta.
+what makes the speed/size ordering flip with the sign of alpha - beta.  They
+take A, B, D as integer (numerator, denominator) pairs, from ``_abd`` for one
+wavenumber, or for the whole grid of ``scan_monotonicity`` from integer
+linear forms in the grid index (``_law_grid``); the scan builds a
+``Fraction`` p only for the values its report prints.
 
 The same determinant scheme in its four-parameter form (``kp_tau``) obeys
 two three-term bilinear identities and, when p_i + q_i = a1 + a2 for every
@@ -54,6 +58,7 @@ from .errors import (
     DenominatorClash,
     DuplicateP,
     GammaSignCondition,
+    GridTooSmall,
     InvalidInterval,
     POutOfRange,
     WindowTooSmall,
@@ -82,12 +87,12 @@ class SolitonConstants:
     @property
     def velocity(self) -> float:
         """Closed-form speed of this mode, as :func:`velocity` gives it."""
-        return _speed(self.A, self.B, self.D)
+        return _speed(*_ratios((self.A, self.B, self.D)))
 
     @property
     def amplitude(self) -> float:
         """Closed-form amplitude of this mode, as :func:`amplitude` gives it."""
-        return _depth(self.A, self.B, self.D)
+        return _depth(*_ratios((self.A, self.B, self.D)))
 
 
 def validate(params: SystemParams,
@@ -148,31 +153,40 @@ def _abd(params: SystemParams, p: Rat, mode: int = 0) -> tuple[Fraction, Fractio
     return a, b, d
 
 
-def _speed(a: Fraction, b: Fraction, _d: Fraction) -> float:
-    """The speed law -log A / log B of one :func:`_abd` result."""
-    if a * b == 1:
+def _ratios(abd: Sequence[Fraction]) -> list[tuple[int, int]]:
+    """(numerator, denominator) pairs of an A, B, D triple, as the laws take it."""
+    return [x.as_integer_ratio() for x in abd]
+
+
+def _speed(a: tuple[int, int], b: tuple[int, int], _d: tuple[int, int]) -> float:
+    """The speed law -log A / log B, from A, B, D as integer (numerator,
+    denominator) pairs, reduced or not: ``int / int`` is correctly rounded,
+    so each quotient is the float of the rational whatever its form."""
+    (an, ad), (bn, bd) = a, b
+    if an * bn == ad * bd:
         return 1.0
-    return -math.log(float(a)) / math.log(float(b))
+    return -math.log(an / ad) / math.log(bn / bd)
 
 
-def _depth(_a: Fraction, b: Fraction, d: Fraction) -> float:
-    """The amplitude law of one :func:`_abd` result."""
-    if b * d == 1:
+def _depth(_a: tuple[int, int], b: tuple[int, int], d: tuple[int, int]) -> float:
+    """The amplitude law, from the same integer pairs as :func:`_speed`."""
+    (bn, bd), (dn, dd) = b, d
+    if bn * dn == bd * dd:
         return 0.0
-    s = math.sqrt(float(b * d))
-    r = math.sqrt(float(d / b))
+    s = math.sqrt(bn * dn / (bd * dd))
+    r = math.sqrt(dn * bd / (dd * bn))
     f = (1.0 + 1.0 / s) * (1.0 + s) / ((1.0 + r) * (1.0 + 1.0 / r))
     return abs(f - 1.0)
 
 
 def velocity(params: SystemParams, p: Rat) -> float:
     """Closed-form speed -log A / log B; exactly 1 at the interval midpoint."""
-    return _speed(*_abd(params, p))
+    return _speed(*_ratios(_abd(params, p)))
 
 
 def amplitude(params: SystemParams, p: Rat) -> float:
     """Closed-form trough amplitude |x_min - 1|; 0 at the interval midpoint."""
-    return _depth(*_abd(params, p))
+    return _depth(*_ratios(_abd(params, p)))
 
 
 def _subset_terms(consts: Sequence[SolitonConstants], dc: Fraction, t: int, n: int,
@@ -452,30 +466,61 @@ def random_kp_params(rng: Random, n_modes: int, *, constrained: bool = False) ->
 # monotonicity scan of the closed-form laws
 
 
+def _law_grid(params: SystemParams, grid_size: int) -> tuple[list[float], list[float]]:
+    """v and W at p_k = span * k / (grid_size + 1), k = 1..grid_size, for
+    params whose interval (0, span) the caller has checked.
+
+    With L = lcm(den alpha, den beta) * (grid_size + 1) and the integer
+    S = L * span / (grid_size + 1), each of A, B, D at p_k is a ratio of
+    integer linear forms in k:
+
+        A = (L beta - S k) / (S k + L - L alpha)
+        B = (S k + L - L beta) / (L alpha - S k)
+        D = (grid_size + 1 - k) / k
+
+    Every p_k lies inside the interval, so no point needs a range check, and
+    the unreduced pairs go straight to :func:`_speed` and :func:`_depth`, which
+    give what they give for ``_abd(params, p_k)``, bit for bit.
+    """
+    g1 = grid_size + 1
+    big_l = math.lcm(params.alpha.denominator, params.beta.denominator) * g1
+    la = params.alpha.numerator * (big_l // params.alpha.denominator)
+    lb = params.beta.numerator * (big_l // params.beta.denominator)
+    s = (la + lb - big_l) // g1
+    abds = [((lb - s * k, s * k + big_l - la), (s * k + big_l - lb, la - s * k), (g1 - k, k))
+            for k in range(1, g1)]
+    return [_speed(*abd) for abd in abds], [_depth(*abd) for abd in abds]
+
+
 def scan_monotonicity(params: SystemParams, grid_size: int) -> dict:
     """Probe v(p) and W(p) on an interior grid and report monotonicity breaks.
 
-    The grid has ``grid_size`` points p_k = k * span / (grid_size + 1).  W
-    must fall toward the midpoint and rise after it; v must be monotone on
-    each half with the direction set by sign(alpha - beta), and constant when
-    alpha = beta.  The returned dict is the CLI's JSON payload.
+    The grid has ``grid_size`` points p_k = k * span / (grid_size + 1),
+    evaluated by :func:`_law_grid` from integer linear forms in k after one
+    check of the interval; raises GridTooSmall below 3 points.  W must fall
+    toward the midpoint and rise after it; v must be monotone on each half
+    with the direction set by sign(alpha - beta), and constant when
+    alpha = beta.  Which half a pair of neighbours lies on is an integer
+    test on k, and a ``Fraction`` p is built only for the values the report
+    prints.  The returned dict is the CLI's JSON payload.
     """
     if grid_size < 3:
-        raise ValueError("grid_size must be at least 3")
+        raise GridTooSmall(f"grid_size must be at least 3, got {grid_size}")
     span = _span(params)
-    mid = span / 2
-    ps = [span * k / (grid_size + 1) for k in range(1, grid_size + 1)]
-    abds = [_abd(params, p) for p in ps]
-    vs = [_speed(*abd) for abd in abds]
-    wsamp = [_depth(*abd) for abd in abds]
+    g1 = grid_size + 1
+    vs, wsamp = _law_grid(params, grid_size)
+
+    def p_str(i: int) -> str:
+        # list index i holds grid point k = i + 1
+        return rat_str(span * (i + 1) / g1)
 
     tol = 1e-12  # float noise floor for adjacent comparisons
     violations: list[dict] = []
 
-    def check(kind: str, k: int, direction: int) -> None:
-        # direction +1: must not decrease from k to k+1; -1: must not
+    def check(kind: str, i: int, direction: int) -> None:
+        # direction +1: must not decrease from i to i+1; -1: must not
         # increase; 0: both ends must equal 1 (v when alpha = beta)
-        left, right = (vs if kind == "v" else wsamp)[k:k + 2]
+        left, right = (vs if kind == "v" else wsamp)[i:i + 2]
         if direction > 0:
             bad = right < left - tol
         elif direction < 0:
@@ -485,37 +530,37 @@ def scan_monotonicity(params: SystemParams, grid_size: int) -> dict:
         if bad:
             violations.append({
                 "quantity": kind,
-                "p_left": rat_str(ps[k]),
-                "p_right": rat_str(ps[k + 1]),
+                "p_left": p_str(i),
+                "p_right": p_str(i + 1),
                 "left": left,
                 "right": right,
             })
 
     equal_ab = params.alpha == params.beta
     v_up_first = params.alpha < params.beta  # v rises toward the midpoint
-    for k in range(grid_size - 1):
-        if ps[k + 1] <= mid:
+    for i in range(grid_size - 1):
+        # p_{k+1} <= span / 2 and p_k >= span / 2, for k = i + 1
+        if 2 * (i + 2) <= g1:
             half = "left"
-        elif ps[k] >= mid:
+        elif 2 * (i + 1) >= g1:
             half = "right"
         else:
             continue  # straddles the midpoint; no adjacent constraint
-        check("w", k, -1 if half == "left" else +1)
+        check("w", i, -1 if half == "left" else +1)
         up = v_up_first if half == "left" else not v_up_first
-        check("v", k, 0 if equal_ab else (+1 if up else -1))
+        check("v", i, 0 if equal_ab else (+1 if up else -1))
 
     if equal_ab:
-        v_ext = mid  # v is constant; the branch point is the only natural marker
+        v_ext = rat_str(span / 2)  # v is constant; the branch point is the only natural marker
     elif v_up_first:
-        v_ext = ps[max(range(grid_size), key=vs.__getitem__)]
+        v_ext = p_str(max(range(grid_size), key=vs.__getitem__))
     else:
-        v_ext = ps[min(range(grid_size), key=vs.__getitem__)]
-    w_ext = ps[min(range(grid_size), key=wsamp.__getitem__)]
+        v_ext = p_str(min(range(grid_size), key=vs.__getitem__))
     return {
         "alpha": rat_str(params.alpha),
         "beta": rat_str(params.beta),
         "grid": grid_size,
         "violations": violations,
-        "v_extremum_p": rat_str(v_ext),
-        "w_extremum_p": rat_str(w_ext),
+        "v_extremum_p": v_ext,
+        "w_extremum_p": p_str(min(range(grid_size), key=wsamp.__getitem__)),
     }

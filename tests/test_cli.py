@@ -189,6 +189,27 @@ def test_verify_rejects_counts_below_one(capsys, suite, flag):
         assert out == "" and err.startswith("usage error:")
 
 
+@pytest.mark.parametrize("argv", [["verify", "udlimit"],
+                                  ["bbsc", "--cb", "3", "--init", "300010"]],
+                         ids=["verify_udlimit", "bbsc"])
+def test_negative_steps_are_a_usage_error(capsys, argv):
+    # a negative count would run no sweep, and verify would still print OK
+    for value in ("-1", "-4"):
+        code, out, err = invoke(capsys, *argv, "--steps", value)
+        assert code == 1
+        assert out == "" and err.startswith("usage error:")
+    code, out, _ = invoke(capsys, *argv, "--steps", "0")
+    assert code == 0 and out != ""
+
+
+def test_scan_rejects_a_grid_below_three(capsys):
+    for value in ("2", "0", "-5"):
+        code, out, err = invoke(capsys, "scan", "--alpha", "5/6", "--beta", "14/15",
+                                "--grid", value)
+        assert code == 1
+        assert out == "" and err.startswith("usage error:") and "at least 3" in err
+
+
 def test_verify_failure_exits_two(capsys):
     # eps = 0.5 is too coarse to bring the deviation below 1e-2
     code, out, _ = invoke(capsys, "verify", "udlimit", "--epsilons", "1,0.5")

@@ -31,6 +31,7 @@ from solitonlab.errors import (
     DenominatorClash,
     DuplicateP,
     GammaSignCondition,
+    GridTooSmall,
     InvalidInterval,
     POutOfRange,
     WindowTooSmall,
@@ -122,18 +123,78 @@ def test_laws_equal_the_longhand_constants_bit_for_bit(case):
     assert amplitude(params, p).hex() == w.hex()
 
 
-def test_scan_evaluates_each_wavenumber_once(monkeypatch):
-    calls = []
-    real = solitons._abd
+SCAN_REGIMES = [REF_PARAMS, SystemParams(Fraction(14, 15), Fraction(5, 6)),
+                SystemParams(Fraction(5, 6), Fraction(5, 6)),
+                SystemParams(Fraction(7, 9), Fraction(11, 13))]
+SCAN_IDS = ["lt", "gt", "eq", "lt_7_9_11_13"]
 
-    def spy(params, p, mode=0):
-        calls.append(p)
-        return real(params, p, mode)
 
-    monkeypatch.setattr(solitons, "_abd", spy)
-    scan_monotonicity(REF_PARAMS, 37)
-    assert len(calls) == 37
-    assert len(set(calls)) == 37
+def _laws_via_abd(params, p):
+    abd = solitons._ratios(solitons._abd(params, p))
+    return solitons._speed(*abd), solitons._depth(*abd)
+
+
+def _assert_grid_matches_abd(params, grid_size):
+    span = params.alpha + params.beta - 1
+    vs, ws = solitons._law_grid(params, grid_size)
+    assert len(vs) == len(ws) == grid_size
+    for k in range(1, grid_size + 1):
+        v, w = _laws_via_abd(params, span * k / (grid_size + 1))
+        assert (vs[k - 1].hex(), ws[k - 1].hex()) == (v.hex(), w.hex()), k
+
+
+@pytest.mark.parametrize("params", SCAN_REGIMES, ids=SCAN_IDS)
+def test_scan_law_grid_matches_abd_bit_for_bit(params):
+    # the scan's integer linear forms against the Fraction constants of _abd
+    _assert_grid_matches_abd(params, 2001)
+
+
+@given(st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100),
+                    max_denominator=200),
+       st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100),
+                    max_denominator=200),
+       st.integers(min_value=3, max_value=60))
+@settings(max_examples=150, deadline=None)
+def test_scan_law_grid_matches_abd_on_random_params(alpha, u, grid_size):
+    # beta = 1 - alpha + alpha * u covers (1 - alpha, 1): every admissible pair
+    _assert_grid_matches_abd(SystemParams(alpha, 1 - alpha + alpha * u), grid_size)
+
+
+@pytest.mark.parametrize("params", SCAN_REGIMES, ids=SCAN_IDS)
+def test_scan_law_grid_matches_the_longhand_constants(params):
+    # a path that shares nothing with the grid or _abd, on a seeded sample
+    # that always holds the ends and the midpoint k = 1001
+    grid_size = 2001
+    span = params.alpha + params.beta - 1
+    vs, ws = solitons._law_grid(params, grid_size)
+    ks = {1, 1001, grid_size, *Random(11).sample(range(1, grid_size + 1), 60)}
+    for k in sorted(ks):
+        v, w = _laws_longhand(params.alpha, params.beta, span * k / (grid_size + 1))
+        assert (vs[k - 1].hex(), ws[k - 1].hex()) == (v.hex(), w.hex()), k
+
+
+@pytest.mark.parametrize("vs, ws, expected", [
+    # midpoint on the grid (k = 3 of 5): the pairs ending and starting there
+    # are checked, each against the rule of its half
+    ([0.7, 0.8, 0.9, 0.8, 0.7], [0.5, 0.4, 0.45, 0.4, 0.5],
+     [("w", "23/90", "23/60"), ("w", "23/60", "23/45")]),
+    # midpoint between k = 2 and 3 of 4: that pair has no rule
+    ([0.7, 0.8, 0.8, 0.7], [0.5, 0.4, 0.45, 0.5], []),
+], ids=["on_grid", "between_points"])
+def test_scan_halves_at_the_midpoint(monkeypatch, vs, ws, expected):
+    # W, stubbed, falls toward the midpoint and rises after it except where
+    # a pair touches the midpoint; which half a pair lies on is the only rule
+    monkeypatch.setattr(solitons, "_law_grid", lambda params, grid_size: (vs, ws))
+    rep = scan_monotonicity(REF_PARAMS, len(vs))
+    assert [(b["quantity"], b["p_left"], b["p_right"])
+            for b in rep["violations"]] == expected
+
+
+def test_scan_rejects_a_grid_below_three():
+    for grid_size in (2, 0, -1):
+        with pytest.raises(GridTooSmall, match="at least 3"):
+            scan_monotonicity(REF_PARAMS, grid_size)
+    assert scan_monotonicity(REF_PARAMS, 3)["grid"] == 3
 
 
 @pytest.mark.parametrize("call", [
