@@ -9,7 +9,11 @@ One sweep moves a carrier left to right over boxes of capacity ``c_box``:
 where v is the carrier load entering the box.  The carrier starts empty and
 the window is extended to the right until it empties again, so the total
 ball count is conserved exactly.  With an unbounded carrier this is the
-plain box-ball rule.
+plain box-ball rule.  An empty carrier leaves an empty box as it is, so a
+sweep runs the rule only from each occupied box until the carrier is empty
+again.  The sweep, the CSV writer and ``measure``'s cluster scan find the
+occupied boxes with ``itertools.compress``, so the per-box work they do in
+Python is per occupied box.
 
 The rational map turns into this automaton under x = exp(-X/eps) as
 eps -> 0 with parameters alpha = exp(-A/eps), beta = exp(-B/eps): the
@@ -29,8 +33,8 @@ the soliton regime sends alpha, beta -> 1, with 1 - alpha = exp(-A/eps) and
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
+from itertools import compress
 from typing import IO, Sequence
 
 from .errors import (
@@ -58,9 +62,12 @@ def _check_capacity(name: str, value: Capacity) -> Capacity:
 class BBSCState:
     """Box occupancies plus the two capacities.
 
-    Capacity is checked on every state, sweep outputs included: a box
-    outside ``[0, c_box]`` raises :class:`CapacityViolation` naming the
-    first such box.
+    Capacity is checked on every state.  A state built here is checked in
+    full: a box outside ``[0, c_box]`` raises :class:`CapacityViolation`
+    naming the first such box.  A sweep output is checked by the sweep
+    itself, which range-checks every box it writes and raises the same
+    error naming that box; the boxes it does not write are empty copies of
+    boxes of the checked input state.
     """
 
     u: tuple[int, ...]
@@ -83,32 +90,73 @@ class BBSCState:
         return sum(self.u)
 
 
+def _swept(u: tuple[int, ...], like: BBSCState) -> BBSCState:
+    """A state with ``like``'s capacities whose boxes :func:`_sweep` has
+    range-checked; skips ``__post_init__``."""
+    state = object.__new__(BBSCState)
+    object.__setattr__(state, "u", u)
+    object.__setattr__(state, "c_box", like.c_box)
+    object.__setattr__(state, "c_carrier", like.c_carrier)
+    return state
+
+
+def _sweep(row: list[int], cb: Capacity, cc: Capacity, loads: list[int],
+           sites: Sequence[int]) -> None:
+    """One carrier sweep of ``row``, in place.
+
+    An empty box passed by an empty carrier is a fixed point: it stays
+    empty and the carrier leaves it empty.  So the sweep jumps from one
+    occupied box to the next and runs the rule from there until the carrier
+    is empty again, appending boxes while it still holds balls.  Every box
+    written is range-checked.  ``loads[k + 1]`` is set to the load leaving
+    each written box k and grows with ``row``; the load leaving a skipped
+    box is 0, so a zeroed ``loads`` ends up holding every load.  ``sites``
+    holds the indices 0, 1, ... of at least every box of ``row``; iterating
+    a list allocates no int per box, as a ``range`` past 256 would.
+    """
+    n = len(row)
+    end = 0  # the boxes before this one have been swept
+    for start in compress(sites, row):
+        if start < end:
+            continue
+        v = 0
+        # min and max as conditional expressions, which save two builtin
+        # calls per box; w > cc never holds for cc = inf
+        for k in range(start, n):
+            u = row[k]
+            w = u + v
+            room = cb - u
+            u2 = (room if room < v else v) + (w - cc if w > cc else 0)
+            if not 0 <= u2 <= cb:
+                raise CapacityViolation(f"box {k} holds {u2}, outside [0, {cb}]")
+            v = w - u2
+            row[k] = u2
+            loads[k + 1] = v
+            if not v:
+                break
+        else:
+            while v:
+                u2 = cb if cb < v else v  # an appended empty box; no spill since v <= cc
+                v -= u2
+                row.append(u2)
+                loads.append(v)
+            return
+        end = k + 1
+
+
 def bbsc_sweep(state: BBSCState) -> tuple[BBSCState, list[int]]:
     """One carrier sweep.  Returns (new state, carrier loads).
 
     The load list holds the carrier content entering each box of the new
     state plus a trailing 0 (the carrier leaves empty; the window grows to
-    the right as needed to guarantee that).
+    the right as needed to guarantee that).  The sweep range-checks every
+    box it writes, so the new state skips the constructor's whole-row
+    check (see :class:`BBSCState`).
     """
-    cb, cc = state.c_box, state.c_carrier
-    out: list[int] = []
-    loads: list[int] = [0]
-    v = 0
-    # min and max as conditional expressions, which save two builtin calls
-    # per box; w > cc never holds for cc = inf, so no separate inf test
-    for u in state.u:
-        w = u + v
-        room = cb - u
-        u2 = (room if room < v else v) + (w - cc if w > cc else 0)
-        v = w - u2
-        out.append(u2)
-        loads.append(v)
-    while v > 0:
-        u2 = cb if cb < v else v  # an appended empty box; no spill since v <= cc
-        v -= u2
-        out.append(u2)
-        loads.append(v)
-    return BBSCState(out, cb, cc), loads
+    row = list(state.u)
+    loads = [0] * (len(row) + 1)
+    _sweep(row, state.c_box, state.c_carrier, loads, range(len(row)))
+    return _swept(tuple(row), state), loads
 
 
 def bbsc_step(state: BBSCState) -> BBSCState:
@@ -120,9 +168,15 @@ def evolve_bbsc(state: BBSCState, steps: int) -> list[BBSCState]:
     """Apply ``steps`` sweeps; returns all ``steps + 1`` states."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    cb, cc = state.c_box, state.c_carrier
+    row = list(state.u)
+    loads = [0] * (len(row) + 1)  # written by each sweep, read by none
+    sites = list(range(len(row)))
     history = [state]
     for _ in range(steps):
-        history.append(bbsc_step(history[-1]))
+        _sweep(row, cb, cc, loads, sites)
+        sites += range(len(sites), len(row))
+        history.append(_swept(tuple(row), state))
     return history
 
 
@@ -137,33 +191,39 @@ def render_ascii(history: Sequence[BBSCState]) -> str:
     if any(s.c_box > 9 for s in history):
         raise ValueError("occupancies above 9 cannot be drawn as single digits")
     width = max(len(s.u) for s in history)
-    cell = _cell_table(history, ".", "").__getitem__
+    cell = ".123456789".__getitem__
     return "\n".join("".join(map(cell, s.u)).ljust(width, ".") for s in history)
 
 
 def write_bbsc_csv(history: Sequence[BBSCState], stream: IO[str]) -> None:
     """Write rows ``t,n,u`` for every state in the history.
 
-    Each state's rows are assembled from lookup tables and written whole,
-    in one ``stream.write`` per state.
+    One list holds the pieces ``",n,0\n"`` of an empty state.  For each
+    state the nonzero cells are filled in, the pieces are joined with t and
+    written whole, in one ``stream.write``, and the filled cells are reset,
+    so the work per state beyond the join is per occupied box.
     """
     stream.write("t,n,u\n")
     width = max((len(s.u) for s in history), default=0)
-    sites = [f",{n}," for n in range(width)]
-    cell = _cell_table(history, "0\n", "\n").__getitem__
+    sites = list(range(width))
+    empty = [f",{n},0\n" for n in sites]
+    pieces: list[str] = []
     for t, s in enumerate(history):
-        if s.u:
-            # the lines "t,n,v\n" of one state are t followed by the pieces
-            # ",n,v\n" joined with t
-            lead = str(t)
-            stream.write(lead + lead.join(map(operator.add, sites, map(cell, s.u))))
-
-
-def _cell_table(history: Sequence[BBSCState], zero: str, end: str) -> list[str]:
-    """Text of each cell value, indexed by the value: ``zero`` for 0, then
-    ``f"{v}{end}"`` up to the largest occupancy in the history."""
-    top = max((max(s.u) for s in history if s.u), default=0)
-    return [zero] + [f"{v}{end}" for v in range(1, top + 1)]
+        u = s.u
+        m = len(u)
+        if not m:
+            continue
+        del pieces[m:]
+        pieces += empty[len(pieces):m]
+        filled = list(compress(sites, u))
+        for n in filled:
+            pieces[n] = f",{n},{u[n]}\n"
+        # the lines "t,n,v\n" of one state are t followed by the pieces
+        # ",n,v\n" joined with t
+        lead = str(t)
+        stream.write(lead + lead.join(pieces))
+        for n in filled:
+            pieces[n] = empty[n]
 
 
 # ---------------------------------------------------------------------------

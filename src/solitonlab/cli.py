@@ -20,7 +20,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from random import Random
 from typing import IO, Sequence
 
@@ -117,7 +117,10 @@ def _write(path: str, emit) -> None:
             stream.close()
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    :func:`run`; callers must not modify it."""
     top = _Parser(prog="solitonlab",
                   description="exact soliton lattice lab and measurement tools")
     sub = top.add_subparsers(dest="command", required=True)

@@ -28,6 +28,7 @@ import statistics
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import compress
 from typing import Sequence
 
 from .boxball import BBSCState
@@ -375,22 +376,21 @@ class ClusterTrack:
         return _interp(t, self.times, self.leftmost)
 
 
-def _clusters(state: BBSCState) -> list[tuple[int, int, int]]:
-    """(leftmost, rightmost, ball count) for each run of nonzero boxes."""
+def _clusters(u: Sequence[int], sites: Sequence[int]) -> list[tuple[int, int, int]]:
+    """(leftmost, rightmost, ball count) for each run of nonzero boxes.
+
+    ``sites`` lists the box indices 0, 1, ... of at least every box of ``u``.
+    """
     out = []
-    start = None
-    total = 0
-    for k, v in enumerate(state.u):
-        if v > 0:
-            if start is None:
-                start = k
-                total = 0
-            total += v
-        elif start is not None:
-            out.append((start, k - 1, total))
-            start = None
-    if start is not None:
-        out.append((start, len(state.u) - 1, total))
+    start = last = -2
+    for k in compress(sites, u):
+        if k != last + 1:
+            if start >= 0:
+                out.append((start, last, sum(u[start:last + 1])))
+            start = k
+        last = k
+    if start >= 0:
+        out.append((start, last, sum(u[start:last + 1])))
     return out
 
 
@@ -406,18 +406,28 @@ def detect_bbsc_solitons(history: Sequence[BBSCState]) -> list[ClusterTrack]:
     caps = {(s.c_box, s.c_carrier) for s in history}
     if len(caps) > 1:
         raise InconsistentCapacities(f"mixed capacities in history: {sorted(map(str, caps))}")
+    sites = list(range(max(len(s.u) for s in history)))
     tracks: list[ClusterTrack] = []
     prev: list[tuple[int, int, int]] = []
     prev_map: list[ClusterTrack] = []
     for t, s in enumerate(history):
-        cur = _clusters(s)
+        cur = _clusters(s.u, sites)
         new_map: list[ClusterTrack | None] = [None] * len(cur)
         used: set[int] = set()
-        # pass 1: interval overlap with the previous row's clusters
+        # pass 1: interval overlap with the previous row's clusters.  Both
+        # rows are sorted, disjoint intervals, so the previous clusters that
+        # can overlap (lo, hi) start at the first one ending at or after lo,
+        # and that first index only moves right as lo does.
+        first = 0
         for ci, (lo, hi, cnt) in enumerate(cur):
+            while first < len(prev) and prev[first][1] < lo:
+                first += 1
             best = None
             best_olap = 0
-            for pi, (plo, phi, _) in enumerate(prev):
+            for pi in range(first, len(prev)):
+                plo, phi, _ = prev[pi]
+                if plo > hi:
+                    break
                 if pi in used:
                     continue
                 olap = min(hi, phi) - max(lo, plo) + 1

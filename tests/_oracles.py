@@ -128,6 +128,80 @@ def bbsc_sweep_longhand(u: Sequence[int], c_box: int, c_carrier
     return out, loads
 
 
+def bbsc_csv_longhand(history) -> str:
+    """The ``t,n,u`` CSV of a state history, one f-string per box."""
+    return "t,n,u\n" + "".join(f"{t},{n},{v}\n"
+                               for t, s in enumerate(history)
+                               for n, v in enumerate(s.u))
+
+
+def clusters_longhand(u: Sequence[int]) -> list[tuple[int, int, int]]:
+    """(leftmost, rightmost, ball count) of each run of nonzero boxes,
+    found by visiting every box."""
+    out = []
+    start = None
+    total = 0
+    for k, v in enumerate(u):
+        if v > 0:
+            if start is None:
+                start = k
+                total = 0
+            total += v
+        elif start is not None:
+            out.append((start, k - 1, total))
+            start = None
+    if start is not None:
+        out.append((start, len(u) - 1, total))
+    return out
+
+
+def detect_bbsc_solitons_longhand(history) -> list[tuple[list[int], list[int], int]]:
+    """Greedy cluster linking with every pair of rows' clusters compared.
+
+    Pass 1 gives each cluster, in order, the unused previous cluster of
+    largest interval overlap (the first on ties); pass 2 gives each cluster
+    still unmatched the unused previous cluster of nearest leftmost box
+    within (its ball count + 2) boxes.  The rest start tracks.  Returns
+    (times, leftmost positions, amplitude) per track, sorted by first time
+    and first position.
+    """
+    tracks: list[tuple[list[int], list[int], int]] = []
+    prev: list[tuple[int, int, int]] = []
+    prev_tracks: list = []
+    for t, s in enumerate(history):
+        cur = clusters_longhand(s.u)
+        owner: list = [None] * len(cur)
+        used: set[int] = set()
+        for ci, (lo, hi, _) in enumerate(cur):
+            best, best_olap = None, 0
+            for pi, (plo, phi, _) in enumerate(prev):
+                olap = min(hi, phi) - max(lo, plo) + 1
+                if pi not in used and olap > best_olap:
+                    best, best_olap = pi, olap
+            if best is not None:
+                owner[ci] = prev_tracks[best]
+                used.add(best)
+        for ci, (lo, _, _) in enumerate(cur):
+            if owner[ci] is not None:
+                continue
+            best, best_d = None, None
+            for pi, (plo, _, pcnt) in enumerate(prev):
+                d = abs(lo - plo)
+                if pi not in used and d <= pcnt + 2 and (best_d is None or d < best_d):
+                    best, best_d = pi, d
+            if best is not None:
+                owner[ci] = prev_tracks[best]
+                used.add(best)
+        for ci, (lo, _, cnt) in enumerate(cur):
+            if owner[ci] is None:
+                owner[ci] = ([], [], cnt)
+                tracks.append(owner[ci])
+            owner[ci][0].append(t)
+            owner[ci][1].append(lo)
+        prev, prev_tracks = cur, owner
+    return sorted(tracks, key=lambda tr: (tr[0][0], tr[1][0]))
+
+
 def lsq_slope_exact(samples: Sequence[tuple[int, float]]) -> Fraction:
     """Pooled within-segment least-squares slope of (t, position) samples.
 

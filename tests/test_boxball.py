@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from solitonlab import boxball
 from solitonlab import (
     BBSCState,
     UDField,
@@ -27,7 +28,7 @@ from solitonlab.errors import (
     NonPositiveParameter,
 )
 
-from _oracles import bbsc_sweep_longhand, tropical_alt
+from _oracles import bbsc_csv_longhand, bbsc_sweep_longhand, tropical_alt
 
 
 # --- automaton hand traces ----------------------------------------------------
@@ -136,6 +137,56 @@ def test_sweep_load_never_exceeds_carrier(setup):
     assert loads[0] == 0 and loads[-1] == 0
 
 
+# clusters of 1-6 occupied boxes, each after a gap of 10-60 empty ones, so a
+# sweep skips long runs of empty boxes
+sparse_setups = st.integers(1, 6).flatmap(
+    lambda cb: st.tuples(
+        st.just(cb),
+        st.lists(st.tuples(st.integers(10, 60),
+                           st.lists(st.integers(1, cb), min_size=1, max_size=6)),
+                 min_size=1, max_size=4),
+        st.integers(0, 60),
+        st.one_of(st.just(math.inf), st.integers(1, 8)),
+        st.integers(50, 300),
+    )
+)
+
+
+def sparse_cells(clusters, tail):
+    cells = []
+    for gap, cluster in clusters:
+        cells += [0] * gap + cluster
+    return cells + [0] * tail
+
+
+@given(sparse_setups)
+@settings(max_examples=25, deadline=None)
+def test_long_sparse_history_matches_longhand(setup):
+    cb, clusters, tail, cc, steps = setup
+    cells = sparse_cells(clusters, tail)
+    history = evolve_bbsc(BBSCState(tuple(cells), c_box=cb, c_carrier=cc), steps)
+    assert len(history) == steps + 1
+    expected = cells
+    for s in history:
+        assert list(s.u) == expected
+        assert all(type(v) is int for v in s.u)
+        # rebuilt through the checked constructor, the state is the same
+        assert s == BBSCState(s.u, s.c_box, s.c_carrier)
+        swept, loads = bbsc_sweep(s)
+        expected, expected_loads = bbsc_sweep_longhand(expected, cb, cc)
+        assert loads == expected_loads
+        assert list(swept.u) == expected
+        assert (swept.c_box, swept.c_carrier) == (cb, cc)
+
+
+def test_sweep_range_checks_each_box_it_writes():
+    # a row that bypassed the constructor: box 0 holds 5 > c_box = 3, and
+    # the carrier it overloads spills 5 balls into box 1
+    row, loads = [5, 0, 0], [0, 0, 0, 0]
+    with pytest.raises(CapacityViolation, match=r"^box 1 holds 5, outside \[0, 3\]$"):
+        boxball._sweep(row, 3, 1, loads, range(3))
+
+
 # --- rendering ------------------------------------------------------------------
 
 
@@ -163,12 +214,6 @@ def test_write_bbsc_csv():
     assert lines[1] == "0,0,1"
 
 
-def csv_longhand(history):
-    return "t,n,u\n" + "".join(f"{t},{n},{v}\n"
-                               for t, s in enumerate(history)
-                               for n, v in enumerate(s.u))
-
-
 CSV_HISTORIES = {
     "empty": lambda: [],
     "one_empty_state": lambda: [BBSCState((), c_box=2)],
@@ -188,7 +233,26 @@ def test_write_bbsc_csv_matches_per_line_rows(name):
     history = CSV_HISTORIES[name]()
     buf = io.StringIO()
     write_bbsc_csv(history, buf)
-    assert buf.getvalue() == csv_longhand(history)
+    assert buf.getvalue() == bbsc_csv_longhand(history)
+
+
+# histories built state by state: widths shrink as well as grow, states may
+# be empty, and cells reach 12
+csv_histories = st.integers(1, 12).flatmap(
+    lambda cb: st.lists(
+        st.lists(st.one_of(st.just(0), st.integers(0, cb)), max_size=40)
+        .map(lambda cells: BBSCState(tuple(cells), c_box=cb)),
+        max_size=12,
+    )
+)
+
+
+@given(csv_histories)
+@settings(max_examples=200, deadline=None)
+def test_write_bbsc_csv_matches_naive_writer(history):
+    buf = io.StringIO()
+    write_bbsc_csv(history, buf)
+    assert buf.getvalue() == bbsc_csv_longhand(history)
 
 
 # --- tropical form ---------------------------------------------------------------

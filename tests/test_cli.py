@@ -1,12 +1,16 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from solitonlab.cli import run
+from solitonlab import solitons
+from solitonlab.cli import build_parser, run
+from solitonlab.lattice import SystemParams
 
 
 def invoke(capsys, *argv):
@@ -255,6 +259,38 @@ def test_verify_exactness_counts_a_vanishing_denominator_as_failed(capsys, monke
     code, out, _ = invoke(capsys, "verify", "exactness", "--grid", "8")
     assert code == 2
     assert "residual 0 at 63/64 points" in out
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_runs(capsys):
+    # run() reuses one parser; the --soliton values a call appends must not
+    # reach the next call, and usage errors read the same before and after
+    assert build_parser() is build_parser()
+    system = ["--alpha", "5/6", "--beta", "14/15"]
+    window = ["--n", "-3:3", "--t", "0:1"]
+    bad = ["bbsc", "--cb", "3", "--init", "300010", "--steps", "-1"]
+    bad_err = "usage error: argument --steps: must be at least 0, got -1\n"
+    assert invoke(capsys, *bad) == (1, "", bad_err)
+
+    def expected(modes):
+        buf = io.StringIO()
+        field = solitons.sample_field(SystemParams(Fraction(5, 6), Fraction(14, 15)),
+                                      modes, (0, 1), (-3, 3))
+        field.write_csv(buf, values="float")
+        return buf.getvalue()
+
+    one = [(Fraction(2, 15), Fraction(-1, 6))]
+    other = [(Fraction(1, 30), Fraction(-1, 30))]
+    for argv, modes in [(["--soliton", "2/15:-1/6"], one),
+                        (["--soliton", "1/30:-1/30"], other),
+                        (["--soliton", "2/15:-1/6", "--soliton", "1/30:-1/30"], one + other),
+                        ([], []),
+                        (["--soliton", "2/15:-1/6"], one)]:
+        assert invoke(capsys, "exact", *system, *argv, *window) == (0, expected(modes), "")
+    assert invoke(capsys, *bad) == (1, "", bad_err)
+    code, out, err = invoke(capsys, "exact", "--alpha", "5/6")
+    assert (code, out) == (1, "")
+    assert err == ("usage error: the following arguments are required: "
+                   "--beta, --n, --t\n")
 
 
 def test_cli_start_up_imports_no_numpy():

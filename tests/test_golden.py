@@ -18,7 +18,10 @@ sampled solution, so its output equals ``exact_values_exact`` byte for byte,
 which the test asserts.  The ``exact_values_float`` and
 ``evolve_values_float`` digests pin the float CSV, the default ``--values``
 format; they were recorded before ``LatticeField.write_csv`` stopped going
-through ``float()`` for each value.
+through ``float()`` for each value.  The ``bbsc_long_csv`` digest pins a
+run the size of a benchmark panel job (1000 sweeps, c_box > c_carrier, a
+5 MB CSV); it was recorded before the sweep, the CSV writer and the cluster
+scan began to skip empty boxes.
 """
 
 import hashlib
@@ -82,6 +85,10 @@ GOLDEN = {
         ["bbsc", "--cb", "3", "--cc", "1", "--init", "3300020001000",
          "--steps", "10", "--render", "ascii"], 0,
         "56dfcd32eee345e4411c773d8762c5b5cd4bb295f73181979cc16bf78c883941"),
+    "bbsc_long_csv": (
+        ["bbsc", "--cb", "4", "--cc", "1", "--init", "000244000100030002134100",
+         "--steps", "1000", "--render", "csv"], 0,
+        "18a4a213bbf4add77959a2d783a4bc7796763a68dd0f63a9cab9b347e4374921"),
 }
 
 

@@ -26,7 +26,7 @@ from solitonlab.errors import (
 )
 from solitonlab.measure import _assign
 
-from _oracles import lsq_slope_exact
+from _oracles import detect_bbsc_solitons_longhand, lsq_slope_exact
 
 REF_PARAMS = SystemParams(Fraction(5, 6), Fraction(14, 15))
 REF_SOLITONS = [(Fraction(2, 15), Fraction(-1, 6)),
@@ -213,6 +213,51 @@ def test_cluster_collision_reemits_the_fast_ball():
     # the cluster's pre-collision crawl is slower than its lifetime average
     assert cluster.speed_before(2) == 0
     assert sum(s.balls for s in hist[-1:]) == 4
+
+
+def as_tuples(tracks):
+    return [(tr.times, tr.leftmost, tr.amplitude) for tr in tracks]
+
+
+# rows built one by one, mostly empty boxes: clusters appear, vanish, split
+# and merge between rows, widths shrink as well as grow, and a cluster often
+# overlaps several of the previous row's, with ties
+random_histories = st.integers(1, 4).flatmap(
+    lambda cb: st.lists(
+        st.lists(st.one_of(st.just(0), st.just(0), st.integers(0, cb)), max_size=30)
+        .map(lambda cells: BBSCState(tuple(cells), c_box=cb, c_carrier=1)),
+        min_size=1, max_size=15,
+    )
+)
+
+
+@given(random_histories)
+@settings(max_examples=150, deadline=None)
+def test_cluster_tracks_match_longhand_on_random_rows(history):
+    assert as_tuples(detect_bbsc_solitons(history)) == detect_bbsc_solitons_longhand(history)
+
+
+@given(st.integers(2, 5).flatmap(lambda cb: st.tuples(
+           st.just(cb),
+           st.lists(st.integers(0, cb), min_size=1, max_size=40),
+           st.integers(1, cb - 1))),
+       st.integers(20, 120))
+@settings(max_examples=40, deadline=None)
+def test_cluster_tracks_match_longhand_on_evolved_histories(setup, steps):
+    # c_box > c_carrier, as on the benchmark panel: clusters collide
+    cb, cells, cc = setup
+    history = evolve_bbsc(BBSCState(tuple(cells), c_box=cb, c_carrier=cc), steps)
+    assert as_tuples(detect_bbsc_solitons(history)) == detect_bbsc_solitons_longhand(history)
+
+
+def test_cluster_overlap_tie_goes_to_the_first_previous_cluster():
+    # the merged cluster overlaps each earlier cluster by two boxes; pass 1
+    # keeps the first maximum, so the left track continues
+    history = [BBSCState((1, 1, 0, 0, 1, 1), c_box=1, c_carrier=1),
+               BBSCState((1, 1, 1, 1, 1, 1), c_box=1, c_carrier=1)]
+    expected = [([0, 1], [0, 0], 2), ([0], [4], 2)]
+    assert as_tuples(detect_bbsc_solitons(history)) == expected
+    assert detect_bbsc_solitons_longhand(history) == expected
 
 
 def test_cluster_speed_before_needs_two_samples():
