@@ -38,19 +38,34 @@ wavenumber, or for the whole grid of ``scan_monotonicity`` from integer
 linear forms in the grid index (``_law_grid``); the scan builds a
 ``Fraction`` p only for the values its report prints.
 
-The same determinant scheme in its four-parameter form (``kp_tau``) obeys
-two three-term bilinear identities and, when p_i + q_i = a1 + a2 for every
-row, a two-direction periodicity; both are exposed as exact checks.
+The same determinant scheme in its four-parameter form (``kp_tau``),
+
+    tau(l1, l2, t, n) = det[ delta_ij + gamma_i w_i / (p_i - q_j) ],
+    w_i = prod_d r_{i,d}^{l_d},  r_{i,d} = (q_i - d) / (p_i - d),
+
+over the directions d = a1, a2, b, c with exponents l1, l2, t, n, obeys two
+three-term bilinear identities and, when p_i + q_i = a1 + a2 for every row,
+a two-direction periodicity; both are exposed as exact checks.  ``kp_tau``
+and both checks evaluate it by its Cauchy principal-minor expansion,
+
+    tau = sum over mode subsets S of c_S prod_{i in S} w_i,
+    c_S = prod_{i in S} gamma_i / (p_i - q_i)
+          * prod_{i<j in S} (p_i - p_j)(q_j - q_i) / ((p_i - q_j)(p_j - q_i)),
+
+as integer subset sums: the c_S over one common denominator and the subset
+ratios of each direction's r and 1/r are built once per ``KPParams``, and a
+point, or a unit shift of it, costs elementwise integer products.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import mul
 from random import Random
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     ConstraintViolated,
@@ -64,6 +79,7 @@ from .errors import (
     WindowTooSmall,
     ZeroTau,
 )
+# det is unused here but stays bound: bench/spans.py traces solitons.det by attribute
 from .exact import ONE, Rat, det, rat_str
 from .lattice import LatticeField, SystemParams
 
@@ -189,6 +205,23 @@ def amplitude(params: SystemParams, p: Rat) -> float:
     return _depth(*_ratios(_abd(params, p)))
 
 
+def _subset_products(items: Sequence, weight: Callable, cross: Callable) -> list[Fraction]:
+    """prod_{i in S} weight(item_i) * prod_{j<i in S} cross(item_j, item_i)
+    for every subset S of ``items``, S the bitmask index (bit i set: item i
+    is in S)."""
+    terms = [ONE]
+    for i, item in enumerate(items):
+        w = weight(item)
+        pair = [cross(other, item) for other in items[:i]]
+        for s in range(1 << i):
+            term = terms[s] * w
+            for j in range(i):
+                if s >> j & 1:
+                    term *= pair[j]
+            terms.append(term)
+    return terms
+
+
 def _subset_terms(consts: Sequence[SolitonConstants], dc: Fraction, t: int, n: int,
                   weighted: bool) -> list[Fraction]:
     """Hirota term of every mode subset at (t, n): of f, or of g when weighted.
@@ -198,19 +231,10 @@ def _subset_terms(consts: Sequence[SolitonConstants], dc: Fraction, t: int, n: i
     w_i = C_i A_i^t B_i^n, times D_i when weighted, and the terms sum to the
     determinant in the module docstring.
     """
-    terms = [ONE]
-    for i, ci in enumerate(consts):
-        w = ci.C * ci.A ** t * ci.B ** n
-        if weighted:
-            w *= ci.D
-        cross = [((cj.p - ci.p) / (cj.p + ci.p + dc)) ** 2 for cj in consts[:i]]
-        for s in range(1 << i):
-            term = terms[s] * w
-            for j in range(i):
-                if s >> j & 1:
-                    term *= cross[j]
-            terms.append(term)
-    return terms
+    return _subset_products(
+        consts,
+        lambda ci: ci.C * ci.A ** t * ci.B ** n * (ci.D if weighted else ONE),
+        lambda cj, ci: ((cj.p - ci.p) / (cj.p + ci.p + dc)) ** 2)
 
 
 def _subset_ratios(bases: Sequence[Fraction]) -> list[int]:
@@ -372,19 +396,74 @@ class KPParams:
                 if ps[i] == qs[j]:
                     raise DenominatorClash(i, j)
 
+    @cached_property
+    def _subset_tables(self) -> tuple[int, list[int], list[tuple[list[int], int, list[int], int]]]:
+        """Integer tables of the Cauchy principal-minor expansion, built on
+        first use, so that draws rejected by ``random_kp_params`` never pay
+        for them.
+
+        Returns (L, c, dirs).  c[S] is L * c_S for the mode subset S of
+        bitmask index S, with L the common denominator.  dirs holds, for
+        a1, a2, b and c in turn, the ``_subset_ratios`` list of the r_{i,d}
+        with their shared denominator product D_d, then those of the
+        1/r_{i,d}: entry S of the r list is D_d * prod_{i in S} r_{i,d}.
+        """
+        # modes are (p, q, gamma) rows
+        terms = _subset_products(
+            self.modes,
+            lambda mode: mode[2] / (mode[0] - mode[1]),
+            lambda mj, mi: ((mj[0] - mi[0]) * (mi[1] - mj[1])
+                            / ((mj[0] - mi[1]) * (mi[0] - mj[1]))))
+        big_l = math.lcm(*(term.denominator for term in terms))
+        coefs = [term.numerator * (big_l // term.denominator) for term in terms]
+        dirs = []
+        for d in (self.a1, self.a2, self.b, self.c):
+            rs = [(q - d) / (p - d) for p, q, _ in self.modes]
+            inv = [1 / r for r in rs]
+            dirs.append((_subset_ratios(rs), math.prod(r.denominator for r in rs),
+                         _subset_ratios(inv), math.prod(r.denominator for r in inv)))
+        return big_l, coefs, dirs
+
+
+def _kp_sums(kp: KPParams, point: tuple[int, int, int, int],
+             shifts: Sequence[tuple[int, int, int, int]]) -> tuple[int, list[tuple[int, int]]]:
+    """Integer subset sums of the four-direction tau at ``point + s`` for
+    each 0/1 shift s of ``shifts``.
+
+    Returns a positive scale M and one (sum, extra) pair per shift, with
+    tau(point + s) = sum / (M * extra).  The base vector c_S * prod_d
+    R_d[S]^{|l_d|}, with the r or 1/r list of each direction by the sign of
+    its exponent, is M times the subset terms at ``point``; a unit shift
+    along d multiplies it elementwise by d's r list, which carries the
+    positive factor D_d into ``extra``, whatever the sign of l_d.
+    """
+    scale, terms, dirs = kp._subset_tables
+    for l, (up, up_den, down, down_den) in zip(point, dirs):
+        if l:
+            table, den = (up, up_den) if l > 0 else (down, down_den)
+            terms = [c * r ** abs(l) for c, r in zip(terms, table)]
+            scale *= den ** abs(l)
+    sums = []
+    for shift in shifts:
+        shifted, extra = terms, 1
+        for on, (up, up_den, _, _) in zip(shift, dirs):
+            if on:
+                shifted = list(map(mul, shifted, up))
+                extra *= up_den
+        sums.append((sum(shifted), extra))
+    return scale, sums
+
 
 def kp_tau(kp: KPParams, l1: int, l2: int, t: int, n: int) -> Fraction:
     """The four-direction tau at integer position (l1, l2, t, n)."""
-    rows = []
-    for i, (p, q, gamma) in enumerate(kp.modes):
-        phase = (((q - kp.a1) / (p - kp.a1)) ** l1
-                 * ((q - kp.a2) / (p - kp.a2)) ** l2
-                 * ((q - kp.b) / (p - kp.b)) ** t
-                 * ((q - kp.c) / (p - kp.c)) ** n)
-        w = gamma * phase
-        rows.append([(ONE if i == j else 0) + w / (p - qj)
-                     for j, (_, qj, _) in enumerate(kp.modes)])
-    return det(rows)
+    scale, [(total, _)] = _kp_sums(kp, (l1, l2, t, n), [(0, 0, 0, 0)])
+    return Fraction(total, scale)
+
+
+# the shifts at which the two bilinear identities and the reduction read tau
+_BILINEAR_SHIFTS = ((1, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 0, 1, 1), (1, 0, 0, 1),
+                    (0, 0, 1, 0), (0, 1, 1, 0), (0, 1, 0, 0), (0, 1, 0, 1))
+_REDUCTION_SHIFTS = ((1, 1, 0, 0), (0, 0, 0, 0))
 
 
 def check_kp_bilinear(kp: KPParams, point: tuple[int, int, int, int],
@@ -392,24 +471,23 @@ def check_kp_bilinear(kp: KPParams, point: tuple[int, int, int, int],
     """Exact residuals of the two three-term bilinear identities at a point.
 
     Both residuals are identically zero for any valid parameter set; they are
-    returned rather than asserted so callers can report them.
+    returned rather than asserted so callers can report them.  Every product
+    of r1 carries total shift (1, 0, 1, 1) and every product of r2 (0, 1, 1,
+    1), so each residual is one integer combination over one common scale.
     """
-    l1, l2, t, n = point
-    cache: dict[tuple[int, int, int, int], Fraction] = {}
+    scale, sums = _kp_sums(kp, point, _BILINEAR_SHIFTS)
+    tau = dict(zip(_BILINEAR_SHIFTS, sums))  # shift -> (integer sum, extra)
 
-    def tau(dl1: int, dl2: int, dt: int, dn: int) -> Fraction:
-        key = (dl1, dl2, dt, dn)
-        if key not in cache:
-            cache[key] = kp_tau(kp, l1 + dl1, l2 + dl2, t + dt, n + dn)
-        return cache[key]
+    def residual(a: Fraction, e1: int, e2: int) -> Fraction:
+        terms = ((a - kp.b, (e1, e2, 1, 0), (0, 0, 0, 1)),
+                 (kp.b - kp.c, (e1, e2, 0, 0), (0, 0, 1, 1)),
+                 (kp.c - a, (e1, e2, 0, 1), (0, 0, 1, 0)))
+        m = math.lcm(*(k.denominator for k, _, _ in terms))
+        total = sum(k.numerator * (m // k.denominator) * tau[u][0] * tau[v][0]
+                    for k, u, v in terms)
+        return Fraction(total, m * scale * scale * tau[e1, e2, 1, 0][1] * tau[0, 0, 0, 1][1])
 
-    r1 = ((kp.a1 - kp.b) * tau(1, 0, 1, 0) * tau(0, 0, 0, 1)
-          + (kp.b - kp.c) * tau(1, 0, 0, 0) * tau(0, 0, 1, 1)
-          + (kp.c - kp.a1) * tau(1, 0, 0, 1) * tau(0, 0, 1, 0))
-    r2 = ((kp.a2 - kp.b) * tau(0, 1, 1, 0) * tau(0, 0, 0, 1)
-          + (kp.b - kp.c) * tau(0, 1, 0, 0) * tau(0, 0, 1, 1)
-          + (kp.c - kp.a2) * tau(0, 1, 0, 1) * tau(0, 0, 1, 0))
-    return r1, r2
+    return residual(kp.a1, 1, 0), residual(kp.a2, 0, 1)
 
 
 def check_reduction(kp: KPParams, point: tuple[int, int, int, int]) -> Fraction:
@@ -424,8 +502,8 @@ def check_reduction(kp: KPParams, point: tuple[int, int, int, int]) -> Fraction:
         if p + q != target:
             raise ConstraintViolated(
                 f"mode {i}: p + q = {p + q}, constraint requires {target}")
-    l1, l2, t, n = point
-    return kp_tau(kp, l1 + 1, l2 + 1, t, n) - kp_tau(kp, l1, l2, t, n)
+    scale, [(shifted, extra), (base, _)] = _kp_sums(kp, point, _REDUCTION_SHIFTS)
+    return Fraction(shifted - base * extra, scale * extra)
 
 
 def random_kp_params(rng: Random, n_modes: int, *, constrained: bool = False) -> KPParams:

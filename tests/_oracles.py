@@ -227,3 +227,21 @@ def lsq_slope_exact(samples: Sequence[tuple[int, float]]) -> Fraction:
         num += sum(t * x for t, x in seg) - s_t * s_x / m
         den += sum(t * t for t, _ in seg) - Fraction(s_t * s_t, m)
     return num / den
+
+
+def kp_matrix_longhand(a1: Fraction, a2: Fraction, b: Fraction, c: Fraction,
+                       modes, point: Sequence[int]) -> list[list[Fraction]]:
+    """The four-direction tau matrix, entry by entry.
+
+    M_ij = delta_ij + gamma_i * phi_i / (p_i - q_j), with phase
+    phi_i = prod over d in (a1, a2, b, c) of ((q_i - d) / (p_i - d))^l_d
+    at point (l1, l2, t, n); exponents may be negative.
+    """
+    rows = []
+    for i, (p, q, gamma) in enumerate(modes):
+        phase = Fraction(1)
+        for d, exponent in zip((a1, a2, b, c), point):
+            phase *= ((q - d) / (p - d)) ** exponent
+        rows.append([(1 if i == j else 0) + gamma * phase / (p - qj)
+                     for j, (_, qj, _) in enumerate(modes)])
+    return rows

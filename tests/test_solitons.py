@@ -38,7 +38,7 @@ from solitonlab.errors import (
     ZeroTau,
 )
 
-from _oracles import det_cofactor, one_soliton_constants, one_soliton_xy
+from _oracles import det_cofactor, kp_matrix_longhand, one_soliton_constants, one_soliton_xy
 
 REF_PARAMS = SystemParams(Fraction(5, 6), Fraction(14, 15))
 REF_SOLITONS = [(Fraction(2, 15), Fraction(-1, 6)),
@@ -532,6 +532,38 @@ def test_kp_tau_is_rational_and_nonzero_at_origin():
     rng = Random(3)
     kp = random_kp_params(rng, 2)
     assert isinstance(kp_tau(kp, 0, 0, 0, 0), Fraction)
+
+
+kp_draws = st.builds(lambda seed, n, constrained: random_kp_params(
+    Random(seed), n, constrained=constrained),
+    st.integers(0, 2 ** 32 - 1), st.integers(0, 5), st.booleans())
+kp_points = st.tuples(*[st.integers(-4, 4)] * 4)
+
+
+def _oracle_kp_tau(kp, point):
+    return det_cofactor(kp_matrix_longhand(kp.a1, kp.a2, kp.b, kp.c, kp.modes, point))
+
+
+@given(kp_draws, kp_points)
+@settings(max_examples=150, deadline=None)
+def test_kp_tau_matches_cofactor_expansion(kp, point):
+    assert kp_tau(kp, *point) == _oracle_kp_tau(kp, point)
+
+
+@given(kp_draws, kp_points)
+@settings(max_examples=100, deadline=None)
+def test_kp_checks_combine_the_taus_at_their_shifted_points(kp, point):
+    # the residuals cannot show a lost shift: with every tau taken at the
+    # base point, r1 is tau^2 ((a1 - b) + (b - c) + (c - a1)) = 0 as well
+    assert set(solitons._BILINEAR_SHIFTS) == {
+        (1, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 0, 1, 1), (1, 0, 0, 1),
+        (0, 0, 1, 0), (0, 1, 1, 0), (0, 1, 0, 0), (0, 1, 0, 1)}
+    assert set(solitons._REDUCTION_SHIFTS) == {(1, 1, 0, 0), (0, 0, 0, 0)}
+    for shifts in (solitons._BILINEAR_SHIFTS, solitons._REDUCTION_SHIFTS):
+        scale, sums = solitons._kp_sums(kp, point, shifts)
+        for shift, (total, extra) in zip(shifts, sums, strict=True):
+            shifted = tuple(l + s for l, s in zip(point, shift))
+            assert Fraction(total, scale * extra) == _oracle_kp_tau(kp, shifted)
 
 
 def test_kp_validation():
