@@ -232,7 +232,7 @@ def write_bbsc_csv(history: Sequence[BBSCState], stream: IO[str]) -> None:
 
 @dataclass(frozen=True)
 class UDField:
-    """A row of (X, Y) values with tropical parameters A, B > 0."""
+    """A row of (X, Y) values with finite tropical parameters A, B > 0."""
 
     X: tuple[float, ...]
     Y: tuple[float, ...]
@@ -246,8 +246,9 @@ class UDField:
             raise ValueError("X and Y must have the same length")
         if not self.X:
             raise EmptyField("field must contain at least one site")
-        if not (self.A > 0 and self.B > 0):
-            raise NonPositiveParameter("A and B must be positive")
+        if not (0 < self.A < math.inf and 0 < self.B < math.inf):
+            raise NonPositiveParameter(
+                f"A and B must be positive and finite, got {self.A}, {self.B}")
 
 
 def tropical_step(field: UDField) -> tuple[float, ...]:
@@ -268,8 +269,10 @@ def field_from_state(state: BBSCState, loads: Sequence[int]) -> UDField:
 
     ``loads`` are carrier loads as returned by :func:`bbsc_sweep` (their
     leading entries align with the boxes; the trailing one is dropped).
-    Requires a bounded carrier, since B = c_carrier.
+    Requires bounded boxes and carrier, since A = c_box and B = c_carrier.
     """
+    if state.c_box == math.inf:
+        raise NonPositiveParameter("need a finite box capacity for A")
     if state.c_carrier == math.inf:
         raise NonPositiveParameter("need a finite carrier capacity for B")
     a, b = float(state.c_box), float(state.c_carrier)
@@ -305,10 +308,12 @@ def ud_limit_check(field: UDField, epsilons: Sequence[float],
     For each eps the rational update is evaluated in log coordinates
     (X = -eps log x), using stable log-sum forms so large X/eps never leave
     the double range, and the max absolute gap to :func:`tropical_step` is
-    reported.  Epsilons must be positive, strictly decreasing, and no smaller
-    than 1e-6.  The gap decays like eps (times log 2 at tie points).
+    reported.  Epsilons must be finite, positive, strictly decreasing, and no
+    smaller than 1e-6.  The gap decays like eps (times log 2 at tie points).
     """
     eps_list = [float(e) for e in epsilons]
+    if not all(map(math.isfinite, eps_list)):
+        raise NonPositiveEpsilon("all epsilons must be finite")
     if any(e <= 0 for e in eps_list):
         raise NonPositiveEpsilon("all epsilons must be > 0")
     if any(e < 1e-6 for e in eps_list):

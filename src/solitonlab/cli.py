@@ -90,6 +90,8 @@ def _epsilons(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad epsilon list {text!r}")
     if not eps:
         raise argparse.ArgumentTypeError(f"no epsilons in {text!r}")
+    if not all(map(math.isfinite, eps)):
+        raise argparse.ArgumentTypeError(f"epsilons must be finite, got {text!r}")
     return eps
 
 

@@ -1,10 +1,15 @@
 """Exact rational scalars and fraction-free determinants.
 
-All lattice and tau computations in this package run on
+Parameters and exact results in this package are
 :class:`fractions.Fraction`, which keeps values in lowest terms with a
 positive denominator after every operation and raises ``ZeroDivisionError``
-on division by zero.  This module adds the text round-trip used by the CLI
-and an exact determinant for matrices given as sequences of rows.
+on division by zero.  The inner loops run on plain integers instead: the
+tau functions are integer subset sums, the lattice map works on integer
+numerators and denominators, and the monotonicity scan on integer linear
+forms, each reducing to a ``Fraction`` only what it returns.  This module
+adds the text round-trip used by the CLI and an exact determinant for
+matrices given as sequences of rows; no package path calls :func:`det`,
+which stays a public name.
 """
 
 from __future__ import annotations

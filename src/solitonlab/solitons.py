@@ -1,52 +1,15 @@
 """Determinant solitons, closed-form speed and amplitude laws, and the
 bilinear identities behind them.
 
-An N-soliton state of the two-parameter map is carried by a pair of tau
-functions
-
-    f(t, n) = det[ delta_ij + gamma_i / (p_i + p_j + D) * A_i^t * B_i^n ]
-    g(t, n) = same, with an extra row factor (-D - p_i) / p_i
-
-where D = 1 - alpha - beta and
-
-    A_i = (-p_i + beta) / (p_i + 1 - alpha)
-    B_i = (p_i + 1 - beta) / (-p_i + alpha).
-
-Both determinants are evaluated by their subset (Hirota) expansion,
-
-    f(t, n) = sum over mode subsets S of
-              prod_{i in S} C_i A_i^t B_i^n
-              * prod_{i<j in S} (p_i - p_j)^2 / (p_i + p_j + D)^2
-
-with C_i = gamma_i / (2 p_i + D); g takes the same terms times
-prod_{i in S} D_i.  On a window the terms are integers over one common
-denominator (see ``_tau_grid``).
-
-The lattice fields are the cross ratios x = f * g(n+1) / (g * f(n+1)) and
-y = g * f(t+1) / (f * g(t+1)).  A mode is a genuine soliton when
-0 < p < alpha + beta - 1 and gamma has the sign of (p - midpoint); then all
-four constants A, B, C = gamma / (2p + D), D_i are positive and the mode has
-
-    speed      v(p) = -log A / log B          (1 at the midpoint)
-    amplitude  W(p) = |(1 + 1/s)(1 + s) / ((1 + r)(1 + 1/r)) - 1|,
-               s = sqrt(B * D_i), r = sqrt(D_i / B).
-
-Both laws are exactly symmetric under p -> alpha + beta - 1 - p, which is
-what makes the speed/size ordering flip with the sign of alpha - beta.  They
-take A, B, D as integer (numerator, denominator) pairs, from ``_abd`` for one
-wavenumber, or for the whole grid of ``scan_monotonicity`` from integer
-linear forms in the grid index (``_law_grid``); the scan builds a
-``Fraction`` p only for the values its report prints.
-
-The same determinant scheme in its four-parameter form (``kp_tau``),
+Every tau function here is the four-direction determinant (``kp_tau``)
 
     tau(l1, l2, t, n) = det[ delta_ij + gamma_i w_i / (p_i - q_j) ],
     w_i = prod_d r_{i,d}^{l_d},  r_{i,d} = (q_i - d) / (p_i - d),
 
-over the directions d = a1, a2, b, c with exponents l1, l2, t, n, obeys two
-three-term bilinear identities and, when p_i + q_i = a1 + a2 for every row,
-a two-direction periodicity; both are exposed as exact checks.  ``kp_tau``
-and both checks evaluate it by its Cauchy principal-minor expansion,
+over the directions d = a1, a2, b, c with exponents l1, l2, t, n.  It obeys
+two three-term bilinear identities and, when p_i + q_i = a1 + a2 for every
+row, a two-direction periodicity; both are exposed as exact checks.  It is
+evaluated by its Cauchy principal-minor expansion,
 
     tau = sum over mode subsets S of c_S prod_{i in S} w_i,
     c_S = prod_{i in S} gamma_i / (p_i - q_i)
@@ -55,6 +18,40 @@ and both checks evaluate it by its Cauchy principal-minor expansion,
 as integer subset sums: the c_S over one common denominator and the subset
 ratios of each direction's r and 1/r are built once per ``KPParams``, and a
 point, or a unit shift of it, costs elementwise integer products.
+
+An N-soliton state of the two-parameter map, with modes (p_i, gamma_i), is
+the reduction (``_soliton_kp``)
+
+    a1 = 0,  a2 = span = alpha + beta - 1,  b = alpha - 1,  c = alpha,
+    q_i = span - p_i,
+
+and its pair of tau functions is f(t, n) = tau(0, 0, t, n) and
+g(t, n) = tau(1, 0, t, n) = tau(0, -1, t, n).  Under the reduction
+r_{i,b} = A_i, r_{i,c} = B_i and r_{i,a1} = D_i, with
+
+    A_i = (-p_i + beta) / (p_i + 1 - alpha)
+    B_i = (p_i + 1 - beta) / (-p_i + alpha)
+    D_i = (span - p_i) / p_i,
+
+gamma_i / (p_i - q_i) = C_i = gamma_i / (2 p_i - span), and the pair
+factor of c_S is ((p_i - p_j) / (p_i + p_j - span))^2.  A window of f and g
+is one table of integer subset sums (see ``_tau_grid``).
+
+The lattice fields are the cross ratios x = f * g(n+1) / (g * f(n+1)) and
+y = g * f(t+1) / (f * g(t+1)).  A mode is a genuine soliton when
+0 < p < span and gamma has the sign of (p - midpoint); then all four
+constants A_i, B_i, C_i, D_i are positive and the mode has
+
+    speed      v(p) = -log A / log B          (1 at the midpoint)
+    amplitude  W(p) = |(1 + 1/s)(1 + s) / ((1 + r)(1 + 1/r)) - 1|,
+               s = sqrt(B * D_i), r = sqrt(D_i / B).
+
+Both laws are exactly symmetric under p -> span - p, which is what makes
+the speed/size ordering flip with the sign of alpha - beta.  They take A,
+B, D as integer (numerator, denominator) pairs, from ``_abd`` for one
+wavenumber, or for the whole grid of ``scan_monotonicity`` from integer
+linear forms in the grid index (``_law_grid``); the scan builds a
+``Fraction`` p only for the values its report prints.
 """
 
 from __future__ import annotations
@@ -65,7 +62,7 @@ from functools import cached_property
 from fractions import Fraction
 from operator import mul
 from random import Random
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import (
     ConstraintViolated,
@@ -118,6 +115,19 @@ def validate(params: SystemParams,
     Each entry is a (p, gamma) pair.  Raises InvalidInterval when no soliton
     can exist at all, and the per-mode / per-pair errors otherwise.
     """
+    return _soliton_kp(params, solitons)[0]
+
+
+def _soliton_kp(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
+                ) -> tuple[tuple[SolitonConstants, ...], KPParams]:
+    """Per-mode constants of a checked mode list, and the ``KPParams`` of
+    its reduction (see the module docstring).
+
+    The per-mode checks run first, in mode order.  The pair checks are
+    ``KPParams``' own: a repeated p raises DuplicateP(i, j), and p_i = q_j,
+    which is p_i + p_j = span, raises DenominatorClash(i, j), first for
+    i < j since the condition is symmetric.
+    """
     span = _span(params)
     mid = span / 2
     consts = []
@@ -135,14 +145,9 @@ def validate(params: SystemParams,
             raise ConstraintViolated(
                 f"mode {i}: A, B, C, D must all be positive, got {a}, {b}, {c}, {d}")
         consts.append(SolitonConstants(p=p, gamma=gamma, A=a, B=b, C=c, D=d))
-    for i in range(len(consts)):
-        for j in range(i + 1, len(consts)):
-            if consts[i].p == consts[j].p:
-                raise DuplicateP(i, j)
-            # p_i + p_j - span = 0 would blow up an off-diagonal entry
-            if consts[i].p + consts[j].p == span:
-                raise DenominatorClash(i, j)
-    return tuple(consts)
+    kp = KPParams(0, span, params.alpha - 1, params.alpha,
+                  tuple((c.p, span - c.p, c.gamma) for c in consts))
+    return tuple(consts), kp
 
 
 def _span(params: SystemParams) -> Fraction:
@@ -205,41 +210,9 @@ def amplitude(params: SystemParams, p: Rat) -> float:
     return _depth(*_ratios(_abd(params, p)))
 
 
-def _subset_products(items: Sequence, weight: Callable, cross: Callable) -> list[Fraction]:
-    """prod_{i in S} weight(item_i) * prod_{j<i in S} cross(item_j, item_i)
-    for every subset S of ``items``, S the bitmask index (bit i set: item i
-    is in S)."""
-    terms = [ONE]
-    for i, item in enumerate(items):
-        w = weight(item)
-        pair = [cross(other, item) for other in items[:i]]
-        for s in range(1 << i):
-            term = terms[s] * w
-            for j in range(i):
-                if s >> j & 1:
-                    term *= pair[j]
-            terms.append(term)
-    return terms
-
-
-def _subset_terms(consts: Sequence[SolitonConstants], dc: Fraction, t: int, n: int,
-                  weighted: bool) -> list[Fraction]:
-    """Hirota term of every mode subset at (t, n): of f, or of g when weighted.
-
-    Subset S is the bitmask index (bit i set: mode i is in S).  Its term is
-    prod_{i in S} w_i * prod_{i<j in S} ((p_i - p_j) / (p_i + p_j + D))^2 with
-    w_i = C_i A_i^t B_i^n, times D_i when weighted, and the terms sum to the
-    determinant in the module docstring.
-    """
-    return _subset_products(
-        consts,
-        lambda ci: ci.C * ci.A ** t * ci.B ** n * (ci.D if weighted else ONE),
-        lambda cj, ci: ((cj.p - ci.p) / (cj.p + ci.p + dc)) ** 2)
-
-
 def _subset_ratios(bases: Sequence[Fraction]) -> list[int]:
     """prod_{i in S} num(base_i) * prod_{i not in S} den(base_i) for every
-    subset S, indexed as in :func:`_subset_terms`."""
+    subset S, S the bitmask index (bit i set: base i is in S)."""
     ratios = [1]
     for base in bases:
         ratios = ([r * base.denominator for r in ratios]
@@ -247,27 +220,24 @@ def _subset_ratios(bases: Sequence[Fraction]) -> list[int]:
     return ratios
 
 
-def _tau_grid(consts: Sequence[SolitonConstants], dc: Fraction, t0: int, n0: int,
-              row_lengths: Sequence[int]) -> tuple[int, list[list[tuple[int, int]]]]:
-    """Integer (f, g) pairs at (t0 + j, n0 + k) for k < row_lengths[j].
+def _tau_grid(kp: KPParams, t0: int, n0: int,
+              row_lengths: Sequence[int]) -> list[list[tuple[int, int]]]:
+    """Integer (f, g) pairs at (t0 + j, n0 + k) for k < row_lengths[j], for
+    the reduced ``kp`` of :func:`_soliton_kp`.
 
-    The returned scale L is the common denominator of the subset terms of f
-    and g at (t0, n0), and each tau of grid[j][k] is
-    tau(t0 + j, n0 + k) * L * prod_i den(A_i)^j * den(B_i)^k.  That factor
-    is positive and the same for every tau at the point, so it cancels from
-    the cross ratios; at j = k = 0 it is L itself.
-
-    With integer coefficients c_S = L * term_S(t0, n0), the value is
-    sum_S c_S * P_S^j * Q_S^k, where P_S and Q_S are the subset ratios of
-    the A_i and B_i: plain integer products, computed once per row and once
-    per column.
+    The f coefficients are the subset terms of :func:`_kp_base` at
+    (0, 0, t0, n0), M times the terms of tau there, and the g coefficients
+    are those times a1's r list, which adds its factor D_a1.  A row step
+    multiplies them elementwise by b's r list and a column step by c's, so
+    f of grid[j][k] is f(t0 + j, n0 + k) * M * D_b^j * D_c^k, and g is
+    g(t0 + j, n0 + k) times the same and D_a1.  These factors are positive,
+    and g's differs from f's by a constant, so they cancel from the cross
+    ratios and no scale is returned.  The powers of c's list are computed
+    once, for all rows.
     """
-    terms = [_subset_terms(consts, dc, t0, n0, weighted) for weighted in (False, True)]
-    scale = math.lcm(*(term.denominator for tts in terms for term in tts))
-    coefs = [[term.numerator * (scale // term.denominator) for term in tts]
-             for tts in terms]
-    p_ratio = _subset_ratios([c.A for c in consts])
-    q_ratio = _subset_ratios([c.B for c in consts])
+    _, base, dirs = _kp_base(kp, (0, 0, t0, n0))
+    (g_ratio, *_), _, (p_ratio, *_), (q_ratio, *_) = dirs
+    coefs = [base, [c * r for c, r in zip(base, g_ratio)]]
     q_pows = [[1] * len(q_ratio)]
     for _ in range(max(row_lengths) - 1):
         q_pows.append([q * r for q, r in zip(q_pows[-1], q_ratio)])
@@ -276,21 +246,19 @@ def _tau_grid(consts: Sequence[SolitonConstants], dc: Fraction, t0: int, n0: int
         cols = q_pows[:length]
         grid.append(list(zip(*[[sum(map(mul, cs, qs)) for qs in cols] for cs in coefs])))
         coefs = [[c * r for c, r in zip(cs, p_ratio)] for cs in coefs]
-    return scale, grid
+    return grid
 
 
 def tau_f(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
           t: int, n: int) -> Fraction:
-    """First tau function at (t, n)."""
-    scale, grid = _tau_grid(validate(params, solitons), params.delta_cap, t, n, [1])
-    return Fraction(grid[0][0][0], scale)
+    """First tau function at (t, n), the reduced tau at (0, 0, t, n)."""
+    return kp_tau(_soliton_kp(params, solitons)[1], 0, 0, t, n)
 
 
 def tau_g(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
           t: int, n: int) -> Fraction:
-    """Second tau function at (t, n), the one with the extra row weight."""
-    scale, grid = _tau_grid(validate(params, solitons), params.delta_cap, t, n, [1])
-    return Fraction(grid[0][0][1], scale)
+    """Second tau function at (t, n), the reduced tau at (1, 0, t, n)."""
+    return kp_tau(_soliton_kp(params, solitons)[1], 1, 0, t, n)
 
 
 def sample_xy(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
@@ -316,7 +284,7 @@ def _window_taus(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
         raise WindowTooSmall(f"empty range: t {t_range}, n {n_range}")
     nn = n1 - n0 + 1
     rows = [nn + 1] * (t1 - t0 + 1) + ([nn] if t_shift else [])
-    _, taus = _tau_grid(validate(params, solitons), params.delta_cap, t0, n0, rows)
+    taus = _tau_grid(_soliton_kp(params, solitons)[1], t0, n0, rows)
     for j, row in enumerate(taus):
         if not all(map(all, row)):
             k = next(k for k, pair in enumerate(row) if not all(pair))
@@ -408,12 +376,17 @@ class KPParams:
         with their shared denominator product D_d, then those of the
         1/r_{i,d}: entry S of the r list is D_d * prod_{i in S} r_{i,d}.
         """
-        # modes are (p, q, gamma) rows
-        terms = _subset_products(
-            self.modes,
-            lambda mode: mode[2] / (mode[0] - mode[1]),
-            lambda mj, mi: ((mj[0] - mi[0]) * (mi[1] - mj[1])
-                            / ((mj[0] - mi[1]) * (mi[0] - mj[1]))))
+        terms = [ONE]
+        for i, (p, q, gamma) in enumerate(self.modes):
+            w = gamma / (p - q)
+            pair = [(pj - p) * (q - qj) / ((pj - q) * (p - qj))
+                    for pj, qj, _ in self.modes[:i]]
+            for s in range(1 << i):
+                term = terms[s] * w
+                for j in range(i):
+                    if s >> j & 1:
+                        term *= pair[j]
+                terms.append(term)
         big_l = math.lcm(*(term.denominator for term in terms))
         coefs = [term.numerator * (big_l // term.denominator) for term in terms]
         dirs = []
@@ -425,17 +398,14 @@ class KPParams:
         return big_l, coefs, dirs
 
 
-def _kp_sums(kp: KPParams, point: tuple[int, int, int, int],
-             shifts: Sequence[tuple[int, int, int, int]]) -> tuple[int, list[tuple[int, int]]]:
-    """Integer subset sums of the four-direction tau at ``point + s`` for
-    each 0/1 shift s of ``shifts``.
+def _kp_base(kp: KPParams, point: tuple[int, int, int, int],
+             ) -> tuple[int, list[int], list[tuple[list[int], int, list[int], int]]]:
+    """Integer subset terms of the four-direction tau at ``point``.
 
-    Returns a positive scale M and one (sum, extra) pair per shift, with
-    tau(point + s) = sum / (M * extra).  The base vector c_S * prod_d
-    R_d[S]^{|l_d|}, with the r or 1/r list of each direction by the sign of
-    its exponent, is M times the subset terms at ``point``; a unit shift
-    along d multiplies it elementwise by d's r list, which carries the
-    positive factor D_d into ``extra``, whatever the sign of l_d.
+    Returns (M, terms, dirs).  terms[S] = c_S * prod_d R_d[S]^{|l_d|}, with
+    the r or 1/r list of each direction by the sign of its exponent, is M
+    times the subset term of S at ``point``, M positive; dirs are the
+    direction tables of ``KPParams._subset_tables``.
     """
     scale, terms, dirs = kp._subset_tables
     for l, (up, up_den, down, down_den) in zip(point, dirs):
@@ -443,6 +413,20 @@ def _kp_sums(kp: KPParams, point: tuple[int, int, int, int],
             table, den = (up, up_den) if l > 0 else (down, down_den)
             terms = [c * r ** abs(l) for c, r in zip(terms, table)]
             scale *= den ** abs(l)
+    return scale, terms, dirs
+
+
+def _kp_sums(kp: KPParams, point: tuple[int, int, int, int],
+             shifts: Sequence[tuple[int, int, int, int]]) -> tuple[int, list[tuple[int, int]]]:
+    """Integer subset sums of the four-direction tau at ``point + s`` for
+    each 0/1 shift s of ``shifts``.
+
+    Returns the scale M of :func:`_kp_base` and one (sum, extra) pair per
+    shift, with tau(point + s) = sum / (M * extra).  A unit shift along d
+    multiplies the base terms elementwise by d's r list, which carries the
+    positive factor D_d into ``extra``, whatever the sign of l_d.
+    """
+    scale, terms, dirs = _kp_base(kp, point)
     sums = []
     for shift in shifts:
         shifted, extra = terms, 1

@@ -296,6 +296,20 @@ def test_field_from_state_needs_finite_carrier():
         field_from_state(state, [0, 0, 0])
 
 
+def test_field_from_state_needs_finite_boxes():
+    state = BBSCState((1, 0), c_box=math.inf, c_carrier=1)
+    with pytest.raises(NonPositiveParameter, match="finite box capacity"):
+        field_from_state(state, [0, 0, 0])
+
+
+@pytest.mark.parametrize("a, b", [(math.inf, 1.0), (3.0, math.inf), (math.nan, 1.0),
+                                  (3.0, math.nan), (-math.inf, 1.0), (0.0, 1.0)])
+def test_ud_field_needs_positive_finite_parameters(a, b):
+    # a non-finite A or B would turn every gap of ud_limit_check into nan
+    with pytest.raises(NonPositiveParameter, match="positive and finite"):
+        UDField((0.0,), (0.0,), a, b)
+
+
 # --- the rational-to-tropical bridge ----------------------------------------------
 
 
@@ -332,6 +346,10 @@ def test_ud_limit_epsilon_validation():
         ud_limit_check(field, [1.0, 1e-9])
     with pytest.raises(ValueError):
         ud_limit_check(field, [0.1, 0.1])
+    # nan passes every comparison above, and inf reaches log(0)
+    for eps in ([math.nan], [1.0, math.nan], [math.inf, 1.0]):
+        with pytest.raises(NonPositiveEpsilon, match="finite"):
+            ud_limit_check(field, eps)
 
 
 def test_param_correspondence():

@@ -176,6 +176,21 @@ def test_domain_errors_exit_one(capsys):
     assert "strictly decreasing" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf,1", "1,0.1,-inf"])
+def test_verify_rejects_non_finite_epsilons(capsys, value):
+    # nan would print a nan deviation and fail the check instead
+    code, out, err = invoke(capsys, "verify", "udlimit", "--epsilons", value)
+    assert code == 1
+    assert out == "" and err.startswith("usage error:") and "finite" in err
+
+
+def test_verify_udlimit_rejects_unbounded_boxes(capsys):
+    # an infinite box capacity is A = inf, which made every deviation nan
+    code, out, err = invoke(capsys, "verify", "udlimit", "--cb", "inf")
+    assert code == 1
+    assert "max deviation" not in out and "finite box capacity" in err
+
+
 def test_verify_rejects_an_empty_epsilon_list(capsys):
     code, out, err = invoke(capsys, "verify", "udlimit", "--epsilons", ",")
     assert code == 1

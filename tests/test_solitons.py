@@ -242,12 +242,32 @@ def test_validate_rejects_bad_modes():
         validate(REF_PARAMS, [(Fraction(1, 30), Fraction(1, 30))])
     with pytest.raises(GammaSignCondition):
         validate(REF_PARAMS, [(Fraction(1, 30), Fraction(0))])
-    with pytest.raises(DuplicateP):
+    with pytest.raises(DuplicateP) as info:
         validate(REF_PARAMS, [(Fraction(1, 30), Fraction(-1)),
                               (Fraction(1, 30), Fraction(-2))])
-    with pytest.raises(DenominatorClash):
+    assert info.value.pair == (0, 1)
+    with pytest.raises(DenominatorClash) as info:
         validate(REF_PARAMS, [(Fraction(1, 3), Fraction(-1)),
                               (SPAN - Fraction(1, 3), Fraction(1))])
+    assert info.value.pair == (0, 1)
+
+
+LEFT, RIGHT = (Fraction(1, 30), Fraction(-1)), (Fraction(1, 2), Fraction(1))
+THIRD, PARTNER = (Fraction(1, 3), Fraction(-1)), (SPAN - Fraction(1, 3), Fraction(1))
+
+
+@pytest.mark.parametrize("modes, error, pair", [
+    ([THIRD, LEFT, PARTNER], DenominatorClash, (0, 2)),
+    ([LEFT, RIGHT, (RIGHT[0], Fraction(2))], DuplicateP, (1, 2)),
+    # p_i = q_j is symmetric in i and j, so the pair is never named (2, 1)
+    ([LEFT, THIRD, PARTNER], DenominatorClash, (1, 2)),
+    # every pair fails; the first pair in (i, j) order wins
+    ([THIRD, (THIRD[0], Fraction(-2)), PARTNER], DuplicateP, (0, 1)),
+], ids=["clash_0_2", "duplicate_1_2", "clash_1_2", "first_pair_wins"])
+def test_validate_names_the_first_bad_pair(modes, error, pair):
+    with pytest.raises(error) as info:
+        validate(REF_PARAMS, modes)
+    assert info.value.pair == pair
 
 
 def test_validate_raises_on_a_nonpositive_constant(monkeypatch):
@@ -296,9 +316,9 @@ FIVE = REF_SOLITONS + [(Fraction(1, 2), Fraction(1, 5)), (Fraction(3, 5), Fracti
                        (Fraction(1, 10), Fraction(-3, 4))]
 
 
-def cofactor_tau(consts, t, n, weighted):
+def cofactor_tau(consts, t, n, weighted, params=REF_PARAMS):
     """The documented matrix, assembled by hand and expanded independently."""
-    dc = REF_PARAMS.delta_cap
+    dc = params.delta_cap
     rows = []
     for i, ci in enumerate(consts):
         w = ci.gamma * ci.A ** t * ci.B ** n
@@ -343,14 +363,49 @@ def test_sample_field_against_cofactor_cross_ratios(n_modes):
             assert field.ys[j][k] == g * tau(t + 1, n, False) / (f * tau(t + 1, n, True))
 
 
+@st.composite
+def valid_modes(draw):
+    """A system in one of the three regimes and 1-4 modes that validate."""
+    lo, hi = sorted(draw(st.lists(
+        st.fractions(min_value=Fraction(11, 20), max_value=Fraction(19, 20),
+                     max_denominator=40), min_size=2, max_size=2, unique=True)))
+    alpha, beta = draw(st.sampled_from([(lo, hi), (lo, lo), (hi, lo)]))
+    span = alpha + beta - 1
+    ks = draw(st.lists(st.integers(1, 39), min_size=1, max_size=4, unique=True))
+    # no midpoint mode and no pair with p_i + p_j = span
+    assume(all(2 * k != 40 for k in ks) and all(k + m != 40 for k in ks for m in ks))
+    modes = []
+    for k in ks:
+        mag = draw(st.fractions(min_value=Fraction(1, 10), max_value=Fraction(10),
+                                max_denominator=20))
+        modes.append((span * k / 40, mag if 2 * k > 40 else -mag))
+    return SystemParams(alpha, beta), modes
+
+
+@given(valid_modes(), st.tuples(*[st.integers(-3, 3)] * 4))
+@settings(max_examples=60, deadline=None)
+def test_soliton_taus_are_the_reduced_kp_tau(system, point):
+    # f = tau(0, 0, t, n) and g = tau(1, 0, t, n) of the reduction; the
+    # constraint p_i + q_i = a1 + a2 also makes g = tau(0, -1, t, n)
+    params, modes = system
+    consts, kp = solitons._soliton_kp(params, modes)
+    assert consts == validate(params, modes)
+    assert check_kp_bilinear(kp, point) == (0, 0)
+    assert check_reduction(kp, point) == 0
+    _, _, t, n = point
+    assert tau_f(params, modes, t, n) == cofactor_tau(consts, t, n, False, params)
+    assert tau_g(params, modes, t, n) == cofactor_tau(consts, t, n, True, params)
+    assert tau_g(params, modes, t, n) == kp_tau(kp, 0, -1, t, n)
+
+
 def test_sample_xy_skips_the_unused_corner(monkeypatch):
     # x needs the n-shifted taus and y the t-shifted ones; nothing needs both
     calls = []
     real = solitons._tau_grid
 
-    def spy(consts, dc, t0, n0, row_lengths):
+    def spy(kp, t0, n0, row_lengths):
         calls.append(list(row_lengths))
-        return real(consts, dc, t0, n0, row_lengths)
+        return real(kp, t0, n0, row_lengths)
 
     monkeypatch.setattr(solitons, "_tau_grid", spy)
     sample_xy(REF_PARAMS, REF_SOLITONS, 2, -3)
@@ -432,9 +487,9 @@ def test_sample_x_float_skips_the_t_shifted_row(monkeypatch):
     calls = []
     real = solitons._tau_grid
 
-    def spy(consts, dc, t0, n0, row_lengths):
+    def spy(kp, t0, n0, row_lengths):
         calls.append((t0, n0, list(row_lengths)))
-        return real(consts, dc, t0, n0, row_lengths)
+        return real(kp, t0, n0, row_lengths)
 
     monkeypatch.setattr(solitons, "_tau_grid", spy)
     sample_x_float(REF_PARAMS, REF_SOLITONS, (2, 5), (-3, 6))
@@ -445,11 +500,11 @@ def test_sample_x_float_skips_the_t_shifted_row(monkeypatch):
 def test_a_vanishing_tau_raises_zero_tau_naming_its_site(monkeypatch, sampler):
     real = solitons._tau_grid
 
-    def with_a_zero(consts, dc, t0, n0, row_lengths):
-        scale, grid = real(consts, dc, t0, n0, row_lengths)
+    def with_a_zero(kp, t0, n0, row_lengths):
+        grid = real(kp, t0, n0, row_lengths)
         f, _ = grid[2][3]
         grid[2][3] = (f, 0)  # g vanishes at (t0 + 2, n0 + 3)
-        return scale, grid
+        return grid
 
     monkeypatch.setattr(solitons, "_tau_grid", with_a_zero)
     with pytest.raises(ZeroTau, match=r"\(t=3, n=-2\)") as info:
