@@ -37,7 +37,6 @@ from .measure import (
     ClusterTrack,
     TroughTrack,
     detect_bbsc_solitons,
-    measure_amplitude,
     measure_velocity,
     overtake_report,
     track_amplitude,
@@ -69,7 +68,7 @@ __all__ = [
     "amplitude", "bbsc_step", "bbsc_sweep", "check_kp_bilinear",
     "check_reduction", "det", "detect_bbsc_solitons", "dkdv_local",
     "evolve_bbsc", "evolve_gkdv", "field_from_state", "gkdv_local",
-    "kp_tau", "limit_chain_check", "measure_amplitude", "measure_velocity",
+    "kp_tau", "limit_chain_check", "measure_velocity",
     "overtake_report", "param_correspondence", "random_kp_params",
     "rat_parse", "rat_str", "render_ascii", "sample_field", "sample_x_float",
     "sample_xy", "scale_to_yb", "scan_monotonicity", "shift_to_uv", "step_dkdv",

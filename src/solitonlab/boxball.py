@@ -34,13 +34,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, chain, compress, repeat
+from operator import sub
 from typing import IO, Sequence
 
 from .errors import (
     CapacityViolation,
     EmptyField,
-    InconsistentCapacities,
+    NonFiniteSite,
     NonPositiveEpsilon,
     NonPositiveParameter,
 )
@@ -100,7 +101,7 @@ def _swept(u: tuple[int, ...], like: BBSCState) -> BBSCState:
     return state
 
 
-def _sweep(row: list[int], cb: Capacity, cc: Capacity, loads: list[int],
+def _sweep(row: list[int], cb: Capacity, cc: Capacity,
            sites: Sequence[int]) -> None:
     """One carrier sweep of ``row``, in place.
 
@@ -108,11 +109,10 @@ def _sweep(row: list[int], cb: Capacity, cc: Capacity, loads: list[int],
     empty and the carrier leaves it empty.  So the sweep jumps from one
     occupied box to the next and runs the rule from there until the carrier
     is empty again, appending boxes while it still holds balls.  Every box
-    written is range-checked.  ``loads[k + 1]`` is set to the load leaving
-    each written box k and grows with ``row``; the load leaving a skipped
-    box is 0, so a zeroed ``loads`` ends up holding every load.  ``sites``
-    holds the indices 0, 1, ... of at least every box of ``row``; iterating
-    a list allocates no int per box, as a ``range`` past 256 would.
+    written is range-checked.  The carrier loads are not kept; the ball
+    balance gives them back (see :func:`bbsc_sweep`).  ``sites`` holds the
+    indices 0, 1, ... of at least every box of ``row``; iterating a list
+    allocates no int per box, as a ``range`` past 256 would.
     """
     n = len(row)
     end = 0  # the boxes before this one have been swept
@@ -131,7 +131,6 @@ def _sweep(row: list[int], cb: Capacity, cc: Capacity, loads: list[int],
                 raise CapacityViolation(f"box {k} holds {u2}, outside [0, {cb}]")
             v = w - u2
             row[k] = u2
-            loads[k + 1] = v
             if not v:
                 break
         else:
@@ -139,9 +138,19 @@ def _sweep(row: list[int], cb: Capacity, cc: Capacity, loads: list[int],
                 u2 = cb if cb < v else v  # an appended empty box; no spill since v <= cc
                 v -= u2
                 row.append(u2)
-                loads.append(v)
             return
         end = k + 1
+
+
+def bbsc_step(state: BBSCState) -> BBSCState:
+    """One time step of the capacity-limited rule.
+
+    The sweep range-checks every box it writes, so the new state skips the
+    constructor's whole-row check (see :class:`BBSCState`).
+    """
+    row = list(state.u)
+    _sweep(row, state.c_box, state.c_carrier, range(len(row)))
+    return _swept(tuple(row), state)
 
 
 def bbsc_sweep(state: BBSCState) -> tuple[BBSCState, list[int]]:
@@ -149,19 +158,13 @@ def bbsc_sweep(state: BBSCState) -> tuple[BBSCState, list[int]]:
 
     The load list holds the carrier content entering each box of the new
     state plus a trailing 0 (the carrier leaves empty; the window grows to
-    the right as needed to guarantee that).  The sweep range-checks every
-    box it writes, so the new state skips the constructor's whole-row
-    check (see :class:`BBSCState`).
+    the right as needed to guarantee that).  The loads come from the ball
+    balance: the load leaving box k is the number of balls the carrier has
+    taken from boxes 0..k, the running sum of u - u'.
     """
-    row = list(state.u)
-    loads = [0] * (len(row) + 1)
-    _sweep(row, state.c_box, state.c_carrier, loads, range(len(row)))
-    return _swept(tuple(row), state), loads
-
-
-def bbsc_step(state: BBSCState) -> BBSCState:
-    """One time step of the capacity-limited rule."""
-    return bbsc_sweep(state)[0]
+    new = bbsc_step(state)
+    return new, list(accumulate(map(sub, chain(state.u, repeat(0)), new.u),
+                                initial=0))
 
 
 def evolve_bbsc(state: BBSCState, steps: int) -> list[BBSCState]:
@@ -170,11 +173,10 @@ def evolve_bbsc(state: BBSCState, steps: int) -> list[BBSCState]:
         raise ValueError("steps must be >= 0")
     cb, cc = state.c_box, state.c_carrier
     row = list(state.u)
-    loads = [0] * (len(row) + 1)  # written by each sweep, read by none
     sites = list(range(len(row)))
     history = [state]
     for _ in range(steps):
-        _sweep(row, cb, cc, loads, sites)
+        _sweep(row, cb, cc, sites)
         sites += range(len(sites), len(row))
         history.append(_swept(tuple(row), state))
     return history
@@ -232,7 +234,12 @@ def write_bbsc_csv(history: Sequence[BBSCState], stream: IO[str]) -> None:
 
 @dataclass(frozen=True)
 class UDField:
-    """A row of (X, Y) values with finite tropical parameters A, B > 0."""
+    """A row of finite (X, Y) values with finite tropical parameters A, B > 0.
+
+    A nan or infinite site would turn its gap in :func:`ud_limit_check`
+    into nan, or drop out of the max behind a finite one, so it raises
+    :class:`NonFiniteSite` naming the first such site.
+    """
 
     X: tuple[float, ...]
     Y: tuple[float, ...]
@@ -246,6 +253,10 @@ class UDField:
             raise ValueError("X and Y must have the same length")
         if not self.X:
             raise EmptyField("field must contain at least one site")
+        for k, xy in enumerate(zip(self.X, self.Y)):
+            for name, v in zip("XY", xy):
+                if not math.isfinite(v):
+                    raise NonFiniteSite(name, k, v)
         if not (0 < self.A < math.inf and 0 < self.B < math.inf):
             raise NonPositiveParameter(
                 f"A and B must be positive and finite, got {self.A}, {self.B}")

@@ -175,8 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_solitons(p)
     add_window(p)
     add_out(p, "JSON")
-    p.add_argument("--threshold", type=float, default=1e-3,
-                   help="detection threshold on |x-1|")
 
     p = sub.add_parser("scan", help="monotonicity scan of the speed/amplitude laws")
     add_system(p)
@@ -258,12 +256,12 @@ def _cmd_analyze(args) -> int:
     params = SystemParams(args.alpha, args.beta)
     consts = solitons.validate(params, args.soliton)
     rows = solitons.sample_x_float(params, args.soliton, args.t, args.n)
-    tracks = measure.track_troughs(rows, args.n[0], args.t[0], threshold=args.threshold)
+    tracks = measure.track_troughs(rows, args.n[0], args.t[0])
     closed = [{
         "p": rat_str(c.p),
         "gamma": rat_str(c.gamma),
-        "velocity": c.velocity,
-        "amplitude": c.amplitude,
+        "velocity": solitons.velocity(params, c.p),
+        "amplitude": solitons.amplitude(params, c.p),
     } for c in consts]
     payload = {
         "alpha": rat_str(params.alpha),

@@ -13,7 +13,8 @@ and rounded once to a float.  Samples taken while another track is within
 intercept per surviving contiguous segment: a collision shifts a soliton's
 phase, so forcing one intercept across the jump would bias the slope.
 The linker's jump gate and the exclusion cone share the speed bound
-``V_MAX``; tracks coast at most ``MAX_GAP`` rows and need ``MIN_SAMPLES``.
+``V_MAX``; a detection needs |x - 1| above ``THRESHOLD``, tracks coast at
+most ``MAX_GAP`` rows and need ``MIN_SAMPLES``.
 
 Ball-count clusters of the box-ball automaton get the same treatment in
 integer arithmetic; their speeds are exact rationals.  ``overtake_report``
@@ -32,11 +33,7 @@ from itertools import compress
 from typing import Sequence
 
 from .boxball import BBSCState
-from .errors import (
-    EmptyField,
-    InconsistentCapacities,
-    TooFewSamples,
-)
+from .errors import InconsistentCapacities, TooFewSamples
 
 # How close (lattice units) another soliton may come before a sample is
 # discarded as collision-contaminated.  Calibrated against the closed-form
@@ -45,6 +42,7 @@ from .errors import (
 # stay within 1e-2 already at 3.  One radius serves both measurements.
 EXCLUSION_RADIUS = 4.5
 V_MAX = 1.0  # speed bound of the studied regime, in sites per step
+THRESHOLD = 1e-3  # least |x - 1| of a detected trough
 MAX_GAP = 40
 MIN_SAMPLES = 3
 
@@ -64,11 +62,6 @@ class TroughTrack:
     @property
     def last_t(self) -> int:
         return self.times[-1]
-
-    @property
-    def depth(self) -> float:
-        """Deepest |x - 1| seen along the whole track."""
-        return max(self.depths)
 
     def position_at(self, t: int) -> float:
         """Position at time t, linearly interpolated across gaps."""
@@ -91,18 +84,18 @@ def _interp(x: float, xp: Sequence[float], fp: Sequence[float]) -> float:
     return slope * (x - xp[j]) + fp[j]
 
 
-def _row_minima(row: Sequence[float], threshold: float) -> list[tuple[float, float]]:
+def _row_minima(row: Sequence[float]) -> list[tuple[float, float]]:
     """Sub-lattice minima of one row: (position, refined depth) pairs.
 
-    A site qualifies when x < 1 - threshold and x is a strict minimum to the
-    left and weak minimum to the right (ties break leftward).  The position
-    and depth are refined with a parabola through log x at the site and its
-    neighbors; the offset is clamped to half a cell.
+    A site qualifies when x < 1 - ``THRESHOLD`` and x is a strict minimum to
+    the left and weak minimum to the right (ties break leftward).  The
+    position and depth are refined with a parabola through log x at the site
+    and its neighbors; the offset is clamped to half a cell.
     """
     out: list[tuple[float, float]] = []
     for k in range(1, len(row) - 1):
         xk = row[k]
-        if not (xk < 1.0 - threshold and row[k - 1] > xk and row[k + 1] >= xk):
+        if not (xk < 1.0 - THRESHOLD and row[k - 1] > xk and row[k + 1] >= xk):
             continue
         if min(row[k - 1], xk, row[k + 1]) <= 0.0:
             out.append((float(k), abs(xk - 1.0)))  # no log refinement possible
@@ -126,13 +119,13 @@ def _match_cost(pred_pos: float, pred_depth: float, det_pos: float,
     return abs(pred_pos - det_pos) / gate + 3.0 * abs(pred_depth - det_depth)
 
 
-def track_troughs(rows: Sequence[Sequence[float]], n_lo: int, t0: int,
-                  threshold: float = 1e-3) -> list[TroughTrack]:
+def track_troughs(rows: Sequence[Sequence[float]], n_lo: int,
+                  t0: int) -> list[TroughTrack]:
     """Link per-row trough detections into tracks.
 
     ``rows[j][k]`` is x at time ``t0 + j`` and site ``n_lo + k``, as
-    :func:`solitonlab.solitons.sample_x_float` returns it.  ``threshold``
-    is the minimum |x - 1| for a detection.  ``V_MAX`` bounds the per-step
+    :func:`solitonlab.solitons.sample_x_float` returns it.  A detection
+    needs |x - 1| above ``THRESHOLD``.  ``V_MAX`` bounds the per-step
     jump gate, a track may coast undetected for ``MAX_GAP`` rows (troughs
     merge during collisions), and tracks with fewer than ``MIN_SAMPLES``
     detections are discarded as noise.  Tracks are returned sorted by
@@ -142,7 +135,7 @@ def track_troughs(rows: Sequence[Sequence[float]], n_lo: int, t0: int,
     active: list[TroughTrack] = []
     done: list[TroughTrack] = []
     for t, row in enumerate(rows, t0):
-        dets = [(n_lo + pos, depth) for pos, depth in _row_minima(row, threshold)]
+        dets = [(n_lo + pos, depth) for pos, depth in _row_minima(row)]
         # retire tracks that have coasted too long
         still = []
         for tr in active:
@@ -313,14 +306,6 @@ def measure_velocity(track: TroughTrack, others: Sequence[TroughTrack] = ()) -> 
     return float(num / den)
 
 
-def measure_amplitude(row: Sequence[float]) -> float:
-    """Largest |x - 1| over one row."""
-    arr = [abs(float(v) - 1.0) for v in row]
-    if not arr:
-        raise EmptyField("empty row")
-    return max(arr)
-
-
 def track_amplitude(track: TroughTrack, others: Sequence[TroughTrack] = ()) -> float:
     """Deepest refined trough over the track's collision-free samples.
 
@@ -362,14 +347,6 @@ class ClusterTrack:
             raise TooFewSamples("cluster seen only once")
         return Fraction(self.leftmost[-1] - self.leftmost[0],
                         self.times[-1] - self.times[0])
-
-    def speed_before(self, t_cut: int) -> Fraction:
-        """Exact speed restricted to samples with t < t_cut."""
-        ts = [t for t in self.times if t < t_cut]
-        if len(ts) < 2:
-            raise TooFewSamples("fewer than two samples before the cut")
-        i0, i1 = self.times.index(ts[0]), self.times.index(ts[-1])
-        return Fraction(self.leftmost[i1] - self.leftmost[i0], ts[-1] - ts[0])
 
     def position_at(self, t: int) -> float:
         """Leftmost position at time t, linearly interpolated across gaps."""

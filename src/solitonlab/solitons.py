@@ -97,16 +97,6 @@ class SolitonConstants:
     C: Fraction
     D: Fraction
 
-    @property
-    def velocity(self) -> float:
-        """Closed-form speed of this mode, as :func:`velocity` gives it."""
-        return _speed(*_ratios((self.A, self.B, self.D)))
-
-    @property
-    def amplitude(self) -> float:
-        """Closed-form amplitude of this mode, as :func:`amplitude` gives it."""
-        return _depth(*_ratios((self.A, self.B, self.D)))
-
 
 def validate(params: SystemParams,
              solitons: Sequence[tuple[Rat, Rat]]) -> tuple[SolitonConstants, ...]:

@@ -24,6 +24,7 @@ from solitonlab import (
 from solitonlab.errors import (
     CapacityViolation,
     EmptyField,
+    NonFiniteSite,
     NonPositiveEpsilon,
     NonPositiveParameter,
 )
@@ -128,13 +129,22 @@ def test_sweep_matches_longhand_min_max(setup):
     assert (state.c_box, state.c_carrier) == (cb, cc)
 
 
-@given(occupancies)
-@settings(max_examples=100, deadline=None)
-def test_sweep_load_never_exceeds_carrier(setup):
+@given(occupancies, st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_sweep_load_never_exceeds_carrier(setup, grow):
+    # checked without the longhand oracle; a full last box always leaves
+    # the carrier holding balls, so the sweep appends boxes and the loads
+    # must still align with the grown row
     cb, cells, cc = setup
-    state, loads = bbsc_sweep(BBSCState(tuple(cells), c_box=cb, c_carrier=cc))
+    if grow:
+        cells = cells + [cb]
+    state = BBSCState(tuple(cells), c_box=cb, c_carrier=cc)
+    new, loads = bbsc_sweep(state)
+    if grow:
+        assert len(new.u) > len(state.u)
+    assert len(loads) == len(new.u) + 1
+    assert loads[0] == loads[-1] == 0
     assert all(0 <= v <= cc for v in loads)
-    assert loads[0] == 0 and loads[-1] == 0
 
 
 # clusters of 1-6 occupied boxes, each after a gap of 10-60 empty ones, so a
@@ -182,9 +192,9 @@ def test_long_sparse_history_matches_longhand(setup):
 def test_sweep_range_checks_each_box_it_writes():
     # a row that bypassed the constructor: box 0 holds 5 > c_box = 3, and
     # the carrier it overloads spills 5 balls into box 1
-    row, loads = [5, 0, 0], [0, 0, 0, 0]
+    row = [5, 0, 0]
     with pytest.raises(CapacityViolation, match=r"^box 1 holds 5, outside \[0, 3\]$"):
-        boxball._sweep(row, 3, 1, loads, range(3))
+        boxball._sweep(row, 3, 1, range(3))
 
 
 # --- rendering ------------------------------------------------------------------
@@ -308,6 +318,27 @@ def test_ud_field_needs_positive_finite_parameters(a, b):
     # a non-finite A or B would turn every gap of ud_limit_check into nan
     with pytest.raises(NonPositiveParameter, match="positive and finite"):
         UDField((0.0,), (0.0,), a, b)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["X", "Y"])
+@pytest.mark.parametrize("site", [0, 2])
+def test_ud_field_rejects_non_finite_sites(bad, name, site):
+    # a later bad site would otherwise drop out of the max in ud_limit_check
+    # and leave a tiny gap that reads as a pass
+    row = [0.0, 0.0, 0.0]
+    row[site] = bad
+    other = (0.0, 0.0, 0.0)
+    xy = (row, other) if name == "X" else (other, row)
+    with pytest.raises(NonFiniteSite, match=f"^{name} at site {site} is ") as info:
+        UDField(*xy, 3.0, 1.0)
+    assert info.value.site == site
+
+
+def test_ud_field_names_the_first_non_finite_site():
+    with pytest.raises(NonFiniteSite, match="^Y at site 1 ") as info:
+        UDField((0.0, 0.0, math.nan), (0.0, -math.inf, 0.0), 3.0, 1.0)
+    assert info.value.site == 1
 
 
 # --- the rational-to-tropical bridge ----------------------------------------------
