@@ -10,7 +10,7 @@ Subcommands:
 * ``verify``   exact self-checks; exit 0 on success, 2 on a failed check
 
 Exit codes: 0 success, 1 bad arguments or validation error, 2 verification
-failure.  ``--out -`` (the default) writes to stdout.
+failure, 141 stdout closed early (``| head``).  ``--out -`` writes to stdout.
 """
 
 from __future__ import annotations
@@ -18,16 +18,18 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from functools import cache, partial
 from random import Random
 from typing import IO, Sequence
 
 from . import boxball, measure, solitons
-from .errors import SolitonLabError, ZeroDenominator
+from .errors import SolitonLabError
 from .exact import rat_parse, rat_str
-from .lattice import SystemParams, _gkdv_constants, _two_point, evolve_gkdv
+from .lattice import SystemParams, _gkdv_constants, evolve_gkdv
 from .solitons import KPParams, random_kp_params
 
 
@@ -104,19 +106,9 @@ def _capacity(text: str) -> int | float:
         raise argparse.ArgumentTypeError(f"capacity must be an integer or 'inf', got {text!r}")
 
 
-def _open_out(path: str):
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
-
-
 def _write(path: str, emit) -> None:
-    stream, close = _open_out(path)
-    try:
+    with nullcontext(sys.stdout) if path == "-" else open(path, "w") as stream:
         emit(stream)
-    finally:
-        if close:
-            stream.close()
 
 
 @cache
@@ -186,8 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=("exactness", "kp", "reduction", "udlimit", "all"))
     p.add_argument("--alpha", type=_rat, default=Fraction(5, 6))
     p.add_argument("--beta", type=_rat, default=Fraction(14, 15))
-    p.add_argument("--soliton", type=_soliton, action="append", default=[],
-                   metavar="P:GAMMA")
+    add_solitons(p)
     p.add_argument("--grid", type=_int_at_least(1), default=20,
                    help="exactness: residual grid is grid x grid")
     p.add_argument("--n-solitons", type=_int_at_least(1), default=2,
@@ -205,10 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _default_solitons(args) -> list[tuple[Fraction, Fraction]]:
-    if args.soliton:
-        return args.soliton
-    return [(Fraction(2, 15), Fraction(-1, 6)), (Fraction(1, 30), Fraction(-1, 30))]
+_DEFAULT_SOLITONS = ((Fraction(2, 15), Fraction(-1, 6)), (Fraction(1, 30), Fraction(-1, 30)))
 
 
 def _cmd_exact(args) -> int:
@@ -280,23 +268,37 @@ def _cmd_scan(args) -> int:
     return 0
 
 
+def _exact_sites(taus: list[list[tuple[int, int]]], consts: tuple[int, ...]) -> list[list[bool]]:
+    """Per-site verdicts of the two-point map with ``lattice._map_constants``
+    ``consts`` on a grid of integer taus (f, g), making no Fraction and no gcd.
+
+    Site (j, k) reads f, g there, fn, gn at (j, k+1), ft, gt at (j+1, k), ftn,
+    gtn at (j+1, k+1).  R is homogeneous in x*y = P/Q, P = gn*ft, Q = fn*gt:
+    R = N1*l2 / (N2*l1), N1 = C1*Q + D1*P, N2 = C2*Q + D2*P.  A site passes when
+    N1, N2 != 0 and x' = R*y is x at (j+1, k): gtn*f*N2*l1 == ftn*g*N1*l2.  Then
+    y~ = x/R is y at (j, k+1), as the map keeps x*y and tau ratios have x*y at
+    (j, k) = x(j+1, k)*y(j, k+1) identically; so these are the reduced x', y~ verdicts.
+    """
+    c1, d1, c2, d2, _, l1, l2 = consts
+
+    def exact(f, g, fn, gn, ft, gt, ftn, gtn) -> bool:
+        p, q = gn * ft, fn * gt
+        n1, n2 = (c1 * q + d1 * p) * l2, (c2 * q + d2 * p) * l1
+        return n1 != 0 and n2 != 0 and gtn * f * n2 == ftn * g * n1
+
+    return [[exact(*here, *right, *above, *diag)
+             for here, right, above, diag in zip(row, row[1:], up, up[1:])]
+            for row, up in zip(taus, taus[1:])]
+
+
 def _verify_exactness(args, log: IO[str]) -> bool:
+    """Count the grid x grid sites that pass :func:`_exact_sites`: one integer
+    equation per site on the unreduced taus, y~ implied by x*y conservation."""
     params = SystemParams(args.alpha, args.beta)
-    modes = _default_solitons(args)
-    g = args.grid
-    t0, n0 = 0, -g // 2
-    field = solitons.sample_field(params, modes, (t0, t0 + g), (n0, n0 + g))
-    consts = _gkdv_constants(params)  # gkdv_local's map constants, built once per window
-
-    def exact_at(j: int, k: int) -> bool:
-        # a vanishing map denominator is a failed site, not an error
-        try:
-            return _two_point(field.xs[j][k], field.ys[j][k], consts) == (
-                field.xs[j + 1][k], field.ys[j][k + 1])
-        except ZeroDenominator:
-            return False
-
-    good = sum(exact_at(j, k) for j in range(g) for k in range(g))
+    g, n0 = args.grid, -args.grid // 2
+    taus = solitons._window_taus(params, args.soliton or _DEFAULT_SOLITONS, (0, g),
+                                 (n0, n0 + g - 1), t_shift=False)
+    good = sum(map(sum, _exact_sites(taus, _gkdv_constants(params))))
     print(f"residual 0 at {good}/{g * g} points", file=log)
     return good == g * g
 
@@ -366,13 +368,9 @@ _COMMANDS = {
 
 
 def _fold_negative_windows(argv: Sequence[str]) -> list[str]:
-    """Glue values like ``-30:90`` onto their flag so argparse does not read
-    the leading minus as an option prefix.
-
-    argparse alone cannot do this: it takes ``-30:90`` for an option string,
-    because it does not look like a negative number, so ``--n -30:90`` fails
-    with "expected one argument" and only ``--n=-30:90`` parses.
-    """
+    """Glue values like ``-30:90`` onto their flag: argparse takes them for
+    option strings, as they do not look like negative numbers, so
+    ``--n -30:90`` would fail with "expected one argument"."""
     out: list[str] = []
     fold = False
     for tok in argv:
@@ -386,25 +384,27 @@ def _fold_negative_windows(argv: Sequence[str]) -> list[str]:
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse and execute; returns the process exit code."""
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_fold_negative_windows(argv))
+        args = build_parser().parse_args(_fold_negative_windows(argv))
         return _COMMANDS[args.command](args)
     except _CliError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except SolitonLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ZeroDivisionError) as exc:
+    except (SolitonLabError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left (``| head``); devnull takes the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from solitonlab.errors import ZeroDenominator
+from solitonlab.lattice import LatticeField, _two_point
+
 
 def det_cofactor(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     """Laplace expansion along the first row.  Exponential, fine for n <= 6."""
@@ -245,3 +248,24 @@ def kp_matrix_longhand(a1: Fraction, a2: Fraction, b: Fraction, c: Fraction,
         rows.append([(1 if i == j else 0) + gamma * phase / (p - qj)
                      for j, (_, qj, _) in enumerate(modes)])
     return rows
+
+
+def exactness_longhand(field: LatticeField, consts: tuple[int, ...]) -> list[list[bool]]:
+    """Per-site verdicts of ``verify exactness`` on reduced values.
+
+    Site (j, k), for every (j, k) but the last row and column of a sampled
+    field, passes when the two-point map with constants ``consts`` sends the
+    reduced x and y there to the x at (j+1, k) and the y at (j, k+1), both
+    compared as reduced fractions.  A vanishing map denominator fails the
+    site.  The integer check on unreduced taus, ``cli._exact_sites``, must
+    give the same verdict at every site.
+    """
+    def exact_at(j: int, k: int) -> bool:
+        try:
+            return _two_point(field.xs[j][k], field.ys[j][k], consts) == (
+                field.xs[j + 1][k], field.ys[j][k + 1])
+        except ZeroDenominator:
+            return False
+
+    return [[exact_at(j, k) for k in range(len(field.xs[0]) - 1)]
+            for j in range(len(field.xs) - 1)]

@@ -5,12 +5,16 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from solitonlab import solitons
-from solitonlab.cli import build_parser, run
-from solitonlab.lattice import SystemParams
+from solitonlab.cli import _exact_sites, build_parser, run
+from solitonlab.lattice import SystemParams, _gkdv_constants
+
+from _oracles import exactness_longhand
 
 
 def invoke(capsys, *argv):
@@ -237,43 +241,132 @@ def test_verify_failure_exits_two(capsys):
     assert "verify: FAILED" in out
 
 
-def _patch_sampled_field(monkeypatch, edit):
-    """Make ``verify exactness`` check a sampled field altered by ``edit``."""
-    from solitonlab import solitons
+def _patch_window_taus(monkeypatch, edit):
+    """Make ``verify exactness`` check a tau grid altered by ``edit``."""
+    real = solitons._window_taus
 
-    sample = solitons.sample_field
+    def altered(params, modes, t_range, n_range, t_shift):
+        taus = real(params, modes, t_range, n_range, t_shift)
+        edit(params, taus)
+        return taus
 
-    def altered(params, modes, t_window, n_window):
-        field = sample(params, modes, t_window, n_window)
-        edit(params, field)
-        return field
-
-    monkeypatch.setattr(solitons, "sample_field", altered)
+    monkeypatch.setattr(solitons, "_window_taus", altered)
 
 
 def test_verify_exactness_catches_a_wrong_value(capsys, monkeypatch):
-    # y at one interior site enters the update there and is the carry
-    # checked at its left neighbour, so two sites fail
-    def bump_y(params, field):
-        field.ys[3][4] += 1
+    # --grid 8 checks sites (j, k), j, k < 8, on the 9 x 9 taus (t, n) =
+    # (0..8, -4..4); site (j, k) reads the taus at (j..j+1, k..k+1).  The
+    # tau at (3, 4) is read by the four sites (2..3, 3..4), as f, fn, ft and
+    # ftn, and a wrong f there fails each of them: 64 - 4 = 60
+    def bump_f(params, taus):
+        f, g = taus[3][4]
+        taus[3][4] = (f + 1, g)
 
-    _patch_sampled_field(monkeypatch, bump_y)
+    _patch_window_taus(monkeypatch, bump_f)
     code, out, _ = invoke(capsys, "verify", "exactness", "--grid", "8")
     assert code == 2
-    assert "residual 0 at 62/64 points" in out
+    assert "residual 0 at 60/64 points" in out
 
 
 def test_verify_exactness_counts_a_vanishing_denominator_as_failed(capsys, monkeypatch):
-    # (1-alpha) + alpha*x*y = 0 at one site of the first row, which no
-    # other site checks
-    def singular_x(params, field):
-        a, y = params.alpha, field.ys[0][2]
-        field.xs[0][2] = (a - 1) / (a * y)
+    # at site (0, 7), with P = gn*ft and Q = fn*gt, make N2 vanish, that is
+    # (1-a)*Q + a*P for a = alpha: set the taus at (0, 8) to fn = num(a)*ft
+    # and gn = -(den(a) - num(a))*gt.  Only site (0, 7) reads that corner of
+    # the 9 x 9 taus, so one site fails: 63/64
+    def singular(params, taus):
+        a = params.alpha
+        ft, gt = taus[1][7]
+        taus[0][8] = (a.numerator * ft, -(a.denominator - a.numerator) * gt)
 
-    _patch_sampled_field(monkeypatch, singular_x)
+    _patch_window_taus(monkeypatch, singular)
     code, out, _ = invoke(capsys, "verify", "exactness", "--grid", "8")
     assert code == 2
     assert "residual 0 at 63/64 points" in out
+
+
+@st.composite
+def exactness_cases(draw, regime: str, n_modes: int):
+    """A system in ``regime`` with ``n_modes`` valid modes, a window of 1 x 1
+    to 5 x 5 sites, a ``breakage`` for the test to apply, and the map
+    constants to check with: those of (beta, alpha) for "swap", else the
+    system's own."""
+    lo, hi = sorted(draw(st.lists(
+        st.fractions(min_value=Fraction(11, 20), max_value=Fraction(19, 20),
+                     max_denominator=40), min_size=2, max_size=2, unique=True)))
+    alpha, beta = {"lt": (lo, hi), "eq": (lo, lo), "gt": (hi, lo)}[regime]
+    span = alpha + beta - 1
+    ks = draw(st.lists(st.integers(1, 39), min_size=n_modes, max_size=n_modes, unique=True))
+    # no midpoint mode and no pair with p_i + p_j = span
+    assume(all(k + m != 40 for k in ks for m in ks))
+    modes = []
+    for k in ks:
+        mag = draw(st.fractions(min_value=Fraction(1, 10), max_value=Fraction(10),
+                                max_denominator=20))
+        modes.append((span * k / 40, mag if 2 * k > 40 else -mag))
+    window = (draw(st.integers(-3, 3)), draw(st.integers(-6, 6)), draw(st.integers(1, 5)))
+    breakage = draw(st.sampled_from(["none", "swap", "taus", "n1", "n2"]))
+    params = SystemParams(alpha, beta)
+    consts = _gkdv_constants(SystemParams(beta, alpha) if breakage == "swap" else params)
+    return params, modes, window, consts, breakage, draw(st.randoms(use_true_random=False))
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
+@pytest.mark.parametrize("regime", ["lt", "eq", "gt"])
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_exact_sites_match_the_reduced_fraction_verdicts(regime, n_modes, data):
+    # the integer check against the reduced x and y of sample_field pushed
+    # through the two-point map, site by site, on honest and broken inputs
+    params, modes, (t0, n0, g), consts, breakage, rng = data.draw(
+        exactness_cases(regime, n_modes))
+    t_range, n_range = (t0, t0 + g), (n0, n0 + g)
+    taus = solitons._window_taus(params, modes, t_range, n_range, t_shift=True)
+    # the (g+1)-square block the check reads is the window the command asks for
+    block = solitons._window_taus(params, modes, t_range, (n0, n0 + g - 1), t_shift=False)
+    assert block == [row[:g + 1] for row in taus[:g + 1]]
+    if breakage == "taus":
+        for _ in range(rng.randint(1, 3)):
+            j, k, which = rng.randint(0, g), rng.randint(0, g), rng.randint(0, 1)
+            pair = list(taus[j][k])
+            pair[which] = pair[which] * rng.choice([-2, -1, 1, 2]) + rng.randint(-3, 3)
+            assume(pair[which] != 0)
+            taus[j][k] = tuple(pair)
+    elif breakage in ("n1", "n2"):
+        # N2 = (1-alpha)*Q + alpha*P, or N1 with beta, vanishes at site (j, k);
+        # at alpha = beta both vanish, and only the nonzero test fails the site
+        a = params.alpha if breakage == "n2" else params.beta
+        j, k = rng.randint(0, g - 1), rng.randint(0, g - 1)
+        ft, gt = taus[j + 1][k]
+        taus[j][k + 1] = (a.numerator * ft, -(a.denominator - a.numerator) * gt)
+    with mock.patch.object(solitons, "_window_taus", lambda *args, **kwargs: taus):
+        field = solitons.sample_field(params, modes, t_range, n_range)
+    got = _exact_sites([row[:g + 1] for row in taus[:g + 1]], consts)
+    assert got == exactness_longhand(field, consts)
+    if breakage == "none":
+        assert all(map(all, got))
+    elif breakage in ("n1", "n2"):
+        assert not got[j][k]
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "--alpha", "5/6", "--beta", "14/15", "--soliton", "2/15:-1/6",
+     "--n", "-30:90", "--t", "0:60"],
+    ["bbsc", "--cb", "4", "--cc", "1", "--init", "000244000100030002134100",
+     "--steps", "1000", "--render", "csv"],
+    ["verify", "all"],
+], ids=["exact", "bbsc_csv", "verify_all"])
+def test_a_reader_closing_stdout_early_gets_no_traceback(argv):
+    # as `solitonlab ... | head -1`: the writes after the reader has gone
+    # fail with EPIPE, which exits 141 and writes nothing to stderr
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": "1"}
+    proc = subprocess.Popen([sys.executable, "-m", "solitonlab", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() != b""
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (141, b"")
 
 
 def test_parser_is_built_once_and_keeps_no_state_between_runs(capsys):
