@@ -278,6 +278,9 @@ def _exact_sites(taus: list[list[tuple[int, int]]], consts: tuple[int, ...]) -> 
     N1, N2 != 0 and x' = R*y is x at (j+1, k): gtn*f*N2*l1 == ftn*g*N1*l2.  Then
     y~ = x/R is y at (j, k+1), as the map keeps x*y and tau ratios have x*y at
     (j, k) = x(j+1, k)*y(j, k+1) identically; so these are the reduced x', y~ verdicts.
+    Both sides of the equation, and N1 and N2, are homogeneous in each of the
+    four (f, g) pairs a site reads, so the verdicts do not depend on the scale
+    of any pair, as ``solitons._window_taus`` requires.
     """
     c1, d1, c2, d2, _, l1, l2 = consts
 

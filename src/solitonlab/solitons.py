@@ -17,7 +17,11 @@ evaluated by its Cauchy principal-minor expansion,
 
 as integer subset sums: the c_S over one common denominator and the subset
 ratios of each direction's r and 1/r are built once per ``KPParams``, and a
-point, or a unit shift of it, costs elementwise integer products.
+point, or a unit shift of it, costs elementwise integer products.  A window
+of points is walked: from its point nearest the origin, each unit step
+multiplies every subset term by one small entry of the direction's r list
+(outwards towards +) or 1/r list (towards -), so the terms at every point
+are those of the point alone, a big integer times a small one per step.
 
 An N-soliton state of the two-parameter map, with modes (p_i, gamma_i), is
 the reduction (``_soliton_kp``)
@@ -210,33 +214,49 @@ def _subset_ratios(bases: Sequence[Fraction]) -> list[int]:
     return ratios
 
 
+def _walk(terms: list[int], lo: int, hi: int, anchor: int,
+          up: list[int], down: list[int]) -> list[list[int]]:
+    """Subset terms at positions lo..hi of one direction, from ``terms`` at
+    ``anchor``, which is the point of lo..hi nearest 0.  A step away from
+    the anchor multiplies them elementwise by the direction's r list
+    (``up``, towards +) or 1/r list (``down``, towards -), so each position
+    holds the terms of :func:`_kp_base` there."""
+    below = [terms]
+    for _ in range(anchor - lo):
+        below.append(list(map(mul, below[-1], down)))
+    above = [terms]
+    for _ in range(hi - anchor):
+        above.append(list(map(mul, above[-1], up)))
+    return below[:0:-1] + above
+
+
 def _tau_grid(kp: KPParams, t0: int, n0: int,
               row_lengths: Sequence[int]) -> list[list[tuple[int, int]]]:
     """Integer (f, g) pairs at (t0 + j, n0 + k) for k < row_lengths[j], for
     the reduced ``kp`` of :func:`_soliton_kp`.
 
-    The f coefficients are the subset terms of :func:`_kp_base` at
-    (0, 0, t0, n0), M times the terms of tau there, and the g coefficients
-    are those times a1's r list, which adds its factor D_a1.  A row step
-    multiplies them elementwise by b's r list and a column step by c's, so
-    f of grid[j][k] is f(t0 + j, n0 + k) * M * D_b^j * D_c^k, and g is
-    g(t0 + j, n0 + k) times the same and D_a1.  These factors are positive,
-    and g's differs from f's by a constant, so they cancel from the cross
-    ratios and no scale is returned.  The powers of c's list are computed
-    once, for all rows.
+    The pair at (t, n) is the subset sums of :func:`_kp_base` at
+    (0, 0, t, n): f is the sum of its terms, and g the sum of those times
+    a1's r list, which adds its factor D_a1.  So f is f(t, n) times
+    M * D_b^{|t|} * D_c^{|n|}, with M the common denominator of the c_S and
+    D_b, D_c the denominator products of the r list (exponent > 0) or the
+    1/r list (exponent < 0) of b and c, and g is g(t, n) times the same and
+    D_a1.  The grid is canonical: a pair does not depend on the window it
+    was read from.  The scale is positive and shared by the two taus of a
+    point, so it cancels from every cross ratio, and none is returned.
+
+    The terms are walked out from the window point nearest the origin,
+    rows along t and then each row's columns along n, one small-integer
+    product per subset term and step.  Every row starts its column walk at
+    the shared anchor column and is cut to its length afterwards.
     """
-    _, base, dirs = _kp_base(kp, (0, 0, t0, n0))
-    (g_ratio, *_), _, (p_ratio, *_), (q_ratio, *_) = dirs
-    coefs = [base, [c * r for c, r in zip(base, g_ratio)]]
-    q_pows = [[1] * len(q_ratio)]
-    for _ in range(max(row_lengths) - 1):
-        q_pows.append([q * r for q, r in zip(q_pows[-1], q_ratio)])
-    grid = []
-    for length in row_lengths:
-        cols = q_pows[:length]
-        grid.append(list(zip(*[[sum(map(mul, cs, qs)) for qs in cols] for cs in coefs])))
-        coefs = [[c * r for c, r in zip(cs, p_ratio)] for cs in coefs]
-    return grid
+    t1, n1 = t0 + len(row_lengths) - 1, n0 + max(row_lengths) - 1
+    ta, na = min(max(0, t0), t1), min(max(0, n0), n1)
+    _, terms, dirs = _kp_base(kp, (0, 0, ta, na))
+    (g_ratio, *_), _, (t_up, _, t_down, _), (n_up, _, n_down, _) = dirs
+    return [[(sum(ts), sum(map(mul, ts, g_ratio)))
+             for ts in _walk(row, n0, n1, na, n_up, n_down)[:length]]
+            for row, length in zip(_walk(terms, t0, t1, ta, t_up, t_down), row_lengths)]
 
 
 def tau_f(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
@@ -264,7 +284,10 @@ def _window_taus(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
     """Integer (f, g) pairs of :func:`_tau_grid` for a window and its n-shift
     column, plus its t-shift row when ``t_shift`` is set.
 
-    Both ranges are inclusive.  The corner (t1 + 1, n1 + 1) is never
+    Each pair carries its own positive scale, shared by its f and g, so a
+    consumer must be homogeneous per point: multiplying one pair by any
+    positive integer may not change what it computes.  Both ranges are
+    inclusive.  The corner (t1 + 1, n1 + 1) is never
     evaluated: it feeds neither x nor y.  Raises ZeroTau naming the first
     site, row by row, where a tau vanishes.
     """

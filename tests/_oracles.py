@@ -13,6 +13,7 @@ from typing import Sequence
 
 from solitonlab.errors import ZeroDenominator
 from solitonlab.lattice import LatticeField, _two_point
+from solitonlab.solitons import KPParams, _kp_sums
 
 
 def det_cofactor(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -248,6 +249,26 @@ def kp_matrix_longhand(a1: Fraction, a2: Fraction, b: Fraction, c: Fraction,
         rows.append([(1 if i == j else 0) + gamma * phase / (p - qj)
                      for j, (_, qj, _) in enumerate(modes)])
     return rows
+
+
+def tau_grid_longhand(kp: KPParams, t0: int, n0: int,
+                      row_lengths: Sequence[int]) -> list[list[tuple[int, int]]]:
+    """The (f, g) grid of ``solitons._tau_grid``, one point at a time.
+
+    The pair at (t, n) is the two subset sums of ``_kp_sums`` at
+    (0, 0, t, n), unshifted and shifted along a1: each point is built from
+    the expansion's tables with its own powers, with no walk and no window,
+    so a grid that equals it is canonical.
+    """
+    grid = []
+    for j, length in enumerate(row_lengths):
+        row = []
+        for k in range(length):
+            _, [(f, _), (g, _)] = _kp_sums(kp, (0, 0, t0 + j, n0 + k),
+                                           [(0, 0, 0, 0), (1, 0, 0, 0)])
+            row.append((f, g))
+        grid.append(row)
+    return grid
 
 
 def exactness_longhand(field: LatticeField, consts: tuple[int, ...]) -> list[list[bool]]:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 from unittest import mock
 
 import pytest
@@ -55,16 +56,20 @@ def test_exact_stdout_default(capsys):
 
 def test_evolve_agrees_with_exact_sampling(capsys):
     # evolve seeds each sweep with the solution's carrier at the left edge,
-    # so the lattice sweep reproduces the sampled window byte for byte
-    window = ["--n", "-20:8", "--t", "0:4"]
-    for values in ("float", "exact"):
-        code, out_exact, _ = invoke(capsys, "exact", *BASE_ARGS, *window,
-                                    "--values", values)
-        assert code == 0
-        code, out_evolved, _ = invoke(capsys, "evolve", *BASE_ARGS, *window,
-                                      "--values", values)
-        assert code == 0
-        assert out_evolved == out_exact
+    # so the lattice sweep reproduces the sampled window byte for byte; that
+    # carrier is a one-column window with a t-shift row, sampled here across,
+    # left of and right of n = 0, and from t < 0
+    windows = [("-20:8", "0:4"), ("-40:-25", "0:4"), ("5:30", "0:4"), ("-20:8", "-4:0")]
+    for n_range, t_range in windows:
+        window = ["--n", n_range, "--t", t_range]
+        for values in ("float", "exact"):
+            code, out_exact, _ = invoke(capsys, "exact", *BASE_ARGS, *window,
+                                        "--values", values)
+            assert code == 0
+            code, out_evolved, _ = invoke(capsys, "evolve", *BASE_ARGS, *window,
+                                          "--values", values)
+            assert code == 0
+            assert out_evolved == out_exact
 
 
 MODES = ["2/15:-1/6", "1/30:-1/30", "1/2:1/5"]
@@ -346,6 +351,56 @@ def test_exact_sites_match_the_reduced_fraction_verdicts(regime, n_modes, data):
         assert all(map(all, got))
     elif breakage in ("n1", "n2"):
         assert not got[j][k]
+
+
+def _scale_each_point(taus, rng):
+    """The grid with each (f, g) pair times its own random positive integer."""
+    return [[(f * s, g * s) for (f, g), s in zip(row, [rng.randint(1, 2 ** 64) for _ in row])]
+            for row in taus]
+
+
+@pytest.mark.parametrize("n_modes", [0, 1, 2, 4])
+@pytest.mark.parametrize("regime", ["lt", "eq", "gt"])
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_grid_consumers_are_homogeneous_per_point(regime, n_modes, data):
+    # each consumer reads a point's f and g only as a pair, so the grid may
+    # pick its scale per point: x, y and the exactness verdicts stay as they are
+    params, modes, (t0, n0, g), consts, breakage, rng = data.draw(
+        exactness_cases(regime, n_modes))
+    t_range, n_range = (t0, t0 + g), (n0, n0 + g)
+    real = solitons._window_taus
+
+    def scaled(*args, **kwargs):
+        return _scale_each_point(real(*args, **kwargs), rng)
+
+    xs = solitons.sample_x_float(params, modes, t_range, n_range)
+    field = solitons.sample_field(params, modes, t_range, n_range)
+    with mock.patch.object(solitons, "_window_taus", scaled):
+        assert ([[v.hex() for v in row] for row in xs]
+                == [[v.hex() for v in row]
+                    for row in solitons.sample_x_float(params, modes, t_range, n_range)])
+        again = solitons.sample_field(params, modes, t_range, n_range)
+    assert (again.xs, again.ys) == (field.xs, field.ys)
+    # on honest taus and on taus with a few wrong values, which fail sites
+    taus = real(params, modes, t_range, (n0, n0 + g - 1), t_shift=False)
+    if breakage != "none":
+        for _ in range(rng.randint(1, 3)):
+            j, k = rng.randint(0, g), rng.randint(0, g)
+            f, gg = taus[j][k]
+            taus[j][k] = (f + rng.choice([-1, 1]), gg)
+    assert _exact_sites(_scale_each_point(taus, rng), consts) == _exact_sites(taus, consts)
+
+
+def test_verify_exactness_reads_taus_scaled_per_point_alike(capsys, monkeypatch):
+    rng = Random(17)
+    expected = invoke(capsys, "verify", "exactness", "--grid", "8")
+
+    def scale(params, taus):
+        taus[:] = _scale_each_point(taus, rng)
+
+    _patch_window_taus(monkeypatch, scale)
+    assert invoke(capsys, "verify", "exactness", "--grid", "8") == expected
 
 
 @pytest.mark.parametrize("argv", [

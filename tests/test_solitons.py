@@ -38,7 +38,13 @@ from solitonlab.errors import (
     ZeroTau,
 )
 
-from _oracles import det_cofactor, kp_matrix_longhand, one_soliton_constants, one_soliton_xy
+from _oracles import (
+    det_cofactor,
+    kp_matrix_longhand,
+    one_soliton_constants,
+    one_soliton_xy,
+    tau_grid_longhand,
+)
 
 REF_PARAMS = SystemParams(Fraction(5, 6), Fraction(14, 15))
 REF_SOLITONS = [(Fraction(2, 15), Fraction(-1, 6)),
@@ -510,6 +516,68 @@ def test_a_vanishing_tau_raises_zero_tau_naming_its_site(monkeypatch, sampler):
     with pytest.raises(ZeroTau, match=r"\(t=3, n=-2\)") as info:
         sampler(REF_PARAMS, REF_SOLITONS, (1, 5), (-5, 4))
     assert info.value.point == (3, -2)
+
+
+@st.composite
+def tau_windows(draw, regime: str, n_modes: int):
+    """A system in ``regime`` with ``n_modes`` valid modes, and the t and n
+    ranges of a window, each left of, right of or across 0."""
+    lo, hi = sorted(draw(st.lists(
+        st.fractions(min_value=Fraction(11, 20), max_value=Fraction(19, 20),
+                     max_denominator=40), min_size=2, max_size=2, unique=True)))
+    alpha, beta = {"lt": (lo, hi), "eq": (lo, lo), "gt": (hi, lo)}[regime]
+    span = alpha + beta - 1
+    ks = draw(st.lists(st.integers(1, 39), min_size=n_modes, max_size=n_modes, unique=True))
+    assume(all(k + m != 40 for k in ks for m in ks))
+    modes = []
+    for k in ks:
+        mag = draw(st.fractions(min_value=Fraction(1, 10), max_value=Fraction(10),
+                                max_denominator=20))
+        modes.append((span * k / 40, mag if 2 * k > 40 else -mag))
+
+    def window_range() -> tuple[int, int]:
+        size = draw(st.integers(1, 4))
+        side = draw(st.sampled_from(["left", "right", "across"]))
+        if side == "left":
+            last = -draw(st.integers(1, 5))
+            return last - size + 1, last
+        first = draw(st.integers(1, 5)) if side == "right" else -draw(st.integers(0, size - 1))
+        return first, first + size - 1
+
+    return SystemParams(alpha, beta), modes, window_range(), window_range()
+
+
+@pytest.mark.parametrize("n_modes", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("regime", ["lt", "eq", "gt"])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_tau_grid_is_canonical(regime, n_modes, data):
+    # each pair is the subset sums at (0, 0, t, n), whatever the window, so
+    # windows off the origin, and the t-shift row one column short of a
+    # shift column left of n = 0, read the same integers as any other
+    params, modes, (t0, t1), (n0, n1) = data.draw(tau_windows(regime, n_modes))
+    t_shift = data.draw(st.booleans())
+    kp = solitons._soliton_kp(params, modes)[1]
+    rows = [n1 - n0 + 2] * (t1 - t0 + 1) + ([n1 - n0 + 1] if t_shift else [])
+    grid = solitons._tau_grid(kp, t0, n0, rows)
+    assert grid == tau_grid_longhand(kp, t0, n0, rows)
+    assert solitons._window_taus(params, modes, (t0, t1), (n0, n1), t_shift) == grid
+    # the scale M * prod D^|t| * prod D^|n| against the cofactor determinant
+    big_l, _, dirs = kp._subset_tables
+
+    def den(d: int, l: int) -> int:
+        _, up_den, _, down_den = dirs[d]
+        return (up_den if l > 0 else down_den) ** abs(l)
+
+    for _ in range(3):
+        j = data.draw(st.integers(0, len(rows) - 1))
+        k = data.draw(st.integers(0, rows[j] - 1))
+        t, n = t0 + j, n0 + k
+        f, g = grid[j][k]
+        scale = big_l * den(2, t) * den(3, n)
+        for value, l1, extra in ((f, 0, 1), (g, 1, dirs[0][1])):
+            matrix = kp_matrix_longhand(kp.a1, kp.a2, kp.b, kp.c, kp.modes, (l1, 0, t, n))
+            assert Fraction(value, scale * extra) == det_cofactor(matrix)
 
 
 @pytest.mark.filterwarnings("ignore::solitonlab.errors.SolitonEscapedWindow")
