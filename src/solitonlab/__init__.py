@@ -8,15 +8,10 @@ tools for soliton speeds and amplitudes.
 
 from .boxball import (
     BBSCState,
-    UDField,
     bbsc_step,
     bbsc_sweep,
     evolve_bbsc,
-    field_from_state,
-    param_correspondence,
     render_ascii,
-    shift_to_uv,
-    tropical_step,
     ud_limit_check,
     write_bbsc_csv,
 )
@@ -64,15 +59,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BBSCState", "ClusterTrack", "KPParams", "LatticeField", "Rat",
-    "SolitonConstants", "SystemParams", "TroughTrack", "UDField",
+    "SolitonConstants", "SystemParams", "TroughTrack",
     "amplitude", "bbsc_step", "bbsc_sweep", "check_kp_bilinear",
     "check_reduction", "det", "detect_bbsc_solitons", "dkdv_local",
-    "evolve_bbsc", "evolve_gkdv", "field_from_state", "gkdv_local",
+    "evolve_bbsc", "evolve_gkdv", "gkdv_local",
     "kp_tau", "limit_chain_check", "measure_velocity",
-    "overtake_report", "param_correspondence", "random_kp_params",
+    "overtake_report", "random_kp_params",
     "rat_parse", "rat_str", "render_ascii", "sample_field", "sample_x_float",
-    "sample_xy", "scale_to_yb", "scan_monotonicity", "shift_to_uv", "step_dkdv",
+    "sample_xy", "scale_to_yb", "scan_monotonicity", "step_dkdv",
     "step_gkdv", "tau_f", "tau_g", "track_amplitude", "track_troughs",
-    "tropical_step", "ud_limit_check", "validate", "velocity",
+    "ud_limit_check", "validate", "velocity",
     "write_bbsc_csv", "yb_map",
 ]

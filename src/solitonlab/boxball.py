@@ -15,19 +15,25 @@ again.  The sweep, the CSV writer and ``measure``'s cluster scan find the
 occupied boxes with ``itertools.compress``, so the per-box work they do in
 Python is per occupied box.
 
-The rational map turns into this automaton under x = exp(-X/eps) as
-eps -> 0 with parameters alpha = exp(-A/eps), beta = exp(-B/eps): the
-update becomes
+The rational map x' = y ((1-beta) + beta x y) / ((1-alpha) + alpha x y)
+turns into this automaton inside the soliton regime alpha + beta > 1, as
+alpha, beta -> 1 with 1 - beta = exp(-c_box/eps) and
+1 - alpha = exp(-c_carrier/eps).  Under x = exp(-u/eps), y = exp(-v/eps),
+with u a box and v the load entering it, -eps log x' tends to
 
-    X' = min(-X, B + Y) + max(X + Y + A, 0) - A
+    u' = v + min(c_box, u + v) - min(c_carrier, u + v),
 
-(``tropical_step``), and the shift U = X + A, V = Y + B turns that into the
-carrier rule with c_box = A, c_carrier = B.  ``ud_limit_check`` measures the
-gap between the rational map at finite eps and the tropical step.  This limit
-sends alpha + beta -> 0, outside the soliton regime alpha + beta > 1, where
-``solitons.validate`` raises ``InvalidInterval``.  The limit that stays in
-the soliton regime sends alpha, beta -> 1, with 1 - alpha = exp(-A/eps) and
-1 - beta = exp(-B/eps); this package does not check it yet.
+which is the carrier rule above for 0 <= u <= c_box, 0 <= v <= c_carrier,
+with no shift of either variable.  ``ud_limit_check`` measures the gap
+between the rational map at finite eps and one :func:`bbsc_sweep`.
+
+The map at (alpha, beta), read in (1/x, 1/y), is the map at
+(1 - beta, 1 - alpha).  So the limit alpha, beta -> 0 with
+alpha = exp(-c_box/eps), beta = exp(-c_carrier/eps), outside the soliton
+regime, is the same automaton read on holes: c_box - u and c_carrier - v.
+That half of the parameter square holds no troughs, where
+``solitons.validate`` raises ``InvalidInterval``, but it holds their mirror
+images, peaks x > 1.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ from typing import IO, Sequence
 from .errors import (
     CapacityViolation,
     EmptyField,
-    NonFiniteSite,
     NonPositiveEpsilon,
     NonPositiveParameter,
 )
@@ -232,66 +237,6 @@ def write_bbsc_csv(history: Sequence[BBSCState], stream: IO[str]) -> None:
 # tropical bridge
 
 
-@dataclass(frozen=True)
-class UDField:
-    """A row of finite (X, Y) values with finite tropical parameters A, B > 0.
-
-    A nan or infinite site would turn its gap in :func:`ud_limit_check`
-    into nan, or drop out of the max behind a finite one, so it raises
-    :class:`NonFiniteSite` naming the first such site.
-    """
-
-    X: tuple[float, ...]
-    Y: tuple[float, ...]
-    A: float
-    B: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "X", tuple(float(v) for v in self.X))
-        object.__setattr__(self, "Y", tuple(float(v) for v in self.Y))
-        if len(self.X) != len(self.Y):
-            raise ValueError("X and Y must have the same length")
-        if not self.X:
-            raise EmptyField("field must contain at least one site")
-        for k, xy in enumerate(zip(self.X, self.Y)):
-            for name, v in zip("XY", xy):
-                if not math.isfinite(v):
-                    raise NonFiniteSite(name, k, v)
-        if not (0 < self.A < math.inf and 0 < self.B < math.inf):
-            raise NonPositiveParameter(
-                f"A and B must be positive and finite, got {self.A}, {self.B}")
-
-
-def tropical_step(field: UDField) -> tuple[float, ...]:
-    """The piecewise-linear update X' = min(-X, B+Y) + max(X+Y+A, 0) - A."""
-    a, b = field.A, field.B
-    return tuple(min(-x, b + y) + max(x + y + a, 0.0) - a
-                 for x, y in zip(field.X, field.Y))
-
-
-def shift_to_uv(field: UDField) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Shift to carrier coordinates: U = X + A, V = Y + B."""
-    return (tuple(x + field.A for x in field.X),
-            tuple(y + field.B for y in field.Y))
-
-
-def field_from_state(state: BBSCState, loads: Sequence[int]) -> UDField:
-    """Tropical field whose shifted coordinates are a swept automaton state.
-
-    ``loads`` are carrier loads as returned by :func:`bbsc_sweep` (their
-    leading entries align with the boxes; the trailing one is dropped).
-    Requires bounded boxes and carrier, since A = c_box and B = c_carrier.
-    """
-    if state.c_box == math.inf:
-        raise NonPositiveParameter("need a finite box capacity for A")
-    if state.c_carrier == math.inf:
-        raise NonPositiveParameter("need a finite carrier capacity for B")
-    a, b = float(state.c_box), float(state.c_carrier)
-    xs = tuple(v - a for v in state.u)
-    ys = tuple(float(l) - b for l in loads[:len(state.u)])
-    return UDField(X=xs, Y=ys, A=a, B=b)
-
-
 _LOG2 = math.log(2.0)
 
 
@@ -312,16 +257,28 @@ def _logaddexp(x: float, y: float) -> float:
     return y + math.log1p(math.exp(x - y))
 
 
-def ud_limit_check(field: UDField, epsilons: Sequence[float],
+def ud_limit_check(state: BBSCState, epsilons: Sequence[float],
                    ) -> list[tuple[float, float]]:
-    """Compare the rational map at finite eps against the tropical step.
+    """Compare the rational map at finite eps against one carrier sweep.
 
-    For each eps the rational update is evaluated in log coordinates
-    (X = -eps log x), using stable log-sum forms so large X/eps never leave
-    the double range, and the max absolute gap to :func:`tropical_step` is
-    reported.  Epsilons must be finite, positive, strictly decreasing, and no
-    smaller than 1e-6.  The gap decays like eps (times log 2 at tie points).
+    With 1 - beta = exp(-c_box/eps), 1 - alpha = exp(-c_carrier/eps),
+    x = exp(-u/eps) for each box u and y = exp(-v/eps) for the load v
+    entering it, -eps log x' of the rational map is evaluated in log space,
+    using stable log-sum forms so large (u + v)/eps never leave the double
+    range.  For each eps the max absolute gap to the box u' of
+    :func:`bbsc_sweep` is reported, over every box of the swept state (the
+    boxes the sweep appended start empty).  Both capacities must be finite.
+    Epsilons must be finite, positive, strictly decreasing, and no smaller
+    than 1e-6.  The gap decays like eps (times log 2 at tie points); it is
+    exactly 0 when c_box == c_carrier, where the map is x' = y.
     """
+    cb, cc = state.c_box, state.c_carrier
+    if cb == math.inf:
+        raise NonPositiveParameter("the tropical limit needs a finite box capacity")
+    if cc == math.inf:
+        raise NonPositiveParameter("the tropical limit needs a finite carrier capacity")
+    if not state.u:
+        raise EmptyField("the tropical limit needs at least one box")
     eps_list = [float(e) for e in epsilons]
     if not all(map(math.isfinite, eps_list)):
         raise NonPositiveEpsilon("all epsilons must be finite")
@@ -331,30 +288,16 @@ def ud_limit_check(field: UDField, epsilons: Sequence[float],
         raise NonPositiveEpsilon("epsilons below 1e-6 are outside the float-validated range")
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilons must be strictly decreasing")
-    a, b = field.A, field.B
-    trop = tropical_step(field)
+    new, loads = bbsc_sweep(state)
+    boxes = list(zip(chain(state.u, repeat(0)), loads, new.u))
     out: list[tuple[float, float]] = []
     for eps in eps_list:
-        # log((1-beta) + beta * x * y) with beta = exp(-B/eps):
-        #   logaddexp(log(1 - exp(-B/eps)), -(B + X + Y)/eps)
-        lb = _log1mexp(-b / eps)
-        la = _log1mexp(-a / eps)
-        gap = max(abs(y - eps * _logaddexp(lb, -(b + x + y) / eps)
-                      + eps * _logaddexp(la, -(a + x + y) / eps) - tr)
-                  for x, y, tr in zip(field.X, field.Y, trop))
+        # log((1-beta) + beta*x*y) = logaddexp(-c_box/eps, log(beta) - (u+v)/eps),
+        # and -eps log x' = v - eps * (that) + eps * (the same with alpha)
+        lb = _log1mexp(-cb / eps)
+        la = _log1mexp(-cc / eps)
+        gap = max(abs(v - u2 - eps * (_logaddexp(-cb / eps, lb - (u + v) / eps)
+                                      - _logaddexp(-cc / eps, la - (u + v) / eps)))
+                  for u, v, u2 in boxes)
         out.append((eps, gap))
     return out
-
-
-def param_correspondence(params) -> str:
-    """Which capacity dominates in the tropical limit of given parameters.
-
-    beta > alpha makes the box capacity exceed the carrier capacity
-    (``"B_gt_C"``), beta = alpha makes them equal (``"B_eq_C"``), and
-    beta < alpha the reverse (``"B_lt_C"``).
-    """
-    if params.beta > params.alpha:
-        return "B_gt_C"
-    if params.beta == params.alpha:
-        return "B_eq_C"
-    return "B_lt_C"

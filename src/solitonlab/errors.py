@@ -99,14 +99,6 @@ class CapacityViolation(SolitonLabError):
     """A box occupancy lies outside [0, c_box]."""
 
 
-class NonFiniteSite(SolitonLabError):
-    """A tropical field holds nan or an infinity at a site."""
-
-    def __init__(self, name: str, site: int, value: float):
-        self.site = site
-        super().__init__(f"{name} at site {site} is {value}, not finite")
-
-
 class NonPositiveEpsilon(SolitonLabError):
     """An ultradiscretization parameter must be strictly positive."""
 

@@ -8,6 +8,7 @@ code they check.
 
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
@@ -104,11 +105,6 @@ def yb_map_longhand(u: Fraction, v: Fraction, a: Fraction, b: Fraction,
     return den_b * v / den_a, den_a * u / den_b
 
 
-def tropical_alt(x: float, y: float, cap_a: float, cap_b: float) -> float:
-    """The piecewise-linear update written as two plateau terms."""
-    return y + min(0.0, cap_b + x + y) - min(0.0, cap_a + x + y)
-
-
 def bbsc_sweep_longhand(u: Sequence[int], c_box: int, c_carrier
                         ) -> tuple[list[int], list[int]]:
     """One carrier sweep, u' = min(c_box-u, v) + max(0, u+v-c_carrier).
@@ -130,6 +126,35 @@ def bbsc_sweep_longhand(u: Sequence[int], c_box: int, c_carrier
         loads.append(v)
         k += 1
     return out, loads
+
+
+def ud_gaps_longhand(u: Sequence[int], c_box: int, c_carrier: int,
+                     epsilons: Sequence[float]) -> list[float]:
+    """Gaps between the rational map and one carrier sweep, in ``decimal``.
+
+    With 1 - beta = e^(-c_box/eps) and 1 - alpha = e^(-c_carrier/eps), each
+    box u and load v of :func:`bbsc_sweep_longhand` give x = e^(-u/eps),
+    y = e^(-v/eps) and x' = y ((1-beta) + beta x y) / ((1-alpha) + alpha x y),
+    evaluated directly at 60 digits.  Returns, per eps, the max over the swept
+    boxes of |-eps ln x' - u'| (boxes the sweep appended start empty).
+    """
+    new_u, loads = bbsc_sweep_longhand(u, c_box, c_carrier)
+    cells = list(u) + [0] * (len(new_u) - len(u))
+    gaps = []
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for eps in epsilons:
+            e = Decimal(eps)
+            one_m_beta = (-c_box / e).exp()
+            one_m_alpha = (-c_carrier / e).exp()
+            gap = Decimal(0)
+            for uk, v, u2 in zip(cells, loads, new_u):
+                x, y = (-uk / e).exp(), (-v / e).exp()
+                x2 = (y * (one_m_beta + (1 - one_m_beta) * x * y)
+                      / (one_m_alpha + (1 - one_m_alpha) * x * y))
+                gap = max(gap, abs(-e * x2.ln() - u2))
+            gaps.append(float(gap))
+    return gaps
 
 
 def bbsc_csv_longhand(history) -> str:

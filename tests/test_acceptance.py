@@ -21,12 +21,10 @@ from solitonlab import (
     SystemParams,
     amplitude,
     bbsc_step,
-    bbsc_sweep,
     check_kp_bilinear,
     check_reduction,
     detect_bbsc_solitons,
     evolve_bbsc,
-    field_from_state,
     gkdv_local,
     measure_velocity,
     overtake_report,
@@ -152,9 +150,7 @@ def test_criterion_07_ultradiscretization_bridge():
     state = BBSCState((3, 0, 0, 0, 1, 0), c_box=3, c_carrier=1)
     for _ in range(3):
         state = bbsc_step(state)
-    _, loads = bbsc_sweep(state)
-    field = field_from_state(state, loads)
-    gaps = [g for _, g in ud_limit_check(field, [1.0, 0.1, 0.01, 0.001])]
+    gaps = [g for _, g in ud_limit_check(state, [1.0, 0.1, 0.01, 0.001])]
     ok = all(a > b for a, b in zip(gaps, gaps[1:])) and gaps[-1] < 1e-2
     _record(7, "tropical limit gaps " + "/".join(f"{g:.2e}" for g in gaps), ok)
 

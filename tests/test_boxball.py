@@ -1,6 +1,7 @@
 import io
 import math
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,28 +9,24 @@ from hypothesis import given, settings, strategies as st
 from solitonlab import boxball
 from solitonlab import (
     BBSCState,
-    UDField,
     SystemParams,
     bbsc_step,
     bbsc_sweep,
     evolve_bbsc,
-    field_from_state,
-    param_correspondence,
+    gkdv_local,
     render_ascii,
-    shift_to_uv,
-    tropical_step,
+    sample_field,
     ud_limit_check,
     write_bbsc_csv,
 )
 from solitonlab.errors import (
     CapacityViolation,
     EmptyField,
-    NonFiniteSite,
     NonPositiveEpsilon,
     NonPositiveParameter,
 )
 
-from _oracles import bbsc_csv_longhand, bbsc_sweep_longhand, tropical_alt
+from _oracles import bbsc_csv_longhand, bbsc_sweep_longhand, ud_gaps_longhand
 
 
 # --- automaton hand traces ----------------------------------------------------
@@ -265,95 +262,46 @@ def test_write_bbsc_csv_matches_naive_writer(history):
     assert buf.getvalue() == bbsc_csv_longhand(history)
 
 
-# --- tropical form ---------------------------------------------------------------
+# --- the in-regime tropical map ----------------------------------------------------
 
 
-@given(st.lists(st.integers(-6, 6), min_size=1, max_size=12),
-       st.lists(st.integers(-6, 6), min_size=12, max_size=12),
-       st.integers(1, 5), st.integers(1, 5))
-@settings(max_examples=150, deadline=None)
-def test_tropical_step_matches_plateau_form(xs, ys, cap_a, cap_b):
-    ys = ys[:len(xs)]
-    field = UDField(tuple(map(float, xs)), tuple(map(float, ys)),
-                    float(cap_a), float(cap_b))
-    out = tropical_step(field)
-    expected = [tropical_alt(x, y, cap_a, cap_b) for x, y in zip(xs, ys)]
-    assert list(out) == expected
+def _stepped(state, steps):
+    for _ in range(steps):
+        state = bbsc_step(state)
+    return state
 
 
-def test_shift_to_uv_recovers_carrier_variables():
-    field = UDField((-3.0, 2.0), (-1.0, 0.0), 3.0, 1.0)
-    u, v = shift_to_uv(field)
-    assert list(u) == [0.0, 5.0] and list(v) == [0.0, 1.0]
+@st.composite
+def swept_states(draw):
+    """States of capacities 1..5 after 0..3 sweeps."""
+    cb, cc = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cells = draw(st.lists(st.integers(0, cb), min_size=1, max_size=12))
+    return _stepped(BBSCState(tuple(cells), cb, cc), draw(st.integers(0, 3)))
 
 
-def test_field_from_state_round_trip():
-    state = BBSCState((3, 0, 0), c_box=3, c_carrier=1)
-    nxt, loads = bbsc_sweep(state)
-    field = field_from_state(state, loads)
-    assert field.A == 3.0 and field.B == 1.0
-    u, v = shift_to_uv(field)
-    assert list(u) == list(state.u)
-    assert list(v) == loads[: len(state.u)]
-    # one tropical step reproduces the automaton's next occupancies
-    out = tropical_step(field)
-    assert [x + field.A for x in out] == list(nxt.u[: len(state.u)])
-
-
-def test_field_from_state_needs_finite_carrier():
-    state = BBSCState((1, 0), c_box=2)
-    with pytest.raises(NonPositiveParameter):
-        field_from_state(state, [0, 0, 0])
-
-
-def test_field_from_state_needs_finite_boxes():
-    state = BBSCState((1, 0), c_box=math.inf, c_carrier=1)
-    with pytest.raises(NonPositiveParameter, match="finite box capacity"):
-        field_from_state(state, [0, 0, 0])
-
-
-@pytest.mark.parametrize("a, b", [(math.inf, 1.0), (3.0, math.inf), (math.nan, 1.0),
-                                  (3.0, math.nan), (-math.inf, 1.0), (0.0, 1.0)])
-def test_ud_field_needs_positive_finite_parameters(a, b):
-    # a non-finite A or B would turn every gap of ud_limit_check into nan
-    with pytest.raises(NonPositiveParameter, match="positive and finite"):
-        UDField((0.0,), (0.0,), a, b)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("name", ["X", "Y"])
-@pytest.mark.parametrize("site", [0, 2])
-def test_ud_field_rejects_non_finite_sites(bad, name, site):
-    # a later bad site would otherwise drop out of the max in ud_limit_check
-    # and leave a tiny gap that reads as a pass
-    row = [0.0, 0.0, 0.0]
-    row[site] = bad
-    other = (0.0, 0.0, 0.0)
-    xy = (row, other) if name == "X" else (other, row)
-    with pytest.raises(NonFiniteSite, match=f"^{name} at site {site} is ") as info:
-        UDField(*xy, 3.0, 1.0)
-    assert info.value.site == site
-
-
-def test_ud_field_names_the_first_non_finite_site():
-    with pytest.raises(NonFiniteSite, match="^Y at site 1 ") as info:
-        UDField((0.0, 0.0, math.nan), (0.0, -math.inf, 0.0), 3.0, 1.0)
-    assert info.value.site == 1
+@given(swept_states())
+@settings(max_examples=200, deadline=None)
+def test_sweep_is_the_in_regime_tropical_map(state):
+    # u' = v + min(c_box, u+v) - min(c_carrier, u+v) with u the box and v the
+    # load entering it, unshifted, at every box of the sweep (appended boxes
+    # start empty)
+    new, loads = bbsc_sweep(state)
+    cb, cc = state.c_box, state.c_carrier
+    for k, u2 in enumerate(new.u):
+        u = state.u[k] if k < len(state.u) else 0
+        w = u + loads[k]
+        assert u2 == loads[k] + min(cb, w) - min(cc, w)
 
 
 # --- the rational-to-tropical bridge ----------------------------------------------
 
 
-def reference_field():
-    state = BBSCState((3, 0, 0, 0, 1, 0), c_box=3, c_carrier=1)
-    for _ in range(3):
-        state = bbsc_step(state)
-    nxt, loads = bbsc_sweep(state)
-    return field_from_state(state, loads)
+def reference_state():
+    return _stepped(BBSCState((3, 0, 0, 0, 1, 0), c_box=3, c_carrier=1), 3)
 
 
 def test_ud_limit_gap_shrinks_with_epsilon():
-    gaps = ud_limit_check(reference_field(), [1.0, 0.1, 0.01, 0.001])
+    gaps = ud_limit_check(reference_state(), [1.0, 0.1, 0.01, 0.001])
     eps = [e for e, _ in gaps]
     vals = [g for _, g in gaps]
     assert eps == [1.0, 0.1, 0.01, 0.001]
@@ -364,26 +312,77 @@ def test_ud_limit_gap_shrinks_with_epsilon():
 
 
 def test_ud_limit_vacuum_is_exact():
-    vac = UDField((0.0,) * 6, (0.0,) * 6, 3.0, 1.0)
-    gaps = ud_limit_check(vac, [1.0, 0.5, 0.25])
+    gaps = ud_limit_check(BBSCState((0,) * 6, c_box=3, c_carrier=1), [1.0, 0.5, 0.25])
     assert all(g <= 1e-12 for _, g in gaps)
 
 
+@given(swept_states())
+@settings(max_examples=50, deadline=None)
+def test_ud_limit_is_exact_at_equal_capacities(state):
+    # alpha = beta makes the map x' = y, and the sweep u' = v
+    state = BBSCState(state.u, state.c_box, state.c_box)
+    assert ud_limit_check(state, [1.0, 0.1, 1e-6]) == [(1.0, 0.0), (0.1, 0.0), (1e-6, 0.0)]
+
+
+def test_ud_limit_gaps_equal_the_decimal_longhand():
+    rng = Random(18)
+    for _ in range(40):
+        cb, cc = rng.randint(1, 5), rng.randint(1, 5)
+        state = _stepped(BBSCState(tuple(rng.randint(0, cb) for _ in range(rng.randint(1, 10))),
+                                   cb, cc), rng.randint(0, 3))
+        epsilons = [1.0, 0.1, 0.01, 0.001]
+        got = [g for _, g in ud_limit_check(state, epsilons)]
+        expected = ud_gaps_longhand(state.u, cb, cc, epsilons)
+        assert got == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("c_box, c_carrier, match", [
+    (math.inf, 1, "finite box capacity"), (3, math.inf, "finite carrier capacity"),
+    (math.nan, 1, "c_box"), (3, math.nan, "c_carrier"), (-math.inf, 1, "c_box"),
+    (0, 1, "c_box")], ids=["inf_box", "inf_carrier", "nan_box", "nan_carrier",
+                           "neg_inf_box", "zero_box"])
+def test_ud_limit_needs_finite_positive_capacities(c_box, c_carrier, match):
+    # an infinite or nan capacity would turn every gap into nan; the state
+    # rejects all but inf, and the limit check rejects inf
+    with pytest.raises(NonPositiveParameter, match=match):
+        ud_limit_check(BBSCState((1, 0), c_box=c_box, c_carrier=c_carrier), [1.0])
+
+
+def test_ud_limit_needs_a_box():
+    with pytest.raises(EmptyField):
+        ud_limit_check(BBSCState((), c_box=3, c_carrier=1), [1.0])
+
+
 def test_ud_limit_epsilon_validation():
-    field = reference_field()
+    state = reference_state()
     with pytest.raises(NonPositiveEpsilon):
-        ud_limit_check(field, [1.0, 0.0])
+        ud_limit_check(state, [1.0, 0.0])
     with pytest.raises(NonPositiveEpsilon):
-        ud_limit_check(field, [1.0, 1e-9])
+        ud_limit_check(state, [1.0, 1e-9])
     with pytest.raises(ValueError):
-        ud_limit_check(field, [0.1, 0.1])
+        ud_limit_check(state, [0.1, 0.1])
     # nan passes every comparison above, and inf reaches log(0)
     for eps in ([math.nan], [1.0, math.nan], [math.inf, 1.0]):
         with pytest.raises(NonPositiveEpsilon, match="finite"):
-            ud_limit_check(field, eps)
+            ud_limit_check(state, eps)
 
 
-def test_param_correspondence():
-    assert param_correspondence(SystemParams(Fraction(5, 6), Fraction(14, 15))) == "B_gt_C"
-    assert param_correspondence(SystemParams(Fraction(14, 15), Fraction(5, 6))) == "B_lt_C"
-    assert param_correspondence(SystemParams(Fraction(5, 6), Fraction(5, 6))) == "B_eq_C"
+MIRROR_MODES = [(Fraction(2, 15), Fraction(-1, 6)), (Fraction(1, 30), Fraction(-1, 30))]
+
+
+@pytest.mark.parametrize("alpha, beta", [(Fraction(5, 6), Fraction(14, 15)),
+                                         (Fraction(14, 15), Fraction(5, 6)),
+                                         (Fraction(3, 4), Fraction(3, 4))])
+def test_inverted_solitons_solve_the_mirror_map(alpha, beta):
+    # (1/x, 1/y) of a solution at (alpha, beta) solves the map at
+    # (1 - beta, 1 - alpha), where alpha + beta < 1: troughs become peaks
+    field = sample_field(SystemParams(alpha, beta), MIRROR_MODES, (0, 3), (-6, 6))
+    mirror = SystemParams(1 - beta, 1 - alpha)
+    inv_x = [[1 / x for x in row] for row in field.xs]
+    inv_y = [[1 / y for y in row] for row in field.ys]
+    for j in range(3):
+        for k in range(12):
+            assert gkdv_local(inv_x[j][k], inv_y[j][k], mirror) == (inv_x[j + 1][k],
+                                                                    inv_y[j][k + 1])
+    assert max(map(max, inv_x)) > 1
+

@@ -194,10 +194,26 @@ def test_verify_rejects_non_finite_epsilons(capsys, value):
 
 
 def test_verify_udlimit_rejects_unbounded_boxes(capsys):
-    # an infinite box capacity is A = inf, which made every deviation nan
+    # an infinite box capacity has no limit 1 - beta = exp(-c_box/eps)
     code, out, err = invoke(capsys, "verify", "udlimit", "--cb", "inf")
     assert code == 1
     assert "max deviation" not in out and "finite box capacity" in err
+
+
+def test_verify_udlimit_rejects_an_unbounded_carrier(capsys):
+    code, out, err = invoke(capsys, "verify", "udlimit", "--cc", "inf")
+    assert code == 1
+    assert "max deviation" not in out and "finite carrier capacity" in err
+
+
+def test_verify_udlimit_passes_at_equal_capacities(capsys):
+    # alpha = beta makes the limit exact: every deviation reads 0, which
+    # counts as decreasing
+    code, out, _ = invoke(capsys, "verify", "udlimit", "--cb", "4", "--cc", "4",
+                          "--init", "4401")
+    assert code == 0
+    assert out.count("max deviation 0.000e+00") == 4
+    assert out.endswith("verify: OK\n")
 
 
 def test_verify_rejects_an_empty_epsilon_list(capsys):
