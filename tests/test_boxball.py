@@ -348,6 +348,29 @@ def test_ud_limit_needs_finite_positive_capacities(c_box, c_carrier, match):
         ud_limit_check(BBSCState((1, 0), c_box=c_box, c_carrier=c_carrier), [1.0])
 
 
+def test_field_from_state_needs_finite_boxes():
+    state = BBSCState((1, 0), c_box=math.inf, c_carrier=1)
+    with pytest.raises(NonPositiveParameter, match="finite box capacity"):
+        ud_limit_check(state, [1.0])
+
+
+def test_field_from_state_needs_finite_carrier():
+    # the default carrier is unbounded, which has no rational counterpart
+    state = BBSCState((1, 0), c_box=2)
+    with pytest.raises(NonPositiveParameter, match="finite carrier capacity"):
+        ud_limit_check(state, [1.0])
+
+
+def test_field_from_state_round_trip():
+    # the state enters the rational map as x = exp(-u/eps), y = exp(-v/eps);
+    # read back through -eps log, one step lands within eps log 2 of the
+    # sweep, so rounding recovers the automaton's next occupancies
+    state = BBSCState((3, 0, 0), c_box=3, c_carrier=1)
+    gaps = ud_limit_check(state, [0.1, 0.01])
+    assert all(g < 0.5 for _, g in gaps)
+    assert gaps[-1][1] <= 0.01 * math.log(2) + 1e-12
+
+
 def test_ud_limit_needs_a_box():
     with pytest.raises(EmptyField):
         ud_limit_check(BBSCState((), c_box=3, c_carrier=1), [1.0])
