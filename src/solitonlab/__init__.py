@@ -39,18 +39,15 @@ from .measure import (
 )
 from .solitons import (
     KPParams,
-    SolitonConstants,
     amplitude,
+    check_exactness,
     check_kp_bilinear,
     check_reduction,
     kp_tau,
     random_kp_params,
     sample_field,
     sample_x_float,
-    sample_xy,
     scan_monotonicity,
-    tau_f,
-    tau_g,
     validate,
     velocity,
 )
@@ -59,15 +56,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BBSCState", "ClusterTrack", "KPParams", "LatticeField", "Rat",
-    "SolitonConstants", "SystemParams", "TroughTrack",
-    "amplitude", "bbsc_step", "bbsc_sweep", "check_kp_bilinear",
+    "SystemParams", "TroughTrack",
+    "amplitude", "bbsc_step", "bbsc_sweep", "check_exactness", "check_kp_bilinear",
     "check_reduction", "det", "detect_bbsc_solitons", "dkdv_local",
     "evolve_bbsc", "evolve_gkdv", "gkdv_local",
     "kp_tau", "limit_chain_check", "measure_velocity",
     "overtake_report", "random_kp_params",
     "rat_parse", "rat_str", "render_ascii", "sample_field", "sample_x_float",
-    "sample_xy", "scale_to_yb", "scan_monotonicity", "step_dkdv",
-    "step_gkdv", "tau_f", "tau_g", "track_amplitude", "track_troughs",
+    "scale_to_yb", "scan_monotonicity", "step_dkdv",
+    "step_gkdv", "track_amplitude", "track_troughs",
     "ud_limit_check", "validate", "velocity",
     "write_bbsc_csv", "yb_map",
 ]

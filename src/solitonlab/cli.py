@@ -29,8 +29,8 @@ from typing import IO, Sequence
 from . import boxball, measure, solitons
 from .errors import SolitonLabError
 from .exact import rat_parse, rat_str
-from .lattice import SystemParams, _gkdv_constants, evolve_gkdv
-from .solitons import KPParams, random_kp_params
+from .lattice import SystemParams, evolve_gkdv
+from .solitons import random_kp_params
 
 
 class _CliError(Exception):
@@ -242,15 +242,15 @@ def _cmd_bbsc(args) -> int:
 
 def _cmd_analyze(args) -> int:
     params = SystemParams(args.alpha, args.beta)
-    consts = solitons.validate(params, args.soliton)
+    kp = solitons.validate(params, args.soliton)
     rows = solitons.sample_x_float(params, args.soliton, args.t, args.n)
     tracks = measure.track_troughs(rows, args.n[0], args.t[0])
     closed = [{
-        "p": rat_str(c.p),
-        "gamma": rat_str(c.gamma),
-        "velocity": solitons.velocity(params, c.p),
-        "amplitude": solitons.amplitude(params, c.p),
-    } for c in consts]
+        "p": rat_str(p),
+        "gamma": rat_str(gamma),
+        "velocity": solitons.velocity(params, p),
+        "amplitude": solitons.amplitude(params, p),
+    } for p, _, gamma in kp.modes]
     payload = {
         "alpha": rat_str(params.alpha),
         "beta": rat_str(params.beta),
@@ -268,40 +268,15 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _exact_sites(taus: list[list[tuple[int, int]]], consts: tuple[int, ...]) -> list[list[bool]]:
-    """Per-site verdicts of the two-point map with ``lattice._map_constants``
-    ``consts`` on a grid of integer taus (f, g), making no Fraction and no gcd.
-
-    Site (j, k) reads f, g there, fn, gn at (j, k+1), ft, gt at (j+1, k), ftn,
-    gtn at (j+1, k+1).  R is homogeneous in x*y = P/Q, P = gn*ft, Q = fn*gt:
-    R = N1*l2 / (N2*l1), N1 = C1*Q + D1*P, N2 = C2*Q + D2*P.  A site passes when
-    N1, N2 != 0 and x' = R*y is x at (j+1, k): gtn*f*N2*l1 == ftn*g*N1*l2.  Then
-    y~ = x/R is y at (j, k+1), as the map keeps x*y and tau ratios have x*y at
-    (j, k) = x(j+1, k)*y(j, k+1) identically; so these are the reduced x', y~ verdicts.
-    Both sides of the equation, and N1 and N2, are homogeneous in each of the
-    four (f, g) pairs a site reads, so the verdicts do not depend on the scale
-    of any pair, as ``solitons._window_taus`` requires.
-    """
-    c1, d1, c2, d2, _, l1, l2 = consts
-
-    def exact(f, g, fn, gn, ft, gt, ftn, gtn) -> bool:
-        p, q = gn * ft, fn * gt
-        n1, n2 = (c1 * q + d1 * p) * l2, (c2 * q + d2 * p) * l1
-        return n1 != 0 and n2 != 0 and gtn * f * n2 == ftn * g * n1
-
-    return [[exact(*here, *right, *above, *diag)
-             for here, right, above, diag in zip(row, row[1:], up, up[1:])]
-            for row, up in zip(taus, taus[1:])]
-
-
 def _verify_exactness(args, log: IO[str]) -> bool:
-    """Count the grid x grid sites that pass :func:`_exact_sites`: one integer
-    equation per site on the unreduced taus, y~ implied by x*y conservation."""
+    """Count the grid x grid sites that pass ``solitons.check_exactness``: one
+    integer equation per site on the unreduced taus, y~ implied by x*y
+    conservation."""
     params = SystemParams(args.alpha, args.beta)
     g, n0 = args.grid, -args.grid // 2
-    taus = solitons._window_taus(params, args.soliton or _DEFAULT_SOLITONS, (0, g),
-                                 (n0, n0 + g - 1), t_shift=False)
-    good = sum(map(sum, _exact_sites(taus, _gkdv_constants(params))))
+    sites = solitons.check_exactness(params, args.soliton or _DEFAULT_SOLITONS,
+                                     (0, g - 1), (n0, n0 + g - 1))
+    good = sum(map(sum, sites))
     print(f"residual 0 at {good}/{g * g} points", file=log)
     return good == g * g
 

@@ -91,6 +91,15 @@ class ZeroTau(SolitonLabError):
         super().__init__(f"tau function vanished at (t={t}, n={n})")
 
 
+class DrawExhausted(SolitonLabError):
+    """A random parameter draw found no admissible value for one mode."""
+
+    def __init__(self, n_modes: int, index: int):
+        self.n_modes, self.index = n_modes, index
+        super().__init__(f"mode {index} of a {n_modes}-mode draw: no admissible "
+                         "(p, q, gamma) in 200 draws from the pool of small fractions")
+
+
 class ConstraintViolated(SolitonLabError):
     """A parameter set does not satisfy the constraint required by the check."""
 

@@ -2,10 +2,12 @@
 
 Troughs of the float rows of x (local minima below the background 1) are
 located per row to sub-lattice precision with a parabolic fit in log x, then
-linked across rows into tracks.  Linking is nearest-neighbor with a jump gate
-that widens across detection gaps, plus a depth-similarity term in the match
-cost so two troughs that merge during a collision and reappear later keep
-their identities.
+linked across rows into tracks.  Linking is a one-to-one assignment of
+tracks to the next row's detections, as many matches as a jump gate that
+widens across detection gaps allows and of least total cost among those.
+The cost adds a depth-similarity term to the position mismatch, so two
+troughs that merge during a collision and reappear later keep their
+identities.
 
 Speeds are least-squares slopes, computed exactly from the float positions
 and rounded once to a float.  Samples taken while another track is within

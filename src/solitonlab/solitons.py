@@ -24,7 +24,7 @@ multiplies every subset term by one small entry of the direction's r list
 are those of the point alone, a big integer times a small one per step.
 
 An N-soliton state of the two-parameter map, with modes (p_i, gamma_i), is
-the reduction (``_soliton_kp``)
+the reduction (``validate`` checks the modes and returns its ``KPParams``)
 
     a1 = 0,  a2 = span = alpha + beta - 1,  b = alpha - 1,  c = alpha,
     q_i = span - p_i,
@@ -72,6 +72,7 @@ from .errors import (
     ConstraintViolated,
     DegenerateP,
     DenominatorClash,
+    DrawExhausted,
     DuplicateP,
     GammaSignCondition,
     GridTooSmall,
@@ -82,49 +83,22 @@ from .errors import (
 )
 # det is unused here but stays bound: bench/spans.py traces solitons.det by attribute
 from .exact import ONE, Rat, det, rat_str
-from .lattice import LatticeField, SystemParams
+from .lattice import LatticeField, SystemParams, _gkdv_constants
 
 
-@dataclass(frozen=True)
-class SolitonConstants:
-    """Closed-form constants of one validated mode.
-
-    A grows the phase per time step, B shrinks it per site, C fixes the
-    initial position, and D distinguishes the second tau function.  All four
-    are positive for a valid soliton.
-    """
-
-    p: Fraction
-    gamma: Fraction
-    A: Fraction
-    B: Fraction
-    C: Fraction
-    D: Fraction
-
-
-def validate(params: SystemParams,
-             solitons: Sequence[tuple[Rat, Rat]]) -> tuple[SolitonConstants, ...]:
-    """Check an N-mode parameter list and return the per-mode constants.
+def validate(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]]) -> KPParams:
+    """Check an N-mode parameter list and return the ``KPParams`` of its
+    reduction (see the module docstring).
 
     Each entry is a (p, gamma) pair.  Raises InvalidInterval when no soliton
-    can exist at all, and the per-mode / per-pair errors otherwise.
-    """
-    return _soliton_kp(params, solitons)[0]
-
-
-def _soliton_kp(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
-                ) -> tuple[tuple[SolitonConstants, ...], KPParams]:
-    """Per-mode constants of a checked mode list, and the ``KPParams`` of
-    its reduction (see the module docstring).
-
-    The per-mode checks run first, in mode order.  The pair checks are
-    ``KPParams``' own: a repeated p raises DuplicateP(i, j), and p_i = q_j,
-    which is p_i + p_j = span, raises DenominatorClash(i, j), first for
-    i < j since the condition is symmetric.
+    can exist at all.  The per-mode checks run first, in mode order.  The
+    pair checks are ``KPParams``' own: a repeated p raises DuplicateP(i, j),
+    and p_i = q_j, which is p_i + p_j = span, raises DenominatorClash(i, j),
+    first for i < j since the condition is symmetric.
     """
     span = _span(params)
     mid = span / 2
-    consts = []
+    modes = []
     for i, (p, gamma) in enumerate(solitons):
         p, gamma = Fraction(p), Fraction(gamma)
         a, b, d = _abd(params, p, i)
@@ -138,10 +112,8 @@ def _soliton_kp(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
         if not (a > 0 and b > 0 and c > 0 and d > 0):
             raise ConstraintViolated(
                 f"mode {i}: A, B, C, D must all be positive, got {a}, {b}, {c}, {d}")
-        consts.append(SolitonConstants(p=p, gamma=gamma, A=a, B=b, C=c, D=d))
-    kp = KPParams(0, span, params.alpha - 1, params.alpha,
-                  tuple((c.p, span - c.p, c.gamma) for c in consts))
-    return tuple(consts), kp
+        modes.append((p, span - p, gamma))
+    return KPParams(0, span, params.alpha - 1, params.alpha, tuple(modes))
 
 
 def _span(params: SystemParams) -> Fraction:
@@ -233,7 +205,7 @@ def _walk(terms: list[int], lo: int, hi: int, anchor: int,
 def _tau_grid(kp: KPParams, t0: int, n0: int,
               row_lengths: Sequence[int]) -> list[list[tuple[int, int]]]:
     """Integer (f, g) pairs at (t0 + j, n0 + k) for k < row_lengths[j], for
-    the reduced ``kp`` of :func:`_soliton_kp`.
+    the reduced ``kp`` of :func:`validate`.
 
     The pair at (t, n) is the subset sums of :func:`_kp_base` at
     (0, 0, t, n): f is the sum of its terms, and g the sum of those times
@@ -259,25 +231,6 @@ def _tau_grid(kp: KPParams, t0: int, n0: int,
             for row, length in zip(_walk(terms, t0, t1, ta, t_up, t_down), row_lengths)]
 
 
-def tau_f(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
-          t: int, n: int) -> Fraction:
-    """First tau function at (t, n), the reduced tau at (0, 0, t, n)."""
-    return kp_tau(_soliton_kp(params, solitons)[1], 0, 0, t, n)
-
-
-def tau_g(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
-          t: int, n: int) -> Fraction:
-    """Second tau function at (t, n), the reduced tau at (1, 0, t, n)."""
-    return kp_tau(_soliton_kp(params, solitons)[1], 1, 0, t, n)
-
-
-def sample_xy(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
-              t: int, n: int) -> tuple[Fraction, Fraction]:
-    """Exact (x, y) of the N-soliton state at one lattice point."""
-    field = sample_field(params, solitons, (t, t), (n, n))
-    return field.xs[0][0], field.ys[0][0]
-
-
 def _window_taus(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
                  t_range: tuple[int, int], n_range: tuple[int, int], t_shift: bool,
                  ) -> list[list[tuple[int, int]]]:
@@ -297,7 +250,7 @@ def _window_taus(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
         raise WindowTooSmall(f"empty range: t {t_range}, n {n_range}")
     nn = n1 - n0 + 1
     rows = [nn + 1] * (t1 - t0 + 1) + ([nn] if t_shift else [])
-    taus = _tau_grid(_soliton_kp(params, solitons)[1], t0, n0, rows)
+    taus = _tau_grid(validate(params, solitons), t0, n0, rows)
     for j, row in enumerate(taus):
         if not all(map(all, row)):
             k = next(k for k, pair in enumerate(row) if not all(pair))
@@ -336,6 +289,49 @@ def sample_x_float(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
     taus = _window_taus(params, solitons, t_range, n_range, t_shift=False)
     return [[f00 * gn / (g00 * fn) for (f00, g00), (fn, gn) in zip(row, row[1:])]
             for row in taus]
+
+
+def check_exactness(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
+                    t_range: tuple[int, int], n_range: tuple[int, int],
+                    ) -> list[list[bool]]:
+    """Per-site verdicts of the two-parameter map on the N-soliton state.
+
+    Row j, column k says whether the map sends x and y at site (t0 + j,
+    n0 + k) to the next row's x and the next column's y, as
+    :func:`_exact_sites` decides it on the unreduced integer taus of the
+    sites and of their t- and n-shifts.  Both ranges are inclusive.
+    """
+    t0, t1 = t_range
+    if t1 < t0:
+        raise WindowTooSmall(f"empty range: t {t_range}")
+    taus = _window_taus(params, solitons, (t0, t1 + 1), n_range, t_shift=False)
+    return _exact_sites(taus, _gkdv_constants(params))
+
+
+def _exact_sites(taus: list[list[tuple[int, int]]], consts: tuple[int, ...]) -> list[list[bool]]:
+    """Per-site verdicts of the two-point map with ``lattice._map_constants``
+    ``consts`` on a grid of integer taus (f, g), making no Fraction and no gcd.
+
+    Site (j, k) reads f, g there, fn, gn at (j, k+1), ft, gt at (j+1, k), ftn,
+    gtn at (j+1, k+1).  R is homogeneous in x*y = P/Q, P = gn*ft, Q = fn*gt:
+    R = N1*l2 / (N2*l1), N1 = C1*Q + D1*P, N2 = C2*Q + D2*P.  A site passes when
+    N1, N2 != 0 and x' = R*y is x at (j+1, k): gtn*f*N2*l1 == ftn*g*N1*l2.  Then
+    y~ = x/R is y at (j, k+1), as the map keeps x*y and tau ratios have x*y at
+    (j, k) = x(j+1, k)*y(j, k+1) identically; so these are the reduced x', y~ verdicts.
+    Both sides of the equation, and N1 and N2, are homogeneous in each of the
+    four (f, g) pairs a site reads, so the verdicts do not depend on the scale
+    of any pair, as :func:`_window_taus` requires.
+    """
+    c1, d1, c2, d2, _, l1, l2 = consts
+
+    def exact(f, g, fn, gn, ft, gt, ftn, gtn) -> bool:
+        p, q = gn * ft, fn * gt
+        n1, n2 = (c1 * q + d1 * p) * l2, (c2 * q + d2 * p) * l1
+        return n1 != 0 and n2 != 0 and gtn * f * n2 == ftn * g * n1
+
+    return [[exact(*here, *right, *above, *diag)
+             for here, right, above, diag in zip(row, row[1:], up, up[1:])]
+            for row, up in zip(taus, taus[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +503,9 @@ def random_kp_params(rng: Random, n_modes: int, *, constrained: bool = False) ->
     """Draw a small random valid KPParams; deterministic for a seeded rng.
 
     With ``constrained=True`` the modes satisfy q_i = a1 + a2 - p_i, the
-    premise of :func:`check_reduction`.
+    premise of :func:`check_reduction`.  Raises DrawExhausted when 200
+    draws find no admissible value for a mode, as happens for good once
+    the pool of small fractions runs short of distinct values.
     """
 
     def small() -> Fraction:
@@ -515,26 +513,25 @@ def random_kp_params(rng: Random, n_modes: int, *, constrained: bool = False) ->
 
     while True:
         a1, a2, b, c = (small() for _ in range(4))
-        if len({a1, a2, b, c}) != 4:
-            continue
-        modes: list[tuple[Fraction, Fraction, Fraction]] = []
-        for _ in range(n_modes):
-            for _attempt in range(200):
-                p = small()
-                q = a1 + a2 - p if constrained else small()
-                try:  # KPParams rejects a (p, q) that clashes with anything
-                    KPParams(a1, a2, b, c, (*modes, (p, q, ONE)))
-                except (DegenerateP, DuplicateP, DenominatorClash):
-                    continue
-                g = small()
-                if g == 0:
-                    continue
-                modes.append((p, q, g))
-                break
-            else:
-                break
-        if len(modes) == n_modes:
-            return KPParams(a1, a2, b, c, tuple(modes))
+        if len({a1, a2, b, c}) == 4:
+            break
+    modes: list[tuple[Fraction, Fraction, Fraction]] = []
+    for i in range(n_modes):
+        for _attempt in range(200):
+            p = small()
+            q = a1 + a2 - p if constrained else small()
+            try:  # KPParams rejects a (p, q) that clashes with anything
+                KPParams(a1, a2, b, c, (*modes, (p, q, ONE)))
+            except (DegenerateP, DuplicateP, DenominatorClash):
+                continue
+            g = small()
+            if g == 0:
+                continue
+            modes.append((p, q, g))
+            break
+        else:
+            raise DrawExhausted(n_modes, i)
+    return KPParams(a1, a2, b, c, tuple(modes))
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,25 @@ def one_soliton_constants(alpha: Fraction, beta: Fraction, p: Fraction,
     return a, b, c, d
 
 
+def cofactor_tau(alpha: Fraction, beta: Fraction, modes: Sequence[tuple[Fraction, Fraction]],
+                 t: int, n: int, weighted: bool) -> Fraction:
+    """f(t, n) of the N-soliton state with (p, gamma) ``modes``, or g(t, n)
+    when ``weighted``, as the documented matrix
+
+        delta_ij + gamma_i A_i^t B_i^n (D_i) / (p_i + p_j + 1 - alpha - beta),
+
+    assembled with the constants of :func:`one_soliton_constants` and
+    expanded by cofactors.
+    """
+    dc = 1 - alpha - beta
+    rows = []
+    for i, (p, gamma) in enumerate(modes):
+        a, b, _, d = one_soliton_constants(alpha, beta, p, gamma)
+        w = gamma * a ** t * b ** n * (d if weighted else 1)
+        rows.append([(1 if i == j else 0) + w / (p + pj + dc) for j, (pj, _) in enumerate(modes)])
+    return det_cofactor(rows)
+
+
 def one_soliton_xy(alpha: Fraction, beta: Fraction, p: Fraction,
                    gamma: Fraction, t: int, n: int) -> tuple[Fraction, Fraction]:
     """Exact (x, y) of one soliton from the scalar tau functions.
@@ -303,7 +322,7 @@ def exactness_longhand(field: LatticeField, consts: tuple[int, ...]) -> list[lis
     field, passes when the two-point map with constants ``consts`` sends the
     reduced x and y there to the x at (j+1, k) and the y at (j, k+1), both
     compared as reduced fractions.  A vanishing map denominator fails the
-    site.  The integer check on unreduced taus, ``cli._exact_sites``, must
+    site.  The integer check on unreduced taus, ``solitons._exact_sites``, must
     give the same verdict at every site.
     """
     def exact_at(j: int, k: int) -> bool:

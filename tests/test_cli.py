@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from solitonlab import solitons
-from solitonlab.cli import _exact_sites, build_parser, run
+from solitonlab.cli import build_parser, run
 from solitonlab.lattice import SystemParams, _gkdv_constants
 
 from _oracles import exactness_longhand
@@ -361,10 +361,11 @@ def test_exact_sites_match_the_reduced_fraction_verdicts(regime, n_modes, data):
         taus[j][k + 1] = (a.numerator * ft, -(a.denominator - a.numerator) * gt)
     with mock.patch.object(solitons, "_window_taus", lambda *args, **kwargs: taus):
         field = solitons.sample_field(params, modes, t_range, n_range)
-    got = _exact_sites([row[:g + 1] for row in taus[:g + 1]], consts)
+    got = solitons._exact_sites([row[:g + 1] for row in taus[:g + 1]], consts)
     assert got == exactness_longhand(field, consts)
     if breakage == "none":
         assert all(map(all, got))
+        assert solitons.check_exactness(params, modes, (t0, t0 + g - 1), (n0, n0 + g - 1)) == got
     elif breakage in ("n1", "n2"):
         assert not got[j][k]
 
@@ -405,7 +406,8 @@ def test_grid_consumers_are_homogeneous_per_point(regime, n_modes, data):
             j, k = rng.randint(0, g), rng.randint(0, g)
             f, gg = taus[j][k]
             taus[j][k] = (f + rng.choice([-1, 1]), gg)
-    assert _exact_sites(_scale_each_point(taus, rng), consts) == _exact_sites(taus, consts)
+    check = solitons._exact_sites
+    assert check(_scale_each_point(taus, rng), consts) == check(taus, consts)
 
 
 def test_verify_exactness_reads_taus_scaled_per_point_alike(capsys, monkeypatch):

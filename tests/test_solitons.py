@@ -16,11 +16,8 @@ from solitonlab import (
     random_kp_params,
     sample_field,
     sample_x_float,
-    sample_xy,
     scan_monotonicity,
     step_gkdv,
-    tau_f,
-    tau_g,
     validate,
     velocity,
 )
@@ -29,6 +26,7 @@ from solitonlab.errors import (
     ConstraintViolated,
     DegenerateP,
     DenominatorClash,
+    DrawExhausted,
     DuplicateP,
     GammaSignCondition,
     GridTooSmall,
@@ -39,6 +37,7 @@ from solitonlab.errors import (
 )
 
 from _oracles import (
+    cofactor_tau,
     det_cofactor,
     kp_matrix_longhand,
     one_soliton_constants,
@@ -228,11 +227,23 @@ def test_velocity_regimes():
 
 
 def test_validate_accepts_the_reference_pair():
-    consts = validate(REF_PARAMS, REF_SOLITONS)
-    assert [c.A for c in consts] == [Fraction(8, 3), Fraction(9, 2)]
-    assert [c.B for c in consts] == [Fraction(2, 7), Fraction(1, 8)]
-    assert [c.C for c in consts] == [Fraction(1, 3), Fraction(1, 21)]
-    assert [c.D for c in consts] == [Fraction(19, 4), Fraction(22)]
+    kp = validate(REF_PARAMS, REF_SOLITONS)
+    assert isinstance(kp, KPParams)
+    assert (kp.a1, kp.a2, kp.b, kp.c) == (0, SPAN, Fraction(-1, 6), Fraction(5, 6))
+    assert kp.modes == tuple((p, SPAN - p, gamma) for p, gamma in REF_SOLITONS)
+
+
+def test_the_reduction_carries_the_soliton_constants():
+    # r_{i,b} = A_i, r_{i,c} = B_i, r_{i,a1} = D_i and gamma_i / (p_i - q_i) = C_i
+    kp = validate(REF_PARAMS, REF_SOLITONS)
+
+    def r(d):
+        return [(q - d) / (p - d) for p, q, _ in kp.modes]
+
+    assert r(kp.b) == [Fraction(8, 3), Fraction(9, 2)]
+    assert r(kp.c) == [Fraction(2, 7), Fraction(1, 8)]
+    assert r(kp.a1) == [Fraction(19, 4), Fraction(22)]
+    assert [g / (p - q) for p, q, g in kp.modes] == [Fraction(1, 3), Fraction(1, 21)]
 
 
 def test_validate_rejects_bad_modes():
@@ -314,25 +325,14 @@ def valid_single_mode(draw):
 @settings(max_examples=80, deadline=None)
 def test_single_mode_matches_scalar_closed_form(mode, t, n):
     (params, p, gamma) = mode
-    x, y = sample_xy(params, [(p, gamma)], t, n)
-    assert (x, y) == one_soliton_xy(params.alpha, params.beta, p, gamma, t, n)
+    # one point is a 1 x 1 window
+    field = sample_field(params, [(p, gamma)], (t, t), (n, n))
+    x, y = one_soliton_xy(params.alpha, params.beta, p, gamma, t, n)
+    assert (field.xs, field.ys) == ([[x]], [[y]])
 
 
 FIVE = REF_SOLITONS + [(Fraction(1, 2), Fraction(1, 5)), (Fraction(3, 5), Fraction(2, 7)),
                        (Fraction(1, 10), Fraction(-3, 4))]
-
-
-def cofactor_tau(consts, t, n, weighted, params=REF_PARAMS):
-    """The documented matrix, assembled by hand and expanded independently."""
-    dc = params.delta_cap
-    rows = []
-    for i, ci in enumerate(consts):
-        w = ci.gamma * ci.A ** t * ci.B ** n
-        if weighted:
-            w *= ci.D
-        rows.append([(1 if i == j else 0) + w / (ci.p + cj.p + dc)
-                     for j, cj in enumerate(consts)])
-    return det_cofactor(rows)
 
 
 def test_tau_assembly_against_cofactor_expansion():
@@ -341,22 +341,22 @@ def test_tau_assembly_against_cofactor_expansion():
             (REF_SOLITONS, 0, 0, False), (REF_SOLITONS, 2, -3, False),
             (REF_SOLITONS, -1, 4, True), (REF_SOLITONS, 3, 2, True),
             (three, -3, -5, False), (three, -3, -5, True)]:
-        expected = cofactor_tau(validate(REF_PARAMS, modes), t, n, weighted)
-        got = (tau_g if weighted else tau_f)(REF_PARAMS, modes, t, n)
-        assert got == expected
+        # f is the reduced tau at (0, 0, t, n) and g the one at (1, 0, t, n)
+        got = kp_tau(validate(REF_PARAMS, modes), int(weighted), 0, t, n)
+        assert got == cofactor_tau(REF_PARAMS.alpha, REF_PARAMS.beta, modes, t, n, weighted)
 
 
 @pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 5])
 def test_sample_field_against_cofactor_cross_ratios(n_modes):
-    # every x and y of a window that straddles t = 0 and n = 0; unlike
-    # tau_f and tau_g, this reaches the power tables past the grid origin
+    # every x and y of a window that straddles t = 0 and n = 0, so the walk
+    # steps both ways from the grid origin
     modes = FIVE[:n_modes]
-    consts = validate(REF_PARAMS, modes)
     taus = {}
 
     def tau(t, n, weighted):
         if (t, n, weighted) not in taus:
-            taus[t, n, weighted] = cofactor_tau(consts, t, n, weighted)
+            taus[t, n, weighted] = cofactor_tau(REF_PARAMS.alpha, REF_PARAMS.beta,
+                                                modes, t, n, weighted)
         return taus[t, n, weighted]
 
     field = sample_field(REF_PARAMS, modes, (-3, 2), (-5, 4))
@@ -394,17 +394,18 @@ def test_soliton_taus_are_the_reduced_kp_tau(system, point):
     # f = tau(0, 0, t, n) and g = tau(1, 0, t, n) of the reduction; the
     # constraint p_i + q_i = a1 + a2 also makes g = tau(0, -1, t, n)
     params, modes = system
-    consts, kp = solitons._soliton_kp(params, modes)
-    assert consts == validate(params, modes)
+    kp = validate(params, modes)
     assert check_kp_bilinear(kp, point) == (0, 0)
     assert check_reduction(kp, point) == 0
     _, _, t, n = point
-    assert tau_f(params, modes, t, n) == cofactor_tau(consts, t, n, False, params)
-    assert tau_g(params, modes, t, n) == cofactor_tau(consts, t, n, True, params)
-    assert tau_g(params, modes, t, n) == kp_tau(kp, 0, -1, t, n)
+    f, g = (cofactor_tau(params.alpha, params.beta, modes, t, n, weighted)
+            for weighted in (False, True))
+    assert kp_tau(kp, 0, 0, t, n) == f
+    assert kp_tau(kp, 1, 0, t, n) == g
+    assert kp_tau(kp, 0, -1, t, n) == g
 
 
-def test_sample_xy_skips_the_unused_corner(monkeypatch):
+def test_one_point_sample_field_skips_the_unused_corner(monkeypatch):
     # x needs the n-shifted taus and y the t-shifted ones; nothing needs both
     calls = []
     real = solitons._tau_grid
@@ -414,7 +415,7 @@ def test_sample_xy_skips_the_unused_corner(monkeypatch):
         return real(kp, t0, n0, row_lengths)
 
     monkeypatch.setattr(solitons, "_tau_grid", spy)
-    sample_xy(REF_PARAMS, REF_SOLITONS, 2, -3)
+    sample_field(REF_PARAMS, REF_SOLITONS, (2, 2), (-3, -3))
     assert calls == [[2, 1]]
 
 
@@ -557,7 +558,7 @@ def test_tau_grid_is_canonical(regime, n_modes, data):
     # shift column left of n = 0, read the same integers as any other
     params, modes, (t0, t1), (n0, n1) = data.draw(tau_windows(regime, n_modes))
     t_shift = data.draw(st.booleans())
-    kp = solitons._soliton_kp(params, modes)[1]
+    kp = validate(params, modes)
     rows = [n1 - n0 + 2] * (t1 - t0 + 1) + ([n1 - n0 + 1] if t_shift else [])
     grid = solitons._tau_grid(kp, t0, n0, rows)
     assert grid == tau_grid_longhand(kp, t0, n0, rows)
@@ -596,6 +597,9 @@ def test_two_soliton_field_solves_the_lattice_equation():
 def test_sample_field_window_validation():
     with pytest.raises(WindowTooSmall):
         sample_field(REF_PARAMS, REF_SOLITONS, (3, 2), (0, 4))
+    for t_range, n_range in (((3, 2), (0, 4)), ((0, 4), (3, 2))):
+        with pytest.raises(WindowTooSmall):
+            solitons.check_exactness(REF_PARAMS, REF_SOLITONS, t_range, n_range)
 
 
 def test_vacuum_field_is_flat():
@@ -649,6 +653,15 @@ def test_random_kp_params_draws_are_pinned():
                         (F(-8, 7), F(1171, 504), F(5, 3)),
                         (F(-1), F(157, 72), F(-7)))
     assert rng.randrange(10 ** 6) == 37384
+
+
+def test_random_kp_params_raises_when_a_mode_cannot_be_drawn():
+    # 60 modes need 2 * 60 + 4 distinct values from a pool of 111 small
+    # fractions; the draw gives up on the first mode it cannot place
+    with pytest.raises(DrawExhausted, match="of a 60-mode draw") as info:
+        random_kp_params(Random(0), 60)
+    assert info.value.n_modes == 60
+    assert 2 * info.value.index + 4 <= 111
 
 
 def test_kp_tau_is_rational_and_nonzero_at_origin():
