@@ -84,19 +84,34 @@ def _two_point(x: Rat, y: Rat, k: tuple[int, ...], site: int | None = None,
                ) -> tuple[Fraction, Fraction]:
     """The two-point map (x, y) -> (R*y, x/R), on numerators and denominators.
 
-    ``k`` holds the constants of R from :func:`_map_constants`.  R is reduced
-    by a gcd with the small K and by the scales; the products with y and x
-    are then reduced by operand-sized cross gcds, as ``Fraction``
-    multiplication does, never by one gcd of the full products.  Raises
-    :class:`ZeroDenominator` naming ``site`` when N1 or N2 vanishes.
+    ``k`` holds the constants of R from :func:`_map_constants`.  Only two
+    gcds per site take two full-size operands, g1 = gcd(xn, yd) and
+    g2 = gcd(yn, xd); every other gcd has a small operand or, on solution
+    rows, a divisor of the other.  With a = xn/g1, h = yd/g1, b = yn/g2 and
+    e = xd/g2, the product w = x*y is a*b / (e*h) in lowest terms, since a
+    and h, b and e, a and e, and b and h are coprime.
+
+    R is reduced by a gcd with the small K and by the scales, to rn/rd.
+    Then N1 = C1*e*h + D1*a*b shares with h only factors of D1 and with a
+    only factors of C1; likewise N2 shares with b only factors of C2 and
+    with e only factors of D2.  A factor of rn beyond N1 divides l2, and
+    one of rd beyond N2 divides l1.  For u1 = gcd(rn, g1), rn/u1 and g1/u1
+    are coprime, so gcd(rn, yd) = gcd(rn, g1*h) = u1 * gcd(rn/u1, h), and
+    gcd(rn/u1, h) divides D1*l2; gcd(xn, rn) = u1 * gcd(rn/u1, a) likewise,
+    through C1*l2.  u2 = gcd(rd, g2) gives gcd(yn, rd) through C2*l1 and
+    gcd(rd, xd) through D2*l1.  These four cross gcds reduce x' = rn*yn /
+    (rd*yd) and y~ = rd*xn / (rn*xd), as ``Fraction`` multiplication does.
+    Raises :class:`ZeroDenominator` naming ``site`` when N1 or N2 vanishes.
     """
     c1, d1, c2, d2, big_k, l1, l2 = k
     xn, xd = x.numerator, x.denominator
     yn, yd = y.numerator, y.denominator
     g1 = gcd(xn, yd)
     g2 = gcd(yn, xd)
-    p = (xn // g1) * (yn // g2)
-    q = (xd // g2) * (yd // g1)
+    a, h = xn // g1, yd // g1
+    b, e = yn // g2, xd // g2
+    p = a * b
+    q = e * h
     n1 = c1 * q + d1 * p
     n2 = c2 * q + d2 * p
     if not n1 or not n2:
@@ -105,21 +120,30 @@ def _two_point(x: Rat, y: Rat, k: tuple[int, ...], site: int | None = None,
     g = gcd(gcd(n1, big_k), n2)
     n1 //= g
     n2 //= g
-    g1 = gcd(n1, l1)
-    g2 = gcd(n2, l2)
-    rn = (n1 // g1) * (l2 // g2)
-    rd = (n2 // g2) * (l1 // g1)
+    s1 = gcd(n1, l1)
+    s2 = gcd(n2, l2)
+    rn = (n1 // s1) * (l2 // s2)
+    rd = (n2 // s2) * (l1 // s1)
     if rd < 0:
         rn, rd = -rn, -rd
-    # x' = rn*yn / (rd*yd) and y~ = rd*xn / (rn*xd), each pair of factors
-    # already coprime on its own
-    g1 = gcd(rn, yd)
-    g2 = gcd(yn, rd)
-    x_up = _coprime_fraction((rn // g1) * (yn // g2), (rd // g2) * (yd // g1))
-    g1 = gcd(rd, xd)
-    g2 = gcd(xn, rn)
-    num = (rd // g1) * (xn // g2)
-    den = (rn // g2) * (xd // g1)
+    # on solution rows g1 divides rn and g2 divides rd, so each costs one division
+    u1 = gcd(rn, g1)
+    u2 = gcd(rd, g2)
+    rn //= u1
+    rd //= u2
+    g1 //= u1
+    g2 //= u2
+    # now x' = rn*b*g2 / (rd*h*g1) and y~ = rd*a*g1 / (rn*e*g2), and only
+    # the small-factor gcds gcd(rn, h), gcd(b, rd), gcd(rd, e) and
+    # gcd(a, rn) are left to divide out
+    f1 = gcd(gcd(h, d1 * l2), rn)
+    f2 = gcd(gcd(b, c2 * l1), rd)
+    x_up = _coprime_fraction((rn // f1) * (b // f2) * g2,
+                             (rd // f2) * (h // f1) * g1)
+    f3 = gcd(gcd(e, d2 * l1), rd)
+    f4 = gcd(gcd(a, c1 * l2), rn)
+    num = (rd // f3) * (a // f4) * g1
+    den = (rn // f4) * (e // f3) * g2
     if den < 0:
         num, den = -num, -den
     return x_up, _coprime_fraction(num, den)

@@ -515,19 +515,25 @@ def random_kp_params(rng: Random, n_modes: int, *, constrained: bool = False) ->
         a1, a2, b, c = (small() for _ in range(4))
         if len({a1, a2, b, c}) == 4:
             break
+    dirs = {a1, a2, b, c}
+    ps: set[Fraction] = set()
+    qs: set[Fraction] = set()
     modes: list[tuple[Fraction, Fraction, Fraction]] = []
     for i in range(n_modes):
         for _attempt in range(200):
             p = small()
             q = a1 + a2 - p if constrained else small()
-            try:  # KPParams rejects a (p, q) that clashes with anything
-                KPParams(a1, a2, b, c, (*modes, (p, q, ONE)))
-            except (DegenerateP, DuplicateP, DenominatorClash):
+            # the checks of KPParams, on the new (p, q) only: no direction,
+            # no repeat, and no p equal to any q, its own included
+            if (p in dirs or q in dirs or p in ps or q in qs or p in qs
+                    or q in ps or p == q):
                 continue
             g = small()
             if g == 0:
                 continue
             modes.append((p, q, g))
+            ps.add(p)
+            qs.add(q)
             break
         else:
             raise DrawExhausted(n_modes, i)

@@ -12,7 +12,15 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
-from solitonlab.errors import ZeroDenominator
+from random import Random
+
+from solitonlab.errors import (
+    DegenerateP,
+    DenominatorClash,
+    DrawExhausted,
+    DuplicateP,
+    ZeroDenominator,
+)
 from solitonlab.lattice import LatticeField, _two_point
 from solitonlab.solitons import KPParams, _kp_sums
 
@@ -122,6 +130,20 @@ def yb_map_longhand(u: Fraction, v: Fraction, a: Fraction, b: Fraction,
     den_a = 1 + a * w
     den_b = 1 + b * w
     return den_b * v / den_a, den_a * u / den_b
+
+
+def two_point_longhand(x: Fraction, y: Fraction, c1: Fraction, d1: Fraction,
+                       c2: Fraction, d2: Fraction) -> tuple[Fraction, Fraction]:
+    """The two-point map as ``Fraction`` arithmetic.
+
+    x' = (c1 + d1*x*y) / (c2 + d2*x*y) * y and y~ = (c2 + d2*x*y) /
+    (c1 + d1*x*y) * x; every intermediate is reduced by ``Fraction``.
+    Raises ZeroDivisionError when either bracket vanishes.
+    """
+    w = x * y
+    top = c1 + d1 * w
+    bottom = c2 + d2 * w
+    return top / bottom * y, bottom / top * x
 
 
 def bbsc_sweep_longhand(u: Sequence[int], c_box: int, c_carrier
@@ -293,6 +315,38 @@ def kp_matrix_longhand(a1: Fraction, a2: Fraction, b: Fraction, c: Fraction,
         rows.append([(1 if i == j else 0) + gamma * phase / (p - qj)
                      for j, (_, qj, _) in enumerate(modes)])
     return rows
+
+
+def random_kp_params_longhand(rng: Random, n_modes: int, *,
+                              constrained: bool = False) -> KPParams:
+    """``solitons.random_kp_params`` as first written: each candidate (p, q)
+    is tried by building a whole ``KPParams`` with every mode drawn so far,
+    which re-checks every pair."""
+
+    def small() -> Fraction:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    while True:
+        a1, a2, b, c = (small() for _ in range(4))
+        if len({a1, a2, b, c}) == 4:
+            break
+    modes: list[tuple[Fraction, Fraction, Fraction]] = []
+    for i in range(n_modes):
+        for _attempt in range(200):
+            p = small()
+            q = a1 + a2 - p if constrained else small()
+            try:
+                KPParams(a1, a2, b, c, (*modes, (p, q, Fraction(1))))
+            except (DegenerateP, DuplicateP, DenominatorClash):
+                continue
+            g = small()
+            if g == 0:
+                continue
+            modes.append((p, q, g))
+            break
+        else:
+            raise DrawExhausted(n_modes, i)
+    return KPParams(a1, a2, b, c, tuple(modes))
 
 
 def tau_grid_longhand(kp: KPParams, t0: int, n0: int,

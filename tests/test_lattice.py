@@ -1,6 +1,6 @@
 import io
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,12 +11,15 @@ from solitonlab import (
     dkdv_local,
     evolve_gkdv,
     gkdv_local,
+    lattice,
     limit_chain_check,
+    sample_field,
     scale_to_yb,
     step_dkdv,
     step_gkdv,
     yb_map,
 )
+from solitonlab.lattice import _map_constants, _two_point
 from solitonlab.errors import (
     NonPositiveParameter,
     ParamOutOfRange,
@@ -25,7 +28,12 @@ from solitonlab.errors import (
     ZeroDenominator,
 )
 
-from _oracles import dkdv_local_longhand, gkdv_local_longhand, yb_map_longhand
+from _oracles import (
+    dkdv_local_longhand,
+    gkdv_local_longhand,
+    two_point_longhand,
+    yb_map_longhand,
+)
 
 # open interval (0, 1), exact
 unit_open = st.fractions(
@@ -193,6 +201,103 @@ def test_yb_map_matches_longhand(pair, data):
     u, v = pair
     a, b = data.draw(map_constant(u * v)), data.draw(map_constant(u * v))
     _same_fractions_as(yb_map_longhand, yb_map, u, v, a, b)
+
+
+# 2, 3, 5 and 7 are the primes of the constants below; operands built from
+# their powers times random cofactors share small factors with N1 and N2, so
+# each of the kernel's four small-factor gcds is often nontrivial
+seven_smooth = st.lists(st.integers(0, 6), min_size=4, max_size=4).map(
+    lambda e: prod(pr ** k for pr, k in zip((2, 3, 5, 7), e)))
+smooth_int = st.builds(lambda s, bits, r: s * (r % 2 ** bits + 1),
+                       seven_smooth, st.integers(0, 200), st.integers(0, 2 ** 200))
+smooth_const = st.builds(lambda s, n, d: Fraction(s * n, d), st.sampled_from([1, -1]),
+                         st.sampled_from([1, 2, 3, 5, 6, 7, 14, 15, 21, 35]),
+                         st.sampled_from([1, 2, 3, 4, 6, 9, 10, 15, 28]))
+smooth_positive = smooth_const.map(abs)
+smooth_unit = st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(4, 5),
+                               Fraction(5, 6), Fraction(6, 7), Fraction(7, 9), Fraction(14, 15),
+                               Fraction(1, 6), Fraction(3, 10), Fraction(5, 14)])
+
+
+@st.composite
+def smooth_operands(draw):
+    """(x, y) of either sign with xn and yd (and yn and xd) sharing a factor,
+    each part a 7-smooth number times a random cofactor; sometimes a zero."""
+    s1, s2, xn, xd, yn, yd = (draw(smooth_int) for _ in range(6))
+    sx, sy = draw(st.sampled_from([1, -1])), draw(st.sampled_from([1, -1]))
+    zeros = draw(st.sampled_from(["", "", "", "", "x", "y", "xy"]))
+    return (Fraction(0) if "x" in zeros else Fraction(sx * xn * s1, xd * s2),
+            Fraction(0) if "y" in zeros else Fraction(sy * yn * s2, yd * s1))
+
+
+def _gkdv_set(ab):
+    alpha, beta = ab
+    return (1 - beta, beta, 1 - alpha, alpha)
+
+
+def _limit_chain_set(a, b):
+    delta = 1 / b
+    return (1 + delta, (1 + delta) / a, 1, delta)
+
+
+# (c1, d1, c2, d2) of every map that calls the kernel
+two_point_constants = st.one_of(
+    shared_denominators.map(_gkdv_set),                        # gkdv_local
+    smooth_unit.map(lambda a: _gkdv_set((a, a))),              # alpha = beta, K = 0
+    smooth_const.map(lambda d: (1 + d, Fraction(0), Fraction(1), d)),  # dkdv_local, D1 = 0
+    st.builds(lambda a, b: (Fraction(1), b, Fraction(1), a),   # yb_map
+              smooth_const, smooth_const),
+    st.builds(_limit_chain_set, smooth_positive, smooth_positive),  # limit_chain_check
+)
+
+
+@given(smooth_operands(), two_point_constants)
+@settings(max_examples=500, deadline=None)
+def test_two_point_matches_longhand_on_smooth_operands(pair, consts):
+    x, y = pair
+    try:
+        expected = two_point_longhand(x, y, *consts)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDenominator):
+            _two_point(x, y, _map_constants(*consts))
+        return
+    got = _two_point(x, y, _map_constants(*consts))
+    assert [(v.numerator, v.denominator) for v in got] == [
+        (v.numerator, v.denominator) for v in expected]
+    assert all(type(v) is Fraction and _lowest_terms(v) for v in got)
+
+
+def test_two_full_size_gcds_per_site_on_a_solution_row(monkeypatch):
+    """A cost guard that needs no timing.  On a sampled two-soliton row the
+    kernel takes at most four gcds per site whose operands both exceed
+    2**64: g1 and g2, and the two gcds with their cofactors, which on a
+    solution cost one division each.  Reducing x' and y~ by full-size cross
+    gcds, as ``Fraction`` multiplication does, takes six."""
+    params = SystemParams(Fraction(5, 6), Fraction(14, 15))
+    modes = [(Fraction(2, 15), Fraction(-1, 6)), (Fraction(1, 30), Fraction(-1, 30))]
+    t_range, n_range = (-3, 12), (-20, 40)
+    row0 = sample_field(params, modes, (-3, -3), n_range).xs[0]
+    edge = sample_field(params, modes, t_range, (-20, -20)).ys
+    per_site: list[int] = []
+
+    def counting_gcd(a, b):
+        if abs(a) >> 64 and abs(b) >> 64:
+            per_site[-1] += 1
+        return gcd(a, b)
+
+    def counting_two_point(*args):
+        per_site.append(0)
+        return _two_point(*args)
+
+    monkeypatch.setattr(lattice, "gcd", counting_gcd)
+    monkeypatch.setattr(lattice, "_two_point", counting_two_point)
+    field = evolve_gkdv(row0, params, 15, n_lo=-20, t0=-3, y_left=[y for (y,) in edge])
+    monkeypatch.undo()
+    assert field == sample_field(params, modes, t_range, n_range)
+    assert len(per_site) == 16 * 61
+    assert max(per_site) <= 4
+    # the operands are full size: most sites do take four
+    assert per_site.count(4) > len(per_site) // 2
 
 
 def test_dkdv_and_yb_vanishing_denominators():

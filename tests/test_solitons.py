@@ -42,6 +42,7 @@ from _oracles import (
     kp_matrix_longhand,
     one_soliton_constants,
     one_soliton_xy,
+    random_kp_params_longhand,
     tau_grid_longhand,
 )
 
@@ -662,6 +663,17 @@ def test_random_kp_params_raises_when_a_mode_cannot_be_drawn():
         random_kp_params(Random(0), 60)
     assert info.value.n_modes == 60
     assert 2 * info.value.index + 4 <= 111
+
+
+def test_random_kp_params_draws_as_the_whole_set_check_did():
+    # each candidate is checked against the drawn modes only, yet every
+    # seeded draw is the one that rebuilding a whole KPParams per candidate
+    # gave; seeds 0..199 cycle N through 1..30, each N with constrained off
+    # (even seed) and on (odd seed)
+    for seed in range(200):
+        n_modes, constrained = 1 + seed // 2 % 30, bool(seed & 1)
+        assert random_kp_params(Random(seed), n_modes, constrained=constrained) == (
+            random_kp_params_longhand(Random(seed), n_modes, constrained=constrained))
 
 
 def test_kp_tau_is_rational_and_nonzero_at_origin():
