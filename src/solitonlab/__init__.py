@@ -19,14 +19,9 @@ from .exact import Rat, det, rat_parse, rat_str
 from .lattice import (
     LatticeField,
     SystemParams,
-    dkdv_local,
     evolve_gkdv,
     gkdv_local,
-    limit_chain_check,
-    scale_to_yb,
-    step_dkdv,
     step_gkdv,
-    yb_map,
 )
 from .measure import (
     ClusterTrack,
@@ -58,13 +53,11 @@ __all__ = [
     "BBSCState", "ClusterTrack", "KPParams", "LatticeField", "Rat",
     "SystemParams", "TroughTrack",
     "amplitude", "bbsc_step", "bbsc_sweep", "check_exactness", "check_kp_bilinear",
-    "check_reduction", "det", "detect_bbsc_solitons", "dkdv_local",
+    "check_reduction", "det", "detect_bbsc_solitons",
     "evolve_bbsc", "evolve_gkdv", "gkdv_local",
-    "kp_tau", "limit_chain_check", "measure_velocity",
+    "kp_tau", "measure_velocity",
     "overtake_report", "random_kp_params",
     "rat_parse", "rat_str", "render_ascii", "sample_field", "sample_x_float",
-    "scale_to_yb", "scan_monotonicity", "step_dkdv",
-    "step_gkdv", "track_amplitude", "track_troughs",
-    "ud_limit_check", "validate", "velocity",
-    "write_bbsc_csv", "yb_map",
+    "scan_monotonicity", "step_gkdv", "track_amplitude", "track_troughs",
+    "ud_limit_check", "validate", "velocity", "write_bbsc_csv",
 ]

@@ -1,17 +1,10 @@
-"""The two-point lattice map, its relatives, and window evolution.
+"""The two-parameter lattice map and window evolution.
 
-Every map here is the one exact two-point update (x, y) -> (R*y, x/R) with
-R = (c1 + d1*x*y) / (c2 + d2*x*y); only the constants (c1, d1, c2, d2) differ:
-
-* the two-parameter map (``gkdv_local``), with 0 < alpha, beta < 1:
-  (1-beta, beta, 1-alpha, alpha).  It couples a field x, advanced in time,
-  with a carrier field y, advanced in space;
-* the classic one-parameter form (``dkdv_local``): (1+delta, 0, 1, delta);
-* the symmetric normal form (``yb_map``), reached by scaling x and y
-  (``scale_to_yb``): (1, b, 1, a);
-* the normal form read in the frame of the one-parameter form
-  (``limit_chain_check``): (1+delta, (1+delta)/a, 1, delta) with
-  delta = 1/b, which tends to the one-parameter form as a grows.
+The map is one exact two-point update (x, y) -> (R*y, x/R) with
+R = ((1-beta) + beta*x*y) / ((1-alpha) + alpha*x*y), 0 < alpha, beta < 1.
+It couples a field x, advanced in time, with a carrier field y, advanced in
+space.  The kernel takes R in the form (c1 + d1*x*y) / (c2 + d2*x*y), with
+integer constants from ``_map_constants``.
 
 A window [n_lo, n_hi] is advanced by sweeping n left to right; y enters the
 window at the left edge with a value given per row (the solution's own
@@ -29,7 +22,6 @@ from math import gcd, lcm
 from typing import IO, Iterable, Sequence
 
 from .errors import (
-    NonPositiveParameter,
     ParamOutOfRange,
     SolitonEscapedWindow,
     WindowTooSmall,
@@ -54,11 +46,6 @@ class SystemParams:
         if not (0 < self.alpha < 1 and 0 < self.beta < 1):
             raise ParamOutOfRange(
                 f"alpha and beta must lie in (0, 1), got {self.alpha}, {self.beta}")
-
-    @property
-    def delta_cap(self) -> Fraction:
-        """1 - alpha - beta.  Solitons exist exactly when this is negative."""
-        return ONE - self.alpha - self.beta
 
 
 def _map_constants(c1: Rat, d1: Rat, c2: Rat, d2: Rat) -> tuple[int, ...]:
@@ -170,34 +157,6 @@ def gkdv_local(x: Rat, y: Rat, params: SystemParams, site: int | None = None) ->
     return _two_point(x, y, _gkdv_constants(params), site)
 
 
-def dkdv_local(x: Rat, y: Rat, delta: Rat, site: int | None = None) -> tuple[Rat, Rat]:
-    """One local update of the one-parameter form."""
-    return _two_point(x, y, _map_constants(1 + delta, 0, 1, delta), site)
-
-
-def yb_map(u: Rat, v: Rat, a: Rat, b: Rat) -> tuple[Rat, Rat]:
-    """The symmetric normal form of the local update.
-
-    Returns (u', v') with u' = (1 + b*u*v) v / (1 + a*u*v) and
-    v' = (1 + a*u*v) u / (1 + b*u*v).
-    """
-    return _two_point(Fraction(u), Fraction(v), _map_constants(1, b, 1, a))
-
-
-def scale_to_yb(x: Rat, y: Rat, params: SystemParams) -> tuple[Rat, Rat, Rat, Rat]:
-    """Scale a local (x, y) pair into normal-form variables.
-
-    Returns (u, v, a, b) with u = x/(1-beta), v = y/(1-alpha),
-    a = alpha*(1-beta), b = beta*(1-alpha).  Applying :func:`yb_map` to the
-    scaled pair equals scaling the output of :func:`gkdv_local`.
-    """
-    u = Fraction(x) / (ONE - params.beta)
-    v = Fraction(y) / (ONE - params.alpha)
-    a = params.alpha * (ONE - params.beta)
-    b = params.beta * (ONE - params.alpha)
-    return u, v, a, b
-
-
 def _coerce_row(row: Iterable) -> list[Fraction]:
     out = [Fraction(v) for v in row]
     if not out:
@@ -239,12 +198,6 @@ def step_gkdv(x_row: Sequence[Rat], params: SystemParams, *, y_left: Rat = ONE,
     xs = _coerce_row(x_row)
     _warn_if_escaped(xs[-1])
     return _sweep(xs, y_left, _gkdv_constants(params), 0)
-
-
-def step_dkdv(x_row: Sequence[Rat], delta: Rat) -> tuple[list[Fraction], list[Fraction]]:
-    """Advance one window row of the one-parameter form by one time step,
-    with the carrier entering at 1."""
-    return _sweep(_coerce_row(x_row), ONE, _map_constants(1 + delta, 0, 1, delta), 0)
 
 
 @dataclass
@@ -344,33 +297,3 @@ def evolve_gkdv(x0_row: Sequence[Rat], params: SystemParams, steps: int, *,
         cur = nxt
     return LatticeField(n_lo=n_lo, t0=t0, xs=rows_x, ys=rows_y)
 
-
-def limit_chain_check(u: Rat, v: Rat, a_values: Sequence[Rat], b: Rat,
-                      ) -> list[tuple[float, float]]:
-    """Measure how the normal form degenerates into the one-parameter map.
-
-    The input (u, v) is read in the scaled frame that keeps the one-parameter
-    limit finite.  For each ``a`` the pair is pulled back (u/s_u, v/s_v) with
-    s_u*s_v = a*b and s_u/s_v = (b+1)/b, pushed through :func:`yb_map`, and
-    scaled forward again; the scale square roots cancel, which leaves the
-    two-point map with constants (1+delta, (1+delta)/a, 1, delta), delta = 1/b.
-    It is compared against :func:`dkdv_local` with the same delta.  Returns
-    ``[(a, max component discrepancy)]`` in input order, exact but for the
-    final float; the discrepancy decays like 1/a.
-    """
-    u, v, b = Fraction(u), Fraction(v), Fraction(b)
-    if b <= 0:
-        raise NonPositiveParameter(f"b must be positive, got {b}")
-    avs = [Fraction(a) for a in a_values]
-    if any(a <= 0 for a in avs):
-        raise NonPositiveParameter("every a must be positive")
-    if any(a2 <= a1 for a1, a2 in zip(avs, avs[1:])):
-        raise ValueError("a_values must be strictly increasing")
-    delta = ONE / b
-    zeta2, xi2 = dkdv_local(u, v, delta)
-    out: list[tuple[float, float]] = []
-    for a in avs:
-        zeta1, xi1 = _two_point(u, v, _map_constants(1 + delta, (1 + delta) / a, 1, delta))
-        disc = max(abs(zeta1 - zeta2), abs(xi1 - xi2))
-        out.append((float(a), float(disc)))
-    return out

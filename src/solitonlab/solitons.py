@@ -106,7 +106,7 @@ def validate(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]]) -> KPPar
             raise DegenerateP(i)
         if gamma * (p - mid) <= 0:
             raise GammaSignCondition(i)
-        c = gamma / (2 * p + params.delta_cap)
+        c = gamma / (2 * p - span)
         # guaranteed by the checks above; kept as a hard invariant because the
         # taus and the speed and amplitude laws need all four positive
         if not (a > 0 and b > 0 and c > 0 and d > 0):

@@ -107,31 +107,6 @@ def gkdv_local_longhand(x: Fraction, y: Fraction, alpha: Fraction,
     return den_b / den_a * y, den_a / den_b * x
 
 
-def dkdv_local_longhand(x: Fraction, y: Fraction, delta: Fraction,
-                        ) -> tuple[Fraction, Fraction]:
-    """The one-parameter local update as ``Fraction`` arithmetic.
-
-    x' = (1+delta) y / (1 + delta*x*y) and y~ = (1 + delta*x*y) x / (1+delta).
-    Raises ZeroDivisionError when 1 + delta*x*y or 1 + delta vanishes.
-    """
-    den = 1 + delta * x * y
-    one_plus = 1 + delta
-    return one_plus * y / den, den * x / one_plus
-
-
-def yb_map_longhand(u: Fraction, v: Fraction, a: Fraction, b: Fraction,
-                    ) -> tuple[Fraction, Fraction]:
-    """The symmetric normal form as ``Fraction`` arithmetic.
-
-    u' = (1 + b*u*v) v / (1 + a*u*v) and v' = (1 + a*u*v) u / (1 + b*u*v).
-    Raises ZeroDivisionError when either bracket vanishes.
-    """
-    w = u * v
-    den_a = 1 + a * w
-    den_b = 1 + b * w
-    return den_b * v / den_a, den_a * u / den_b
-
-
 def two_point_longhand(x: Fraction, y: Fraction, c1: Fraction, d1: Fraction,
                        c2: Fraction, d2: Fraction) -> tuple[Fraction, Fraction]:
     """The two-point map as ``Fraction`` arithmetic.

@@ -8,32 +8,21 @@ from hypothesis import given, settings, strategies as st
 from solitonlab import (
     LatticeField,
     SystemParams,
-    dkdv_local,
     evolve_gkdv,
     gkdv_local,
     lattice,
-    limit_chain_check,
     sample_field,
-    scale_to_yb,
-    step_dkdv,
     step_gkdv,
-    yb_map,
 )
 from solitonlab.lattice import _map_constants, _two_point
 from solitonlab.errors import (
-    NonPositiveParameter,
     ParamOutOfRange,
     SolitonEscapedWindow,
     WindowTooSmall,
     ZeroDenominator,
 )
 
-from _oracles import (
-    dkdv_local_longhand,
-    gkdv_local_longhand,
-    two_point_longhand,
-    yb_map_longhand,
-)
+from _oracles import gkdv_local_longhand, two_point_longhand
 
 # open interval (0, 1), exact
 unit_open = st.fractions(
@@ -61,20 +50,6 @@ def test_product_is_conserved_pointwise(x, y, params):
 def test_equal_parameters_swap_the_pair(x, y, params):
     eq = SystemParams(params.alpha, params.alpha)
     assert gkdv_local(x, y, eq) == (y, x)
-
-
-@given(positive, positive, st.fractions(min_value=0, max_value=5, max_denominator=20))
-@settings(max_examples=100, deadline=None)
-def test_dkdv_product_conserved(x, y, delta):
-    xp, yn = dkdv_local(x, y, delta)
-    assert xp * yn == x * y
-
-
-def test_dkdv_delta_zero_is_a_swap():
-    assert dkdv_local(Fraction(7, 3), Fraction(2, 5), Fraction(0)) == (
-        Fraction(2, 5),
-        Fraction(7, 3),
-    )
 
 
 def test_param_validation():
@@ -152,55 +127,6 @@ def test_local_map_zero_denominator():
     x = -Fraction(1, 2) / Fraction(1, 2)
     with pytest.raises(ZeroDenominator):
         gkdv_local(x, Fraction(1), params)
-    with pytest.raises(ZeroDenominator):
-        dkdv_local(Fraction(-1), Fraction(1), Fraction(1))
-
-
-def _same_fractions_as(oracle, local, *args):
-    """``local(*args)`` equals ``oracle(*args)`` bit for bit, or raises
-    ZeroDenominator where the oracle divides by zero."""
-    try:
-        expected = oracle(*args)
-    except ZeroDivisionError:
-        with pytest.raises(ZeroDenominator):
-            local(*args)
-        return
-    got = local(*args)
-    assert [(v.numerator, v.denominator, hash(v)) for v in got] == [
-        (v.numerator, v.denominator, hash(v)) for v in expected]
-    assert all(type(v) is Fraction and _lowest_terms(v) for v in got)
-
-
-@st.composite
-def map_operands(draw):
-    """A big (x, y) pair of either sign, sometimes with zeros."""
-    x, y = draw(big_pair())
-    zeros = draw(st.sampled_from(["", "x", "y", "xy"]))
-    return (Fraction(0) if "x" in zeros else x, Fraction(0) if "y" in zeros else y)
-
-
-def map_constant(w: Fraction):
-    """A signed constant c, often one that makes 1 + c or 1 + c*w vanish."""
-    signed = st.builds(lambda s, n, d: Fraction(s * n, d),
-                       st.sampled_from([1, -1]), big_int, big_int)
-    special = [Fraction(0), Fraction(-1)] + ([-1 / w] if w else [])
-    return st.one_of(signed, st.sampled_from(special))
-
-
-@given(map_operands(), st.data())
-@settings(max_examples=300, deadline=None)
-def test_dkdv_local_matches_longhand(pair, data):
-    x, y = pair
-    delta = data.draw(map_constant(x * y))
-    _same_fractions_as(dkdv_local_longhand, dkdv_local, x, y, delta)
-
-
-@given(map_operands(), st.data())
-@settings(max_examples=300, deadline=None)
-def test_yb_map_matches_longhand(pair, data):
-    u, v = pair
-    a, b = data.draw(map_constant(u * v)), data.draw(map_constant(u * v))
-    _same_fractions_as(yb_map_longhand, yb_map, u, v, a, b)
 
 
 # 2, 3, 5 and 7 are the primes of the constants below; operands built from
@@ -235,19 +161,27 @@ def _gkdv_set(ab):
     return (1 - beta, beta, 1 - alpha, alpha)
 
 
-def _limit_chain_set(a, b):
+def _d1_over_a_set(a, b):
     delta = 1 / b
     return (1 + delta, (1 + delta) / a, 1, delta)
 
 
-# (c1, d1, c2, d2) of every map that calls the kernel
+# signed constants of up to ~4k bits, and 0 and -1
+big_const = st.one_of(
+    st.builds(lambda s, n, d: Fraction(s * n, d), st.sampled_from([1, -1]), big_int, big_int),
+    st.sampled_from([Fraction(0), Fraction(-1)]),
+)
+
+# (c1, d1, c2, d2): the map's own constants, and the other shapes of
+# constants that ``_two_point`` accepts
 two_point_constants = st.one_of(
     shared_denominators.map(_gkdv_set),                        # gkdv_local
     smooth_unit.map(lambda a: _gkdv_set((a, a))),              # alpha = beta, K = 0
-    smooth_const.map(lambda d: (1 + d, Fraction(0), Fraction(1), d)),  # dkdv_local, D1 = 0
-    st.builds(lambda a, b: (Fraction(1), b, Fraction(1), a),   # yb_map
+    smooth_const.map(lambda d: (1 + d, Fraction(0), Fraction(1), d)),  # D1 = 0
+    st.builds(lambda a, b: (Fraction(1), b, Fraction(1), a),   # c1 = c2 = 1
               smooth_const, smooth_const),
-    st.builds(_limit_chain_set, smooth_positive, smooth_positive),  # limit_chain_check
+    st.builds(_d1_over_a_set, smooth_positive, smooth_positive),  # d1 = c1/a
+    st.tuples(big_const, big_const, big_const, big_const),     # big, 0 and -1
 )
 
 
@@ -300,32 +234,6 @@ def test_two_full_size_gcds_per_site_on_a_solution_row(monkeypatch):
     assert per_site.count(4) > len(per_site) // 2
 
 
-def test_dkdv_and_yb_vanishing_denominators():
-    x, y = Fraction(3, 7), Fraction(-14, 9)  # x*y = -2/3
-    for delta in (Fraction(-1), Fraction(3, 2)):
-        with pytest.raises(ZeroDenominator):
-            dkdv_local(x, y, delta)
-    for a, b in ((Fraction(3, 2), Fraction(5)), (Fraction(-4), Fraction(3, 2))):
-        with pytest.raises(ZeroDenominator):
-            yb_map(x, y, a, b)
-
-
-@given(positive, positive, system_params())
-@settings(max_examples=100, deadline=None)
-def test_yb_conjugation_is_exact(x, y, params):
-    u, v, a, b = scale_to_yb(x, y, params)
-    xp, yn = gkdv_local(x, y, params)
-    up_direct = scale_to_yb(xp, yn, params)[:2]
-    assert yb_map(u, v, a, b) == up_direct
-
-
-def test_yb_reference_point():
-    # x = y = 1 at alpha = beta = 1/2 scales to u = v = 2 with a = b = 1/4
-    params = SystemParams(Fraction(1, 2), Fraction(1, 2))
-    u, v, a, b = scale_to_yb(Fraction(1), Fraction(1), params)
-    assert (u, v, a, b) == (2, 2, Fraction(1, 4), Fraction(1, 4))
-
-
 def test_step_equal_parameters_is_a_shift():
     params = SystemParams(Fraction(5, 6), Fraction(5, 6))
     row = [Fraction(1), Fraction(3, 2), Fraction(2, 3), Fraction(1), Fraction(1)]
@@ -336,12 +244,6 @@ def test_step_equal_parameters_is_a_shift():
     assert x_next == [Fraction(1)] + row[:-1]
     # incoming carries are the old row shifted, overflow carries the edge out
     assert y_row == [Fraction(1)] + row
-
-
-def test_step_dkdv_shapes():
-    x_next, y_row = step_dkdv([Fraction(1), Fraction(2)], Fraction(1, 2))
-    assert len(x_next) == 2 and len(y_row) == 3
-    assert x_next[0] * y_row[1] == Fraction(1) * Fraction(1)
 
 
 def test_step_rejects_empty_window():
@@ -410,70 +312,3 @@ def test_field_validation():
         LatticeField(0, 0, [[Fraction(1)], [Fraction(1), Fraction(2)]],
                      [[Fraction(1)], [Fraction(1)]])
 
-
-def test_limit_chain_reference_sequence():
-    # u = v = b = 1: the discrepancy is exactly 1/a
-    out = limit_chain_check(Fraction(1), Fraction(1),
-                            [Fraction(10), Fraction(100), Fraction(1000)],
-                            Fraction(1))
-    assert [d for _, d in out] == [0.1, 0.01, 0.001]
-
-
-def test_limit_chain_vanishes_on_the_vacuum():
-    out = limit_chain_check(Fraction(0), Fraction(0),
-                            [Fraction(10), Fraction(100)], Fraction(2))
-    assert [d for _, d in out] == [0.0, 0.0]
-
-
-def test_limit_chain_converges():
-    a_values = [Fraction(10) ** k for k in range(5)]
-    out = limit_chain_check(Fraction(7, 5), Fraction(3, 4), a_values,
-                            Fraction(2, 3))
-    gaps = [d for _, d in out]
-    assert all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
-    assert gaps[-1] < 1e-3
-
-
-# (u, v, a_values, b) and the (a, discrepancy) floats recorded from the
-# longhand Fraction formulas of the two maps
-LIMIT_CHAIN_CORPUS = [
-    ((Fraction(7, 5), Fraction(3, 4), [Fraction(1), Fraction(10), Fraction(100),
-                                       Fraction(10 ** 4)], Fraction(2, 3)),
-     [(1.0, 0.7645631067961165), (10.0, 0.13702262443438915),
-      (100.0, 0.014983671449777337), (10000.0, 0.00015139410361912)]),
-    ((Fraction(-3, 2), Fraction(5, 7), [Fraction(1, 2), Fraction(3), Fraction(50)],
-      Fraction(9, 4)),
-     [(0.5, 4.220779220779221), (3.0, 0.7034632034632035), (50.0, 0.04220779220779221)]),
-    ((Fraction(2 ** 70 + 3, 3 ** 40), Fraction(-(5 ** 30), 2 ** 65 + 1),
-      [Fraction(7, 3), Fraction(2 ** 40)], Fraction(11, 13)),
-     [(2.3333333333333335, 129016.48007472984),
-      (1099511627776.0, 0.00028736355979847505)]),
-    ((Fraction(0), Fraction(4, 9), [Fraction(2), Fraction(5)], Fraction(1, 7)),
-     [(2.0, 0.0), (5.0, 0.0)]),
-    ((Fraction(6, 5), Fraction(5, 6), [Fraction(1, 3), Fraction(3, 2), Fraction(3)],
-      Fraction(3, 2)),
-     [(0.3333333333333333, 2.5), (1.5, 0.5555555555555556), (3.0, 0.3)]),
-]
-
-
-@pytest.mark.parametrize("args, expected", LIMIT_CHAIN_CORPUS)
-def test_limit_chain_pinned_floats(args, expected):
-    assert limit_chain_check(*args) == expected
-
-
-def test_limit_chain_vanishing_denominators():
-    # u*v = -a at a = 2, and u*v = -b with delta = 1/b
-    with pytest.raises(ZeroDenominator):
-        limit_chain_check(Fraction(-2), Fraction(1), [Fraction(1), Fraction(2)], Fraction(5))
-    with pytest.raises(ZeroDenominator):
-        limit_chain_check(Fraction(-3), Fraction(1), [Fraction(1)], Fraction(3))
-
-
-def test_limit_chain_validation():
-    one = Fraction(1)
-    with pytest.raises(NonPositiveParameter):
-        limit_chain_check(one, one, [Fraction(10)], Fraction(0))
-    with pytest.raises(NonPositiveParameter):
-        limit_chain_check(one, one, [Fraction(-1)], one)
-    with pytest.raises(ValueError):
-        limit_chain_check(one, one, [Fraction(10), Fraction(10)], one)
