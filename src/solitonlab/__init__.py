@@ -15,7 +15,7 @@ from .boxball import (
     ud_limit_check,
     write_bbsc_csv,
 )
-from .exact import Rat, det, rat_parse, rat_str
+from .exact import Rat, rat_parse, rat_str
 from .lattice import (
     LatticeField,
     SystemParams,
@@ -53,7 +53,7 @@ __all__ = [
     "BBSCState", "ClusterTrack", "KPParams", "LatticeField", "Rat",
     "SystemParams", "TroughTrack",
     "amplitude", "bbsc_step", "bbsc_sweep", "check_exactness", "check_kp_bilinear",
-    "check_reduction", "det", "detect_bbsc_solitons",
+    "check_reduction", "detect_bbsc_solitons",
     "evolve_bbsc", "evolve_gkdv", "gkdv_local",
     "kp_tau", "measure_velocity",
     "overtake_report", "random_kp_params",

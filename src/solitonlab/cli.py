@@ -107,7 +107,11 @@ def _capacity(text: str) -> int | float:
 
 
 def _write(path: str, emit) -> None:
-    with nullcontext(sys.stdout) if path == "-" else open(path, "w") as stream:
+    try:
+        target = nullcontext(sys.stdout) if path == "-" else open(path, "w")
+    except OSError as exc:  # open() only: a BrokenPipeError from emit reaches main
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+    with target as stream:
         emit(stream)
 
 

@@ -81,9 +81,11 @@ from .errors import (
     WindowTooSmall,
     ZeroTau,
 )
-# det is unused here but stays bound: bench/spans.py traces solitons.det by attribute
-from .exact import ONE, Rat, det, rat_str
+from .exact import ONE, Rat, rat_str
 from .lattice import LatticeField, SystemParams, _gkdv_constants
+
+# read only by bench/spans.py, which wraps solitons.det by attribute
+det = None
 
 
 def validate(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]]) -> KPParams:
@@ -376,8 +378,8 @@ class KPParams:
     @cached_property
     def _subset_tables(self) -> tuple[int, list[int], list[tuple[list[int], int, list[int], int]]]:
         """Integer tables of the Cauchy principal-minor expansion, built on
-        first use, so that draws rejected by ``random_kp_params`` never pay
-        for them.
+        first use, so that the ``KPParams`` that ``analyze`` gets from
+        ``validate`` only to read its modes never builds them.
 
         Returns (L, c, dirs).  c[S] is L * c_S for the mode subset S of
         bitmask index S, with L the common denominator.  dirs holds, for

@@ -1,7 +1,7 @@
 """Independent reference implementations the tests compare against.
 
 These are deliberately the slow, obviously-correct versions: cofactor
-expansion instead of fraction-free elimination, scalar closed forms instead
+expansion instead of the Cauchy subset sum, scalar closed forms instead
 of determinant assembly.  They were written and frozen before the library
 code they check.
 """

@@ -185,6 +185,30 @@ def test_domain_errors_exit_one(capsys):
     assert "strictly decreasing" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "--alpha", "5/6", "--beta", "14/15"],
+    ["bbsc", "--cb", "1", "--init", "0111010000000", "--steps", "4"],
+], ids=["scan", "bbsc"])
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_an_unwritable_out_path_is_an_error_not_a_traceback(capsys, tmp_path, argv, where):
+    path = str(tmp_path / "missing" / "out.txt" if where == "missing_dir" else tmp_path)
+    code, out, err = invoke(capsys, *argv, "--out", path)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and path in err and err.count("\n") == 1
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_analyze_tracks_two_troughs_through_a_slow_collision(capsys):
+    code, out, err = invoke(capsys, "analyze", "--alpha", "5/6", "--beta", "14/15",
+                            "--soliton", "1/30:-7/10", "--soliton", "4/15:-233/1000",
+                            "--t", "-40:60", "--n", "-60:90")
+    assert code == 0, err
+    measured = json.loads(out)["measured"]
+    assert len(measured["tracks"]) == 2
+    assert measured["crossing"] is True
+    assert measured["anomaly"] == "smaller_faster"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf,1", "1,0.1,-inf"])
 def test_verify_rejects_non_finite_epsilons(capsys, value):
     # nan would print a nan deviation and fail the check instead

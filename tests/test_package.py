@@ -1,9 +1,11 @@
-"""The package's public surface: every exported name resolves, and the
-README's library example runs as printed."""
+"""The package's public surface: every exported name resolves, the
+README's library example runs as printed, and every name the benchmark
+tracer wraps exists and is restored."""
 
 import contextlib
 import io
 import re
+import sys
 from pathlib import Path
 
 import solitonlab
@@ -29,3 +31,20 @@ def test_the_readme_library_block_prints_what_its_comments_say():
         exec(block, {})
     first, second = out.getvalue().splitlines()
     assert first.startswith("0.7237") and second.startswith("0.7233")
+
+
+def test_the_benchmark_tracer_wraps_and_restores_every_traced_name(monkeypatch):
+    # bench/spans.py wraps names in src/ by attribute, so renaming or
+    # deleting a traced name breaks every traced benchmark run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+    import spans
+
+    tracer = spans.Tracer()
+    traced = [(owner, attr) for owner, attr, _ in tracer._wrappers()]
+    originals = [owner.__dict__[attr] for owner, attr in traced]
+    with tracer.installed():
+        assert all(owner.__dict__[attr] is not original
+                   for (owner, attr), original in zip(traced, originals))
+    assert all(owner.__dict__[attr] is original
+               for (owner, attr), original in zip(traced, originals))
