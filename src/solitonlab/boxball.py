@@ -11,9 +11,11 @@ the window is extended to the right until it empties again, so the total
 ball count is conserved exactly.  With an unbounded carrier this is the
 plain box-ball rule.  An empty carrier leaves an empty box as it is, so a
 sweep runs the rule only from each occupied box until the carrier is empty
-again.  The sweep, the CSV writer and ``measure``'s cluster scan find the
-occupied boxes with ``itertools.compress``, so the per-box work they do in
-Python is per occupied box.
+again.  Each state carries the ascending indices of its occupied boxes,
+``BBSCState.occupied``; a sweep jumps between them and collects the new
+state's as it writes its boxes.  So the sweep, the CSV writer and
+``measure``'s cluster scan visit no empty box in Python: their per-box work
+is per occupied box, and the only whole-row passes left are copies made in C.
 
 The rational map x' = y ((1-beta) + beta x y) / ((1-alpha) + alpha x y)
 turns into this automaton inside the soliton regime alpha + beta > 1, as
@@ -39,16 +41,19 @@ images, peaks x > 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, repeat
-from operator import sub
+from operator import index, sub
 from typing import IO, Sequence
 
 from .errors import (
     CapacityViolation,
     EmptyField,
+    NegativeSteps,
     NonPositiveEpsilon,
     NonPositiveParameter,
+    UndrawableCapacity,
+    UnorderedEpsilons,
 )
 
 Capacity = int | float  # int, or math.inf for an unbounded carrier
@@ -64,24 +69,45 @@ def _check_capacity(name: str, value: Capacity) -> Capacity:
     return value
 
 
-@dataclass(frozen=True)
+def _box_values(cells) -> tuple[int, ...]:
+    """``cells`` as a tuple of ints.  A box that ``operator.index`` rejects,
+    or that holds a bool, raises :class:`CapacityViolation` naming it."""
+    u = []
+    for k, v in enumerate(cells):
+        try:
+            n = index(v)
+        except TypeError:
+            n = None
+        if n is None or isinstance(v, bool):
+            raise CapacityViolation(f"box {k} holds {v!r}, not an integer")
+        u.append(n)
+    return tuple(u)
+
+
+@dataclass(frozen=True, slots=True)
 class BBSCState:
     """Box occupancies plus the two capacities.
 
     Capacity is checked on every state.  A state built here is checked in
-    full: a box outside ``[0, c_box]`` raises :class:`CapacityViolation`
-    naming the first such box.  A sweep output is checked by the sweep
-    itself, which range-checks every box it writes and raises the same
-    error naming that box; the boxes it does not write are empty copies of
-    boxes of the checked input state.
+    full: a box that is not an integer (``operator.index`` rejects it, or
+    it is a bool) or lies outside ``[0, c_box]`` raises
+    :class:`CapacityViolation` naming the first such box.  A sweep output
+    is checked by the sweep itself, which range-checks every box it writes
+    and raises the same error naming that box; the boxes it does not write
+    are empty copies of boxes of the checked input state.
+
+    ``occupied`` is derived: the ascending indices of the nonzero boxes.
+    The constructor computes it and a sweep hands over the indices it
+    collected; it takes no part in ``==``, ``hash`` or ``repr``.
     """
 
     u: tuple[int, ...]
     c_box: int
     c_carrier: Capacity = math.inf
+    occupied: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        u = tuple(map(int, self.u))
+        u = _box_values(self.u)
         object.__setattr__(self, "u", u)
         _check_capacity("c_box", self.c_box)
         _check_capacity("c_carrier", self.c_carrier)
@@ -90,38 +116,44 @@ class BBSCState:
                 if not 0 <= v <= self.c_box:
                     raise CapacityViolation(
                         f"box {k} holds {v}, outside [0, {self.c_box}]")
+        object.__setattr__(self, "occupied", tuple(compress(range(len(u)), u)))
 
     @property
     def balls(self) -> int:
         return sum(self.u)
 
 
-def _swept(u: tuple[int, ...], like: BBSCState) -> BBSCState:
+def _swept(u: tuple[int, ...], occupied: list[int], like: BBSCState) -> BBSCState:
     """A state with ``like``'s capacities whose boxes :func:`_sweep` has
-    range-checked; skips ``__post_init__``."""
+    range-checked, and whose nonzero boxes it listed in ``occupied``; skips
+    ``__post_init__``."""
     state = object.__new__(BBSCState)
     object.__setattr__(state, "u", u)
     object.__setattr__(state, "c_box", like.c_box)
     object.__setattr__(state, "c_carrier", like.c_carrier)
+    object.__setattr__(state, "occupied", tuple(occupied))
     return state
 
 
 def _sweep(row: list[int], cb: Capacity, cc: Capacity,
-           sites: Sequence[int]) -> None:
-    """One carrier sweep of ``row``, in place.
+           occupied: Sequence[int]) -> list[int]:
+    """One carrier sweep of ``row``, in place; returns the ascending indices
+    of the boxes that hold balls after it.
 
-    An empty box passed by an empty carrier is a fixed point: it stays
-    empty and the carrier leaves it empty.  So the sweep jumps from one
-    occupied box to the next and runs the rule from there until the carrier
-    is empty again, appending boxes while it still holds balls.  Every box
+    ``occupied`` lists, ascending, the indices of the nonzero boxes of
+    ``row``.  An empty box passed by an empty carrier is a fixed point: it
+    stays empty and the carrier leaves it empty.  So the sweep jumps from
+    one occupied box to the next and runs the rule from there until the
+    carrier is empty again, appending boxes while it still holds balls.
+    Every box that holds balls afterwards was written by the sweep, which
+    lists each box it writes nonzero, appended boxes included.  Every box
     written is range-checked.  The carrier loads are not kept; the ball
-    balance gives them back (see :func:`bbsc_sweep`).  ``sites`` holds the
-    indices 0, 1, ... of at least every box of ``row``; iterating a list
-    allocates no int per box, as a ``range`` past 256 would.
+    balance gives them back (see :func:`bbsc_sweep`).
     """
     n = len(row)
     end = 0  # the boxes before this one have been swept
-    for start in compress(sites, row):
+    out: list[int] = []
+    for start in occupied:
         if start < end:
             continue
         v = 0
@@ -136,15 +168,19 @@ def _sweep(row: list[int], cb: Capacity, cc: Capacity,
                 raise CapacityViolation(f"box {k} holds {u2}, outside [0, {cb}]")
             v = w - u2
             row[k] = u2
+            if u2:
+                out.append(k)
             if not v:
                 break
         else:
             while v:
                 u2 = cb if cb < v else v  # an appended empty box; no spill since v <= cc
                 v -= u2
+                out.append(len(row))
                 row.append(u2)
-            return
+            return out
         end = k + 1
+    return out
 
 
 def bbsc_step(state: BBSCState) -> BBSCState:
@@ -154,8 +190,8 @@ def bbsc_step(state: BBSCState) -> BBSCState:
     constructor's whole-row check (see :class:`BBSCState`).
     """
     row = list(state.u)
-    _sweep(row, state.c_box, state.c_carrier, range(len(row)))
-    return _swept(tuple(row), state)
+    occupied = _sweep(row, state.c_box, state.c_carrier, state.occupied)
+    return _swept(tuple(row), occupied, state)
 
 
 def bbsc_sweep(state: BBSCState) -> tuple[BBSCState, list[int]]:
@@ -175,28 +211,28 @@ def bbsc_sweep(state: BBSCState) -> tuple[BBSCState, list[int]]:
 def evolve_bbsc(state: BBSCState, steps: int) -> list[BBSCState]:
     """Apply ``steps`` sweeps; returns all ``steps + 1`` states."""
     if steps < 0:
-        raise ValueError("steps must be >= 0")
+        raise NegativeSteps("steps must be >= 0")
     cb, cc = state.c_box, state.c_carrier
     row = list(state.u)
-    sites = list(range(len(row)))
+    occupied = state.occupied
     history = [state]
     for _ in range(steps):
-        _sweep(row, cb, cc, sites)
-        sites += range(len(sites), len(row))
-        history.append(_swept(tuple(row), state))
+        occupied = _sweep(row, cb, cc, occupied)
+        history.append(_swept(tuple(row), occupied, state))
     return history
 
 
 def render_ascii(history: Sequence[BBSCState]) -> str:
     """Draw occupancies as '.' for empty and digits 1-9, one line per state.
 
-    Lines are right-padded to a common width.  Raises ValueError when any
-    box capacity exceeds 9; export CSV instead for those.
+    Lines are right-padded to a common width.  Raises
+    :class:`UndrawableCapacity` when any box capacity exceeds 9; export CSV
+    instead for those.
     """
     if not history:
         raise EmptyField("nothing to render")
     if any(s.c_box > 9 for s in history):
-        raise ValueError("occupancies above 9 cannot be drawn as single digits")
+        raise UndrawableCapacity("occupancies above 9 cannot be drawn as single digits")
     width = max(len(s.u) for s in history)
     cell = ".123456789".__getitem__
     return "\n".join("".join(map(cell, s.u)).ljust(width, ".") for s in history)
@@ -206,14 +242,14 @@ def write_bbsc_csv(history: Sequence[BBSCState], stream: IO[str]) -> None:
     """Write rows ``t,n,u`` for every state in the history.
 
     One list holds the pieces ``",n,0\n"`` of an empty state.  For each
-    state the nonzero cells are filled in, the pieces are joined with t and
-    written whole, in one ``stream.write``, and the filled cells are reset,
-    so the work per state beyond the join is per occupied box.
+    state the cells listed in ``occupied`` are filled in, the pieces are
+    joined with t and written whole, in one ``stream.write``, and the
+    filled cells are reset, so the work per state beyond the join is per
+    occupied box.
     """
     stream.write("t,n,u\n")
     width = max((len(s.u) for s in history), default=0)
-    sites = list(range(width))
-    empty = [f",{n},0\n" for n in sites]
+    empty = [f",{n},0\n" for n in range(width)]
     pieces: list[str] = []
     for t, s in enumerate(history):
         u = s.u
@@ -222,7 +258,7 @@ def write_bbsc_csv(history: Sequence[BBSCState], stream: IO[str]) -> None:
             continue
         del pieces[m:]
         pieces += empty[len(pieces):m]
-        filled = list(compress(sites, u))
+        filled = s.occupied
         for n in filled:
             pieces[n] = f",{n},{u[n]}\n"
         # the lines "t,n,v\n" of one state are t followed by the pieces
@@ -287,7 +323,7 @@ def ud_limit_check(state: BBSCState, epsilons: Sequence[float],
     if any(e < 1e-6 for e in eps_list):
         raise NonPositiveEpsilon("epsilons below 1e-6 are outside the float-validated range")
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
-        raise ValueError("epsilons must be strictly decreasing")
+        raise UnorderedEpsilons("epsilons must be strictly decreasing")
     new, loads = bbsc_sweep(state)
     boxes = list(zip(chain(state.u, repeat(0)), loads, new.u))
     out: list[tuple[float, float]] = []

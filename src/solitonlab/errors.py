@@ -124,6 +124,26 @@ class InconsistentCapacities(SolitonLabError):
     """States in one history disagree on box or carrier capacity."""
 
 
+# The errors below are also ValueErrors: each replaces a bare ValueError, so
+# callers that catch ValueError keep working.
+
+
+class NegativeSteps(SolitonLabError, ValueError):
+    """An evolution was asked for a negative number of steps."""
+
+
+class UndrawableCapacity(SolitonLabError, ValueError):
+    """A box capacity above 9 has no single-digit drawing."""
+
+
+class UnorderedEpsilons(SolitonLabError, ValueError):
+    """Ultradiscretization parameters are not strictly decreasing."""
+
+
+class MixedTrackKinds(SolitonLabError, ValueError):
+    """One report was given both trough and cluster tracks."""
+
+
 class SolitonEscapedWindow(UserWarning):
     """The right window edge is no longer at the background value.
 

@@ -31,11 +31,10 @@ import statistics
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import compress
 from typing import Sequence
 
 from .boxball import BBSCState
-from .errors import InconsistentCapacities, TooFewSamples
+from .errors import InconsistentCapacities, MixedTrackKinds, TooFewSamples
 
 # How close (lattice units) another soliton may come before a sample is
 # discarded as collision-contaminated.  Calibrated against the closed-form
@@ -355,14 +354,15 @@ class ClusterTrack:
         return _interp(t, self.times, self.leftmost)
 
 
-def _clusters(u: Sequence[int], sites: Sequence[int]) -> list[tuple[int, int, int]]:
+def _clusters(u: Sequence[int], occupied: Sequence[int]) -> list[tuple[int, int, int]]:
     """(leftmost, rightmost, ball count) for each run of nonzero boxes.
 
-    ``sites`` lists the box indices 0, 1, ... of at least every box of ``u``.
+    ``occupied`` lists the indices of the nonzero boxes of ``u`` in
+    ascending order (``BBSCState.occupied``), so no empty box is visited.
     """
     out = []
     start = last = -2
-    for k in compress(sites, u):
+    for k in occupied:
         if k != last + 1:
             if start >= 0:
                 out.append((start, last, sum(u[start:last + 1])))
@@ -385,53 +385,57 @@ def detect_bbsc_solitons(history: Sequence[BBSCState]) -> list[ClusterTrack]:
     caps = {(s.c_box, s.c_carrier) for s in history}
     if len(caps) > 1:
         raise InconsistentCapacities(f"mixed capacities in history: {sorted(map(str, caps))}")
-    sites = list(range(max(len(s.u) for s in history)))
     tracks: list[ClusterTrack] = []
     prev: list[tuple[int, int, int]] = []
     prev_map: list[ClusterTrack] = []
     for t, s in enumerate(history):
-        cur = _clusters(s.u, sites)
+        cur = _clusters(s.u, s.occupied)
         new_map: list[ClusterTrack | None] = [None] * len(cur)
-        used: set[int] = set()
+        used = [False] * len(prev)
+        matched = 0
         # pass 1: interval overlap with the previous row's clusters.  Both
         # rows are sorted, disjoint intervals, so the previous clusters that
         # can overlap (lo, hi) start at the first one ending at or after lo,
         # and that first index only moves right as lo does.
         first = 0
-        for ci, (lo, hi, cnt) in enumerate(cur):
-            while first < len(prev) and prev[first][1] < lo:
+        n_prev = len(prev)
+        for ci, (lo, hi, _) in enumerate(cur):
+            while first < n_prev and prev[first][1] < lo:
                 first += 1
             best = None
             best_olap = 0
-            for pi in range(first, len(prev)):
+            for pi in range(first, n_prev):
                 plo, phi, _ = prev[pi]
                 if plo > hi:
                     break
-                if pi in used:
+                if used[pi]:
                     continue
-                olap = min(hi, phi) - max(lo, plo) + 1
+                olap = (hi if hi < phi else phi) - (lo if lo > plo else plo) + 1
                 if olap > best_olap:
                     best_olap = olap
                     best = pi
             if best is not None:
                 new_map[ci] = prev_map[best]
-                used.add(best)
-        # pass 2: nearest leftmost within the gate
-        for ci, (lo, hi, cnt) in enumerate(cur):
-            if new_map[ci] is not None:
-                continue
-            best = None
-            best_d = None
-            for pi, (plo, _, pcnt) in enumerate(prev):
-                if pi in used:
+                used[best] = True
+                matched += 1
+        # pass 2: nearest leftmost within the gate, while both rows still
+        # hold unmatched clusters
+        if matched < len(cur) and matched < n_prev:
+            for ci, (lo, hi, cnt) in enumerate(cur):
+                if new_map[ci] is not None:
                     continue
-                d = abs(lo - plo)
-                if d <= pcnt + 2 and (best_d is None or d < best_d):
-                    best_d = d
-                    best = pi
-            if best is not None:
-                new_map[ci] = prev_map[best]
-                used.add(best)
+                best = None
+                best_d = None
+                for pi, (plo, _, pcnt) in enumerate(prev):
+                    if used[pi]:
+                        continue
+                    d = abs(lo - plo)
+                    if d <= pcnt + 2 and (best_d is None or d < best_d):
+                        best_d = d
+                        best = pi
+                if best is not None:
+                    new_map[ci] = prev_map[best]
+                    used[best] = True
         for ci, (lo, hi, cnt) in enumerate(cur):
             tr = new_map[ci]
             if tr is None:
@@ -441,7 +445,7 @@ def detect_bbsc_solitons(history: Sequence[BBSCState]) -> list[ClusterTrack]:
             tr.times.append(t)
             tr.leftmost.append(lo)
         prev = cur
-        prev_map = [tr for tr in new_map if tr is not None]
+        prev_map = new_map
     tracks.sort(key=lambda tr: (tr.first_t, tr.leftmost[0]))
     return tracks
 
@@ -470,7 +474,7 @@ def overtake_report(tracks: Sequence[TroughTrack | ClusterTrack]) -> dict:
     """
     kinds = {isinstance(tr, ClusterTrack) for tr in tracks}
     if len(kinds) > 1:
-        raise ValueError("cannot mix trough and cluster tracks in one report")
+        raise MixedTrackKinds("cannot mix trough and cluster tracks in one report")
     clusters = kinds == {True}
     # all amplitudes first: when several fits fail, an amplitude's is raised
     if clusters:

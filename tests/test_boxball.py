@@ -1,5 +1,7 @@
+import dataclasses
 import io
 import math
+import re
 from fractions import Fraction
 from random import Random
 
@@ -12,6 +14,7 @@ from solitonlab import (
     SystemParams,
     bbsc_step,
     bbsc_sweep,
+    detect_bbsc_solitons,
     evolve_bbsc,
     gkdv_local,
     render_ascii,
@@ -22,8 +25,12 @@ from solitonlab import (
 from solitonlab.errors import (
     CapacityViolation,
     EmptyField,
+    NegativeSteps,
     NonPositiveEpsilon,
     NonPositiveParameter,
+    SolitonLabError,
+    UndrawableCapacity,
+    UnorderedEpsilons,
 )
 
 from _oracles import bbsc_csv_longhand, bbsc_sweep_longhand, ud_gaps_longhand
@@ -92,6 +99,45 @@ def test_state_validation():
         BBSCState((1,), c_box=0, c_carrier=1)
     with pytest.raises(NonPositiveParameter):
         BBSCState((1,), c_box=3, c_carrier=0.5)
+
+
+class Index:
+    """An integer-like object that is not an int: it has only ``__index__``."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def __index__(self):
+        return self.v
+
+
+@pytest.mark.parametrize("cells, box, shown", [
+    ((1.7, 0, 0), 0, "1.7"), ((0, "2"), 1, "'2'"), ((True, 0), 0, "True"),
+    ((0, 0, False), 2, "False"), ((1, None), 1, "None"),
+    ((0, Fraction(1)), 1, "Fraction(1, 1)"), ((0, 1, 2.0), 2, "2.0")],
+    ids=["float", "str", "true", "false", "none", "fraction", "integral_float"])
+def test_state_rejects_box_values_that_are_not_integers(cells, box, shown):
+    # a float used to be truncated and a str or bool converted by int()
+    with pytest.raises(CapacityViolation,
+                       match=rf"^box {box} holds {re.escape(shown)}, not an integer$"):
+        BBSCState(cells, c_box=3)
+
+
+def test_state_accepts_what_operator_index_accepts():
+    state = BBSCState((Index(2), 0, Index(1)), c_box=3)
+    assert state.u == (2, 0, 1) and all(type(v) is int for v in state.u)
+    assert state.occupied == (0, 2)
+    # any iterable of cells, read once
+    assert BBSCState((v for v in (0, 1)), c_box=1).u == (0, 1)
+    with pytest.raises(CapacityViolation, match=r"^box 0 holds 4, outside \[0, 3\]$"):
+        BBSCState((Index(4),), c_box=3)
+
+
+def test_state_accepts_numpy_integers():
+    np = pytest.importorskip("numpy")
+    state = BBSCState(np.array([0, 2, 1], dtype=np.int64), c_box=2)
+    assert state.u == (0, 2, 1) and all(type(v) is int for v in state.u)
+    assert state.occupied == (1, 2)
 
 
 occupancies = st.integers(1, 6).flatmap(
@@ -191,7 +237,101 @@ def test_sweep_range_checks_each_box_it_writes():
     # the carrier it overloads spills 5 balls into box 1
     row = [5, 0, 0]
     with pytest.raises(CapacityViolation, match=r"^box 1 holds 5, outside \[0, 3\]$"):
-        boxball._sweep(row, 3, 1, range(3))
+        boxball._sweep(row, 3, 1, [0])
+
+
+# --- occupied boxes ---------------------------------------------------------------
+
+
+def nonzero_boxes(u):
+    return tuple(k for k, v in enumerate(u) if v)
+
+
+# rows that may be empty or all zero; with ``grow`` the row ends in a full
+# box, so the first sweep appends boxes
+occupied_setups = st.integers(1, 6).flatmap(
+    lambda cb: st.tuples(
+        st.just(cb),
+        st.one_of(st.lists(st.integers(0, cb), max_size=20),
+                  st.lists(st.just(0), max_size=20)),
+        st.one_of(st.just(math.inf), st.integers(1, 8)),
+        st.booleans(),
+        st.integers(0, 12),
+    )
+)
+
+
+@given(occupied_setups)
+@settings(max_examples=200, deadline=None)
+def test_occupied_lists_the_nonzero_boxes_of_every_swept_state(setup):
+    cb, cells, cc, grow, steps = setup
+    if grow:
+        cells = cells + [cb]
+    start = BBSCState(tuple(cells), c_box=cb, c_carrier=cc)
+    evolved = evolve_bbsc(start, steps)
+    stepped = [start]
+    swept = [start]
+    for _ in range(steps):
+        stepped.append(bbsc_step(stepped[-1]))
+        swept.append(bbsc_sweep(swept[-1])[0])
+    if grow and steps:
+        assert len(evolved[1].u) > len(start.u)
+    assert [s.u for s in stepped] == [s.u for s in swept] == [s.u for s in evolved]
+    for s in evolved + stepped + swept:
+        assert type(s.occupied) is tuple
+        assert s.occupied == nonzero_boxes(s.u)
+    # a swept history and the same states rebuilt through the constructor
+    rebuilt = [BBSCState(s.u, s.c_box, s.c_carrier) for s in evolved]
+    for a, b in ((evolved, rebuilt), (stepped, rebuilt)):
+        out_a, out_b = io.StringIO(), io.StringIO()
+        write_bbsc_csv(a, out_a)
+        write_bbsc_csv(b, out_b)
+        assert out_a.getvalue() == out_b.getvalue() == bbsc_csv_longhand(rebuilt)
+        assert ([(tr.times, tr.leftmost, tr.amplitude) for tr in detect_bbsc_solitons(a)]
+                == [(tr.times, tr.leftmost, tr.amplitude)
+                    for tr in detect_bbsc_solitons(b)])
+
+
+def test_occupied_of_the_empty_and_the_all_zero_state():
+    for cells in ((), (0,), (0,) * 7):
+        history = evolve_bbsc(BBSCState(cells, c_box=2, c_carrier=1), 3)
+        assert [s.occupied for s in history] == [()] * 4
+        assert [s.u for s in history] == [cells] * 4
+        assert detect_bbsc_solitons(history) == []
+
+
+def test_occupied_is_left_out_of_eq_hash_and_repr():
+    (f,) = [f for f in dataclasses.fields(BBSCState) if f.name == "occupied"]
+    assert (f.init, f.repr, f.compare) == (False, False, False)
+    state = evolve_bbsc(BBSCState((3, 0, 0, 0, 1), c_box=3, c_carrier=1), 2)[-1]
+    assert state.occupied == (0, 1, 6)
+    assert repr(state) == "BBSCState(u=(1, 2, 0, 0, 0, 0, 1), c_box=3, c_carrier=1)"
+    # a state whose derived field is wrong still compares and hashes by its
+    # boxes and capacities alone
+    other = BBSCState(state.u, 3, 1)
+    object.__setattr__(other, "occupied", ())
+    assert other == state and hash(other) == hash(state)
+    assert repr(other) == repr(state)
+    # slotted: no per-state __dict__
+    assert not hasattr(state, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.occupied = ()
+
+
+# --- typed errors -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: evolve_bbsc(BBSCState((1,), c_box=1), -1), NegativeSteps),
+    (lambda: render_ascii([BBSCState((10,), c_box=12)]), UndrawableCapacity),
+    (lambda: ud_limit_check(reference_state(), [0.1, 0.1]), UnorderedEpsilons),
+    (lambda: ud_limit_check(reference_state(), [0.1, 1.0]), UnorderedEpsilons),
+], ids=["negative_steps", "capacity_above_9", "equal_epsilons", "rising_epsilons"])
+def test_boxball_value_errors_are_typed(call, error):
+    # each is a SolitonLabError and still a ValueError
+    with pytest.raises(error) as info:
+        call()
+    assert isinstance(info.value, SolitonLabError) and isinstance(info.value, ValueError)
 
 
 # --- rendering ------------------------------------------------------------------

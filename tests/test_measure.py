@@ -18,7 +18,12 @@ from solitonlab import (
     track_troughs,
     velocity,
 )
-from solitonlab.errors import InconsistentCapacities, TooFewSamples
+from solitonlab.errors import (
+    InconsistentCapacities,
+    MixedTrackKinds,
+    SolitonLabError,
+    TooFewSamples,
+)
 from solitonlab.measure import _assign
 
 from _oracles import detect_bbsc_solitons_longhand, lsq_slope_exact
@@ -264,6 +269,10 @@ def test_overtake_report_input_validation():
         overtake_report([tracks[0], trough])
     with pytest.raises(ValueError):
         overtake_report([*tracks, trough])
+    # the ValueError is a typed SolitonLabError
+    with pytest.raises(MixedTrackKinds, match="cannot mix") as info:
+        overtake_report([trough, tracks[0]])
+    assert isinstance(info.value, SolitonLabError)
 
 
 def test_overtake_report_of_no_tracks():
