@@ -154,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_solitons(p)
     add_window(p)
     add_out(p, "CSV")
-    p.add_argument("--values", choices=("float", "exact"), default="float")
+    p.add_argument("--values", choices=("float", "exact"), default="float",
+                   help="CSV value format")
 
     p = sub.add_parser("bbsc", help="run the box-ball automaton")
     p.add_argument("--cb", type=_capacity, required=True, help="box capacity")
@@ -246,7 +247,6 @@ def _cmd_bbsc(args) -> int:
 
 def _cmd_analyze(args) -> int:
     params = SystemParams(args.alpha, args.beta)
-    kp = solitons.validate(params, args.soliton)
     rows = solitons.sample_x_float(params, args.soliton, args.t, args.n)
     tracks = measure.track_troughs(rows, args.n[0], args.t[0])
     closed = [{
@@ -254,7 +254,7 @@ def _cmd_analyze(args) -> int:
         "gamma": rat_str(gamma),
         "velocity": solitons.velocity(params, p),
         "amplitude": solitons.amplitude(params, p),
-    } for p, _, gamma in kp.modes]
+    } for p, gamma in args.soliton]
     payload = {
         "alpha": rat_str(params.alpha),
         "beta": rat_str(params.beta),

@@ -144,6 +144,18 @@ class MixedTrackKinds(SolitonLabError, ValueError):
     """One report was given both trough and cluster tracks."""
 
 
+class RaggedField(SolitonLabError, ValueError):
+    """Field rows, or a left-edge y column, that do not form one rectangle."""
+
+
+class ZeroFieldValue(SolitonLabError, ValueError):
+    """A field holds a zero x or y, so its product x*y is not conserved."""
+
+
+class UnknownValueMode(SolitonLabError, ValueError):
+    """A CSV writer was asked for a value format it does not have."""
+
+
 class SolitonEscapedWindow(UserWarning):
     """The right window edge is no longer at the background value.
 

@@ -22,10 +22,14 @@ from math import gcd, lcm
 from typing import IO, Iterable, Sequence
 
 from .errors import (
+    NegativeSteps,
     ParamOutOfRange,
+    RaggedField,
     SolitonEscapedWindow,
+    UnknownValueMode,
     WindowTooSmall,
     ZeroDenominator,
+    ZeroFieldValue,
 )
 from .exact import ONE, Rat, rat_str
 
@@ -220,13 +224,15 @@ class LatticeField:
         if not self.xs or not self.xs[0]:
             raise WindowTooSmall("a field needs at least one row and one site")
         width = len(self.xs[0])
-        for xr, yr in zip(self.xs, self.ys):
+        for t, xr, yr in zip(self.times, self.xs, self.ys):
             if len(xr) != width or len(yr) != width:
-                raise ValueError("ragged field rows")
-            if not all(xr) or not all(yr):
-                raise ValueError("field values must be nonzero")
+                raise RaggedField("ragged field rows")
+            for name, row in (("x", xr), ("y", yr)):
+                if not all(row):
+                    n = self.n_lo + row.index(0)
+                    raise ZeroFieldValue(f"field {name} is 0 at (t={t}, n={n})")
         if len(self.ys) != len(self.xs):
-            raise ValueError("xs and ys must hold the same number of rows")
+            raise RaggedField("xs and ys must hold the same number of rows")
 
     @property
     def n_hi(self) -> int:
@@ -256,7 +262,7 @@ class LatticeField:
         the generic ``numbers.Rational.__float__`` behind it.
         """
         if values not in ("float", "exact"):
-            raise ValueError(f"unknown value mode {values!r}")
+            raise UnknownValueMode(f"unknown value mode {values!r}")
         stream.write("n,t,x,y\n")
         for j, t in enumerate(self.times):
             for k, n in enumerate(self.sites):
@@ -280,11 +286,11 @@ def evolve_gkdv(x0_row: Sequence[Rat], params: SystemParams, steps: int, *,
     ``steps + 1`` rows of x and of the same-time y.
     """
     if steps < 0:
-        raise ValueError("steps must be >= 0")
+        raise NegativeSteps("steps must be >= 0")
     if y_left is None:
         y_left = [ONE] * (steps + 1)
     elif len(y_left) != steps + 1:
-        raise ValueError(f"y_left needs one value per row, {steps + 1}, got {len(y_left)}")
+        raise RaggedField(f"y_left needs one value per row, {steps + 1}, got {len(y_left)}")
     k = _gkdv_constants(params)
     rows_x: list[list[Fraction]] = []
     rows_y: list[list[Fraction]] = []

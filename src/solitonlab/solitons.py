@@ -17,11 +17,7 @@ evaluated by its Cauchy principal-minor expansion,
 
 as integer subset sums: the c_S over one common denominator and the subset
 ratios of each direction's r and 1/r are built once per ``KPParams``, and a
-point, or a unit shift of it, costs elementwise integer products.  A window
-of points is walked: from its point nearest the origin, each unit step
-multiplies every subset term by one small entry of the direction's r list
-(outwards towards +) or 1/r list (towards -), so the terms at every point
-are those of the point alone, a big integer times a small one per step.
+point, or a unit shift of it, costs elementwise integer products.
 
 An N-soliton state of the two-parameter map, with modes (p_i, gamma_i), is
 the reduction (``validate`` checks the modes and returns its ``KPParams``)
@@ -39,7 +35,8 @@ r_{i,b} = A_i, r_{i,c} = B_i and r_{i,a1} = D_i, with
 
 gamma_i / (p_i - q_i) = C_i = gamma_i / (2 p_i - span), and the pair
 factor of c_S is ((p_i - p_j) / (p_i + p_j - span))^2.  A window of f and g
-is one table of integer subset sums (see ``_tau_grid``).
+is one rectangle of points (``_window_taus``), walked from its point nearest
+the origin, one small-integer product per subset term and unit step.
 
 The lattice fields are the cross ratios x = f * g(n+1) / (g * f(n+1)) and
 y = g * f(t+1) / (f * g(t+1)).  A mode is a genuine soliton when
@@ -204,10 +201,10 @@ def _walk(terms: list[int], lo: int, hi: int, anchor: int,
     return below[:0:-1] + above
 
 
-def _tau_grid(kp: KPParams, t0: int, n0: int,
-              row_lengths: Sequence[int]) -> list[list[tuple[int, int]]]:
-    """Integer (f, g) pairs at (t0 + j, n0 + k) for k < row_lengths[j], for
-    the reduced ``kp`` of :func:`validate`.
+def _tau_grid(kp: KPParams, t0: int, n0: int, rows: int, cols: int,
+              ) -> list[list[tuple[int, int]]]:
+    """Integer (f, g) pairs on the rectangle (t0 + j, n0 + k), j < rows,
+    k < cols, for the reduced ``kp`` of :func:`validate`.
 
     The pair at (t, n) is the subset sums of :func:`_kp_base` at
     (0, 0, t, n): f is the sum of its terms, and g the sum of those times
@@ -219,40 +216,35 @@ def _tau_grid(kp: KPParams, t0: int, n0: int,
     was read from.  The scale is positive and shared by the two taus of a
     point, so it cancels from every cross ratio, and none is returned.
 
-    The terms are walked out from the window point nearest the origin,
+    The terms are walked out from the rectangle's point nearest the origin,
     rows along t and then each row's columns along n, one small-integer
-    product per subset term and step.  Every row starts its column walk at
-    the shared anchor column and is cut to its length afterwards.
+    product per subset term and step.
     """
-    t1, n1 = t0 + len(row_lengths) - 1, n0 + max(row_lengths) - 1
+    t1, n1 = t0 + rows - 1, n0 + cols - 1
     ta, na = min(max(0, t0), t1), min(max(0, n0), n1)
     _, terms, dirs = _kp_base(kp, (0, 0, ta, na))
     (g_ratio, *_), _, (t_up, _, t_down, _), (n_up, _, n_down, _) = dirs
-    return [[(sum(ts), sum(map(mul, ts, g_ratio)))
-             for ts in _walk(row, n0, n1, na, n_up, n_down)[:length]]
-            for row, length in zip(_walk(terms, t0, t1, ta, t_up, t_down), row_lengths)]
+    return [[(sum(ts), sum(map(mul, ts, g_ratio))) for ts in _walk(row, n0, n1, na, n_up, n_down)]
+            for row in _walk(terms, t0, t1, ta, t_up, t_down)]
 
 
 def _window_taus(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
-                 t_range: tuple[int, int], n_range: tuple[int, int], t_shift: bool,
+                 t_range: tuple[int, int], n_range: tuple[int, int],
                  ) -> list[list[tuple[int, int]]]:
-    """Integer (f, g) pairs of :func:`_tau_grid` for a window and its n-shift
-    column, plus its t-shift row when ``t_shift`` is set.
+    """Integer (f, g) pairs of :func:`_tau_grid` on the rectangle of times
+    t0..t1 by sites n0..n1 + 1, which holds the n-shift column.
 
     Each pair carries its own positive scale, shared by its f and g, so a
     consumer must be homogeneous per point: multiplying one pair by any
     positive integer may not change what it computes.  Both ranges are
-    inclusive.  The corner (t1 + 1, n1 + 1) is never
-    evaluated: it feeds neither x nor y.  Raises ZeroTau naming the first
-    site, row by row, where a tau vanishes.
+    inclusive.  Raises ZeroTau naming the first site, row by row, where a
+    tau vanishes.
     """
     t0, t1 = t_range
     n0, n1 = n_range
     if t1 < t0 or n1 < n0:
         raise WindowTooSmall(f"empty range: t {t_range}, n {n_range}")
-    nn = n1 - n0 + 1
-    rows = [nn + 1] * (t1 - t0 + 1) + ([nn] if t_shift else [])
-    taus = _tau_grid(validate(params, solitons), t0, n0, rows)
+    taus = _tau_grid(validate(params, solitons), t0, n0, t1 - t0 + 1, n1 - n0 + 2)
     for j, row in enumerate(taus):
         if not all(map(all, row)):
             k = next(k for k, pair in enumerate(row) if not all(pair))
@@ -264,13 +256,13 @@ def sample_field(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
                  t_range: tuple[int, int], n_range: tuple[int, int]) -> LatticeField:
     """Exact (x, y) window of the N-soliton state.
 
-    Both ranges are inclusive.  The tau pair is evaluated once per point of
-    the window, plus one column for the n-shift in x and one row for the
-    t-shift in y, by the integer subset sums of :func:`_tau_grid`.  Each x
-    and y is then one integer ratio, reduced once.  Its float counterpart,
-    :func:`sample_x_float`, divides the same integers straight to floats.
+    Both ranges are inclusive, and an empty one raises WindowTooSmall.  x
+    needs the n-shift column and y the t-shift row, so the taus are the
+    rectangle t0..t1 + 1 by n0..n1 + 1 of :func:`_window_taus`.  Each x and
+    y is one integer ratio, reduced once; :func:`sample_x_float` divides
+    the same integers straight to floats.
     """
-    taus = _window_taus(params, solitons, t_range, n_range, t_shift=True)
+    taus = _window_taus(params, solitons, (t_range[0], t_range[1] + 1), n_range)
     xs = [[Fraction(f00 * gn, g00 * fn) for (f00, g00), (fn, gn) in zip(row, row[1:])]
           for row in taus[:-1]]
     ys = [[Fraction(g00 * ft, f00 * gt) for (f00, g00), (ft, gt) in zip(row[:-1], up)]
@@ -286,9 +278,10 @@ def sample_x_float(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
     Equal, bit for bit, to ``sample_field(...).x_float()``: each x is the
     same integer ratio as there, and ``int / int`` is correctly rounded, so
     the ratio goes straight to the nearest float with no ``Fraction`` and no
-    gcd.  No t-shifted row is evaluated, since y is not returned.
+    gcd.  x needs no t-shift row: the taus are those of the rectangle
+    t0..t1 by n0..n1 + 1 of :func:`_window_taus`.
     """
-    taus = _window_taus(params, solitons, t_range, n_range, t_shift=False)
+    taus = _window_taus(params, solitons, t_range, n_range)
     return [[f00 * gn / (g00 * fn) for (f00, g00), (fn, gn) in zip(row, row[1:])]
             for row in taus]
 
@@ -301,12 +294,13 @@ def check_exactness(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
     Row j, column k says whether the map sends x and y at site (t0 + j,
     n0 + k) to the next row's x and the next column's y, as
     :func:`_exact_sites` decides it on the unreduced integer taus of the
-    sites and of their t- and n-shifts.  Both ranges are inclusive.
+    rectangle t0..t1 + 1 by n0..n1 + 1 of :func:`_window_taus`, the sites
+    and their t- and n-shifts.  Both ranges are inclusive.
     """
     t0, t1 = t_range
     if t1 < t0:
         raise WindowTooSmall(f"empty range: t {t_range}")
-    taus = _window_taus(params, solitons, (t0, t1 + 1), n_range, t_shift=False)
+    taus = _window_taus(params, solitons, (t0, t1 + 1), n_range)
     return _exact_sites(taus, _gkdv_constants(params))
 
 
@@ -378,8 +372,8 @@ class KPParams:
     @cached_property
     def _subset_tables(self) -> tuple[int, list[int], list[tuple[list[int], int, list[int], int]]]:
         """Integer tables of the Cauchy principal-minor expansion, built on
-        first use, so that the ``KPParams`` that ``analyze`` gets from
-        ``validate`` only to read its modes never builds them.
+        first use, so that a ``KPParams`` made only to check modes, as by a
+        bare :func:`validate` call, never builds them.
 
         Returns (L, c, dirs).  c[S] is L * c_S for the mode subset S of
         bitmask index S, with L the common denominator.  dirs holds, for

@@ -324,8 +324,8 @@ def random_kp_params_longhand(rng: Random, n_modes: int, *,
     return KPParams(a1, a2, b, c, tuple(modes))
 
 
-def tau_grid_longhand(kp: KPParams, t0: int, n0: int,
-                      row_lengths: Sequence[int]) -> list[list[tuple[int, int]]]:
+def tau_grid_longhand(kp: KPParams, t0: int, n0: int, rows: int, cols: int,
+                      ) -> list[list[tuple[int, int]]]:
     """The (f, g) grid of ``solitons._tau_grid``, one point at a time.
 
     The pair at (t, n) is the two subset sums of ``_kp_sums`` at
@@ -334,9 +334,9 @@ def tau_grid_longhand(kp: KPParams, t0: int, n0: int,
     so a grid that equals it is canonical.
     """
     grid = []
-    for j, length in enumerate(row_lengths):
+    for j in range(rows):
         row = []
-        for k in range(length):
+        for k in range(cols):
             _, [(f, _), (g, _)] = _kp_sums(kp, (0, 0, t0 + j, n0 + k),
                                            [(0, 0, 0, 0), (1, 0, 0, 0)])
             row.append((f, g))

@@ -290,8 +290,8 @@ def _patch_window_taus(monkeypatch, edit):
     """Make ``verify exactness`` check a tau grid altered by ``edit``."""
     real = solitons._window_taus
 
-    def altered(params, modes, t_range, n_range, t_shift):
-        taus = real(params, modes, t_range, n_range, t_shift)
+    def altered(params, modes, t_range, n_range):
+        taus = real(params, modes, t_range, n_range)
         edit(params, taus)
         return taus
 
@@ -365,9 +365,10 @@ def test_exact_sites_match_the_reduced_fraction_verdicts(regime, n_modes, data):
     params, modes, (t0, n0, g), consts, breakage, rng = data.draw(
         exactness_cases(regime, n_modes))
     t_range, n_range = (t0, t0 + g), (n0, n0 + g)
-    taus = solitons._window_taus(params, modes, t_range, n_range, t_shift=True)
+    # the taus sample_field reads: the window's rows and its t-shift row
+    taus = solitons._window_taus(params, modes, (t0, t0 + g + 1), n_range)
     # the (g+1)-square block the check reads is the window the command asks for
-    block = solitons._window_taus(params, modes, t_range, (n0, n0 + g - 1), t_shift=False)
+    block = solitons._window_taus(params, modes, t_range, (n0, n0 + g - 1))
     assert block == [row[:g + 1] for row in taus[:g + 1]]
     if breakage == "taus":
         for _ in range(rng.randint(1, 3)):
@@ -424,7 +425,7 @@ def test_grid_consumers_are_homogeneous_per_point(regime, n_modes, data):
         again = solitons.sample_field(params, modes, t_range, n_range)
     assert (again.xs, again.ys) == (field.xs, field.ys)
     # on honest taus and on taus with a few wrong values, which fail sites
-    taus = real(params, modes, t_range, (n0, n0 + g - 1), t_shift=False)
+    taus = real(params, modes, t_range, (n0, n0 + g - 1))
     if breakage != "none":
         for _ in range(rng.randint(1, 3)):
             j, k = rng.randint(0, g), rng.randint(0, g)

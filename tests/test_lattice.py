@@ -16,10 +16,15 @@ from solitonlab import (
 )
 from solitonlab.lattice import _map_constants, _two_point
 from solitonlab.errors import (
+    NegativeSteps,
     ParamOutOfRange,
+    RaggedField,
     SolitonEscapedWindow,
+    SolitonLabError,
+    UnknownValueMode,
     WindowTooSmall,
     ZeroDenominator,
+    ZeroFieldValue,
 )
 
 from _oracles import gkdv_local_longhand, two_point_longhand
@@ -311,4 +316,42 @@ def test_field_validation():
     with pytest.raises(ValueError):
         LatticeField(0, 0, [[Fraction(1)], [Fraction(1), Fraction(2)]],
                      [[Fraction(1)], [Fraction(1)]])
+
+
+ONES = [[Fraction(1)] * 3 for _ in range(2)]
+ZERO_AT_1_2 = [[Fraction(1)] * 3, [Fraction(1), Fraction(1), Fraction(0)]]
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: LatticeField(0, 0, [[Fraction(1)], [Fraction(1), Fraction(2)]],
+                          [[Fraction(1)], [Fraction(1)]]), RaggedField),
+    (lambda: LatticeField(-4, 7, ZERO_AT_1_2, ONES), ZeroFieldValue),
+    (lambda: LatticeField(0, 0, ONES, ONES[:1]), RaggedField),
+    (lambda: LatticeField(0, 0, ONES, ONES).write_csv(io.StringIO(), values="decimal"),
+     UnknownValueMode),
+    (lambda: evolve_gkdv([Fraction(1)], SystemParams(Fraction(1, 2), Fraction(2, 3)), -1),
+     NegativeSteps),
+    (lambda: evolve_gkdv([Fraction(1)], SystemParams(Fraction(1, 2), Fraction(2, 3)), 2,
+                         y_left=[Fraction(1)] * 2), RaggedField),
+], ids=["ragged_rows", "zero_value", "unequal_row_counts", "unknown_value_mode",
+        "negative_steps", "short_y_left"])
+def test_lattice_value_errors_are_typed(call, error):
+    # each is a SolitonLabError and still a ValueError
+    with pytest.raises(error) as info:
+        call()
+    assert isinstance(info.value, SolitonLabError) and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("xs, ys, message", [
+    (ZERO_AT_1_2, ONES, "field x is 0 at (t=7, n=-2)"),
+    (ONES, ZERO_AT_1_2, "field y is 0 at (t=7, n=-2)"),
+    (ZERO_AT_1_2, ZERO_AT_1_2[::-1], "field y is 0 at (t=6, n=-2)"),
+    (ZERO_AT_1_2, ZERO_AT_1_2, "field x is 0 at (t=7, n=-2)"),
+], ids=["x", "y", "earlier_row_first", "x_before_y"])
+def test_a_zero_field_value_is_named_with_its_site(xs, ys, message):
+    # the first zero row by row, x before y within a row; entry (j, k) of
+    # the lists is the site (t0 + j, n_lo + k)
+    with pytest.raises(ZeroFieldValue) as info:
+        LatticeField(-4, 6, xs, ys)
+    assert str(info.value) == message
 

@@ -406,20 +406,6 @@ def test_soliton_taus_are_the_reduced_kp_tau(system, point):
     assert kp_tau(kp, 0, -1, t, n) == g
 
 
-def test_one_point_sample_field_skips_the_unused_corner(monkeypatch):
-    # x needs the n-shifted taus and y the t-shifted ones; nothing needs both
-    calls = []
-    real = solitons._tau_grid
-
-    def spy(kp, t0, n0, row_lengths):
-        calls.append(list(row_lengths))
-        return real(kp, t0, n0, row_lengths)
-
-    monkeypatch.setattr(solitons, "_tau_grid", spy)
-    sample_field(REF_PARAMS, REF_SOLITONS, (2, 2), (-3, -3))
-    assert calls == [[2, 1]]
-
-
 @st.composite
 def big_quotients(draw):
     """(a, b) of 1k-4k bits each, both signs, whose quotient fits a float.
@@ -491,25 +477,30 @@ def test_sample_x_float_equals_x_float_on_the_readme_window():
     assert _hex_rows(got) == _hex_rows(expected)
 
 
-def test_sample_x_float_skips_the_t_shifted_row(monkeypatch):
+def test_each_reader_asks_for_the_tau_rectangle_it_reads(monkeypatch):
+    # every reader needs the n-shift column; y and the map also need the
+    # t-shift row, and x alone does not
     calls = []
     real = solitons._tau_grid
 
-    def spy(kp, t0, n0, row_lengths):
-        calls.append((t0, n0, list(row_lengths)))
-        return real(kp, t0, n0, row_lengths)
+    def spy(kp, t0, n0, rows, cols):
+        calls.append((t0, n0, rows, cols))
+        return real(kp, t0, n0, rows, cols)
 
     monkeypatch.setattr(solitons, "_tau_grid", spy)
-    sample_x_float(REF_PARAMS, REF_SOLITONS, (2, 5), (-3, 6))
-    assert calls == [(2, -3, [11] * 4)]
+    for window in (((2, 5), (-3, 6)), ((2, 2), (-3, -3))):
+        for reader in (sample_field, sample_x_float, solitons.check_exactness):
+            reader(REF_PARAMS, REF_SOLITONS, *window)
+    assert calls == [(2, -3, 5, 11), (2, -3, 4, 11), (2, -3, 5, 11),
+                     (2, -3, 2, 2), (2, -3, 1, 2), (2, -3, 2, 2)]
 
 
 @pytest.mark.parametrize("sampler", [sample_field, sample_x_float])
 def test_a_vanishing_tau_raises_zero_tau_naming_its_site(monkeypatch, sampler):
     real = solitons._tau_grid
 
-    def with_a_zero(kp, t0, n0, row_lengths):
-        grid = real(kp, t0, n0, row_lengths)
+    def with_a_zero(kp, t0, n0, rows, cols):
+        grid = real(kp, t0, n0, rows, cols)
         f, _ = grid[2][3]
         grid[2][3] = (f, 0)  # g vanishes at (t0 + 2, n0 + 3)
         return grid
@@ -555,15 +546,14 @@ def tau_windows(draw, regime: str, n_modes: int):
 @settings(max_examples=15, deadline=None)
 def test_tau_grid_is_canonical(regime, n_modes, data):
     # each pair is the subset sums at (0, 0, t, n), whatever the window, so
-    # windows off the origin, and the t-shift row one column short of a
-    # shift column left of n = 0, read the same integers as any other
+    # rectangles off the origin, on either side of it or across it, read the
+    # same integers as any other
     params, modes, (t0, t1), (n0, n1) = data.draw(tau_windows(regime, n_modes))
-    t_shift = data.draw(st.booleans())
     kp = validate(params, modes)
-    rows = [n1 - n0 + 2] * (t1 - t0 + 1) + ([n1 - n0 + 1] if t_shift else [])
-    grid = solitons._tau_grid(kp, t0, n0, rows)
-    assert grid == tau_grid_longhand(kp, t0, n0, rows)
-    assert solitons._window_taus(params, modes, (t0, t1), (n0, n1), t_shift) == grid
+    rows, cols = t1 - t0 + 1, n1 - n0 + 2
+    grid = solitons._tau_grid(kp, t0, n0, rows, cols)
+    assert grid == tau_grid_longhand(kp, t0, n0, rows, cols)
+    assert solitons._window_taus(params, modes, (t0, t1), (n0, n1)) == grid
     # the scale M * prod D^|t| * prod D^|n| against the cofactor determinant
     big_l, _, dirs = kp._subset_tables
 
@@ -572,8 +562,8 @@ def test_tau_grid_is_canonical(regime, n_modes, data):
         return (up_den if l > 0 else down_den) ** abs(l)
 
     for _ in range(3):
-        j = data.draw(st.integers(0, len(rows) - 1))
-        k = data.draw(st.integers(0, rows[j] - 1))
+        j = data.draw(st.integers(0, rows - 1))
+        k = data.draw(st.integers(0, cols - 1))
         t, n = t0 + j, n0 + k
         f, g = grid[j][k]
         scale = big_l * den(2, t) * den(3, n)
@@ -596,11 +586,12 @@ def test_two_soliton_field_solves_the_lattice_equation():
 
 
 def test_sample_field_window_validation():
-    with pytest.raises(WindowTooSmall):
-        sample_field(REF_PARAMS, REF_SOLITONS, (3, 2), (0, 4))
-    for t_range, n_range in (((3, 2), (0, 4)), ((0, 4), (3, 2))):
-        with pytest.raises(WindowTooSmall):
-            solitons.check_exactness(REF_PARAMS, REF_SOLITONS, t_range, n_range)
+    # sample_field and check_exactness read the t-shift row t1 + 1 too, so
+    # for t1 = t0 - 1 the rectangle they ask for is one row, not empty
+    for reader in (sample_field, sample_x_float, solitons.check_exactness):
+        for t_range, n_range in (((3, 2), (0, 4)), ((5, 2), (0, 4)), ((0, 4), (3, 2))):
+            with pytest.raises(WindowTooSmall):
+                reader(REF_PARAMS, REF_SOLITONS, t_range, n_range)
 
 
 def test_vacuum_field_is_flat():
