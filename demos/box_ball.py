@@ -13,7 +13,7 @@ print("free flight: cb=3, cc=1, clusters of 3 and 1")
 history = evolve_bbsc(BBSCState((3, 0, 0, 0, 1), c_box=3, c_carrier=1), 9)
 print(render_ascii(history))
 for track in detect_bbsc_solitons(history):
-    print(f"  cluster of {track.amplitude}: speed {track.speed}")
+    print(f"  cluster of {track.sizes[0]}: speed {track.speed}")
 
 print("\nrear-end collision: the single ball starts behind")
 history = evolve_bbsc(BBSCState((1, 0, 0, 3, 0, 0, 0, 0, 0, 0),
@@ -22,6 +22,6 @@ print(render_ascii(history))
 tracks = detect_bbsc_solitons(history)
 for track in tracks:
     span = f"t {track.first_t}..{track.last_t}"
-    print(f"  cluster of {track.amplitude} ({span}): lifetime speed {track.speed}")
+    print(f"  cluster of {track.sizes[0]} ({span}): lifetime speed {track.speed}")
 print("  (during the merge only one cluster is visible; a single ball"
       " reappears ahead, one box per step)")

@@ -24,8 +24,7 @@ from .lattice import (
     step_gkdv,
 )
 from .measure import (
-    ClusterTrack,
-    TroughTrack,
+    Track,
     detect_bbsc_solitons,
     measure_velocity,
     overtake_report,
@@ -50,8 +49,7 @@ from .solitons import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BBSCState", "ClusterTrack", "KPParams", "LatticeField", "Rat",
-    "SystemParams", "TroughTrack",
+    "BBSCState", "KPParams", "LatticeField", "Rat", "SystemParams", "Track",
     "amplitude", "bbsc_step", "bbsc_sweep", "check_exactness", "check_kp_bilinear",
     "check_reduction", "detect_bbsc_solitons",
     "evolve_bbsc", "evolve_gkdv", "gkdv_local",

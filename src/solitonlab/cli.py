@@ -27,7 +27,7 @@ from random import Random
 from typing import IO, Sequence
 
 from . import boxball, measure, solitons
-from .errors import SolitonLabError
+from .errors import OutputNotWritable, SolitonLabError
 from .exact import rat_parse, rat_str
 from .lattice import SystemParams, evolve_gkdv
 from .solitons import random_kp_params
@@ -110,7 +110,7 @@ def _write(path: str, emit) -> None:
     try:
         target = nullcontext(sys.stdout) if path == "-" else open(path, "w")
     except OSError as exc:  # open() only: a BrokenPipeError from emit reaches main
-        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+        raise OutputNotWritable(f"cannot write {path}: {exc.strerror}") from None
     with target as stream:
         emit(stream)
 

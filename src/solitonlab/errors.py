@@ -156,6 +156,10 @@ class UnknownValueMode(SolitonLabError, ValueError):
     """A CSV writer was asked for a value format it does not have."""
 
 
+class OutputNotWritable(SolitonLabError, ValueError):
+    """An output path cannot be opened for writing."""
+
+
 class SolitonEscapedWindow(UserWarning):
     """The right window edge is no longer at the background value.
 

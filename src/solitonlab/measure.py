@@ -18,10 +18,14 @@ The linker's jump gate and the exclusion cone share the speed bound
 ``V_MAX``; a detection needs |x - 1| above ``THRESHOLD``, tracks coast at
 most ``MAX_GAP`` rows and need ``MIN_SAMPLES``.
 
-Ball-count clusters of the box-ball automaton get the same treatment in
-integer arithmetic; their speeds are exact rationals.  ``overtake_report``
-summarizes any set of tracks of one kind, and for two of them tells
-whether the smaller soliton overtook the larger.
+Ball-count clusters of the box-ball automaton are linked greedily in
+integer arithmetic; their speeds are exact rationals.  Both kinds build one
+record, :class:`Track`: times, positions and a size per sample, where a
+trough has a float position and its refined depth and a cluster its
+integer leftmost box and its ball count.  ``overtake_report`` summarizes
+any set of tracks of one kind, told apart by whether the positions are
+integers, and for two of them tells whether the smaller soliton overtook
+the larger.
 """
 
 from __future__ import annotations
@@ -49,12 +53,17 @@ MIN_SAMPLES = 3
 
 
 @dataclass
-class TroughTrack:
-    """One persistent trough: parallel lists of time, position, depth."""
+class Track:
+    """One persistent soliton: parallel lists of time, position and size.
+
+    A trough track holds float positions and the refined depth of each
+    sample; a box-ball cluster track holds integer leftmost positions and
+    the ball count of each sample.
+    """
 
     times: list[int] = dc_field(default_factory=list)
-    positions: list[float] = dc_field(default_factory=list)
-    depths: list[float] = dc_field(default_factory=list)
+    positions: list[float] | list[int] = dc_field(default_factory=list)
+    sizes: list[float] | list[int] = dc_field(default_factory=list)
 
     @property
     def first_t(self) -> int:
@@ -63,6 +72,14 @@ class TroughTrack:
     @property
     def last_t(self) -> int:
         return self.times[-1]
+
+    @property
+    def speed(self) -> Fraction:
+        """Exact net displacement per step over the track's life."""
+        if len(self.times) < 2:
+            raise TooFewSamples("cluster seen only once")
+        return ((Fraction(self.positions[-1]) - Fraction(self.positions[0]))
+                / (self.times[-1] - self.times[0]))
 
     def position_at(self, t: int) -> float:
         """Position at time t, linearly interpolated across gaps."""
@@ -121,7 +138,7 @@ def _match_cost(pred_pos: float, pred_depth: float, det_pos: float,
 
 
 def track_troughs(rows: Sequence[Sequence[float]], n_lo: int,
-                  t0: int) -> list[TroughTrack]:
+                  t0: int) -> list[Track]:
     """Link per-row trough detections into tracks.
 
     ``rows[j][k]`` is x at time ``t0 + j`` and site ``n_lo + k``, as
@@ -133,8 +150,8 @@ def track_troughs(rows: Sequence[Sequence[float]], n_lo: int,
     first appearance, then position.
     """
     base_gate = max(2.0, math.ceil(2.0 * V_MAX))
-    active: list[TroughTrack] = []
-    done: list[TroughTrack] = []
+    active: list[Track] = []
+    done: list[Track] = []
     for t, row in enumerate(rows, t0):
         dets = [(n_lo + pos, depth) for pos, depth in _row_minima(row)]
         # retire tracks that have coasted too long
@@ -152,17 +169,17 @@ def track_troughs(rows: Sequence[Sequence[float]], n_lo: int,
                 pos, depth = dets[assignment[ti]]
                 tr.times.append(t)
                 tr.positions.append(pos)
-                tr.depths.append(depth)
+                tr.sizes.append(depth)
         for di, (pos, depth) in enumerate(dets):
             if di not in claimed:
-                active.append(TroughTrack([t], [pos], [depth]))
+                active.append(Track([t], [pos], [depth]))
     done.extend(active)
     done = [tr for tr in done if len(tr.times) >= MIN_SAMPLES]
     done.sort(key=lambda tr: (tr.first_t, tr.positions[0]))
     return done
 
 
-def _assign(active: Sequence[TroughTrack], dets: Sequence[tuple[float, float]],
+def _assign(active: Sequence[Track], dets: Sequence[tuple[float, float]],
             t: int, base_gate: float) -> dict[int, int]:
     """One-to-one track-to-detection assignment: as many matches as the
     gates allow, and of those the one with the lowest total cost."""
@@ -177,7 +194,7 @@ def _assign(active: Sequence[TroughTrack], dets: Sequence[tuple[float, float]],
         else:
             vel = 0.0
         pred = tr.positions[-1] + vel * gap
-        depth = statistics.median(tr.depths[-5:])
+        depth = statistics.median(tr.sizes[-5:])
         row = {}
         for di, (pos, dep) in enumerate(dets):
             if abs(pos - tr.positions[-1]) <= gate or abs(pos - pred) <= base_gate:
@@ -237,7 +254,7 @@ def _min_cost_matching(cand: dict[int, dict[int, float]]) -> dict[int, int]:
             c = prev
 
 
-def _usable_samples(track: TroughTrack, others: Sequence[TroughTrack],
+def _usable_samples(track: Track, others: Sequence[Track],
                     ) -> list[tuple[int, float, float]]:
     """(t, position, depth) samples not within ``EXCLUSION_RADIUS`` of any
     other track.
@@ -249,7 +266,7 @@ def _usable_samples(track: TroughTrack, others: Sequence[TroughTrack],
     endpoint; samples inside that cone are excluded too.
     """
     out = []
-    for t, pos, dep in zip(track.times, track.positions, track.depths):
+    for t, pos, dep in zip(track.times, track.positions, track.sizes):
         clear = True
         for other in others:
             if other is track or not other.times:
@@ -270,7 +287,7 @@ def _usable_samples(track: TroughTrack, others: Sequence[TroughTrack],
     return out
 
 
-def measure_velocity(track: TroughTrack, others: Sequence[TroughTrack] = ()) -> float:
+def measure_velocity(track: Track, others: Sequence[Track] = ()) -> float:
     """Least-squares speed of a track.
 
     Collision samples (within ``EXCLUSION_RADIUS`` of another track) are
@@ -307,7 +324,7 @@ def measure_velocity(track: TroughTrack, others: Sequence[TroughTrack] = ()) -> 
     return float(num / den)
 
 
-def track_amplitude(track: TroughTrack, others: Sequence[TroughTrack] = ()) -> float:
+def track_amplitude(track: Track, others: Sequence[Track] = ()) -> float:
     """Deepest refined trough over the track's collision-free samples.
 
     The refined per-sample depth oscillates slightly with the trough's
@@ -323,35 +340,6 @@ def track_amplitude(track: TroughTrack, others: Sequence[TroughTrack] = ()) -> f
 
 # ---------------------------------------------------------------------------
 # box-ball cluster tracks
-
-
-@dataclass
-class ClusterTrack:
-    """One persistent ball cluster: times, leftmost positions, ball count."""
-
-    times: list[int] = dc_field(default_factory=list)
-    leftmost: list[int] = dc_field(default_factory=list)
-    amplitude: int = 0
-
-    @property
-    def first_t(self) -> int:
-        return self.times[0]
-
-    @property
-    def last_t(self) -> int:
-        return self.times[-1]
-
-    @property
-    def speed(self) -> Fraction:
-        """Exact net displacement per step over the track's life."""
-        if len(self.times) < 2:
-            raise TooFewSamples("cluster seen only once")
-        return Fraction(self.leftmost[-1] - self.leftmost[0],
-                        self.times[-1] - self.times[0])
-
-    def position_at(self, t: int) -> float:
-        """Leftmost position at time t, linearly interpolated across gaps."""
-        return _interp(t, self.times, self.leftmost)
 
 
 def _clusters(u: Sequence[int], occupied: Sequence[int]) -> list[tuple[int, int, int]]:
@@ -373,7 +361,7 @@ def _clusters(u: Sequence[int], occupied: Sequence[int]) -> list[tuple[int, int,
     return out
 
 
-def detect_bbsc_solitons(history: Sequence[BBSCState]) -> list[ClusterTrack]:
+def detect_bbsc_solitons(history: Sequence[BBSCState]) -> list[Track]:
     """Link ball clusters across a state history into tracks.
 
     Clusters are matched by interval overlap first, then by nearest leftmost
@@ -385,12 +373,12 @@ def detect_bbsc_solitons(history: Sequence[BBSCState]) -> list[ClusterTrack]:
     caps = {(s.c_box, s.c_carrier) for s in history}
     if len(caps) > 1:
         raise InconsistentCapacities(f"mixed capacities in history: {sorted(map(str, caps))}")
-    tracks: list[ClusterTrack] = []
+    tracks: list[Track] = []
     prev: list[tuple[int, int, int]] = []
-    prev_map: list[ClusterTrack] = []
+    prev_map: list[Track] = []
     for t, s in enumerate(history):
         cur = _clusters(s.u, s.occupied)
-        new_map: list[ClusterTrack | None] = [None] * len(cur)
+        new_map: list[Track | None] = [None] * len(cur)
         used = [False] * len(prev)
         matched = 0
         # pass 1: interval overlap with the previous row's clusters.  Both
@@ -439,14 +427,15 @@ def detect_bbsc_solitons(history: Sequence[BBSCState]) -> list[ClusterTrack]:
         for ci, (lo, hi, cnt) in enumerate(cur):
             tr = new_map[ci]
             if tr is None:
-                tr = ClusterTrack([], [], cnt)
+                tr = Track()
                 tracks.append(tr)
                 new_map[ci] = tr
             tr.times.append(t)
-            tr.leftmost.append(lo)
+            tr.positions.append(lo)
+            tr.sizes.append(cnt)
         prev = cur
         prev_map = new_map
-    tracks.sort(key=lambda tr: (tr.first_t, tr.leftmost[0]))
+    tracks.sort(key=lambda tr: (tr.first_t, tr.positions[0]))
     return tracks
 
 
@@ -458,27 +447,29 @@ def _fraction_or_float(v):
     return str(v) if isinstance(v, Fraction) else float(v)
 
 
-def overtake_report(tracks: Sequence[TroughTrack | ClusterTrack]) -> dict:
+def overtake_report(tracks: Sequence[Track]) -> dict:
     """Summarize measured tracks: per-track amplitude/speed/span and, for
     exactly two, whether their order swaps and whether the smaller one
     outran the larger.
 
-    Accepts any number of tracks of one kind (trough or cluster, not mixed).
-    The amplitude and speed of a trough track are measured clear of all the
-    other tracks; a cluster track has its ball count and exact speed.  For
+    Accepts any number of tracks of one kind, not mixed: cluster tracks
+    have integer positions, trough tracks float ones.  The amplitude and
+    speed of a trough track are measured clear of all the other tracks; a
+    cluster track has its ball count at birth and its exact speed.  For
     any count other than two, ``crossing`` is false and ``anomaly`` is
     ``"none"``.  Of two tracks, ``anomaly`` is ``"smaller_faster"`` when
     the smaller-amplitude track ends ahead after starting behind, or, for
     troughs, after emerging from an unresolved collision at the start of the
     common span with the greater measured speed; else ``"none"``.
     """
-    kinds = {isinstance(tr, ClusterTrack) for tr in tracks}
+    kinds = {bool(tr.positions) and all(isinstance(p, int) for p in tr.positions)
+             for tr in tracks}
     if len(kinds) > 1:
         raise MixedTrackKinds("cannot mix trough and cluster tracks in one report")
     clusters = kinds == {True}
     # all amplitudes first: when several fits fail, an amplitude's is raised
     if clusters:
-        amps = [tr.amplitude for tr in tracks]
+        amps = [tr.sizes[0] for tr in tracks]
         speeds = [tr.speed for tr in tracks]
     else:
         others = [[o for o in tracks if o is not tr] for tr in tracks]

@@ -140,8 +140,8 @@ def test_criterion_06_bbsc_speeds():
     tracks = detect_bbsc_solitons(history)
     balls = {state.balls for state in history}
     ok = (len(tracks) == 2
-          and tracks[0].amplitude == 3 and tracks[0].speed == Fraction(1, 3)
-          and tracks[1].amplitude == 1 and tracks[1].speed == 1
+          and tracks[0].sizes[0] == 3 and tracks[0].speed == Fraction(1, 3)
+          and tracks[1].sizes[0] == 1 and tracks[1].speed == 1
           and balls == {4} and len(history) == 10)
     _record(6, "box-ball speeds exactly 1/3 and 1, balls conserved over 9 steps", ok)
 

@@ -287,8 +287,8 @@ def test_occupied_lists_the_nonzero_boxes_of_every_swept_state(setup):
         write_bbsc_csv(a, out_a)
         write_bbsc_csv(b, out_b)
         assert out_a.getvalue() == out_b.getvalue() == bbsc_csv_longhand(rebuilt)
-        assert ([(tr.times, tr.leftmost, tr.amplitude) for tr in detect_bbsc_solitons(a)]
-                == [(tr.times, tr.leftmost, tr.amplitude)
+        assert ([(tr.times, tr.positions, tr.sizes) for tr in detect_bbsc_solitons(a)]
+                == [(tr.times, tr.positions, tr.sizes)
                     for tr in detect_bbsc_solitons(b)])
 
 

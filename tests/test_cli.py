@@ -12,7 +12,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from solitonlab import solitons
-from solitonlab.cli import build_parser, run
+from solitonlab.cli import _write, build_parser, run
+from solitonlab.errors import OutputNotWritable, SolitonLabError
 from solitonlab.lattice import SystemParams, _gkdv_constants
 
 from _oracles import exactness_longhand
@@ -195,6 +196,12 @@ def test_an_unwritable_out_path_is_an_error_not_a_traceback(capsys, tmp_path, ar
     code, out, err = invoke(capsys, *argv, "--out", path)
     assert (code, out) == (1, "")
     assert err.startswith("error:") and path in err and err.count("\n") == 1
+    # the writer's failure is typed, and nothing is emitted
+    emitted = []
+    with pytest.raises(OutputNotWritable) as info:
+        _write(path, emitted.append)
+    assert err == f"error: {info.value}\n" and emitted == []
+    assert isinstance(info.value, SolitonLabError) and isinstance(info.value, ValueError)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")

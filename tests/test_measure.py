@@ -5,9 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from solitonlab import (
     BBSCState,
-    ClusterTrack,
     SystemParams,
-    TroughTrack,
+    Track,
     amplitude,
     detect_bbsc_solitons,
     evolve_bbsc,
@@ -26,7 +25,7 @@ from solitonlab.errors import (
 )
 from solitonlab.measure import _assign
 
-from _oracles import detect_bbsc_solitons_longhand, lsq_slope_exact
+from _oracles import clusters_longhand, detect_bbsc_solitons_longhand, lsq_slope_exact
 
 REF_PARAMS = SystemParams(Fraction(5, 6), Fraction(14, 15))
 REF_SOLITONS = [(Fraction(2, 15), Fraction(-1, 6)),
@@ -135,8 +134,8 @@ def test_tracks_are_in_lattice_coordinates():
 
 
 def test_velocity_of_a_straight_line_is_one():
-    tr = TroughTrack([0, 1, 2, 3], [0.0, 1.0, 2.0, 3.0], [0.5] * 4)
-    assert measure_velocity(tr) == 1.0
+    tr = Track([0, 1, 2, 3], [0.0, 1.0, 2.0, 3.0], [0.5] * 4)
+    assert measure_velocity(tr) == 1.0 and tr.speed == 1
 
 
 # (row step, position) pairs: steps above 2 split a track into segments, so
@@ -156,7 +155,7 @@ def test_velocity_is_the_exact_slope_rounded_once(t0, steps):
         t += step
         times.append(t)
     positions = [pos for _, pos in steps]
-    tr = TroughTrack(times, positions, [0.5] * len(times))
+    tr = Track(times, positions, [0.5] * len(times))
     try:
         expected = lsq_slope_exact(list(zip(times, positions)))
     except ZeroDivisionError:  # no segment with two samples
@@ -167,16 +166,22 @@ def test_velocity_is_the_exact_slope_rounded_once(t0, steps):
 
 
 def test_too_few_samples_paths():
-    lone = TroughTrack([0], [0.0], [0.5])
+    lone = Track([0], [0.0], [0.5])
     with pytest.raises(TooFewSamples):
         measure_velocity(lone)
     # every sample shadowed by a nearby neighbor
-    a = TroughTrack([0, 1, 2], [0.0, 1.0, 2.0], [0.5, 0.5, 0.5])
-    b = TroughTrack([0, 1, 2], [0.5, 1.5, 2.5], [0.3, 0.3, 0.3])
+    a = Track([0, 1, 2], [0.0, 1.0, 2.0], [0.5, 0.5, 0.5])
+    b = Track([0, 1, 2], [0.5, 1.5, 2.5], [0.3, 0.3, 0.3])
     with pytest.raises(TooFewSamples):
         measure_velocity(a, [b])
     with pytest.raises(TooFewSamples):
         track_amplitude(a, [b])
+    # a cluster seen on one row has no speed, so it cannot be reported
+    once = Track([0], [3], [1])
+    with pytest.raises(TooFewSamples, match="cluster seen only once"):
+        once.speed
+    with pytest.raises(TooFewSamples, match="cluster seen only once"):
+        overtake_report([once])
 
 
 # --- box-ball cluster measurement ---------------------------------------------
@@ -185,7 +190,7 @@ def test_too_few_samples_paths():
 def test_cluster_speeds_exact():
     hist = evolve_bbsc(BBSCState((3, 0, 0, 0, 1), c_box=3, c_carrier=1), 9)
     tracks = detect_bbsc_solitons(hist)
-    assert [tr.amplitude for tr in tracks] == [3, 1]
+    assert [tr.sizes[0] for tr in tracks] == [3, 1]
     assert tracks[0].speed == Fraction(1, 3)
     assert tracks[1].speed == Fraction(1)
     report = overtake_report(tracks)
@@ -199,18 +204,24 @@ def test_cluster_collision_reemits_the_fast_ball():
     hist = evolve_bbsc(BBSCState((1, 0, 0, 3, 0, 0, 0, 0, 0, 0),
                                  c_box=3, c_carrier=1), 12)
     tracks = detect_bbsc_solitons(hist)
-    amps = [tr.amplitude for tr in tracks]
+    amps = [tr.sizes[0] for tr in tracks]
     assert amps.count(3) == 1 and amps.count(1) == 2
     cluster = tracks[amps.index(3)]
-    emitted = [tr for tr in tracks if tr.amplitude == 1 and tr.first_t > 0][0]
+    emitted = [tr for tr in tracks if tr.sizes[0] == 1 and tr.first_t > 0][0]
     assert emitted.speed == 1
     # the cluster's pre-collision crawl is slower than its lifetime average
-    assert cluster.leftmost[:2] == [3, 3] and cluster.speed > 0
+    assert cluster.positions[:2] == [3, 3] and cluster.speed > 0
     assert sum(s.balls for s in hist[-1:]) == 4
 
 
 def as_tuples(tracks):
-    return [(tr.times, tr.leftmost, tr.amplitude) for tr in tracks]
+    return [(tr.times, tr.positions, tr.sizes[0]) for tr in tracks]
+
+
+def run_sizes(history, tr):
+    """Ball count of the longhand run that starts at each sample's position."""
+    return [{lo: cnt for lo, _, cnt in clusters_longhand(history[t].u)}.get(pos)
+            for t, pos in zip(tr.times, tr.positions)]
 
 
 # rows built one by one, mostly empty boxes: clusters appear, vanish, split
@@ -228,7 +239,9 @@ random_histories = st.integers(1, 4).flatmap(
 @given(random_histories)
 @settings(max_examples=150, deadline=None)
 def test_cluster_tracks_match_longhand_on_random_rows(history):
-    assert as_tuples(detect_bbsc_solitons(history)) == detect_bbsc_solitons_longhand(history)
+    tracks = detect_bbsc_solitons(history)
+    assert as_tuples(tracks) == detect_bbsc_solitons_longhand(history)
+    assert all(tr.sizes == run_sizes(history, tr) for tr in tracks)
 
 
 @given(st.integers(2, 5).flatmap(lambda cb: st.tuples(
@@ -241,7 +254,9 @@ def test_cluster_tracks_match_longhand_on_evolved_histories(setup, steps):
     # c_box > c_carrier, as on the benchmark panel: clusters collide
     cb, cells, cc = setup
     history = evolve_bbsc(BBSCState(tuple(cells), c_box=cb, c_carrier=cc), steps)
-    assert as_tuples(detect_bbsc_solitons(history)) == detect_bbsc_solitons_longhand(history)
+    tracks = detect_bbsc_solitons(history)
+    assert as_tuples(tracks) == detect_bbsc_solitons_longhand(history)
+    assert all(tr.sizes == run_sizes(history, tr) for tr in tracks)
 
 
 def test_cluster_overlap_tie_goes_to_the_first_previous_cluster():
@@ -264,7 +279,7 @@ def test_detect_rejects_mixed_capacities():
 def test_overtake_report_input_validation():
     hist = evolve_bbsc(BBSCState((3, 0, 0, 0, 1), c_box=3, c_carrier=1), 9)
     tracks = detect_bbsc_solitons(hist)
-    trough = TroughTrack([0, 1], [0.0, 1.0], [0.5, 0.5])
+    trough = Track([0, 1], [0.0, 1.0], [0.5, 0.5])
     with pytest.raises(ValueError):
         overtake_report([tracks[0], trough])
     with pytest.raises(ValueError):
@@ -283,10 +298,10 @@ def test_overtake_report_measures_each_trough_against_the_others():
     # A runs at speed 1 through B, which stands at 10; A's depth reads 0.9
     # at the collision and 0.5 elsewhere.  C stays far from both.
     times = list(range(20))
-    a = TroughTrack(times, [float(t) for t in times],
+    a = Track(times, [float(t) for t in times],
                     [0.9 if t == 10 else 0.5 for t in times])
-    b = TroughTrack(times, [10.0] * 20, [0.3] * 20)
-    c = TroughTrack(times, [100.0 + 0.5 * t for t in times], [0.2] * 20)
+    b = Track(times, [10.0] * 20, [0.3] * 20)
+    c = Track(times, [100.0 + 0.5 * t for t in times], [0.2] * 20)
     tracks = [a, b, c]
     report = overtake_report(tracks)
     expected = []
@@ -301,7 +316,7 @@ def test_overtake_report_measures_each_trough_against_the_others():
 
 
 def _cluster_rows(tracks):
-    return [{"amplitude": float(tr.amplitude), "speed": str(tr.speed),
+    return [{"amplitude": float(tr.sizes[0]), "speed": str(tr.speed),
              "first_t": tr.first_t, "last_t": tr.last_t} for tr in tracks]
 
 
@@ -318,15 +333,15 @@ def test_overtake_report_of_one_and_three_clusters():
 def test_overtake_report_without_a_common_life_span():
     # the spans [0, 2] and [5, 7] are disjoint, so each track's own endpoints
     # are compared: the single ball starts 5 sites behind and ends 1 ahead
-    small = ClusterTrack([0, 1, 2], [0, 1, 2], 1)
-    big = ClusterTrack([5, 6, 7], [5, 3, 1], 2)
+    small = Track([0, 1, 2], [0, 1, 2], [1, 1, 1])
+    big = Track([5, 6, 7], [5, 3, 1], [2, 2, 2])
     report = overtake_report([small, big])
     assert report["crossing"] is True
     assert report["anomaly"] == "smaller_faster"
 
 
 def test_cluster_position_at():
-    tr = ClusterTrack([2, 4, 5], [10, 13, 14], 1)
+    tr = Track([2, 4, 5], [10, 13, 14], [1, 1, 1])
     assert [tr.position_at(t) for t in (2, 4, 5)] == [10.0, 13.0, 14.0]
     assert tr.position_at(3) == 11.5
     assert tr.position_at(0) == 10.0 and tr.position_at(9) == 14.0
@@ -337,7 +352,7 @@ def test_assign_keeps_maximum_cardinality_with_many_tracks():
     # detections at 10.1 and 8.1: the cheapest pair A->10.1 strands B, while
     # A->8.1 and B->10.1 match both
     far = [100.0 * (i + 1) for i in range(6)]
-    active = [TroughTrack([0], [x], [0.5]) for x in far + [10.0, 11.9]]
+    active = [Track([0], [x], [0.5]) for x in far + [10.0, 11.9]]
     dets = [(x, 0.5) for x in far] + [(10.1, 0.5), (8.1, 0.5)]
     assignment = _assign(active, dets, 1, 2.0)
     assert assignment == {**{i: i for i in range(6)}, 6: 7, 7: 6}
