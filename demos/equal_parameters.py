@@ -7,16 +7,16 @@ from fractions import Fraction
 
 from solitonlab import (
     SystemParams,
+    evolve_gkdv,
     measure_velocity,
     sample_x_float,
-    step_gkdv,
     track_troughs,
 )
 
 params = SystemParams(Fraction(5, 6), Fraction(5, 6))
 
 row = [Fraction(1), Fraction(5, 4), Fraction(2, 3), Fraction(1), Fraction(1)]
-x_next, y_row = step_gkdv(row, params)
+x_next = evolve_gkdv(row, params, 1).xs[1]
 print("one sweep with alpha = beta:")
 print("  before:", [str(v) for v in row])
 print("  after: ", [str(v) for v in x_next])

@@ -12,11 +12,9 @@ fast the gap closes.
 import math
 from itertools import chain, repeat
 
-from solitonlab import BBSCState, bbsc_step, bbsc_sweep, ud_limit_check
+from solitonlab import BBSCState, bbsc_sweep, evolve_bbsc, ud_limit_check
 
-state = BBSCState((3, 0, 0, 0, 1, 0), c_box=3, c_carrier=1)
-for _ in range(3):
-    state = bbsc_step(state)
+state = evolve_bbsc(BBSCState((3, 0, 0, 0, 1, 0), c_box=3, c_carrier=1), 3)[-1]
 nxt, loads = bbsc_sweep(state)
 
 eps = 0.05

@@ -8,7 +8,6 @@ tools for soliton speeds and amplitudes.
 
 from .boxball import (
     BBSCState,
-    bbsc_step,
     bbsc_sweep,
     evolve_bbsc,
     render_ascii,
@@ -20,8 +19,6 @@ from .lattice import (
     LatticeField,
     SystemParams,
     evolve_gkdv,
-    gkdv_local,
-    step_gkdv,
 )
 from .measure import (
     Track,
@@ -50,12 +47,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BBSCState", "KPParams", "LatticeField", "Rat", "SystemParams", "Track",
-    "amplitude", "bbsc_step", "bbsc_sweep", "check_exactness", "check_kp_bilinear",
+    "amplitude", "bbsc_sweep", "check_exactness", "check_kp_bilinear",
     "check_reduction", "detect_bbsc_solitons",
-    "evolve_bbsc", "evolve_gkdv", "gkdv_local",
+    "evolve_bbsc", "evolve_gkdv",
     "kp_tau", "measure_velocity",
     "overtake_report", "random_kp_params",
     "rat_parse", "rat_str", "render_ascii", "sample_field", "sample_x_float",
-    "scan_monotonicity", "step_gkdv", "track_amplitude", "track_troughs",
+    "scan_monotonicity", "track_amplitude", "track_troughs",
     "ud_limit_check", "validate", "velocity", "write_bbsc_csv",
 ]

@@ -9,13 +9,16 @@ One sweep moves a carrier left to right over boxes of capacity ``c_box``:
 where v is the carrier load entering the box.  The carrier starts empty and
 the window is extended to the right until it empties again, so the total
 ball count is conserved exactly.  With an unbounded carrier this is the
-plain box-ball rule.  An empty carrier leaves an empty box as it is, so a
-sweep runs the rule only from each occupied box until the carrier is empty
-again.  Each state carries the ascending indices of its occupied boxes,
-``BBSCState.occupied``; a sweep jumps between them and collects the new
-state's as it writes its boxes.  So the sweep, the CSV writer and
-``measure``'s cluster scan visit no empty box in Python: their per-box work
-is per occupied box, and the only whole-row passes left are copies made in C.
+plain box-ball rule.  :func:`evolve_bbsc` repeats the sweep in time, and
+:func:`bbsc_sweep` is one sweep that also returns the carrier loads.
+
+An empty carrier leaves an empty box as it is, so a sweep runs the rule
+only from each occupied box until the carrier is empty again.  Each state
+carries the ascending indices of its occupied boxes, ``BBSCState.occupied``;
+a sweep jumps between them and collects the new state's as it writes its
+boxes.  So the sweep, the CSV writer and ``measure``'s cluster scan visit
+no empty box in Python: their per-box work is per occupied box, and the
+only whole-row passes left are copies made in C.
 
 The rational map x' = y ((1-beta) + beta x y) / ((1-alpha) + alpha x y)
 turns into this automaton inside the soliton regime alpha + beta > 1, as
@@ -183,17 +186,6 @@ def _sweep(row: list[int], cb: Capacity, cc: Capacity,
     return out
 
 
-def bbsc_step(state: BBSCState) -> BBSCState:
-    """One time step of the capacity-limited rule.
-
-    The sweep range-checks every box it writes, so the new state skips the
-    constructor's whole-row check (see :class:`BBSCState`).
-    """
-    row = list(state.u)
-    occupied = _sweep(row, state.c_box, state.c_carrier, state.occupied)
-    return _swept(tuple(row), occupied, state)
-
-
 def bbsc_sweep(state: BBSCState) -> tuple[BBSCState, list[int]]:
     """One carrier sweep.  Returns (new state, carrier loads).
 
@@ -203,13 +195,18 @@ def bbsc_sweep(state: BBSCState) -> tuple[BBSCState, list[int]]:
     balance: the load leaving box k is the number of balls the carrier has
     taken from boxes 0..k, the running sum of u - u'.
     """
-    new = bbsc_step(state)
+    new = evolve_bbsc(state, 1)[1]
     return new, list(accumulate(map(sub, chain(state.u, repeat(0)), new.u),
                                 initial=0))
 
 
 def evolve_bbsc(state: BBSCState, steps: int) -> list[BBSCState]:
-    """Apply ``steps`` sweeps; returns all ``steps + 1`` states."""
+    """Apply ``steps`` sweeps; returns all ``steps + 1`` states.
+
+    One time step is ``evolve_bbsc(state, 1)[1]``.  The sweep range-checks
+    every box it writes, so each new state skips the constructor's
+    whole-row check (see :class:`BBSCState`).
+    """
     if steps < 0:
         raise NegativeSteps("steps must be >= 0")
     cb, cc = state.c_box, state.c_carrier

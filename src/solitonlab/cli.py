@@ -303,8 +303,8 @@ def _verify_kp_residuals(args, log: IO[str], what: str, constrained: bool,
 
 def _verify_udlimit(args, log: IO[str]) -> bool:
     state = boxball.BBSCState(_parse_init(args.init), args.cb, args.cc)
-    for _ in range(args.steps):
-        state = boxball.bbsc_step(state)
+    for _ in range(args.steps):  # one state at a time: no history is kept
+        state = boxball.evolve_bbsc(state, 1)[1]
     gaps = boxball.ud_limit_check(state, args.epsilons)
     for e, gap in gaps:
         print(f"eps={e:g}: max deviation {gap:.3e}", file=log)

@@ -15,10 +15,9 @@ class SolitonLabError(Exception):
 class ZeroDenominator(SolitonLabError):
     """A rational map hit a vanishing denominator."""
 
-    def __init__(self, site: int | None = None):
+    def __init__(self, site: int):
         self.site = site
-        where = "" if site is None else f" at site n={site}"
-        super().__init__(f"map denominator vanished{where}")
+        super().__init__(f"map denominator vanished at site n={site}")
 
 
 class WindowTooSmall(SolitonLabError):

@@ -6,11 +6,12 @@ It couples a field x, advanced in time, with a carrier field y, advanced in
 space.  The kernel takes R in the form (c1 + d1*x*y) / (c2 + d2*x*y), with
 integer constants from ``_map_constants``.
 
-A window [n_lo, n_hi] is advanced by sweeping n left to right; y enters the
-window at the left edge with a value given per row (the solution's own
-carrier there, or by default the background value 1) and the value carried
-past n_hi is discarded.  The product x*y at a site is preserved exactly by
-one update, which is the main conservation check used throughout the tests.
+:func:`evolve_gkdv` runs the map: it advances a window [n_lo, n_hi] by
+sweeping n left to right, once per time step.  y enters the window at the
+left edge with a value given per row (the solution's own carrier there, or
+by default the background value 1) and the value carried past n_hi is
+discarded.  The product x*y at a site is preserved exactly by one update,
+which is the main conservation check used throughout the tests.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 from .errors import (
     NegativeSteps,
@@ -71,7 +72,7 @@ def _map_constants(c1: Rat, d1: Rat, c2: Rat, d2: Rat) -> tuple[int, ...]:
             l1 // g, l2 // g)
 
 
-def _two_point(x: Rat, y: Rat, k: tuple[int, ...], site: int | None = None,
+def _two_point(x: Rat, y: Rat, k: tuple[int, ...], site: int,
                ) -> tuple[Fraction, Fraction]:
     """The two-point map (x, y) -> (R*y, x/R), on numerators and denominators.
 
@@ -156,30 +157,22 @@ def _gkdv_constants(params: SystemParams) -> tuple[int, ...]:
     return _map_constants(1 - params.beta, params.beta, 1 - params.alpha, params.alpha)
 
 
-def gkdv_local(x: Rat, y: Rat, params: SystemParams, site: int | None = None) -> tuple[Rat, Rat]:
-    """One local update: returns (x advanced in t, y advanced in n)."""
-    return _two_point(x, y, _gkdv_constants(params), site)
-
-
-def _coerce_row(row: Iterable) -> list[Fraction]:
-    out = [Fraction(v) for v in row]
-    if not out:
-        raise WindowTooSmall("a window row must contain at least one site")
-    return out
-
-
-def _warn_if_escaped(x_right: Fraction, t: int | None = None) -> None:
+def _warn_if_escaped(x_right: Fraction, t: int) -> None:
     if abs(float(x_right) - 1.0) > ESCAPE_TOL:
-        at = "" if t is None else f" at t={t}"
         warnings.warn(SolitonEscapedWindow(
-            f"right window edge{at} deviates from the background by "
+            f"right window edge at t={t} deviates from the background by "
             f"{abs(float(x_right) - 1.0):.3e}; content is being truncated"))
 
 
 def _sweep(xs: list[Fraction], y_left: Rat, k: tuple[int, ...], n_lo: int,
            ) -> tuple[list[Fraction], list[Fraction]]:
     """Carry y left to right through the two-point map with constants ``k``
-    over one row whose first site is ``n_lo``."""
+    over one row whose first site is ``n_lo``.
+
+    Returns ``(x_next, y_row)``, where ``y_row[i]`` is the same-time
+    carrier entering site ``i``, and its one extra trailing entry is the
+    value carried past the right edge.
+    """
     x_next: list[Fraction] = []
     y_row: list[Fraction] = [Fraction(y_left)]
     for i, x in enumerate(xs):
@@ -187,21 +180,6 @@ def _sweep(xs: list[Fraction], y_left: Rat, k: tuple[int, ...], n_lo: int,
         x_next.append(x_up)
         y_row.append(y_right)
     return x_next, y_row
-
-
-def step_gkdv(x_row: Sequence[Rat], params: SystemParams, *, y_left: Rat = ONE,
-              ) -> tuple[list[Fraction], list[Fraction]]:
-    """Advance one window row by one time step.
-
-    Returns ``(x_next, y_row)`` where ``y_row[i]`` is the same-time carrier
-    value entering site ``i``; it has one extra trailing entry, the value
-    carried past the right edge (discarded by the window evolution).
-    Warns with :class:`SolitonEscapedWindow` when the input row's right edge
-    has left the background.
-    """
-    xs = _coerce_row(x_row)
-    _warn_if_escaped(xs[-1])
-    return _sweep(xs, y_left, _gkdv_constants(params), 0)
 
 
 @dataclass
@@ -294,7 +272,9 @@ def evolve_gkdv(x0_row: Sequence[Rat], params: SystemParams, steps: int, *,
     k = _gkdv_constants(params)
     rows_x: list[list[Fraction]] = []
     rows_y: list[list[Fraction]] = []
-    cur = _coerce_row(x0_row)
+    cur = [Fraction(v) for v in x0_row]
+    if not cur:
+        raise WindowTooSmall("a window row must contain at least one site")
     for j in range(steps + 1):
         _warn_if_escaped(cur[-1], t0 + j)
         nxt, y_row = _sweep(cur, y_left[j], k, n_lo)

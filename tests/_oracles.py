@@ -356,7 +356,7 @@ def exactness_longhand(field: LatticeField, consts: tuple[int, ...]) -> list[lis
     """
     def exact_at(j: int, k: int) -> bool:
         try:
-            return _two_point(field.xs[j][k], field.ys[j][k], consts) == (
+            return _two_point(field.xs[j][k], field.ys[j][k], consts, field.n_lo + k) == (
                 field.xs[j + 1][k], field.ys[j][k + 1])
         except ZeroDenominator:
             return False

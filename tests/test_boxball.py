@@ -12,11 +12,9 @@ from solitonlab import boxball
 from solitonlab import (
     BBSCState,
     SystemParams,
-    bbsc_step,
     bbsc_sweep,
     detect_bbsc_solitons,
     evolve_bbsc,
-    gkdv_local,
     render_ascii,
     sample_field,
     ud_limit_check,
@@ -32,6 +30,7 @@ from solitonlab.errors import (
     UndrawableCapacity,
     UnorderedEpsilons,
 )
+from solitonlab.lattice import _gkdv_constants, _two_point
 
 from _oracles import bbsc_csv_longhand, bbsc_sweep_longhand, ud_gaps_longhand
 
@@ -42,10 +41,7 @@ from _oracles import bbsc_csv_longhand, bbsc_sweep_longhand, ud_gaps_longhand
 def test_three_ball_trace():
     # one cluster of 3 with a tight carrier crawls one box per three sweeps
     state = BBSCState((3, 0, 0), c_box=3, c_carrier=1)
-    seen = [state.u]
-    for _ in range(3):
-        state = bbsc_step(state)
-        seen.append(state.u)
+    seen = [s.u for s in evolve_bbsc(state, 3)]
     assert seen[1][:3] == (2, 1, 0)
     assert seen[2][:3] == (1, 2, 0)
     assert seen[3][:3] == (0, 3, 0)
@@ -70,18 +66,17 @@ def test_sweep_reports_loads():
 
 def test_single_ball_speed_is_one():
     state = BBSCState((0, 1, 0, 0, 0), c_box=3, c_carrier=1)
-    for t in range(1, 4):
-        state = bbsc_step(state)
+    for t, state in enumerate(evolve_bbsc(state, 3)[1:], 1):
         assert state.u[1 + t] == 1 and sum(state.u) == 1
 
 
 def test_unbounded_carrier_classic_cluster_jump():
     # 0/1 boxes, no carrier bound: a k-cluster hops k sites per step
     state = BBSCState((0, 1, 1, 0, 0, 0, 0), c_box=1)
-    assert bbsc_step(state).u[:7] == (0, 0, 0, 1, 1, 0, 0)
+    assert evolve_bbsc(state, 1)[-1].u[:7] == (0, 0, 0, 1, 1, 0, 0)
     # with roomier boxes the drop is still capped by free space
     tall = BBSCState((0, 4, 4, 0, 0, 0, 0, 0, 0, 0), c_box=5)
-    assert bbsc_step(tall).u[:5] == (0, 0, 1, 5, 2)
+    assert evolve_bbsc(tall, 1)[-1].u[:5] == (0, 0, 1, 5, 2)
 
 
 def test_state_validation():
@@ -155,8 +150,7 @@ def test_balls_conserved_and_capacities_respected(setup, steps):
     cb, cells, cc = setup
     state = BBSCState(tuple(cells), c_box=cb, c_carrier=cc)
     total = state.balls
-    for _ in range(steps):
-        state = bbsc_step(state)
+    for state in evolve_bbsc(state, steps)[1:]:
         assert state.balls == total
         assert all(0 <= v <= cb for v in state.u)
 
@@ -272,7 +266,7 @@ def test_occupied_lists_the_nonzero_boxes_of_every_swept_state(setup):
     stepped = [start]
     swept = [start]
     for _ in range(steps):
-        stepped.append(bbsc_step(stepped[-1]))
+        stepped.append(evolve_bbsc(stepped[-1], 1)[-1])
         swept.append(bbsc_sweep(swept[-1])[0])
     if grow and steps:
         assert len(evolved[1].u) > len(start.u)
@@ -405,18 +399,12 @@ def test_write_bbsc_csv_matches_naive_writer(history):
 # --- the in-regime tropical map ----------------------------------------------------
 
 
-def _stepped(state, steps):
-    for _ in range(steps):
-        state = bbsc_step(state)
-    return state
-
-
 @st.composite
 def swept_states(draw):
     """States of capacities 1..5 after 0..3 sweeps."""
     cb, cc = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     cells = draw(st.lists(st.integers(0, cb), min_size=1, max_size=12))
-    return _stepped(BBSCState(tuple(cells), cb, cc), draw(st.integers(0, 3)))
+    return evolve_bbsc(BBSCState(tuple(cells), cb, cc), draw(st.integers(0, 3)))[-1]
 
 
 @given(swept_states())
@@ -437,7 +425,7 @@ def test_sweep_is_the_in_regime_tropical_map(state):
 
 
 def reference_state():
-    return _stepped(BBSCState((3, 0, 0, 0, 1, 0), c_box=3, c_carrier=1), 3)
+    return evolve_bbsc(BBSCState((3, 0, 0, 0, 1, 0), c_box=3, c_carrier=1), 3)[-1]
 
 
 def test_ud_limit_gap_shrinks_with_epsilon():
@@ -468,8 +456,8 @@ def test_ud_limit_gaps_equal_the_decimal_longhand():
     rng = Random(18)
     for _ in range(40):
         cb, cc = rng.randint(1, 5), rng.randint(1, 5)
-        state = _stepped(BBSCState(tuple(rng.randint(0, cb) for _ in range(rng.randint(1, 10))),
-                                   cb, cc), rng.randint(0, 3))
+        state = evolve_bbsc(BBSCState(tuple(rng.randint(0, cb) for _ in range(rng.randint(1, 10))),
+                                      cb, cc), rng.randint(0, 3))[-1]
         epsilons = [1.0, 0.1, 0.01, 0.001]
         got = [g for _, g in ud_limit_check(state, epsilons)]
         expected = ud_gaps_longhand(state.u, cb, cc, epsilons)
@@ -543,9 +531,10 @@ def test_inverted_solitons_solve_the_mirror_map(alpha, beta):
     mirror = SystemParams(1 - beta, 1 - alpha)
     inv_x = [[1 / x for x in row] for row in field.xs]
     inv_y = [[1 / y for y in row] for row in field.ys]
+    consts = _gkdv_constants(mirror)
     for j in range(3):
         for k in range(12):
-            assert gkdv_local(inv_x[j][k], inv_y[j][k], mirror) == (inv_x[j + 1][k],
-                                                                    inv_y[j][k + 1])
+            assert _two_point(inv_x[j][k], inv_y[j][k], consts, field.n_lo + k) == (
+                inv_x[j + 1][k], inv_y[j][k + 1])
     assert max(map(max, inv_x)) > 1
 

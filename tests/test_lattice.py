@@ -9,12 +9,10 @@ from solitonlab import (
     LatticeField,
     SystemParams,
     evolve_gkdv,
-    gkdv_local,
     lattice,
     sample_field,
-    step_gkdv,
 )
-from solitonlab.lattice import _map_constants, _two_point
+from solitonlab.lattice import _gkdv_constants, _map_constants, _sweep, _two_point
 from solitonlab.errors import (
     NegativeSteps,
     ParamOutOfRange,
@@ -46,7 +44,7 @@ def system_params(draw):
 @given(positive, positive, system_params())
 @settings(max_examples=200, deadline=None)
 def test_product_is_conserved_pointwise(x, y, params):
-    xp, yn = gkdv_local(x, y, params)
+    xp, yn = _two_point(x, y, _gkdv_constants(params), 0)
     assert xp * yn == x * y
 
 
@@ -54,7 +52,7 @@ def test_product_is_conserved_pointwise(x, y, params):
 @settings(max_examples=100, deadline=None)
 def test_equal_parameters_swap_the_pair(x, y, params):
     eq = SystemParams(params.alpha, params.alpha)
-    assert gkdv_local(x, y, eq) == (y, x)
+    assert _two_point(x, y, _gkdv_constants(eq), 0) == (y, x)
 
 
 def test_param_validation():
@@ -106,9 +104,9 @@ def test_local_map_matches_longhand_fractions(pair, ab):
         expected = gkdv_local_longhand(x, y, params.alpha, params.beta)
     except ZeroDivisionError:
         with pytest.raises(ZeroDenominator):
-            gkdv_local(x, y, params)
+            _two_point(x, y, _gkdv_constants(params), 0)
         return
-    got = gkdv_local(x, y, params)
+    got = _two_point(x, y, _gkdv_constants(params), 0)
     assert got == expected
     assert all(_lowest_terms(v) for v in got)
 
@@ -122,7 +120,7 @@ def test_local_map_vanishing_denominator_names_the_site(yn, sign, ab, use_beta, 
     y = Fraction(sign * yn, 7)
     x = (c - 1) / (c * y)  # (1-c) + c*x*y = 0
     with pytest.raises(ZeroDenominator) as info:
-        gkdv_local(x, y, params, site=site)
+        _two_point(x, y, _gkdv_constants(params), site)
     assert info.value.site == site and f"n={site}" in str(info.value)
 
 
@@ -131,7 +129,15 @@ def test_local_map_zero_denominator():
     # alpha*x*y = -(1-alpha) makes the denominator vanish
     x = -Fraction(1, 2) / Fraction(1, 2)
     with pytest.raises(ZeroDenominator):
-        gkdv_local(x, Fraction(1), params)
+        _two_point(x, Fraction(1), _gkdv_constants(params), 0)
+
+
+def test_window_sweep_names_the_site_of_a_vanishing_denominator():
+    # at alpha = 1/2 the carrier stays 1 through the x = 1 sites, and
+    # (1 - alpha) + alpha*x*y vanishes at x = -1, the third site, n = -5
+    with pytest.raises(ZeroDenominator) as info:
+        evolve_gkdv([1, 1, -1, 1], SystemParams(Fraction(1, 2), Fraction(1, 3)), 1, n_lo=-7)
+    assert info.value.site == -5 and "n=-5" in str(info.value)
 
 
 # 2, 3, 5 and 7 are the primes of the constants below; operands built from
@@ -180,7 +186,7 @@ big_const = st.one_of(
 # (c1, d1, c2, d2): the map's own constants, and the other shapes of
 # constants that ``_two_point`` accepts
 two_point_constants = st.one_of(
-    shared_denominators.map(_gkdv_set),                        # gkdv_local
+    shared_denominators.map(_gkdv_set),                        # the two-parameter map
     smooth_unit.map(lambda a: _gkdv_set((a, a))),              # alpha = beta, K = 0
     smooth_const.map(lambda d: (1 + d, Fraction(0), Fraction(1), d)),  # D1 = 0
     st.builds(lambda a, b: (Fraction(1), b, Fraction(1), a),   # c1 = c2 = 1
@@ -198,9 +204,9 @@ def test_two_point_matches_longhand_on_smooth_operands(pair, consts):
         expected = two_point_longhand(x, y, *consts)
     except ZeroDivisionError:
         with pytest.raises(ZeroDenominator):
-            _two_point(x, y, _map_constants(*consts))
+            _two_point(x, y, _map_constants(*consts), 0)
         return
-    got = _two_point(x, y, _map_constants(*consts))
+    got = _two_point(x, y, _map_constants(*consts), 0)
     assert [(v.numerator, v.denominator) for v in got] == [
         (v.numerator, v.denominator) for v in expected]
     assert all(type(v) is Fraction and _lowest_terms(v) for v in got)
@@ -244,8 +250,8 @@ def test_step_equal_parameters_is_a_shift():
     row = [Fraction(1), Fraction(3, 2), Fraction(2, 3), Fraction(1), Fraction(1)]
     with pytest.warns(SolitonEscapedWindow):
         # force the warning path too: put mass on the right edge
-        step_gkdv(row[:-1] + [Fraction(2)], params)
-    x_next, y_row = step_gkdv(row, params)
+        evolve_gkdv(row[:-1] + [Fraction(2)], params, 0)
+    x_next, y_row = _sweep(row, Fraction(1), _gkdv_constants(params), 0)
     assert x_next == [Fraction(1)] + row[:-1]
     # incoming carries are the old row shifted, overflow carries the edge out
     assert y_row == [Fraction(1)] + row
@@ -254,7 +260,7 @@ def test_step_equal_parameters_is_a_shift():
 def test_step_rejects_empty_window():
     params = SystemParams(Fraction(1, 2), Fraction(1, 2))
     with pytest.raises(WindowTooSmall):
-        step_gkdv([], params)
+        evolve_gkdv([], params, 0)
 
 
 @given(st.lists(positive, min_size=2, max_size=8), system_params(),

@@ -13,7 +13,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from solitonlab import BBSCState, bbsc_step, bbsc_sweep
+from solitonlab import BBSCState, bbsc_sweep, evolve_bbsc
 from solitonlab.boxball import _logaddexp, ud_limit_check
 from solitonlab.measure import _interp
 
@@ -67,9 +67,8 @@ def numpy_ud_gaps(state, epsilons):
        st.lists(st.floats(1e-6, 3.0), min_size=1, max_size=5, unique=True))
 @settings(max_examples=200, deadline=None)
 def test_ud_limit_check_matches_numpy(c_box, c_carrier, cells, steps, epsilons):
-    state = BBSCState(tuple(min(v, c_box) for v in cells), c_box, c_carrier)
-    for _ in range(steps):
-        state = bbsc_step(state)
+    state = evolve_bbsc(BBSCState(tuple(min(v, c_box) for v in cells), c_box, c_carrier),
+                        steps)[-1]
     epsilons = sorted(epsilons, reverse=True)
     scale = c_box + c_carrier  # u <= c_box and v <= c_carrier
     new = [g for _, g in ud_limit_check(state, epsilons)]

@@ -16,6 +16,27 @@ def test_every_exported_name_resolves():
     assert [name for name in solitonlab.__all__ if not hasattr(solitonlab, name)] == []
 
 
+def test_the_exported_names_are_pinned():
+    # adding or removing a public name is a deliberate change to this list
+    assert sorted(solitonlab.__all__) == [
+        "BBSCState", "KPParams", "LatticeField", "Rat", "SystemParams", "Track",
+        "amplitude", "bbsc_sweep", "check_exactness", "check_kp_bilinear",
+        "check_reduction", "detect_bbsc_solitons", "evolve_bbsc", "evolve_gkdv",
+        "kp_tau", "measure_velocity", "overtake_report", "random_kp_params",
+        "rat_parse", "rat_str", "render_ascii", "sample_field", "sample_x_float",
+        "scan_monotonicity", "track_amplitude", "track_troughs", "ud_limit_check",
+        "validate", "velocity", "write_bbsc_csv",
+    ]
+
+
+def test_each_automaton_advances_only_through_its_evolve():
+    # evolve_gkdv and evolve_bbsc are the one way to advance each state: no
+    # one-step (step_*, *_step) or one-site (*_local) path is left beside them
+    for module in (solitonlab, solitonlab.lattice, solitonlab.boxball):
+        assert [name for name in vars(module)
+                if name.startswith("step_") or name.endswith(("_step", "_local"))] == []
+
+
 def test_star_import_binds_every_exported_name():
     # a name left in __all__ after its definition is gone breaks only this
     namespace: dict = {}
