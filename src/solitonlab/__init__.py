@@ -14,11 +14,11 @@ from .boxball import (
     ud_limit_check,
     write_bbsc_csv,
 )
-from .exact import Rat, rat_parse, rat_str
 from .lattice import (
     LatticeField,
     SystemParams,
     evolve_gkdv,
+    rat_str,
 )
 from .measure import (
     Track,
@@ -46,13 +46,13 @@ from .solitons import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BBSCState", "KPParams", "LatticeField", "Rat", "SystemParams", "Track",
+    "BBSCState", "KPParams", "LatticeField", "SystemParams", "Track",
     "amplitude", "bbsc_sweep", "check_exactness", "check_kp_bilinear",
     "check_reduction", "detect_bbsc_solitons",
     "evolve_bbsc", "evolve_gkdv",
     "kp_tau", "measure_velocity",
     "overtake_report", "random_kp_params",
-    "rat_parse", "rat_str", "render_ascii", "sample_field", "sample_x_float",
+    "rat_str", "render_ascii", "sample_field", "sample_x_float",
     "scan_monotonicity", "track_amplitude", "track_troughs",
     "ud_limit_check", "validate", "velocity", "write_bbsc_csv",
 ]

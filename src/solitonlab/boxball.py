@@ -82,7 +82,7 @@ def _box_values(cells) -> tuple[int, ...]:
         except TypeError:
             n = None
         if n is None or isinstance(v, bool):
-            raise CapacityViolation(f"box {k} holds {v!r}, not an integer")
+            raise CapacityViolation(f"box {k} holds {v!r}, not an integer", box=k)
         u.append(n)
     return tuple(u)
 
@@ -118,7 +118,7 @@ class BBSCState:
             for k, v in enumerate(u):
                 if not 0 <= v <= self.c_box:
                     raise CapacityViolation(
-                        f"box {k} holds {v}, outside [0, {self.c_box}]")
+                        f"box {k} holds {v}, outside [0, {self.c_box}]", box=k)
         object.__setattr__(self, "occupied", tuple(compress(range(len(u)), u)))
 
     @property
@@ -168,7 +168,7 @@ def _sweep(row: list[int], cb: Capacity, cc: Capacity,
             room = cb - u
             u2 = (room if room < v else v) + (w - cc if w > cc else 0)
             if not 0 <= u2 <= cb:
-                raise CapacityViolation(f"box {k} holds {u2}, outside [0, {cb}]")
+                raise CapacityViolation(f"box {k} holds {u2}, outside [0, {cb}]", box=k)
             v = w - u2
             row[k] = u2
             if u2:

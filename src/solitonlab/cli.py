@@ -28,8 +28,7 @@ from typing import IO, Sequence
 
 from . import boxball, measure, solitons
 from .errors import OutputNotWritable, SolitonLabError
-from .exact import rat_parse, rat_str
-from .lattice import SystemParams, evolve_gkdv
+from .lattice import SystemParams, evolve_gkdv, rat_str
 from .solitons import random_kp_params
 
 
@@ -44,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _rat(text: str) -> Fraction:
     try:
-        return rat_parse(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({exc})")
 
@@ -106,6 +105,12 @@ def _capacity(text: str) -> int | float:
         raise argparse.ArgumentTypeError(f"capacity must be an integer or 'inf', got {text!r}")
 
 
+def _occupancies(text: str) -> tuple[int, ...]:
+    if not text.isdecimal():  # isdigit() would pass superscripts, which int() rejects
+        raise argparse.ArgumentTypeError(f"must be a digit string, got {text!r}")
+    return tuple(int(ch) for ch in text)
+
+
 def _write(path: str, emit) -> None:
     try:
         target = nullcontext(sys.stdout) if path == "-" else open(path, "w")
@@ -161,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cb", type=_capacity, required=True, help="box capacity")
     p.add_argument("--cc", type=_capacity, default=math.inf,
                    help="carrier capacity, integer or inf (default inf)")
-    p.add_argument("--init", required=True,
+    p.add_argument("--init", type=_occupancies, required=True,
                    help="initial occupancies as digits, e.g. 300010")
     p.add_argument("--steps", type=_int_at_least(0), required=True)
     p.add_argument("--render", choices=("ascii", "csv"), default="ascii")
@@ -193,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--cb", type=_capacity, default=3, help="udlimit: box capacity")
     p.add_argument("--cc", type=_capacity, default=1, help="udlimit: carrier capacity")
-    p.add_argument("--init", default="300010", help="udlimit: initial occupancies")
+    p.add_argument("--init", type=_occupancies, default="300010",
+                   help="udlimit: initial occupancies")
     p.add_argument("--steps", type=_int_at_least(0), default=3,
                    help="udlimit: sweeps before sampling")
     p.add_argument("--epsilons", type=_epsilons, default="1,0.1,0.01,0.001",
@@ -224,14 +230,8 @@ def _cmd_evolve(args) -> int:
     return 0
 
 
-def _parse_init(text: str) -> tuple[int, ...]:
-    if not text or not text.isdigit():
-        raise _CliError(f"--init must be a digit string, got {text!r}")
-    return tuple(int(ch) for ch in text)
-
-
 def _cmd_bbsc(args) -> int:
-    state = boxball.BBSCState(_parse_init(args.init), args.cb, args.cc)
+    state = boxball.BBSCState(args.init, args.cb, args.cc)
     history = boxball.evolve_bbsc(state, args.steps)
     render = args.render
     if render == "ascii" and state.c_box > 9:
@@ -302,7 +302,7 @@ def _verify_kp_residuals(args, log: IO[str], what: str, constrained: bool,
 
 
 def _verify_udlimit(args, log: IO[str]) -> bool:
-    state = boxball.BBSCState(_parse_init(args.init), args.cb, args.cc)
+    state = boxball.BBSCState(args.init, args.cb, args.cc)
     for _ in range(args.steps):  # one state at a time: no history is kept
         state = boxball.evolve_bbsc(state, 1)[1]
     gaps = boxball.ud_limit_check(state, args.epsilons)

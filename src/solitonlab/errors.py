@@ -1,8 +1,12 @@
 """Error and warning types shared across the package.
 
 Every domain failure raises a subclass of SolitonLabError so the CLI can map
-validation problems to a single exit code.  Indices attached to the soliton
-errors refer to positions in the caller's parameter list (0-based).
+validation problems to a single exit code.  The raise site writes the
+message and passes the failure's location as keywords, which become
+attributes: ``site`` or ``box`` (a lattice site or box index), ``point``
+((t, n)), ``index`` (a mode's 0-based position in the caller's parameter
+list), ``pair`` (two such positions) and ``n_modes``.  Only the message is
+in ``args``, so every error pickles and copies with its location.
 """
 
 from __future__ import annotations
@@ -11,13 +15,13 @@ from __future__ import annotations
 class SolitonLabError(Exception):
     """Base class for all domain errors raised by this package."""
 
+    def __init__(self, message: str = "", **where):
+        super().__init__(message)
+        self.__dict__.update(where)
+
 
 class ZeroDenominator(SolitonLabError):
     """A rational map hit a vanishing denominator."""
-
-    def __init__(self, site: int):
-        self.site = site
-        super().__init__(f"map denominator vanished at site n={site}")
 
 
 class WindowTooSmall(SolitonLabError):
@@ -43,60 +47,29 @@ class ParamOutOfRange(SolitonLabError):
 class POutOfRange(SolitonLabError):
     """A wavenumber lies outside (0, alpha + beta - 1)."""
 
-    def __init__(self, index: int, detail: str = ""):
-        self.index = index
-        super().__init__(f"soliton {index}: p outside the admissible interval"
-                         + (f" ({detail})" if detail else ""))
-
 
 class GammaSignCondition(SolitonLabError):
     """gamma_i does not have the sign that makes the mode a soliton."""
-
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"soliton {index}: gamma must satisfy "
-                         "gamma * (p - midpoint) > 0")
 
 
 class DegenerateP(SolitonLabError):
     """A wavenumber sits exactly on a degenerate point."""
 
-    def __init__(self, index: int, detail: str = "p equals the interval midpoint"):
-        self.index = index
-        super().__init__(f"soliton {index}: {detail}")
-
 
 class DenominatorClash(SolitonLabError):
     """Two modes make a matrix denominator vanish."""
-
-    def __init__(self, i: int, j: int):
-        self.pair = (i, j)
-        super().__init__(f"solitons {i} and {j}: denominator vanishes for this pair")
 
 
 class DuplicateP(SolitonLabError):
     """Two modes share a wavenumber."""
 
-    def __init__(self, i: int, j: int):
-        self.pair = (i, j)
-        super().__init__(f"solitons {i} and {j}: duplicated wavenumber")
-
 
 class ZeroTau(SolitonLabError):
     """A tau function vanished at a lattice point, so x or y is undefined there."""
 
-    def __init__(self, t: int, n: int):
-        self.point = (t, n)
-        super().__init__(f"tau function vanished at (t={t}, n={n})")
-
 
 class DrawExhausted(SolitonLabError):
     """A random parameter draw found no admissible value for one mode."""
-
-    def __init__(self, n_modes: int, index: int):
-        self.n_modes, self.index = n_modes, index
-        super().__init__(f"mode {index} of a {n_modes}-mode draw: no admissible "
-                         "(p, q, gamma) in 200 draws from the pool of small fractions")
 
 
 class ConstraintViolated(SolitonLabError):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from typing import IO, Sequence
@@ -32,7 +33,6 @@ from .errors import (
     ZeroDenominator,
     ZeroFieldValue,
 )
-from .exact import ONE, Rat, rat_str
 
 # float threshold for warning that the right window edge left the background
 ESCAPE_TOL = 1e-6
@@ -53,7 +53,7 @@ class SystemParams:
                 f"alpha and beta must lie in (0, 1), got {self.alpha}, {self.beta}")
 
 
-def _map_constants(c1: Rat, d1: Rat, c2: Rat, d2: Rat) -> tuple[int, ...]:
+def _map_constants(c1: Fraction, d1: Fraction, c2: Fraction, d2: Fraction) -> tuple[int, ...]:
     """Integer constants of the two-point map with R = (c1 + d1*w) / (c2 + d2*w).
 
     Each pair is scaled by its own denominator l1 or l2 to integers C1, D1
@@ -72,7 +72,7 @@ def _map_constants(c1: Rat, d1: Rat, c2: Rat, d2: Rat) -> tuple[int, ...]:
             l1 // g, l2 // g)
 
 
-def _two_point(x: Rat, y: Rat, k: tuple[int, ...], site: int,
+def _two_point(x: Fraction, y: Fraction, k: tuple[int, ...], site: int,
                ) -> tuple[Fraction, Fraction]:
     """The two-point map (x, y) -> (R*y, x/R), on numerators and denominators.
 
@@ -107,7 +107,7 @@ def _two_point(x: Rat, y: Rat, k: tuple[int, ...], site: int,
     n1 = c1 * q + d1 * p
     n2 = c2 * q + d2 * p
     if not n1 or not n2:
-        raise ZeroDenominator(site)
+        raise ZeroDenominator(f"map denominator vanished at site n={site}", site=site)
     # gcd(n1, n2) divides K; when K is 0 this is gcd(n1, n2) itself
     g = gcd(gcd(n1, big_k), n2)
     n1 //= g
@@ -164,7 +164,7 @@ def _warn_if_escaped(x_right: Fraction, t: int) -> None:
             f"{abs(float(x_right) - 1.0):.3e}; content is being truncated"))
 
 
-def _sweep(xs: list[Fraction], y_left: Rat, k: tuple[int, ...], n_lo: int,
+def _sweep(xs: list[Fraction], y_left: Fraction, k: tuple[int, ...], n_lo: int,
            ) -> tuple[list[Fraction], list[Fraction]]:
     """Carry y left to right through the two-point map with constants ``k``
     over one row whose first site is ``n_lo``.
@@ -180,6 +180,21 @@ def _sweep(xs: list[Fraction], y_left: Rat, k: tuple[int, ...], n_lo: int,
         x_next.append(x_up)
         y_row.append(y_right)
     return x_next, y_row
+
+
+def rat_str(value: Fraction) -> str:
+    """Canonical text form: ``"p/q"``, or just ``"p"`` when q == 1.
+
+    The digits go through :class:`decimal.Decimal`, which has no limit on
+    their count; ``str(int)`` refuses ints above CPython's 4300-digit
+    int-to-str limit, which rows evolved from a free initial row (carrier
+    entering at 1) pass within a few steps.
+    """
+    value = Fraction(value)
+    num = str(Decimal(value.numerator))
+    if value.denominator == 1:
+        return num
+    return f"{num}/{Decimal(value.denominator)}"
 
 
 @dataclass
@@ -208,7 +223,8 @@ class LatticeField:
             for name, row in (("x", xr), ("y", yr)):
                 if not all(row):
                     n = self.n_lo + row.index(0)
-                    raise ZeroFieldValue(f"field {name} is 0 at (t={t}, n={n})")
+                    raise ZeroFieldValue(f"field {name} is 0 at (t={t}, n={n})",
+                                         point=(t, n))
         if len(self.ys) != len(self.xs):
             raise RaggedField("xs and ys must hold the same number of rows")
 
@@ -252,9 +268,9 @@ class LatticeField:
                                  f"{y.numerator / y.denominator:.12g}\n")
 
 
-def evolve_gkdv(x0_row: Sequence[Rat], params: SystemParams, steps: int, *,
+def evolve_gkdv(x0_row: Sequence[Fraction], params: SystemParams, steps: int, *,
                 n_lo: int = 0, t0: int = 0,
-                y_left: Sequence[Rat] | None = None) -> LatticeField:
+                y_left: Sequence[Fraction] | None = None) -> LatticeField:
     """Evolve an initial row for ``steps`` time steps; store every row.
 
     ``y_left[j]`` is the carrier entering site ``n_lo`` at time ``t0 + j``,
@@ -266,7 +282,7 @@ def evolve_gkdv(x0_row: Sequence[Rat], params: SystemParams, steps: int, *,
     if steps < 0:
         raise NegativeSteps("steps must be >= 0")
     if y_left is None:
-        y_left = [ONE] * (steps + 1)
+        y_left = [1] * (steps + 1)
     elif len(y_left) != steps + 1:
         raise RaggedField(f"y_left needs one value per row, {steps + 1}, got {len(y_left)}")
     k = _gkdv_constants(params)

@@ -78,22 +78,21 @@ from .errors import (
     WindowTooSmall,
     ZeroTau,
 )
-from .exact import ONE, Rat, rat_str
-from .lattice import LatticeField, SystemParams, _gkdv_constants
+from .lattice import LatticeField, SystemParams, _gkdv_constants, rat_str
 
 # read only by bench/spans.py, which wraps solitons.det by attribute
 det = None
 
 
-def validate(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]]) -> KPParams:
+def validate(params: SystemParams, solitons: Sequence[tuple[Fraction, Fraction]]) -> KPParams:
     """Check an N-mode parameter list and return the ``KPParams`` of its
     reduction (see the module docstring).
 
     Each entry is a (p, gamma) pair.  Raises InvalidInterval when no soliton
     can exist at all.  The per-mode checks run first, in mode order.  The
-    pair checks are ``KPParams``' own: a repeated p raises DuplicateP(i, j),
-    and p_i = q_j, which is p_i + p_j = span, raises DenominatorClash(i, j),
-    first for i < j since the condition is symmetric.
+    pair checks are ``KPParams``' own: a repeated p raises DuplicateP, and
+    p_i = q_j, which is p_i + p_j = span, raises DenominatorClash, each with
+    ``pair`` (i, j), first for i < j since the condition is symmetric.
     """
     span = _span(params)
     mid = span / 2
@@ -102,15 +101,17 @@ def validate(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]]) -> KPPar
         p, gamma = Fraction(p), Fraction(gamma)
         a, b, d = _abd(params, p, i)
         if p == mid:
-            raise DegenerateP(i)
+            raise DegenerateP(f"soliton {i}: p equals the interval midpoint", index=i)
         if gamma * (p - mid) <= 0:
-            raise GammaSignCondition(i)
+            raise GammaSignCondition(
+                f"soliton {i}: gamma must satisfy gamma * (p - midpoint) > 0", index=i)
         c = gamma / (2 * p - span)
         # guaranteed by the checks above; kept as a hard invariant because the
         # taus and the speed and amplitude laws need all four positive
         if not (a > 0 and b > 0 and c > 0 and d > 0):
             raise ConstraintViolated(
-                f"mode {i}: A, B, C, D must all be positive, got {a}, {b}, {c}, {d}")
+                f"mode {i}: A, B, C, D must all be positive, got {a}, {b}, {c}, {d}",
+                index=i)
         modes.append((p, span - p, gamma))
     return KPParams(0, span, params.alpha - 1, params.alpha, tuple(modes))
 
@@ -118,23 +119,24 @@ def validate(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]]) -> KPPar
 def _span(params: SystemParams) -> Fraction:
     """Length alpha + beta - 1 of the wavenumber interval; raises
     InvalidInterval when it is empty, since then no soliton can exist."""
-    span = params.alpha + params.beta - ONE
+    span = params.alpha + params.beta - 1
     if span <= 0:
         raise InvalidInterval(
             f"alpha + beta must exceed 1 for solitons, got {params.alpha + params.beta}")
     return span
 
 
-def _abd(params: SystemParams, p: Rat, mode: int = 0) -> tuple[Fraction, Fraction, Fraction]:
+def _abd(params: SystemParams, p: Fraction, mode: int = 0) -> tuple[Fraction, Fraction, Fraction]:
     """A, B, D of wavenumber p, after the one admissibility check of p: the
     interval (0, alpha + beta - 1) must exist and hold p, else POutOfRange
     names ``mode``.  Unlike C, all three are defined at the midpoint too."""
     span = _span(params)
     p = Fraction(p)
     if not (0 < p < span):
-        raise POutOfRange(mode, f"p={p}, interval (0, {span})")
-    a = (-p + params.beta) / (p + ONE - params.alpha)
-    b = (p + ONE - params.beta) / (-p + params.alpha)
+        raise POutOfRange(f"soliton {mode}: p outside the admissible interval "
+                          f"(p={p}, interval (0, {span}))", index=mode)
+    a = (-p + params.beta) / (p + 1 - params.alpha)
+    b = (p + 1 - params.beta) / (-p + params.alpha)
     d = (span - p) / p
     return a, b, d
 
@@ -165,12 +167,12 @@ def _depth(_a: tuple[int, int], b: tuple[int, int], d: tuple[int, int]) -> float
     return abs(f - 1.0)
 
 
-def velocity(params: SystemParams, p: Rat) -> float:
+def velocity(params: SystemParams, p: Fraction) -> float:
     """Closed-form speed -log A / log B; exactly 1 at the interval midpoint."""
     return _speed(*_ratios(_abd(params, p)))
 
 
-def amplitude(params: SystemParams, p: Rat) -> float:
+def amplitude(params: SystemParams, p: Fraction) -> float:
     """Closed-form trough amplitude |x_min - 1|; 0 at the interval midpoint."""
     return _depth(*_ratios(_abd(params, p)))
 
@@ -228,7 +230,7 @@ def _tau_grid(kp: KPParams, t0: int, n0: int, rows: int, cols: int,
             for row in _walk(terms, t0, t1, ta, t_up, t_down)]
 
 
-def _window_taus(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
+def _window_taus(params: SystemParams, solitons: Sequence[tuple[Fraction, Fraction]],
                  t_range: tuple[int, int], n_range: tuple[int, int],
                  ) -> list[list[tuple[int, int]]]:
     """Integer (f, g) pairs of :func:`_tau_grid` on the rectangle of times
@@ -248,11 +250,12 @@ def _window_taus(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
     for j, row in enumerate(taus):
         if not all(map(all, row)):
             k = next(k for k, pair in enumerate(row) if not all(pair))
-            raise ZeroTau(t0 + j, n0 + k)
+            raise ZeroTau(f"tau function vanished at (t={t0 + j}, n={n0 + k})",
+                          point=(t0 + j, n0 + k))
     return taus
 
 
-def sample_field(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
+def sample_field(params: SystemParams, solitons: Sequence[tuple[Fraction, Fraction]],
                  t_range: tuple[int, int], n_range: tuple[int, int]) -> LatticeField:
     """Exact (x, y) window of the N-soliton state.
 
@@ -270,7 +273,7 @@ def sample_field(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
     return LatticeField(n_lo=n_range[0], t0=t_range[0], xs=xs, ys=ys)
 
 
-def sample_x_float(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
+def sample_x_float(params: SystemParams, solitons: Sequence[tuple[Fraction, Fraction]],
                    t_range: tuple[int, int], n_range: tuple[int, int],
                    ) -> list[list[float]]:
     """x of the N-soliton state as float rows, one per time of ``t_range``.
@@ -286,7 +289,7 @@ def sample_x_float(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
             for row in taus]
 
 
-def check_exactness(params: SystemParams, solitons: Sequence[tuple[Rat, Rat]],
+def check_exactness(params: SystemParams, solitons: Sequence[tuple[Fraction, Fraction]],
                     t_range: tuple[int, int], n_range: tuple[int, int],
                     ) -> list[list[bool]]:
     """Per-site verdicts of the two-parameter map on the N-soliton state.
@@ -361,13 +364,17 @@ class KPParams:
         qs = [m[1] for m in self.modes]
         for i, (p, q, _) in enumerate(self.modes):
             if p in dirs or q in dirs:
-                raise DegenerateP(i, "p or q collides with a direction parameter")
+                raise DegenerateP(f"soliton {i}: p or q collides with a direction "
+                                  "parameter", index=i)
         for i in range(len(self.modes)):
             for j in range(len(self.modes)):
                 if i < j and (ps[i] == ps[j] or qs[i] == qs[j]):
-                    raise DuplicateP(i, j)
+                    raise DuplicateP(f"solitons {i} and {j}: duplicated wavenumber",
+                                     pair=(i, j))
                 if ps[i] == qs[j]:
-                    raise DenominatorClash(i, j)
+                    raise DenominatorClash(
+                        f"solitons {i} and {j}: denominator vanishes for this pair",
+                        pair=(i, j))
 
     @cached_property
     def _subset_tables(self) -> tuple[int, list[int], list[tuple[list[int], int, list[int], int]]]:
@@ -381,7 +388,7 @@ class KPParams:
         with their shared denominator product D_d, then those of the
         1/r_{i,d}: entry S of the r list is D_d * prod_{i in S} r_{i,d}.
         """
-        terms = [ONE]
+        terms = [Fraction(1)]
         for i, (p, q, gamma) in enumerate(self.modes):
             w = gamma / (p - q)
             pair = [(pj - p) * (q - qj) / ((pj - q) * (p - qj))
@@ -490,7 +497,7 @@ def check_reduction(kp: KPParams, point: tuple[int, int, int, int]) -> Fraction:
     for i, (p, q, _) in enumerate(kp.modes):
         if p + q != target:
             raise ConstraintViolated(
-                f"mode {i}: p + q = {p + q}, constraint requires {target}")
+                f"mode {i}: p + q = {p + q}, constraint requires {target}", index=i)
     scale, [(shifted, extra), (base, _)] = _kp_sums(kp, point, _REDUCTION_SHIFTS)
     return Fraction(shifted - base * extra, scale * extra)
 
@@ -532,7 +539,9 @@ def random_kp_params(rng: Random, n_modes: int, *, constrained: bool = False) ->
             qs.add(q)
             break
         else:
-            raise DrawExhausted(n_modes, i)
+            raise DrawExhausted(f"mode {i} of a {n_modes}-mode draw: no admissible "
+                                "(p, q, gamma) in 200 draws from the pool of small "
+                                "fractions", n_modes=n_modes, index=i)
     return KPParams(a1, a2, b, c, tuple(modes))
 
 

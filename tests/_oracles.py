@@ -320,7 +320,8 @@ def random_kp_params_longhand(rng: Random, n_modes: int, *,
             modes.append((p, q, g))
             break
         else:
-            raise DrawExhausted(n_modes, i)
+            raise DrawExhausted(f"mode {i} of a {n_modes}-mode draw", n_modes=n_modes,
+                                index=i)
     return KPParams(a1, a2, b, c, tuple(modes))
 
 

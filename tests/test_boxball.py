@@ -85,10 +85,12 @@ def test_state_validation():
     with pytest.raises(CapacityViolation):
         BBSCState((-1,), c_box=3, c_carrier=1)
     # the message names the first box out of range
-    with pytest.raises(CapacityViolation, match=r"^box 2 holds 4, outside \[0, 3\]$"):
+    with pytest.raises(CapacityViolation, match=r"^box 2 holds 4, outside \[0, 3\]$") as info:
         BBSCState((0, 3, 4, -1, 5), c_box=3, c_carrier=1)
-    with pytest.raises(CapacityViolation, match=r"^box 1 holds -1,"):
+    assert info.value.box == 2
+    with pytest.raises(CapacityViolation, match=r"^box 1 holds -1,") as info:
         BBSCState((2, -1, 7), c_box=3)
+    assert info.value.box == 1
     assert BBSCState((), c_box=3).u == ()
     with pytest.raises(NonPositiveParameter):
         BBSCState((1,), c_box=0, c_carrier=1)
@@ -114,8 +116,9 @@ class Index:
 def test_state_rejects_box_values_that_are_not_integers(cells, box, shown):
     # a float used to be truncated and a str or bool converted by int()
     with pytest.raises(CapacityViolation,
-                       match=rf"^box {box} holds {re.escape(shown)}, not an integer$"):
+                       match=rf"^box {box} holds {re.escape(shown)}, not an integer$") as info:
         BBSCState(cells, c_box=3)
+    assert info.value.box == box
 
 
 def test_state_accepts_what_operator_index_accepts():
@@ -230,8 +233,9 @@ def test_sweep_range_checks_each_box_it_writes():
     # a row that bypassed the constructor: box 0 holds 5 > c_box = 3, and
     # the carrier it overloads spills 5 balls into box 1
     row = [5, 0, 0]
-    with pytest.raises(CapacityViolation, match=r"^box 1 holds 5, outside \[0, 3\]$"):
+    with pytest.raises(CapacityViolation, match=r"^box 1 holds 5, outside \[0, 3\]$") as info:
         boxball._sweep(row, 3, 1, [0])
+    assert info.value.box == 1
 
 
 # --- occupied boxes ---------------------------------------------------------------

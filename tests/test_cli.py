@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from solitonlab import solitons
-from solitonlab.cli import _write, build_parser, run
+from solitonlab.cli import _rat, _write, build_parser, run
 from solitonlab.errors import OutputNotWritable, SolitonLabError
 from solitonlab.lattice import SystemParams, _gkdv_constants
 
@@ -163,6 +164,43 @@ def test_verify_all(capsys):
     assert code == 0
     assert "verify: OK" in out
     assert "residual 0 at" in out
+
+
+def test_rat_reads_each_text_form():
+    assert _rat("3/4") == Fraction(3, 4)
+    assert _rat("-3/4") == Fraction(-3, 4)
+    assert _rat(" 7 ") == Fraction(7)
+    assert _rat("0.125") == Fraction(1, 8)
+
+
+def test_rat_rejects_garbage_as_a_type_error():
+    for bad in ("", "1/0", "a/b", "1//2"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _rat(bad)
+
+
+@pytest.mark.parametrize("argv, flag, message", [
+    (["exact", "--alpha", "abc"], "--alpha",
+     "not a rational: 'abc' (Invalid literal for Fraction: 'abc')"),
+    (["exact", "--soliton", "1/2"], "--soliton", "soliton must look like p:gamma, got '1/2'"),
+    (["exact", "--n", "3"], "--n", "range must look like lo:hi, got '3'"),
+    (["exact", "--n", "a:b"], "--n", "range bounds must be integers, got 'a:b'"),
+    (["scan", "--grid", "x"], "--grid", "not an integer: 'x'"),
+    (["verify", "udlimit", "--epsilons", "a,b"], "--epsilons", "bad epsilon list 'a,b'"),
+    (["bbsc", "--cb", "two"], "--cb", "capacity must be an integer or 'inf', got 'two'"),
+], ids=["alpha", "soliton", "n_no_colon", "n_not_integers", "grid", "epsilons", "cb"])
+def test_a_malformed_value_is_a_usage_error_naming_its_flag(capsys, argv, flag, message):
+    assert invoke(capsys, *argv) == (1, "", f"usage error: argument {flag}: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["bbsc", "--cb", "3", "--steps", "1"],
+                                  ["verify", "udlimit"]], ids=["bbsc", "verify_udlimit"])
+@pytest.mark.parametrize("init", ["30\u00b2", "3a", ""], ids=["superscript", "letter", "empty"])
+def test_init_takes_only_decimal_digits(capsys, argv, init):
+    # str.isdigit() passes a superscript two, which int() cannot read
+    code, out, err = invoke(capsys, *argv, "--init", init)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: argument --init:")
 
 
 def test_usage_errors_exit_one(capsys):

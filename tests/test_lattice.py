@@ -10,6 +10,7 @@ from solitonlab import (
     SystemParams,
     evolve_gkdv,
     lattice,
+    rat_str,
     sample_field,
 )
 from solitonlab.lattice import _gkdv_constants, _map_constants, _sweep, _two_point
@@ -137,7 +138,7 @@ def test_window_sweep_names_the_site_of_a_vanishing_denominator():
     # (1 - alpha) + alpha*x*y vanishes at x = -1, the third site, n = -5
     with pytest.raises(ZeroDenominator) as info:
         evolve_gkdv([1, 1, -1, 1], SystemParams(Fraction(1, 2), Fraction(1, 3)), 1, n_lo=-7)
-    assert info.value.site == -5 and "n=-5" in str(info.value)
+    assert info.value.site == -5 and str(info.value) == "map denominator vanished at site n=-5"
 
 
 # 2, 3, 5 and 7 are the primes of the constants below; operands built from
@@ -316,6 +317,19 @@ def test_field_accessors_and_csv():
         field.write_csv(io.StringIO(), values="decimal")
 
 
+@given(st.fractions(min_value=Fraction(-50), max_value=Fraction(50), max_denominator=30))
+def test_rat_str_round_trips(q):
+    assert Fraction(rat_str(q)) == q
+
+
+def test_rat_str_beyond_int_str_digit_limit():
+    # CPython refuses str() of ints above 4300 digits by default; evolved
+    # rows pass that within a few steps, so rat_str must not depend on it
+    q = Fraction(10 ** 5000 + 1, 3)
+    assert rat_str(q) == "1" + "0" * 4999 + "1/3"
+    assert rat_str(Fraction(-(10 ** 5000))) == "-1" + "0" * 5000
+
+
 def test_field_validation():
     with pytest.raises(WindowTooSmall):
         LatticeField(0, 0, [], [])
@@ -348,16 +362,16 @@ def test_lattice_value_errors_are_typed(call, error):
     assert isinstance(info.value, SolitonLabError) and isinstance(info.value, ValueError)
 
 
-@pytest.mark.parametrize("xs, ys, message", [
-    (ZERO_AT_1_2, ONES, "field x is 0 at (t=7, n=-2)"),
-    (ONES, ZERO_AT_1_2, "field y is 0 at (t=7, n=-2)"),
-    (ZERO_AT_1_2, ZERO_AT_1_2[::-1], "field y is 0 at (t=6, n=-2)"),
-    (ZERO_AT_1_2, ZERO_AT_1_2, "field x is 0 at (t=7, n=-2)"),
+@pytest.mark.parametrize("xs, ys, message, point", [
+    (ZERO_AT_1_2, ONES, "field x is 0 at (t=7, n=-2)", (7, -2)),
+    (ONES, ZERO_AT_1_2, "field y is 0 at (t=7, n=-2)", (7, -2)),
+    (ZERO_AT_1_2, ZERO_AT_1_2[::-1], "field y is 0 at (t=6, n=-2)", (6, -2)),
+    (ZERO_AT_1_2, ZERO_AT_1_2, "field x is 0 at (t=7, n=-2)", (7, -2)),
 ], ids=["x", "y", "earlier_row_first", "x_before_y"])
-def test_a_zero_field_value_is_named_with_its_site(xs, ys, message):
+def test_a_zero_field_value_is_named_with_its_site(xs, ys, message, point):
     # the first zero row by row, x before y within a row; entry (j, k) of
     # the lists is the site (t0 + j, n_lo + k)
     with pytest.raises(ZeroFieldValue) as info:
         LatticeField(-4, 6, xs, ys)
-    assert str(info.value) == message
+    assert str(info.value) == message and info.value.point == point
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from solitonlab.errors import (
     SolitonLabError,
     TooFewSamples,
 )
-from solitonlab.measure import _assign
+from solitonlab.measure import _assign, _row_minima
 
 from _oracles import clusters_longhand, detect_bbsc_solitons_longhand, lsq_slope_exact
 
@@ -131,6 +132,14 @@ def test_tracks_are_in_lattice_coordinates():
     for t, pos in zip(track.times, track.positions):
         row = rows[t - 5]
         assert abs(pos - (-10 + row.index(min(row)))) <= 0.5
+
+
+@pytest.mark.parametrize("row", [
+    [1, 0.5, 0, 0.5, 1],  # x = 0 has no logarithm
+    [1, math.nextafter(1e-300, 1), 1e-300, 1e-300, 1],  # log x is flat: no curvature
+], ids=["zero", "flat_log"])
+def test_a_minimum_that_no_parabola_fits_keeps_its_site_and_depth(row):
+    assert _row_minima(row) == [(2.0, 1.0)]
 
 
 def test_velocity_of_a_straight_line_is_one():
@@ -267,6 +276,10 @@ def test_cluster_overlap_tie_goes_to_the_first_previous_cluster():
     expected = [([0, 1], [0, 0], 2), ([0], [4], 2)]
     assert as_tuples(detect_bbsc_solitons(history)) == expected
     assert detect_bbsc_solitons_longhand(history) == expected
+
+
+def test_detect_on_an_empty_history_finds_nothing():
+    assert detect_bbsc_solitons([]) == []
 
 
 def test_detect_rejects_mixed_capacities():

@@ -297,8 +297,9 @@ def test_validate_raises_on_a_nonpositive_constant(monkeypatch):
         return (a, b, -d) if p == REF_SOLITONS[1][0] else (a, b, d)
 
     monkeypatch.setattr(solitons, "_abd", broken)
-    with pytest.raises(ConstraintViolated, match="mode 1"):
+    with pytest.raises(ConstraintViolated, match="mode 1") as info:
         validate(REF_PARAMS, REF_SOLITONS)
+    assert info.value.index == 1
 
 
 # --- tau functions and the sampled field --------------------------------------
@@ -620,8 +621,10 @@ def test_kp_reduction_needs_the_constraint():
         assert check_reduction(kp, point) == 0
     free = random_kp_params(rng, 2)
     assert any(p + q != free.a1 + free.a2 for p, q, _ in free.modes)
-    with pytest.raises(ConstraintViolated):
+    bad = next(i for i, (p, q, _) in enumerate(free.modes) if p + q != free.a1 + free.a2)
+    with pytest.raises(ConstraintViolated, match=rf"^mode {bad}: p \+ q = ") as info:
         check_reduction(free, (0, 0, 0, 0))
+    assert info.value.index == bad
 
 
 def test_random_kp_params_draws_are_pinned():
