@@ -301,11 +301,16 @@ def _verify_kp_residuals(args, log: IO[str], what: str, constrained: bool,
     return ok
 
 
-def _verify_udlimit(args, log: IO[str]) -> bool:
+def _udlimit_gaps(args) -> list[tuple[float, float]]:
+    """The udlimit deviations; ``BBSCState`` and ``ud_limit_check`` check
+    the suite's inputs on the way."""
     state = boxball.BBSCState(args.init, args.cb, args.cc)
     for _ in range(args.steps):  # one state at a time: no history is kept
         state = boxball.evolve_bbsc(state, 1)[1]
-    gaps = boxball.ud_limit_check(state, args.epsilons)
+    return boxball.ud_limit_check(state, args.epsilons)
+
+
+def _verify_udlimit(gaps: list[tuple[float, float]], log: IO[str]) -> bool:
     for e, gap in gaps:
         print(f"eps={e:g}: max deviation {gap:.3e}", file=log)
     # an exact limit (c_box == c_carrier) reads 0 at every eps
@@ -319,13 +324,16 @@ def _verify_udlimit(args, log: IO[str]) -> bool:
 
 
 def _cmd_verify(args) -> int:
+    # udlimit runs, checking its inputs, before the first header, so a
+    # rejected input leaves stdout empty
+    gaps = _udlimit_gaps(args) if args.suite in ("udlimit", "all") else []
     suites = {
         "exactness": _verify_exactness,
         "kp": partial(_verify_kp_residuals, what="bilinear", constrained=False,
                       is_zero=lambda kp, pt: solitons.check_kp_bilinear(kp, pt) == (0, 0)),
         "reduction": partial(_verify_kp_residuals, what="reduction", constrained=True,
                              is_zero=lambda kp, pt: solitons.check_reduction(kp, pt) == 0),
-        "udlimit": _verify_udlimit,
+        "udlimit": lambda _args, log: _verify_udlimit(gaps, log),
     }
     names = list(suites) if args.suite == "all" else [args.suite]
     ok = True

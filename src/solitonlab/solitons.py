@@ -35,8 +35,11 @@ r_{i,b} = A_i, r_{i,c} = B_i and r_{i,a1} = D_i, with
 
 gamma_i / (p_i - q_i) = C_i = gamma_i / (2 p_i - span), and the pair
 factor of c_S is ((p_i - p_j) / (p_i + p_j - span))^2.  A window of f and g
-is one rectangle of points (``_window_taus``), walked from its point nearest
-the origin, one small-integer product per subset term and unit step.
+is one rectangle of points (``_window_taus``), held as one (f_row, g_row)
+pair of integer lists per time.  Each subset term changes by a constant
+factor per step, so a row of one term is a geometric sequence: the rows
+are built as per-term lines from the rectangle's point nearest the origin,
+one small-integer product per line entry and step, and summed by column.
 
 The lattice fields are the cross ratios x = f * g(n+1) / (g * f(n+1)) and
 y = g * f(t+1) / (f * g(t+1)).  A mode is a genuine soliton when
@@ -61,7 +64,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from operator import mul
+from itertools import accumulate, repeat
+from operator import mul, truediv
 from random import Random
 from typing import Sequence
 
@@ -187,69 +191,84 @@ def _subset_ratios(bases: Sequence[Fraction]) -> list[int]:
     return ratios
 
 
-def _walk(terms: list[int], lo: int, hi: int, anchor: int,
-          up: list[int], down: list[int]) -> list[list[int]]:
-    """Subset terms at positions lo..hi of one direction, from ``terms`` at
-    ``anchor``, which is the point of lo..hi nearest 0.  A step away from
-    the anchor multiplies them elementwise by the direction's r list
-    (``up``, towards +) or 1/r list (``down``, towards -), so each position
-    holds the terms of :func:`_kp_base` there."""
-    below = [terms]
-    for _ in range(anchor - lo):
-        below.append(list(map(mul, below[-1], down)))
-    above = [terms]
-    for _ in range(hi - anchor):
-        above.append(list(map(mul, above[-1], up)))
-    return below[:0:-1] + above
+def _line(term: int, left: int, right: int, up: int, down: int) -> list[int]:
+    """One subset term along n: ``term`` at the anchor column, times the
+    term's 1/r ratio ``down`` per step left of it (``left`` steps) and its r
+    ratio ``up`` per step right of it (``right`` steps)."""
+    below = list(accumulate(repeat(down, left), mul, initial=term))
+    return below[:0:-1] + list(accumulate(repeat(up, right), mul, initial=term))
 
 
 def _tau_grid(kp: KPParams, t0: int, n0: int, rows: int, cols: int,
-              ) -> list[list[tuple[int, int]]]:
-    """Integer (f, g) pairs on the rectangle (t0 + j, n0 + k), j < rows,
-    k < cols, for the reduced ``kp`` of :func:`validate`.
+              ) -> list[tuple[list[int], list[int]]]:
+    """Integer f and g rows on the rectangle (t0 + j, n0 + k), j < rows,
+    k < cols, for the reduced ``kp`` of :func:`validate`: entry j is the
+    pair (f_row, g_row) at time t0 + j, each a list of ``cols`` integers.
 
-    The pair at (t, n) is the subset sums of :func:`_kp_base` at
+    The f and g at (t, n) are the subset sums of :func:`_kp_base` at
     (0, 0, t, n): f is the sum of its terms, and g the sum of those times
     a1's r list, which adds its factor D_a1.  So f is f(t, n) times
     M * D_b^{|t|} * D_c^{|n|}, with M the common denominator of the c_S and
     D_b, D_c the denominator products of the r list (exponent > 0) or the
     1/r list (exponent < 0) of b and c, and g is g(t, n) times the same and
-    D_a1.  The grid is canonical: a pair does not depend on the window it
-    was read from.  The scale is positive and shared by the two taus of a
-    point, so it cancels from every cross ratio, and none is returned.
+    D_a1.  The grid is canonical: a point's f and g do not depend on the
+    window they were read from.  The scale is positive and shared by the
+    two taus of a point, so it cancels from every cross ratio, and none is
+    returned.
 
-    The terms are walked out from the rectangle's point nearest the origin,
-    rows along t and then each row's columns along n, one small-integer
-    product per subset term and step.
+    Each subset term is a geometric sequence along a row, so the grid is
+    built from per-term lines, one for each term of f and of g.  The
+    anchor row, the row of the rectangle's point nearest the origin, is
+    :func:`_line` from that point's terms; each further row multiplies
+    every line by its term's entry of t's r list for a step towards +t,
+    or of its 1/r list for a step towards -t, and the f and g rows are
+    the column sums of the f and g lines.  A point's integers are the products :func:`_kp_base` takes
+    there, in another order, so the pairs are those of a point built alone;
+    the work is one small-integer product per line entry and step, in C
+    loops with no Python bytecode per point.
     """
     t1, n1 = t0 + rows - 1, n0 + cols - 1
     ta, na = min(max(0, t0), t1), min(max(0, n0), n1)
     _, terms, dirs = _kp_base(kp, (0, 0, ta, na))
     (g_ratio, *_), _, (t_up, _, t_down, _), (n_up, _, n_down, _) = dirs
-    return [[(sum(ts), sum(map(mul, ts, g_ratio))) for ts in _walk(row, n0, n1, na, n_up, n_down)]
-            for row in _walk(terms, t0, t1, ta, t_up, t_down)]
+    m = len(terms)
+    # the lines of f's terms, then those of g's, which carry a1's r list
+    anchor = [_line(term, na - n0, n1 - na, up, down) for term, up, down
+              in zip(terms + list(map(mul, terms, g_ratio)), n_up * 2, n_down * 2)]
+
+    def sums(lines: list[list[int]]) -> tuple[list[int], list[int]]:
+        return list(map(sum, zip(*lines[:m]))), list(map(sum, zip(*lines[m:])))
+
+    def away(steps: int, ratios: list[int]) -> list[tuple[list[int], list[int]]]:
+        lines, out = anchor, []
+        for _ in range(steps):
+            lines = [list(map(mul, line, repeat(r))) for line, r in zip(lines, ratios)]
+            out.append(sums(lines))
+        return out
+
+    return away(ta - t0, t_down * 2)[::-1] + [sums(anchor)] + away(t1 - ta, t_up * 2)
 
 
 def _window_taus(params: SystemParams, solitons: Sequence[tuple[Fraction, Fraction]],
                  t_range: tuple[int, int], n_range: tuple[int, int],
-                 ) -> list[list[tuple[int, int]]]:
-    """Integer (f, g) pairs of :func:`_tau_grid` on the rectangle of times
-    t0..t1 by sites n0..n1 + 1, which holds the n-shift column.
+                 ) -> list[tuple[list[int], list[int]]]:
+    """Integer (f_row, g_row) pairs of :func:`_tau_grid` on the rectangle of
+    times t0..t1 by sites n0..n1 + 1, which holds the n-shift column.
 
-    Each pair carries its own positive scale, shared by its f and g, so a
-    consumer must be homogeneous per point: multiplying one pair by any
-    positive integer may not change what it computes.  Both ranges are
-    inclusive.  Raises ZeroTau naming the first site, row by row, where a
-    tau vanishes.
+    Each point carries its own positive scale, shared by its f and g, so a
+    consumer must be homogeneous per point: multiplying the f and g of one
+    point by any positive integer may not change what it computes.  Both
+    ranges are inclusive.  Raises ZeroTau naming the first site, row by
+    row, where a tau vanishes.
     """
     t0, t1 = t_range
     n0, n1 = n_range
     if t1 < t0 or n1 < n0:
         raise WindowTooSmall(f"empty range: t {t_range}, n {n_range}")
     taus = _tau_grid(validate(params, solitons), t0, n0, t1 - t0 + 1, n1 - n0 + 2)
-    for j, row in enumerate(taus):
-        if not all(map(all, row)):
-            k = next(k for k, pair in enumerate(row) if not all(pair))
+    for j, (fs, gs) in enumerate(taus):
+        if not (all(fs) and all(gs)):
+            k = next(k for k, (f, g) in enumerate(zip(fs, gs)) if not (f and g))
             raise ZeroTau(f"tau function vanished at (t={t0 + j}, n={n0 + k})",
                           point=(t0 + j, n0 + k))
     return taus
@@ -266,10 +285,11 @@ def sample_field(params: SystemParams, solitons: Sequence[tuple[Fraction, Fracti
     the same integers straight to floats.
     """
     taus = _window_taus(params, solitons, (t_range[0], t_range[1] + 1), n_range)
-    xs = [[Fraction(f00 * gn, g00 * fn) for (f00, g00), (fn, gn) in zip(row, row[1:])]
-          for row in taus[:-1]]
-    ys = [[Fraction(g00 * ft, f00 * gt) for (f00, g00), (ft, gt) in zip(row[:-1], up)]
-          for row, up in zip(taus, taus[1:])]
+    # x = f * gn / (g * fn) and y = g * ft / (f * gt), over shifted row slices
+    xs = [list(map(Fraction, map(mul, fs, gs[1:]), map(mul, gs, fs[1:])))
+          for fs, gs in taus[:-1]]
+    ys = [list(map(Fraction, map(mul, gs[:-1], fts), map(mul, fs, gts)))
+          for (fs, gs), (fts, gts) in zip(taus, taus[1:])]
     return LatticeField(n_lo=n_range[0], t0=t_range[0], xs=xs, ys=ys)
 
 
@@ -285,8 +305,8 @@ def sample_x_float(params: SystemParams, solitons: Sequence[tuple[Fraction, Frac
     t0..t1 by n0..n1 + 1 of :func:`_window_taus`.
     """
     taus = _window_taus(params, solitons, t_range, n_range)
-    return [[f00 * gn / (g00 * fn) for (f00, g00), (fn, gn) in zip(row, row[1:])]
-            for row in taus]
+    return [list(map(truediv, map(mul, fs, gs[1:]), map(mul, gs, fs[1:])))
+            for fs, gs in taus]
 
 
 def check_exactness(params: SystemParams, solitons: Sequence[tuple[Fraction, Fraction]],
@@ -307,19 +327,22 @@ def check_exactness(params: SystemParams, solitons: Sequence[tuple[Fraction, Fra
     return _exact_sites(taus, _gkdv_constants(params))
 
 
-def _exact_sites(taus: list[list[tuple[int, int]]], consts: tuple[int, ...]) -> list[list[bool]]:
+def _exact_sites(taus: list[tuple[list[int], list[int]]], consts: tuple[int, ...],
+                 ) -> list[list[bool]]:
     """Per-site verdicts of the two-point map with ``lattice._map_constants``
-    ``consts`` on a grid of integer taus (f, g), making no Fraction and no gcd.
+    ``consts`` on integer tau rows (f_row, g_row), making no Fraction and no gcd.
 
     Site (j, k) reads f, g there, fn, gn at (j, k+1), ft, gt at (j+1, k), ftn,
-    gtn at (j+1, k+1).  R is homogeneous in x*y = P/Q, P = gn*ft, Q = fn*gt:
+    gtn at (j+1, k+1): the eight row slices of rows j and j+1 at offsets 0
+    and 1, which the check maps over a row of sites at a time.
+    R is homogeneous in x*y = P/Q, P = gn*ft, Q = fn*gt:
     R = N1*l2 / (N2*l1), N1 = C1*Q + D1*P, N2 = C2*Q + D2*P.  A site passes when
     N1, N2 != 0 and x' = R*y is x at (j+1, k): gtn*f*N2*l1 == ftn*g*N1*l2.  Then
     y~ = x/R is y at (j, k+1), as the map keeps x*y and tau ratios have x*y at
     (j, k) = x(j+1, k)*y(j, k+1) identically; so these are the reduced x', y~ verdicts.
     Both sides of the equation, and N1 and N2, are homogeneous in each of the
     four (f, g) pairs a site reads, so the verdicts do not depend on the scale
-    of any pair, as :func:`_window_taus` requires.
+    of any point, as :func:`_window_taus` requires.
     """
     c1, d1, c2, d2, _, l1, l2 = consts
 
@@ -328,9 +351,8 @@ def _exact_sites(taus: list[list[tuple[int, int]]], consts: tuple[int, ...]) -> 
         n1, n2 = (c1 * q + d1 * p) * l2, (c2 * q + d2 * p) * l1
         return n1 != 0 and n2 != 0 and gtn * f * n2 == ftn * g * n1
 
-    return [[exact(*here, *right, *above, *diag)
-             for here, right, above, diag in zip(row, row[1:], up, up[1:])]
-            for row, up in zip(taus, taus[1:])]
+    return [list(map(exact, fs, gs, fs[1:], gs[1:], fts, gts, fts[1:], gts[1:]))
+            for (fs, gs), (fts, gts) in zip(taus, taus[1:])]
 
 
 # ---------------------------------------------------------------------------

@@ -326,22 +326,23 @@ def random_kp_params_longhand(rng: Random, n_modes: int, *,
 
 
 def tau_grid_longhand(kp: KPParams, t0: int, n0: int, rows: int, cols: int,
-                      ) -> list[list[tuple[int, int]]]:
-    """The (f, g) grid of ``solitons._tau_grid``, one point at a time.
+                      ) -> list[tuple[list[int], list[int]]]:
+    """The (f_row, g_row) pairs of ``solitons._tau_grid``, one point at a time.
 
-    The pair at (t, n) is the two subset sums of ``_kp_sums`` at
+    The f and g at (t, n) are the two subset sums of ``_kp_sums`` at
     (0, 0, t, n), unshifted and shifted along a1: each point is built from
-    the expansion's tables with its own powers, with no walk and no window,
+    the expansion's tables with its own powers, with no line and no window,
     so a grid that equals it is canonical.
     """
     grid = []
     for j in range(rows):
-        row = []
+        fs, gs = [], []
         for k in range(cols):
             _, [(f, _), (g, _)] = _kp_sums(kp, (0, 0, t0 + j, n0 + k),
                                            [(0, 0, 0, 0), (1, 0, 0, 0)])
-            row.append((f, g))
-        grid.append(row)
+            fs.append(f)
+            gs.append(g)
+        grid.append((fs, gs))
     return grid
 
 

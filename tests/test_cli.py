@@ -275,6 +275,24 @@ def test_verify_udlimit_rejects_an_unbounded_carrier(capsys):
     assert "max deviation" not in out and "finite carrier capacity" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["all", "--cb", "inf"],
+    ["all", "--cc", "inf"],
+    ["all", "--epsilons", "nan"],
+    ["all", "--epsilons", "1,2"],
+    ["all", "--init", "9"],
+    ["udlimit", "--init", "9"],
+    ["udlimit", "--cb", "inf"],
+], ids=["all_cb_inf", "all_cc_inf", "all_eps_nan", "all_eps_rising", "all_init_9",
+        "udlimit_init_9", "udlimit_cb_inf"])
+def test_verify_rejects_udlimit_inputs_before_printing(capsys, argv):
+    # the udlimit inputs are checked before the first suite header, so no
+    # suite of `verify all` runs and prints before the rejection
+    code, out, err = invoke(capsys, "verify", *argv)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "error:" in err
+
+
 def test_verify_udlimit_passes_at_equal_capacities(capsys):
     # alpha = beta makes the limit exact: every deviation reads 0, which
     # counts as decreasing
@@ -349,8 +367,7 @@ def test_verify_exactness_catches_a_wrong_value(capsys, monkeypatch):
     # tau at (3, 4) is read by the four sites (2..3, 3..4), as f, fn, ft and
     # ftn, and a wrong f there fails each of them: 64 - 4 = 60
     def bump_f(params, taus):
-        f, g = taus[3][4]
-        taus[3][4] = (f + 1, g)
+        taus[3][0][4] += 1
 
     _patch_window_taus(monkeypatch, bump_f)
     code, out, _ = invoke(capsys, "verify", "exactness", "--grid", "8")
@@ -365,8 +382,8 @@ def test_verify_exactness_counts_a_vanishing_denominator_as_failed(capsys, monke
     # the 9 x 9 taus, so one site fails: 63/64
     def singular(params, taus):
         a = params.alpha
-        ft, gt = taus[1][7]
-        taus[0][8] = (a.numerator * ft, -(a.denominator - a.numerator) * gt)
+        (fs, gs), (fts, gts) = taus[0], taus[1]
+        fs[8], gs[8] = a.numerator * fts[7], -(a.denominator - a.numerator) * gts[7]
 
     _patch_window_taus(monkeypatch, singular)
     code, out, _ = invoke(capsys, "verify", "exactness", "--grid", "8")
@@ -414,24 +431,23 @@ def test_exact_sites_match_the_reduced_fraction_verdicts(regime, n_modes, data):
     taus = solitons._window_taus(params, modes, (t0, t0 + g + 1), n_range)
     # the (g+1)-square block the check reads is the window the command asks for
     block = solitons._window_taus(params, modes, t_range, (n0, n0 + g - 1))
-    assert block == [row[:g + 1] for row in taus[:g + 1]]
+    assert block == [(fs[:g + 1], gs[:g + 1]) for fs, gs in taus[:g + 1]]
     if breakage == "taus":
         for _ in range(rng.randint(1, 3)):
             j, k, which = rng.randint(0, g), rng.randint(0, g), rng.randint(0, 1)
-            pair = list(taus[j][k])
-            pair[which] = pair[which] * rng.choice([-2, -1, 1, 2]) + rng.randint(-3, 3)
-            assume(pair[which] != 0)
-            taus[j][k] = tuple(pair)
+            line = taus[j][which]
+            line[k] = line[k] * rng.choice([-2, -1, 1, 2]) + rng.randint(-3, 3)
+            assume(line[k] != 0)
     elif breakage in ("n1", "n2"):
         # N2 = (1-alpha)*Q + alpha*P, or N1 with beta, vanishes at site (j, k);
         # at alpha = beta both vanish, and only the nonzero test fails the site
         a = params.alpha if breakage == "n2" else params.beta
         j, k = rng.randint(0, g - 1), rng.randint(0, g - 1)
-        ft, gt = taus[j + 1][k]
-        taus[j][k + 1] = (a.numerator * ft, -(a.denominator - a.numerator) * gt)
+        (fs, gs), (fts, gts) = taus[j], taus[j + 1]
+        fs[k + 1], gs[k + 1] = a.numerator * fts[k], -(a.denominator - a.numerator) * gts[k]
     with mock.patch.object(solitons, "_window_taus", lambda *args, **kwargs: taus):
         field = solitons.sample_field(params, modes, t_range, n_range)
-    got = solitons._exact_sites([row[:g + 1] for row in taus[:g + 1]], consts)
+    got = solitons._exact_sites([(fs[:g + 1], gs[:g + 1]) for fs, gs in taus[:g + 1]], consts)
     assert got == exactness_longhand(field, consts)
     if breakage == "none":
         assert all(map(all, got))
@@ -441,9 +457,13 @@ def test_exact_sites_match_the_reduced_fraction_verdicts(regime, n_modes, data):
 
 
 def _scale_each_point(taus, rng):
-    """The grid with each (f, g) pair times its own random positive integer."""
-    return [[(f * s, g * s) for (f, g), s in zip(row, [rng.randint(1, 2 ** 64) for _ in row])]
-            for row in taus]
+    """The grid with the f and g of each point times the point's own random
+    positive integer."""
+    scaled = []
+    for fs, gs in taus:
+        scales = [rng.randint(1, 2 ** 64) for _ in fs]
+        scaled.append(([f * s for f, s in zip(fs, scales)], [g * s for g, s in zip(gs, scales)]))
+    return scaled
 
 
 @pytest.mark.parametrize("n_modes", [0, 1, 2, 4])
@@ -474,8 +494,7 @@ def test_grid_consumers_are_homogeneous_per_point(regime, n_modes, data):
     if breakage != "none":
         for _ in range(rng.randint(1, 3)):
             j, k = rng.randint(0, g), rng.randint(0, g)
-            f, gg = taus[j][k]
-            taus[j][k] = (f + rng.choice([-1, 1]), gg)
+            taus[j][0][k] += rng.choice([-1, 1])
     check = solitons._exact_sites
     assert check(_scale_each_point(taus, rng), consts) == check(taus, consts)
 

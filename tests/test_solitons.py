@@ -499,17 +499,17 @@ def test_each_reader_asks_for_the_tau_rectangle_it_reads(monkeypatch):
 @pytest.mark.parametrize("sampler", [sample_field, sample_x_float])
 def test_a_vanishing_tau_raises_zero_tau_naming_its_site(monkeypatch, sampler):
     real = solitons._tau_grid
+    for which in (0, 1):  # f, then g, vanishes at (t0 + 2, n0 + 3)
 
-    def with_a_zero(kp, t0, n0, rows, cols):
-        grid = real(kp, t0, n0, rows, cols)
-        f, _ = grid[2][3]
-        grid[2][3] = (f, 0)  # g vanishes at (t0 + 2, n0 + 3)
-        return grid
+        def with_a_zero(kp, t0, n0, rows, cols):
+            grid = real(kp, t0, n0, rows, cols)
+            grid[2][which][3] = 0
+            return grid
 
-    monkeypatch.setattr(solitons, "_tau_grid", with_a_zero)
-    with pytest.raises(ZeroTau, match=r"\(t=3, n=-2\)") as info:
-        sampler(REF_PARAMS, REF_SOLITONS, (1, 5), (-5, 4))
-    assert info.value.point == (3, -2)
+        monkeypatch.setattr(solitons, "_tau_grid", with_a_zero)
+        with pytest.raises(ZeroTau, match=r"\(t=3, n=-2\)") as info:
+            sampler(REF_PARAMS, REF_SOLITONS, (1, 5), (-5, 4))
+        assert info.value.point == (3, -2)
 
 
 @st.composite
@@ -529,8 +529,8 @@ def tau_windows(draw, regime: str, n_modes: int):
                                 max_denominator=20))
         modes.append((span * k / 40, mag if 2 * k > 40 else -mag))
 
-    def window_range() -> tuple[int, int]:
-        size = draw(st.integers(1, 4))
+    def window_range(longest: int) -> tuple[int, int]:
+        size = draw(st.integers(1, longest))
         side = draw(st.sampled_from(["left", "right", "across"]))
         if side == "left":
             last = -draw(st.integers(1, 5))
@@ -538,7 +538,10 @@ def tau_windows(draw, regime: str, n_modes: int):
         first = draw(st.integers(1, 5)) if side == "right" else -draw(st.integers(0, size - 1))
         return first, first + size - 1
 
-    return SystemParams(alpha, beta), modes, window_range(), window_range()
+    # rows of up to 40 columns at N <= 2, so the number of subset terms
+    # falls on both sides of the row length
+    return (SystemParams(alpha, beta), modes, window_range(4),
+            window_range(39 if n_modes <= 2 else 4))
 
 
 @pytest.mark.parametrize("n_modes", [0, 1, 2, 3, 4])
@@ -566,11 +569,24 @@ def test_tau_grid_is_canonical(regime, n_modes, data):
         j = data.draw(st.integers(0, rows - 1))
         k = data.draw(st.integers(0, cols - 1))
         t, n = t0 + j, n0 + k
-        f, g = grid[j][k]
+        f, g = grid[j][0][k], grid[j][1][k]
         scale = big_l * den(2, t) * den(3, n)
         for value, l1, extra in ((f, 0, 1), (g, 1, dirs[0][1])):
             matrix = kp_matrix_longhand(kp.a1, kp.a2, kp.b, kp.c, kp.modes, (l1, 0, t, n))
             assert Fraction(value, scale * extra) == det_cofactor(matrix)
+
+
+def test_tau_rows_of_the_readme_window_match_the_pointwise_oracle():
+    # the rectangle analyze reads: times 0..60 by sites -30..91, anchored at
+    # (0, 0); its first row is the anchor row, whose lines run both ways
+    # from column 30, and its last row is 60 steps of every line away
+    kp = validate(REF_PARAMS, REF_SOLITONS)
+    taus = solitons._window_taus(REF_PARAMS, REF_SOLITONS, (0, 60), (-30, 90))
+    assert len(taus) == 61
+    for t in (0, 30, 60):
+        [row] = tau_grid_longhand(kp, t, -30, 1, 122)
+        assert len(row[0]) == len(row[1]) == 122
+        assert taus[t] == row
 
 
 def test_two_soliton_field_solves_the_lattice_equation():
