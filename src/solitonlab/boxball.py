@@ -29,8 +29,10 @@ with u a box and v the load entering it, -eps log x' tends to
     u' = v + min(c_box, u + v) - min(c_carrier, u + v),
 
 which is the carrier rule above for 0 <= u <= c_box, 0 <= v <= c_carrier,
-with no shift of either variable.  ``ud_limit_check`` measures the gap
-between the rational map at finite eps and one :func:`bbsc_sweep`.
+with no shift of either variable.  At finite eps, -eps log x' is exactly
+that tropical value less eps times a tie term in [-log 2, log 2], so
+``ud_limit_check`` measures the gap between the rational map and one
+:func:`bbsc_sweep` as an exact integer part plus that eps term.
 
 The map at (alpha, beta), read in (1/x, 1/y), is the map at
 (1 - beta, 1 - alpha).  So the limit alpha, beta -> 0 with
@@ -270,40 +272,28 @@ def write_bbsc_csv(history: Sequence[BBSCState], stream: IO[str]) -> None:
 # tropical bridge
 
 
-_LOG2 = math.log(2.0)
-
-
-def _log1mexp(z: float) -> float:
-    """log(1 - exp(z)) for z < 0, stable over the whole range."""
-    if z < -_LOG2:
-        return math.log1p(-math.exp(z))
-    return math.log(-math.expm1(z))
-
-
-def _logaddexp(x: float, y: float) -> float:
-    """log(exp(x) + exp(y)) without overflow: x + log 2 when x == y, else
-    the larger argument plus log1p(exp(-|x - y|))."""
-    if x == y:
-        return x + _LOG2
-    if x > y:
-        return x + math.log1p(math.exp(y - x))
-    return y + math.log1p(math.exp(x - y))
-
-
 def ud_limit_check(state: BBSCState, epsilons: Sequence[float],
                    ) -> list[tuple[float, float]]:
     """Compare the rational map at finite eps against one carrier sweep.
 
-    With 1 - beta = exp(-c_box/eps), 1 - alpha = exp(-c_carrier/eps),
-    x = exp(-u/eps) for each box u and y = exp(-v/eps) for the load v
-    entering it, -eps log x' of the rational map is evaluated in log space,
-    using stable log-sum forms so large (u + v)/eps never leave the double
-    range.  For each eps the max absolute gap to the box u' of
-    :func:`bbsc_sweep` is reported, over every box of the swept state (the
-    boxes the sweep appended start empty).  Both capacities must be finite.
-    Epsilons must be finite, positive, strictly decreasing, and no smaller
-    than 1e-6.  The gap decays like eps (times log 2 at tie points); it is
-    exactly 0 when c_box == c_carrier, where the map is x' = y.
+    With 1 - beta = exp(-c_box/eps), x = exp(-u/eps) for each box u,
+    y = exp(-v/eps) for the load v entering it, w = u + v and
+    m = min(w, c_box), the map's numerator is exactly
+
+        (1 - beta) + beta x y = exp(-m/eps) (1 + exp(-|w - c_box|/eps) (1 - exp(-m/eps))),
+
+    and its denominator the same with 1 - alpha = exp(-c_carrier/eps).  So
+    the gap of -eps log x' to the box u' of :func:`bbsc_sweep` is
+    |d - eps (T(w, c_box) - T(w, c_carrier))|: d = v - u' + min(w, c_box)
+    - min(w, c_carrier) is an exact integer, 0 wherever the sweep obeys the
+    tropical rule, and the tie term T, the log1p of the bracket, lies in
+    [0, log 2] with no positive exponent at any eps.  For each eps the max
+    gap over every box of the swept state is reported (the boxes the sweep
+    appended start empty).  Both capacities must be finite.  Epsilons must
+    be finite, positive, strictly decreasing, and no smaller than 1e-6.
+    The gap decays like eps (times log 2 at ties, w = c); it is exactly 0
+    on an empty state, where w and T are 0, and when c_box == c_carrier,
+    where the map is x' = y.
     """
     cb, cc = state.c_box, state.c_carrier
     if cb == math.inf:
@@ -322,15 +312,11 @@ def ud_limit_check(state: BBSCState, epsilons: Sequence[float],
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise UnorderedEpsilons("epsilons must be strictly decreasing")
     new, loads = bbsc_sweep(state)
-    boxes = list(zip(chain(state.u, repeat(0)), loads, new.u))
-    out: list[tuple[float, float]] = []
-    for eps in eps_list:
-        # log((1-beta) + beta*x*y) = logaddexp(-c_box/eps, log(beta) - (u+v)/eps),
-        # and -eps log x' = v - eps * (that) + eps * (the same with alpha)
-        lb = _log1mexp(-cb / eps)
-        la = _log1mexp(-cc / eps)
-        gap = max(abs(v - u2 - eps * (_logaddexp(-cb / eps, lb - (u + v) / eps)
-                                      - _logaddexp(-cc / eps, la - (u + v) / eps)))
-                  for u, v, u2 in boxes)
-        out.append((eps, gap))
-    return out
+    boxes = [(u + v, v - u2 + min(u + v, cb) - min(u + v, cc))
+             for u, v, u2 in zip(chain(state.u, repeat(0)), loads, new.u)]
+
+    def tie(w: int, c: int, eps: float) -> float:
+        return math.log1p(math.exp(-abs(w - c) / eps) * -math.expm1(-min(w, c) / eps))
+
+    return [(eps, max(abs(d - eps * (tie(w, cb, eps) - tie(w, cc, eps))) for w, d in boxes))
+            for eps in eps_list]

@@ -34,12 +34,13 @@ r_{i,b} = A_i, r_{i,c} = B_i and r_{i,a1} = D_i, with
     D_i = (span - p_i) / p_i,
 
 gamma_i / (p_i - q_i) = C_i = gamma_i / (2 p_i - span), and the pair
-factor of c_S is ((p_i - p_j) / (p_i + p_j - span))^2.  A window of f and g
-is one rectangle of points (``_window_taus``), held as one (f_row, g_row)
-pair of integer lists per time.  Each subset term changes by a constant
-factor per step, so a row of one term is a geometric sequence: the rows
-are built as per-term lines from the rectangle's point nearest the origin,
-one small-integer product per line entry and step, and summed by column.
+factor of c_S is ((p_i - p_j) / (p_i + p_j - span))^2.  A window of one
+tau is a list of integer rows, one per time (``_tau_grid``), and a window
+of f and g pairs the rows at l1 = 0 and l1 = 1 (``_window_taus``).  Each
+subset term changes by a constant factor per step, so a row of one term is
+a geometric sequence: the rows are built as per-term lines from the
+rectangle's point nearest the origin, one small-integer product per line
+entry and step, and summed by column.
 
 The lattice fields are the cross ratios x = f * g(n+1) / (g * f(n+1)) and
 y = g * f(t+1) / (f * g(t+1)).  A mode is a genuine soliton when
@@ -199,73 +200,64 @@ def _line(term: int, left: int, right: int, up: int, down: int) -> list[int]:
     return below[:0:-1] + list(accumulate(repeat(up, right), mul, initial=term))
 
 
-def _tau_grid(kp: KPParams, t0: int, n0: int, rows: int, cols: int,
-              ) -> list[tuple[list[int], list[int]]]:
-    """Integer f and g rows on the rectangle (t0 + j, n0 + k), j < rows,
-    k < cols, for the reduced ``kp`` of :func:`validate`: entry j is the
-    pair (f_row, g_row) at time t0 + j, each a list of ``cols`` integers.
+def _tau_grid(kp: KPParams, l1: int, t0: int, n0: int, rows: int, cols: int,
+              ) -> list[list[int]]:
+    """Integer rows of tau(l1, 0, t, n) on the rectangle (t0 + j, n0 + k),
+    j < rows, k < cols, for the reduced ``kp`` of :func:`validate`: entry j
+    is the row at time t0 + j, a list of ``cols`` integers.
 
-    The f and g at (t, n) are the subset sums of :func:`_kp_base` at
-    (0, 0, t, n): f is the sum of its terms, and g the sum of those times
-    a1's r list, which adds its factor D_a1.  So f is f(t, n) times
-    M * D_b^{|t|} * D_c^{|n|}, with M the common denominator of the c_S and
-    D_b, D_c the denominator products of the r list (exponent > 0) or the
-    1/r list (exponent < 0) of b and c, and g is g(t, n) times the same and
-    D_a1.  The grid is canonical: a point's f and g do not depend on the
-    window they were read from.  The scale is positive and shared by the
-    two taus of a point, so it cancels from every cross ratio, and none is
-    returned.
+    A point's integer is the subset sum of :func:`_kp_base` at (l1, 0, t,
+    n), which is tau there times the positive scale M * D_a1^l1 * D_b^{|t|}
+    * D_c^{|n|} (M the common denominator of the c_S, D_d the denominator
+    product of d's r or 1/r list).  So the grid is canonical: a point's
+    integer does not depend on the window it was read from, and the scale
+    cancels from every cross ratio of f (l1 = 0) and g (l1 = 1).
 
     Each subset term is a geometric sequence along a row, so the grid is
-    built from per-term lines, one for each term of f and of g.  The
-    anchor row, the row of the rectangle's point nearest the origin, is
-    :func:`_line` from that point's terms; each further row multiplies
-    every line by its term's entry of t's r list for a step towards +t,
-    or of its 1/r list for a step towards -t, and the f and g rows are
-    the column sums of the f and g lines.  A point's integers are the products :func:`_kp_base` takes
-    there, in another order, so the pairs are those of a point built alone;
-    the work is one small-integer product per line entry and step, in C
+    built from one :func:`_line` per term through the anchor, the
+    rectangle's point nearest the origin.  Each further row multiplies
+    every line by its term's entry of t's r list for a step towards +t, or
+    of its 1/r list for a step towards -t, and a row is the column sums of
+    its lines: one small-integer product per line entry and step, in C
     loops with no Python bytecode per point.
     """
     t1, n1 = t0 + rows - 1, n0 + cols - 1
     ta, na = min(max(0, t0), t1), min(max(0, n0), n1)
-    _, terms, dirs = _kp_base(kp, (0, 0, ta, na))
-    (g_ratio, *_), _, (t_up, _, t_down, _), (n_up, _, n_down, _) = dirs
-    m = len(terms)
-    # the lines of f's terms, then those of g's, which carry a1's r list
-    anchor = [_line(term, na - n0, n1 - na, up, down) for term, up, down
-              in zip(terms + list(map(mul, terms, g_ratio)), n_up * 2, n_down * 2)]
+    _, terms, dirs = _kp_base(kp, (l1, 0, ta, na))
+    _, _, (t_up, _, t_down, _), (n_up, _, n_down, _) = dirs
+    anchor = [_line(term, na - n0, n1 - na, up, down)
+              for term, up, down in zip(terms, n_up, n_down)]
 
-    def sums(lines: list[list[int]]) -> tuple[list[int], list[int]]:
-        return list(map(sum, zip(*lines[:m]))), list(map(sum, zip(*lines[m:])))
-
-    def away(steps: int, ratios: list[int]) -> list[tuple[list[int], list[int]]]:
+    def away(steps: int, ratios: list[int]) -> list[list[int]]:
         lines, out = anchor, []
         for _ in range(steps):
             lines = [list(map(mul, line, repeat(r))) for line, r in zip(lines, ratios)]
-            out.append(sums(lines))
+            out.append(list(map(sum, zip(*lines))))
         return out
 
-    return away(ta - t0, t_down * 2)[::-1] + [sums(anchor)] + away(t1 - ta, t_up * 2)
+    return away(ta - t0, t_down)[::-1] + [list(map(sum, zip(*anchor)))] + away(t1 - ta, t_up)
 
 
 def _window_taus(params: SystemParams, solitons: Sequence[tuple[Fraction, Fraction]],
                  t_range: tuple[int, int], n_range: tuple[int, int],
                  ) -> list[tuple[list[int], list[int]]]:
-    """Integer (f_row, g_row) pairs of :func:`_tau_grid` on the rectangle of
-    times t0..t1 by sites n0..n1 + 1, which holds the n-shift column.
+    """Integer (f_row, g_row) pairs on the rectangle of times t0..t1 by sites
+    n0..n1 + 1, which holds the n-shift column: f_row is the :func:`_tau_grid`
+    row at l1 = 0 and g_row the one at l1 = 1.
 
-    Each point carries its own positive scale, shared by its f and g, so a
-    consumer must be homogeneous per point: multiplying the f and g of one
-    point by any positive integer may not change what it computes.  Both
-    ranges are inclusive.  Raises ZeroTau naming the first site, row by
-    row, where a tau vanishes.
+    Each point carries its own positive scale, shared by its f and g up to
+    the constant D_a1, so a consumer must be homogeneous per point:
+    multiplying the f and g of one point by any positive integer may not
+    change what it computes.  Both ranges are inclusive.  Raises ZeroTau
+    naming the first site, row by row, where a tau vanishes.
     """
     t0, t1 = t_range
     n0, n1 = n_range
     if t1 < t0 or n1 < n0:
         raise WindowTooSmall(f"empty range: t {t_range}, n {n_range}")
-    taus = _tau_grid(validate(params, solitons), t0, n0, t1 - t0 + 1, n1 - n0 + 2)
+    kp = validate(params, solitons)
+    shape = (t0, n0, t1 - t0 + 1, n1 - n0 + 2)
+    taus = list(zip(_tau_grid(kp, 0, *shape), _tau_grid(kp, 1, *shape)))
     for j, (fs, gs) in enumerate(taus):
         if not (all(fs) and all(gs)):
             k = next(k for k, (f, g) in enumerate(zip(fs, gs)) if not (f and g))
@@ -513,7 +505,9 @@ def check_reduction(kp: KPParams, point: tuple[int, int, int, int]) -> Fraction:
 
     Requires the reduction constraint p_i + q_i = a1 + a2 on every mode and
     raises ConstraintViolated otherwise.  Under the constraint the residual
-    is identically zero.
+    is identically zero, and term by term: r_{i,a1} r_{i,a2} = 1 for every
+    mode, so each subset term is unchanged by the shift whatever its c_S.
+    The check therefore tests the a1 and a2 tables, not the c_S.
     """
     target = kp.a1 + kp.a2
     for i, (p, q, _) in enumerate(kp.modes):

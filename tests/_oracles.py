@@ -325,25 +325,19 @@ def random_kp_params_longhand(rng: Random, n_modes: int, *,
     return KPParams(a1, a2, b, c, tuple(modes))
 
 
-def tau_grid_longhand(kp: KPParams, t0: int, n0: int, rows: int, cols: int,
-                      ) -> list[tuple[list[int], list[int]]]:
-    """The (f_row, g_row) pairs of ``solitons._tau_grid``, one point at a time.
+def tau_grid_longhand(kp: KPParams, l1: int, t0: int, n0: int, rows: int, cols: int,
+                      ) -> list[list[int]]:
+    """The rows of ``solitons._tau_grid``, one point at a time.
 
-    The f and g at (t, n) are the two subset sums of ``_kp_sums`` at
-    (0, 0, t, n), unshifted and shifted along a1: each point is built from
-    the expansion's tables with its own powers, with no line and no window,
-    so a grid that equals it is canonical.
+    The integer at (t, n) is the subset sum of ``_kp_sums`` at (0, 0, t, n)
+    shifted l1 steps along a1, which multiplies the same factors as the grid
+    takes at (l1, 0, t, n) in another order.  Each point is built from the
+    expansion's tables with its own powers, with no line and no window, so
+    a grid that equals it is canonical.
     """
-    grid = []
-    for j in range(rows):
-        fs, gs = [], []
-        for k in range(cols):
-            _, [(f, _), (g, _)] = _kp_sums(kp, (0, 0, t0 + j, n0 + k),
-                                           [(0, 0, 0, 0), (1, 0, 0, 0)])
-            fs.append(f)
-            gs.append(g)
-        grid.append((fs, gs))
-    return grid
+    return [[_kp_sums(kp, (0, 0, t0 + j, n0 + k), [(l1, 0, 0, 0)])[1][0][0]
+             for k in range(cols)]
+            for j in range(rows)]
 
 
 def exactness_longhand(field: LatticeField, consts: tuple[int, ...]) -> list[list[bool]]:

@@ -444,8 +444,10 @@ def test_ud_limit_gap_shrinks_with_epsilon():
 
 
 def test_ud_limit_vacuum_is_exact():
-    gaps = ud_limit_check(BBSCState((0,) * 6, c_box=3, c_carrier=1), [1.0, 0.5, 0.25])
-    assert all(g <= 1e-12 for _, g in gaps)
+    # w = u + v = 0 at every box, where the tie term is exactly 0
+    epsilons = [3.78, 1.255, 1.0, 0.5, 0.25, 0.083, 1e-6]
+    gaps = ud_limit_check(BBSCState((0,) * 6, c_box=3, c_carrier=1), epsilons)
+    assert gaps == [(e, 0.0) for e in epsilons]
 
 
 @given(swept_states())

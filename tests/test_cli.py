@@ -303,6 +303,27 @@ def test_verify_udlimit_passes_at_equal_capacities(capsys):
     assert out.endswith("verify: OK\n")
 
 
+def test_verify_udlimit_is_exact_on_an_empty_state(capsys):
+    # no balls: every box and load is 0, so each gap is exactly 0, not the
+    # rounding noise of a float log-sum
+    code, out, _ = invoke(capsys, "verify", "udlimit", "--cb", "3", "--cc", "1",
+                          "--init", "00", "--epsilons", "3.78,1.255,0.083")
+    assert code == 0
+    assert out.count("max deviation 0.000e+00") == 3
+    assert out.endswith("verify: OK\n")
+
+
+def test_verify_udlimit_fails_when_the_gaps_rise(capsys):
+    # at eps this coarse the gap of the state 10 grows as eps shrinks
+    code, out, _ = invoke(capsys, "verify", "udlimit", "--cb", "2", "--cc", "5",
+                          "--init", "10", "--steps", "0", "--epsilons", "3.807,2.367")
+    assert code == 2
+    assert out.splitlines()[1:3] == ["eps=3.807: max deviation 3.268e-01",
+                                     "eps=2.367: max deviation 3.361e-01"]
+    assert "deviations are not strictly decreasing" in out
+    assert out.endswith("verify: FAILED\n")
+
+
 def test_verify_rejects_an_empty_epsilon_list(capsys):
     code, out, err = invoke(capsys, "verify", "udlimit", "--epsilons", ",")
     assert code == 1

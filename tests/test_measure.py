@@ -63,6 +63,14 @@ def test_measured_amplitudes_match_closed_form(two_soliton_tracks):
                - amplitude(REF_PARAMS, Fraction(2, 15))) < 0.005
 
 
+def test_a_track_among_the_others_is_skipped(two_soliton_tracks):
+    # measured against the whole list, a track ignores itself
+    for tr in two_soliton_tracks:
+        others = [o for o in two_soliton_tracks if o is not tr]
+        assert measure_velocity(tr, two_soliton_tracks) == measure_velocity(tr, others)
+        assert track_amplitude(tr, two_soliton_tracks) == track_amplitude(tr, others)
+
+
 def test_overtake_inferred_from_merged_start(two_soliton_tracks):
     # the window opens mid-collision, so no order swap is visible, but the
     # smaller soliton emerges ahead with the greater speed

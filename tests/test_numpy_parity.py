@@ -1,11 +1,13 @@
 """The stdlib float layers against the numpy formulas they replace.
 
-``measure._interp`` and ``boxball._logaddexp`` match their numpy
-counterparts bit for bit.  ``ud_limit_check`` also calls exp, expm1, log
-and log1p, which numpy may evaluate with SIMD kernels that differ from the C
-library by one unit in the last place, so its gaps are compared within a
-few ulp of c_box + c_carrier, which bounds u + v.  The module is skipped
-where numpy is not installed; the package itself does not use it.
+``measure._interp`` matches ``np.interp`` bit for bit.  ``ud_limit_check``
+splits each gap into an exact integer and an eps tie term; the numpy
+reference keeps the log-sum form log((1 - beta) + beta x y) =
+logaddexp(-c_box/eps, log(beta) - (u + v)/eps), and the exp, expm1, log and
+log1p on the two sides may each be off by an ulp or so, so the gaps are
+compared within a few ulp of c_box + c_carrier, which bounds u + v.  The
+module is skipped where numpy is not installed; the package itself does not
+use it.
 """
 
 import math
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from solitonlab import BBSCState, bbsc_sweep, evolve_bbsc
-from solitonlab.boxball import _logaddexp, ud_limit_check
+from solitonlab.boxball import ud_limit_check
 from solitonlab.measure import _interp
 
 np = pytest.importorskip("numpy")
@@ -34,13 +36,6 @@ def test_interp_matches_numpy(steps, t0, values, x):
     xp = [t0 + sum(steps[:k + 1]) for k in range(len(steps))]
     fp = values[:len(xp)]
     assert bits(_interp(x, xp, fp)) == bits(np.interp(x, xp, fp))
-
-
-@given(st.floats(-800, 800), st.floats(-800, 800))
-@settings(max_examples=300, deadline=None)
-def test_logaddexp_matches_numpy(x, y):
-    assert bits(_logaddexp(x, y)) == bits(np.logaddexp(x, y))
-    assert bits(_logaddexp(x, x)) == bits(np.logaddexp(x, x))
 
 
 def numpy_ud_gaps(state, epsilons):

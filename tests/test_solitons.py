@@ -484,16 +484,18 @@ def test_each_reader_asks_for_the_tau_rectangle_it_reads(monkeypatch):
     calls = []
     real = solitons._tau_grid
 
-    def spy(kp, t0, n0, rows, cols):
-        calls.append((t0, n0, rows, cols))
-        return real(kp, t0, n0, rows, cols)
+    def spy(kp, l1, t0, n0, rows, cols):
+        calls.append((l1, t0, n0, rows, cols))
+        return real(kp, l1, t0, n0, rows, cols)
 
     monkeypatch.setattr(solitons, "_tau_grid", spy)
     for window in (((2, 5), (-3, 6)), ((2, 2), (-3, -3))):
         for reader in (sample_field, sample_x_float, solitons.check_exactness):
             reader(REF_PARAMS, REF_SOLITONS, *window)
-    assert calls == [(2, -3, 5, 11), (2, -3, 4, 11), (2, -3, 5, 11),
-                     (2, -3, 2, 2), (2, -3, 1, 2), (2, -3, 2, 2)]
+    # f at l1 = 0, then g at l1 = 1, on the same rectangle
+    assert calls == [(l1, *shape) for shape in [(2, -3, 5, 11), (2, -3, 4, 11), (2, -3, 5, 11),
+                                                (2, -3, 2, 2), (2, -3, 1, 2), (2, -3, 2, 2)]
+                     for l1 in (0, 1)]
 
 
 @pytest.mark.parametrize("sampler", [sample_field, sample_x_float])
@@ -501,9 +503,10 @@ def test_a_vanishing_tau_raises_zero_tau_naming_its_site(monkeypatch, sampler):
     real = solitons._tau_grid
     for which in (0, 1):  # f, then g, vanishes at (t0 + 2, n0 + 3)
 
-        def with_a_zero(kp, t0, n0, rows, cols):
-            grid = real(kp, t0, n0, rows, cols)
-            grid[2][which][3] = 0
+        def with_a_zero(kp, l1, t0, n0, rows, cols):
+            grid = real(kp, l1, t0, n0, rows, cols)
+            if l1 == which:
+                grid[2][3] = 0
             return grid
 
         monkeypatch.setattr(solitons, "_tau_grid", with_a_zero)
@@ -549,16 +552,16 @@ def tau_windows(draw, regime: str, n_modes: int):
 @given(data=st.data())
 @settings(max_examples=15, deadline=None)
 def test_tau_grid_is_canonical(regime, n_modes, data):
-    # each pair is the subset sums at (0, 0, t, n), whatever the window, so
+    # each entry is the subset sum at (l1, 0, t, n), whatever the window, so
     # rectangles off the origin, on either side of it or across it, read the
     # same integers as any other
     params, modes, (t0, t1), (n0, n1) = data.draw(tau_windows(regime, n_modes))
     kp = validate(params, modes)
-    rows, cols = t1 - t0 + 1, n1 - n0 + 2
-    grid = solitons._tau_grid(kp, t0, n0, rows, cols)
-    assert grid == tau_grid_longhand(kp, t0, n0, rows, cols)
-    assert solitons._window_taus(params, modes, (t0, t1), (n0, n1)) == grid
-    # the scale M * prod D^|t| * prod D^|n| against the cofactor determinant
+    shape = (t0, n0, t1 - t0 + 1, n1 - n0 + 2)
+    grids = [solitons._tau_grid(kp, l1, *shape) for l1 in (0, 1)]
+    assert grids == [tau_grid_longhand(kp, l1, *shape) for l1 in (0, 1)]
+    assert solitons._window_taus(params, modes, (t0, t1), (n0, n1)) == list(zip(*grids))
+    # the scale M * D_a1^l1 * D_b^|t| * D_c^|n| against the cofactor determinant
     big_l, _, dirs = kp._subset_tables
 
     def den(d: int, l: int) -> int:
@@ -566,14 +569,37 @@ def test_tau_grid_is_canonical(regime, n_modes, data):
         return (up_den if l > 0 else down_den) ** abs(l)
 
     for _ in range(3):
-        j = data.draw(st.integers(0, rows - 1))
-        k = data.draw(st.integers(0, cols - 1))
+        j = data.draw(st.integers(0, shape[2] - 1))
+        k = data.draw(st.integers(0, shape[3] - 1))
         t, n = t0 + j, n0 + k
-        f, g = grid[j][0][k], grid[j][1][k]
-        scale = big_l * den(2, t) * den(3, n)
-        for value, l1, extra in ((f, 0, 1), (g, 1, dirs[0][1])):
+        for l1, grid in enumerate(grids):
             matrix = kp_matrix_longhand(kp.a1, kp.a2, kp.b, kp.c, kp.modes, (l1, 0, t, n))
-            assert Fraction(value, scale * extra) == det_cofactor(matrix)
+            scale = big_l * den(0, l1) * den(2, t) * den(3, n)
+            assert Fraction(grid[j][k], scale) == det_cofactor(matrix)
+
+
+def _side_range(side: str, size: int) -> tuple[int, int]:
+    """``size`` consecutive integers left of, right of or across 0."""
+    first = {"left": -size - 2, "right": 2, "across": -(size // 2)}[side]
+    return first, first + size - 1
+
+
+@pytest.mark.parametrize("n_modes", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("n_side", ["left", "right", "across"])
+@pytest.mark.parametrize("t_side", ["left", "right", "across"])
+def test_tau_grid_matches_the_pointwise_oracle_on_fixed_windows(t_side, n_side, n_modes):
+    # every side of the origin on both axes, in both regimes, with rows
+    # shorter than the 2^N subset terms (from N = 2 on) and longer than them
+    for params in (REF_PARAMS, SystemParams(Fraction(14, 15), Fraction(5, 6))):
+        span = params.alpha + params.beta - 1
+        modes = [(span * k / 40, Fraction(k - 20, 7)) for k in (3, 11, 26, 33)[:n_modes]]
+        kp = validate(params, modes)
+        for cols in (2, 2 ** n_modes + 3):
+            t0, _ = _side_range(t_side, 3)
+            n0, _ = _side_range(n_side, cols)
+            for l1 in (0, 1):
+                assert (solitons._tau_grid(kp, l1, t0, n0, 3, cols)
+                        == tau_grid_longhand(kp, l1, t0, n0, 3, cols))
 
 
 def test_tau_rows_of_the_readme_window_match_the_pointwise_oracle():
@@ -584,7 +610,7 @@ def test_tau_rows_of_the_readme_window_match_the_pointwise_oracle():
     taus = solitons._window_taus(REF_PARAMS, REF_SOLITONS, (0, 60), (-30, 90))
     assert len(taus) == 61
     for t in (0, 30, 60):
-        [row] = tau_grid_longhand(kp, t, -30, 1, 122)
+        row = tuple(tau_grid_longhand(kp, l1, t, -30, 1, 122)[0] for l1 in (0, 1))
         assert len(row[0]) == len(row[1]) == 122
         assert taus[t] == row
 
@@ -641,6 +667,56 @@ def test_kp_reduction_needs_the_constraint():
     with pytest.raises(ConstraintViolated, match=rf"^mode {bad}: p \+ q = ") as info:
         check_reduction(free, (0, 0, 0, 0))
     assert info.value.index == bad
+
+
+def _with_tables(kp: KPParams, coefs: list[int], dirs: list) -> KPParams:
+    """``kp`` with its subset tables' c_S list and direction tables replaced."""
+    vars(kp)["_subset_tables"] = (kp._subset_tables[0], coefs, dirs)
+    return kp
+
+
+def test_kp_bilinear_identities_fail_on_a_wrong_coefficient():
+    # the residuals are not zero by construction: one c_S off by 1 breaks both
+    _, coefs, dirs = random_kp_params(Random(0), 2)._subset_tables
+    for s in range(4):
+        bumped = _with_tables(random_kp_params(Random(0), 2),
+                              [c + (k == s) for k, c in enumerate(coefs)], dirs)
+        r1, r2 = check_kp_bilinear(bumped, (0, 0, 0, 0))
+        assert r1 != 0 and r2 != 0
+
+
+def test_kp_reduction_fails_on_a_wrong_a1_ratio():
+    # the reduction holds term by term, so it reads the a1 and a2 tables and
+    # not the c_S: one entry of a1's r list off by 1 breaks it, and a c_S
+    # off by 1 leaves it 0
+    _, coefs, dirs = random_kp_params(Random(0), 2, constrained=True)._subset_tables
+    up, up_den, down, down_den = dirs[0]
+    for s in range(4):
+        bumped = _with_tables(random_kp_params(Random(0), 2, constrained=True), coefs,
+                              [([r + (k == s) for k, r in enumerate(up)], up_den, down, down_den),
+                               *dirs[1:]])
+        assert check_reduction(bumped, (0, 0, 0, 0)) != 0
+    bumped = _with_tables(random_kp_params(Random(0), 2, constrained=True),
+                          coefs[:3] + [coefs[3] + 1], dirs)
+    assert check_reduction(bumped, (0, 0, 0, 0)) == 0
+
+
+def test_check_exactness_fails_at_the_sites_that_read_a_wrong_tau(monkeypatch):
+    # f at row 2, column 3 of the rectangle is read by the sites (j, k)
+    # with j in {1, 2} and k in {2, 3}, and by no other
+    real = solitons._tau_grid
+
+    def with_f_off_by_one(kp, l1, t0, n0, rows, cols):
+        grid = real(kp, l1, t0, n0, rows, cols)
+        if l1 == 0:
+            grid[2][3] += 1
+        return grid
+
+    monkeypatch.setattr(solitons, "_tau_grid", with_f_off_by_one)
+    sites = solitons.check_exactness(REF_PARAMS, REF_SOLITONS, (0, 5), (-5, 5))
+    assert (len(sites), len(sites[0])) == (6, 11)
+    assert [(j, k) for j, row in enumerate(sites) for k, ok in enumerate(row) if not ok] == [
+        (1, 2), (1, 3), (2, 2), (2, 3)]
 
 
 def test_random_kp_params_draws_are_pinned():
