@@ -43,7 +43,11 @@ rectangle's point nearest the origin, one small-integer product per line
 entry and step, and summed by column.
 
 The lattice fields are the cross ratios x = f * g(n+1) / (g * f(n+1)) and
-y = g * f(t+1) / (f * g(t+1)).  A mode is a genuine soliton when
+y = g * f(t+1) / (f * g(t+1)), exact in ``sample_field``.  The float x of
+``sample_x_float`` is the ratio of two short quotients of f / g, one per
+point, and is the exact x rounded once: where the quotients' enclosure of
+x cannot decide the rounding, that point takes the exact ratio of the
+full-width products instead.  A mode is a genuine soliton when
 0 < p < span and gamma has the sign of (p - midpoint); then all four
 constants A_i, B_i, C_i, D_i are positive and the mode has
 
@@ -65,8 +69,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import accumulate, repeat
-from operator import mul, truediv
+from itertools import accumulate, compress, repeat
+from operator import floordiv, lshift, mul, ne, truediv
 from random import Random
 from typing import Sequence
 
@@ -240,7 +244,7 @@ def _tau_grid(kp: KPParams, l1: int, t0: int, n0: int, rows: int, cols: int,
 
 def _window_taus(params: SystemParams, solitons: Sequence[tuple[Fraction, Fraction]],
                  t_range: tuple[int, int], n_range: tuple[int, int],
-                 ) -> list[tuple[list[int], list[int]]]:
+                 kp: KPParams | None = None) -> list[tuple[list[int], list[int]]]:
     """Integer (f_row, g_row) pairs on the rectangle of times t0..t1 by sites
     n0..n1 + 1, which holds the n-shift column: f_row is the :func:`_tau_grid`
     row at l1 = 0 and g_row the one at l1 = 1.
@@ -249,13 +253,16 @@ def _window_taus(params: SystemParams, solitons: Sequence[tuple[Fraction, Fracti
     the constant D_a1, so a consumer must be homogeneous per point:
     multiplying the f and g of one point by any positive integer may not
     change what it computes.  Both ranges are inclusive.  Raises ZeroTau
-    naming the first site, row by row, where a tau vanishes.
+    naming the first site, row by row, where a tau vanishes.  ``kp``, when
+    given, is ``validate(params, solitons)`` made by the caller, so the
+    modes are not validated twice.
     """
     t0, t1 = t_range
     n0, n1 = n_range
     if t1 < t0 or n1 < n0:
         raise WindowTooSmall(f"empty range: t {t_range}, n {n_range}")
-    kp = validate(params, solitons)
+    if kp is None:
+        kp = validate(params, solitons)
     shape = (t0, n0, t1 - t0 + 1, n1 - n0 + 2)
     taus = list(zip(_tau_grid(kp, 0, *shape), _tau_grid(kp, 1, *shape)))
     for j, (fs, gs) in enumerate(taus):
@@ -290,15 +297,51 @@ def sample_x_float(params: SystemParams, solitons: Sequence[tuple[Fraction, Frac
                    ) -> list[list[float]]:
     """x of the N-soliton state as float rows, one per time of ``t_range``.
 
-    Equal, bit for bit, to ``sample_field(...).x_float()``: each x is the
-    same integer ratio as there, and ``int / int`` is correctly rounded, so
-    the ratio goes straight to the nearest float with no ``Fraction`` and no
-    gcd.  x needs no t-shift row: the taus are those of the rectangle
-    t0..t1 by n0..n1 + 1 of :func:`_window_taus`.
+    Equal, bit for bit, to ``sample_field(...).x_float()``, with no
+    full-width product.  x needs no t-shift row: the taus are those of the
+    rectangle t0..t1 by n0..n1 + 1 of :func:`_window_taus`.  Each point's
+    ratio f / g is cut to the short quotient rho = floor(f * 2^K / g), and
+    x = f * gn / (g * fn) is (f / g) / (fn / gn), so it lies strictly
+    between lo = rho / (rhon + 1) and hi = (rho + 1) / rhon, rhon the
+    quotient one site on.  ``int / int`` is correctly rounded and rounding
+    is monotone, so where lo and hi round to the same float, that float is
+    the correctly rounded x: Ziv's rounding test.
+
+    The quotient is homogeneous per point, as :func:`_window_taus`
+    requires.  K comes from the modes that ``validate`` checked: every
+    subset term of f and g is positive there (C, A, B and D are, and the
+    pair factors are squares), and the g term is the f term times its entry
+    of the a1 ratio list, so g / f is at most that list's largest entry E.
+    With K = 66 + the bit length of E, every rho is at least 2^66 and each
+    bound is within a relative 2^-65 of x.  A point whose bounds round
+    apart, about 1 in 10^4, takes the exact ``int / int`` of the two
+    full-width products, :func:`_exact_x`; so does every point of a row
+    with a quotient below 1, which only taus that break the premise give.
+    The modes are validated before the window is checked.
     """
-    taus = _window_taus(params, solitons, t_range, n_range)
-    return [list(map(truediv, map(mul, fs, gs[1:]), map(mul, gs, fs[1:])))
-            for fs, gs in taus]
+    kp = validate(params, solitons)
+    taus = _window_taus(params, solitons, t_range, n_range, kp=kp)
+    _, _, ((a1_ratios, _, _, _), *_) = kp._subset_tables
+    shift = 66 + max(a1_ratios).bit_length()
+    rows = []
+    for fs, gs in taus:
+        rho = list(map(floordiv, map(lshift, fs, repeat(shift)), gs))
+        if min(rho) < 1:
+            rows.append([_exact_x(fs, gs, k) for k in range(len(fs) - 1)])
+            continue
+        up = list(map((1).__add__, rho))
+        row, hi = list(map(truediv, rho, up[1:])), list(map(truediv, up, rho[1:]))
+        if row != hi:
+            for k in compress(range(len(row)), map(ne, row, hi)):
+                row[k] = _exact_x(fs, gs, k)
+        rows.append(row)
+    return rows
+
+
+def _exact_x(fs: list[int], gs: list[int], k: int) -> float:
+    """x at column k of one (f_row, g_row) pair, f * gn / (g * fn), as one
+    correctly rounded ``int / int`` of the two full-width products."""
+    return fs[k] * gs[k + 1] / (gs[k] * fs[k + 1])
 
 
 def check_exactness(params: SystemParams, solitons: Sequence[tuple[Fraction, Fraction]],

@@ -340,6 +340,18 @@ def tau_grid_longhand(kp: KPParams, l1: int, t0: int, n0: int, rows: int, cols: 
             for j in range(rows)]
 
 
+def x_float_longhand(taus: list[tuple[list[int], list[int]]]) -> list[list[float]]:
+    """x = f * gn / (g * fn) as float rows, from (f_row, g_row) pairs of
+    ``solitons._window_taus``.
+
+    Each x is the exact ratio of the two full-width products, rounded once
+    by ``int / int``, which is correctly rounded, so this is the float of
+    the reduced x with no enclosure and no fallback.
+    """
+    return [[f * gn / (g * fn) for f, g, fn, gn in zip(fs, gs, fs[1:], gs[1:])]
+            for fs, gs in taus]
+
+
 def exactness_longhand(field: LatticeField, consts: tuple[int, ...]) -> list[list[bool]]:
     """Per-site verdicts of ``verify exactness`` on reduced values.
 

@@ -520,6 +520,30 @@ def test_grid_consumers_are_homogeneous_per_point(regime, n_modes, data):
     assert check(_scale_each_point(taus, rng), consts) == check(taus, consts)
 
 
+def test_sample_x_float_reads_taus_scaled_per_point_alike_on_its_exact_path(monkeypatch):
+    # a window where one point's short-quotient bounds round apart: scaling
+    # each point's f and g leaves every quotient as it is, so the same
+    # points take the exact path and every x keeps its hex
+    params = SystemParams(Fraction(5, 6), Fraction(14, 15))
+    modes = [(Fraction(1, 60), Fraction(-3, 25000)), (Fraction(3, 20), Fraction(-79, 20000))]
+    rng = Random(29)
+    calls = []
+    real_exact, real_taus = solitons._exact_x, solitons._window_taus
+    monkeypatch.setattr(solitons, "_exact_x",
+                        lambda fs, gs, k: calls.append(k) or real_exact(fs, gs, k))
+
+    def hex_rows():
+        rows = solitons.sample_x_float(params, modes, (0, 60), (-30, 90))
+        return [[v.hex() for v in row] for row in rows]
+
+    xs = hex_rows()
+    plain = list(calls)
+    monkeypatch.setattr(solitons, "_window_taus", lambda *args, **kwargs: _scale_each_point(
+        real_taus(*args, **kwargs), rng))
+    assert hex_rows() == xs
+    assert plain and calls == plain * 2
+
+
 def test_verify_exactness_reads_taus_scaled_per_point_alike(capsys, monkeypatch):
     rng = Random(17)
     expected = invoke(capsys, "verify", "exactness", "--grid", "8")

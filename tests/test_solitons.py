@@ -44,6 +44,7 @@ from _oracles import (
     one_soliton_xy,
     random_kp_params_longhand,
     tau_grid_longhand,
+    x_float_longhand,
 )
 
 REF_PARAMS = SystemParams(Fraction(5, 6), Fraction(14, 15))
@@ -440,8 +441,10 @@ def big_quotients(draw):
 @given(big_quotients())
 def test_int_true_division_is_correctly_rounded(ab):
     # the float sampler's bit-equality with sample_field(...).x_float()
-    # rests on this: int / int rounds the exact quotient once, as
-    # float(Fraction) does after reducing it
+    # rests on this and on monotone rounding (below): int / int rounds the
+    # exact quotient once, as float(Fraction) does after reducing it, so
+    # both the exact fallback and the two bounds of the enclosure are the
+    # floats of their rationals
     a, b = ab
     assert (a / b).hex() == float(Fraction(a, b)).hex()
 
@@ -456,6 +459,38 @@ def test_int_true_division_overflows_like_fraction(b_bits, extra, data):
         a / b
     with pytest.raises(OverflowError):
         float(Fraction(a, b))
+
+
+@st.composite
+def ordered_quotients(draw):
+    """Positive (a, b, c, d) of up to ~200 bits with a / b <= c / d.
+
+    Besides independent draws, c / d is built as (a m + e) / (b m) for a
+    large m and a small e >= 0, so it lies on a / b or just above it, within
+    far less than a float's spacing, as the sampler's bounds lie about x.
+    """
+    def big():
+        return draw(st.integers(1, 2 ** draw(st.integers(1, 200))))
+
+    a, b = big(), big()
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 2 ** 120))
+        c, d = a * m + draw(st.integers(0, 3)), b * m
+    else:
+        c, d = big(), big()
+        if a * d > c * b:
+            a, b, c, d = c, d, a, b
+    return a, b, c, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(ordered_quotients())
+def test_int_true_division_rounds_monotonically(abcd):
+    # the sampler's second premise: lo < x < hi as rationals gives
+    # float(lo) <= float(x) <= float(hi), so equal rounded bounds are x's
+    a, b, c, d = abcd
+    assert a * d <= c * b
+    assert a / b <= c / d
 
 
 def _hex_rows(rows):
@@ -476,6 +511,117 @@ def test_sample_x_float_equals_x_float_on_the_readme_window():
     got = sample_x_float(REF_PARAMS, REF_SOLITONS, (0, 60), (-30, 90))
     assert (len(got), len(got[0])) == (61, 121)
     assert _hex_rows(got) == _hex_rows(expected)
+
+
+def _spy_exact_x(monkeypatch) -> list[int]:
+    """Count the points that take the sampler's exact path."""
+    calls = []
+    real = solitons._exact_x
+
+    def spy(fs, gs, k):
+        calls.append(k)
+        return real(fs, gs, k)
+
+    monkeypatch.setattr(solitons, "_exact_x", spy)
+    return calls
+
+
+def _random_x_window(rng: Random, regime: str, n_modes: int, t_side: str, n_side: str):
+    """A system in ``regime`` with ``n_modes`` valid modes drawn as
+    :func:`tau_windows` draws them, and t and n ranges on the given sides of
+    0, up to 40 steps away, so the taus run from a few bits to thousands."""
+    lo, hi = sorted(rng.sample(range(22, 39), 2))
+    alpha, beta = {"lt": (lo, hi), "eq": (lo, lo), "gt": (hi, lo)}[regime]
+    params = SystemParams(Fraction(alpha, 40), Fraction(beta, 40))
+    span = params.alpha + params.beta - 1
+    while True:
+        ks = rng.sample(range(1, 40), n_modes)
+        if all(k + m != 40 for k in ks for m in ks):
+            break
+    modes = [(span * k / 40, Fraction(rng.randint(2, 200), 20) * (1 if k > 20 else -1))
+             for k in ks]
+
+    def window_range(side: str, longest: int) -> tuple[int, int]:
+        size = rng.randint(1, longest)
+        if side == "left":
+            last = -rng.randint(1, 40)
+            return last - size + 1, last
+        first = rng.randint(1, 40) if side == "right" else -rng.randint(0, size - 1)
+        return first, first + size - 1
+
+    return params, modes, window_range(t_side, 8), window_range(n_side, 60)
+
+
+def test_sample_x_float_matches_the_longhand_on_random_windows(monkeypatch):
+    # 270 seeded windows: every regime, N = 0..4 and every side of the
+    # origin on both axes, with taus from a few bits (219 of the 1180 rows
+    # are under 64 bits) to 3833 bits.  Measured: 7 of the 35 395 points
+    # took the exact path, 0.02 %; the bound is 1 %
+    rng = Random(31)
+    fallbacks = _spy_exact_x(monkeypatch)
+    points, narrow = 0, 0
+    for regime in ("lt", "eq", "gt"):
+        for n_modes in range(5):
+            for t_side in ("left", "right", "across"):
+                for n_side in ("left", "right", "across"):
+                    for _ in range(2):
+                        params, modes, t_range, n_range = _random_x_window(
+                            rng, regime, n_modes, t_side, n_side)
+                        taus = solitons._window_taus(params, modes, t_range, n_range)
+                        got = sample_x_float(params, modes, t_range, n_range)
+                        assert _hex_rows(got) == _hex_rows(x_float_longhand(taus))
+                        points += sum(map(len, got))
+                        narrow += sum(max(fs + gs).bit_length() < 64 for fs, gs in taus)
+    assert narrow > 0
+    assert len(fallbacks) < points / 100
+
+
+def test_sample_x_float_matches_the_longhand_far_from_the_origin():
+    # ROADMAP item 1's modes on t 200:300, n 100:250: taus of up to 3204 bits, where
+    # the full-width products cost most
+    params = REF_PARAMS
+    modes = [(Fraction(1, 30), Fraction(-7, 10)), (Fraction(4, 15), Fraction(-233, 1000))]
+    taus = solitons._window_taus(params, modes, (200, 300), (100, 250))
+    assert max(tau.bit_length() for fs, gs in taus for tau in fs + gs) > 3000
+    got = sample_x_float(params, modes, (200, 300), (100, 250))
+    assert _hex_rows(got) == _hex_rows(x_float_longhand(taus))
+
+
+@pytest.mark.parametrize("nudge", [-1, 0, 1], ids=["below", "on", "above"])
+@pytest.mark.parametrize("mantissa", [2 ** 52, 2 ** 52 + 1], ids=["down", "up"])
+def test_sample_x_float_rounds_x_beside_a_tie_exactly(monkeypatch, mantissa, nudge):
+    # x = (2m + 1) / 2^53 + nudge / 2^300 is a tie between two floats that
+    # rounds to the even one, or lies closer beside it than any short
+    # quotient can resolve; f / g is put at a point and at its n-shift
+    f, g = ((2 * mantissa + 1) << 247) + nudge, 1 << 300
+    taus = [([f, 1], [g, 1]), ([1, g], [1, f])]
+    monkeypatch.setattr(solitons, "_window_taus", lambda *args, **kwargs: taus)
+    got = sample_x_float(REF_PARAMS, REF_SOLITONS, (0, 1), (0, 0))
+    assert _hex_rows(got) == _hex_rows(x_float_longhand(taus))
+    assert got == [[float(Fraction(f, g))]] * 2
+
+
+def test_sample_x_float_takes_the_exact_path_on_rows_with_a_quotient_below_one(monkeypatch):
+    # validated modes never give one: here g is 2^100 times f, past 2^K, in
+    # one row, and f and g differ in sign in the other; the whole row goes exact
+    taus = [([1, 1, 1], [1 << 100, 1, 3]), ([-3, 1, 2], [1, 1, 5])]
+    monkeypatch.setattr(solitons, "_window_taus", lambda *args, **kwargs: taus)
+    fallbacks = _spy_exact_x(monkeypatch)
+    got = sample_x_float(REF_PARAMS, REF_SOLITONS, (0, 1), (0, 1))
+    assert got == x_float_longhand(taus) == [[2.0 ** -100, 3.0], [-3.0, 2.5]]
+    assert fallbacks == [0, 1, 0, 1]
+
+
+# a two-mode analyze window with a point whose bounds round apart
+FALLBACK_MODES = [(Fraction(1, 60), Fraction(-3, 25000)), (Fraction(3, 20), Fraction(-79, 20000))]
+
+
+def test_sample_x_float_takes_the_exact_path_where_the_bounds_round_apart(monkeypatch):
+    fallbacks = _spy_exact_x(monkeypatch)
+    got = sample_x_float(REF_PARAMS, FALLBACK_MODES, (0, 60), (-30, 90))
+    assert len(fallbacks) >= 1
+    taus = solitons._window_taus(REF_PARAMS, FALLBACK_MODES, (0, 60), (-30, 90))
+    assert _hex_rows(got) == _hex_rows(x_float_longhand(taus))
 
 
 def test_each_reader_asks_for_the_tau_rectangle_it_reads(monkeypatch):
