@@ -56,11 +56,13 @@ constants A_i, B_i, C_i, D_i are positive and the mode has
                s = sqrt(B * D_i), r = sqrt(D_i / B).
 
 Both laws are exactly symmetric under p -> span - p, which is what makes
-the speed/size ordering flip with the sign of alpha - beta.  They take A,
-B, D as integer (numerator, denominator) pairs, from ``_abd`` for one
-wavenumber, or for the whole grid of ``scan_monotonicity`` from integer
-linear forms in the grid index (``_law_grid``); the scan builds a
-``Fraction`` p only for the values its report prints.
+the speed/size ordering flip with the sign of alpha - beta.  One function,
+``_laws``, evaluates both over parallel integer sequences of the
+numerators and denominators of A, B and D, one pass per law: ``velocity``
+and ``amplitude`` are its one-point case, from ``_abd``, and the grid of
+``scan_monotonicity`` passes integer linear forms in the grid index as
+ranges (``_law_grid``); the scan builds a ``Fraction`` p only for the
+values its report prints.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ from fractions import Fraction
 from itertools import accumulate, compress, repeat
 from operator import floordiv, lshift, mul, ne, truediv
 from random import Random
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     ConstraintViolated,
@@ -150,40 +152,39 @@ def _abd(params: SystemParams, p: Fraction, mode: int = 0) -> tuple[Fraction, Fr
     return a, b, d
 
 
-def _ratios(abd: Sequence[Fraction]) -> list[tuple[int, int]]:
-    """(numerator, denominator) pairs of an A, B, D triple, as the laws take it."""
-    return [x.as_integer_ratio() for x in abd]
+def _ratios(abd: Sequence[Fraction]) -> list[tuple[int]]:
+    """an, ad, bn, bd, dn, dd of an A, B, D triple, as one-point sequences."""
+    return [(x,) for q in abd for x in q.as_integer_ratio()]
 
 
-def _speed(a: tuple[int, int], b: tuple[int, int], _d: tuple[int, int]) -> float:
-    """The speed law -log A / log B, from A, B, D as integer (numerator,
-    denominator) pairs, reduced or not: ``int / int`` is correctly rounded,
-    so each quotient is the float of the rational whatever its form."""
-    (an, ad), (bn, bd) = a, b
-    if an * bn == ad * bd:
-        return 1.0
-    return -math.log(an / ad) / math.log(bn / bd)
-
-
-def _depth(_a: tuple[int, int], b: tuple[int, int], d: tuple[int, int]) -> float:
-    """The amplitude law, from the same integer pairs as :func:`_speed`."""
-    (bn, bd), (dn, dd) = b, d
-    if bn * dn == bd * dd:
-        return 0.0
-    s = math.sqrt(bn * dn / (bd * dd))
-    r = math.sqrt(dn * bd / (dd * bn))
-    f = (1.0 + 1.0 / s) * (1.0 + s) / ((1.0 + r) * (1.0 + 1.0 / r))
-    return abs(f - 1.0)
+def _laws(an: Sequence[int], ad: Sequence[int], bn: Sequence[int], bd: Sequence[int],
+          dn: Sequence[int], dd: Sequence[int]) -> tuple[Iterator[float], Iterator[float]]:
+    """The speed law -log A / log B and the amplitude law at every point of
+    parallel integer sequences, A = an / ad, B = bn / bd and D = dn / dd,
+    reduced or not: ``int / int`` is correctly rounded, so each quotient is
+    the float of the rational whatever its form.  Each law is one pass over
+    the sequences, run only as far as it is read, so neither law's failure
+    reaches a caller of the other.  The exact cases are decided on the
+    integers before any division: A B = 1 gives v = 1.0 (alpha = beta, or
+    the midpoint, where log B = 0) and B D = 1 gives W = 0.0 (the midpoint).
+    """
+    vs = (1.0 if a * b == c * d else -math.log(a / c) / math.log(b / d)
+          for a, c, b, d in zip(an, ad, bn, bd))
+    ws = (0.0 if b * n == d * e else
+          abs((1.0 + 1.0 / (s := math.sqrt(b * n / (d * e)))) * (1.0 + s)
+              / ((1.0 + (r := math.sqrt(n * d / (e * b)))) * (1.0 + 1.0 / r)) - 1.0)
+          for b, d, n, e in zip(bn, bd, dn, dd))
+    return vs, ws
 
 
 def velocity(params: SystemParams, p: Fraction) -> float:
     """Closed-form speed -log A / log B; exactly 1 at the interval midpoint."""
-    return _speed(*_ratios(_abd(params, p)))
+    return next(_laws(*_ratios(_abd(params, p)))[0])
 
 
 def amplitude(params: SystemParams, p: Fraction) -> float:
     """Closed-form trough amplitude |x_min - 1|; 0 at the interval midpoint."""
-    return _depth(*_ratios(_abd(params, p)))
+    return next(_laws(*_ratios(_abd(params, p)))[1])
 
 
 def _subset_ratios(bases: Sequence[Fraction]) -> list[int]:
@@ -620,89 +621,88 @@ def _law_grid(params: SystemParams, grid_size: int) -> tuple[list[float], list[f
         B = (S k + L - L beta) / (L alpha - S k)
         D = (grid_size + 1 - k) / k
 
-    Every p_k lies inside the interval, so no point needs a range check, and
-    the unreduced pairs go straight to :func:`_speed` and :func:`_depth`, which
-    give what they give for ``_abd(params, p_k)``, bit for bit.
+    Every p_k lies inside the interval, so no point needs a range check.  The
+    six forms go to :func:`_laws` as ``range`` objects, unreduced, and give
+    what ``velocity`` and ``amplitude``, its one-point case, give at p_k,
+    bit for bit.
     """
     g1 = grid_size + 1
     big_l = math.lcm(params.alpha.denominator, params.beta.denominator) * g1
     la = params.alpha.numerator * (big_l // params.alpha.denominator)
     lb = params.beta.numerator * (big_l // params.beta.denominator)
     s = (la + lb - big_l) // g1
-    abds = [((lb - s * k, s * k + big_l - la), (s * k + big_l - lb, la - s * k), (g1 - k, k))
-            for k in range(1, g1)]
-    return [_speed(*abd) for abd in abds], [_depth(*abd) for abd in abds]
+    vs, ws = _laws(range(lb - s, lb - s * g1, -s), range(s + big_l - la, s * g1 + big_l - la, s),
+                   range(s + big_l - lb, s * g1 + big_l - lb, s), range(la - s, la - s * g1, -s),
+                   range(grid_size, 0, -1), range(1, g1))
+    return list(vs), list(ws)
 
 
 def scan_monotonicity(params: SystemParams, grid_size: int) -> dict:
     """Probe v(p) and W(p) on an interior grid and report monotonicity breaks.
 
     The grid has ``grid_size`` points p_k = k * span / (grid_size + 1),
-    evaluated by :func:`_law_grid` from integer linear forms in k after one
-    check of the interval; raises GridTooSmall below 3 points.  W must fall
-    toward the midpoint and rise after it; v must be monotone on each half
-    with the direction set by sign(alpha - beta), and constant when
-    alpha = beta.  Which half a pair of neighbours lies on is an integer
-    test on k, and a ``Fraction`` p is built only for the values the report
-    prints.  The returned dict is the CLI's JSON payload.
+    evaluated in one pass per law by :func:`_law_grid` after one check of
+    the interval; raises GridTooSmall below 3 points.  W must fall toward
+    the midpoint and rise after it; v must be monotone on each half with the
+    direction set by sign(alpha - beta), and constant when alpha = beta.
+    Which half a pair of neighbours lies on is an integer test on k, each
+    half and quantity is one comparison pass over list slices, and a
+    violation, with its ``Fraction`` p values, is built only where a pass
+    flags one: pairs ascending, ``w`` before ``v`` within a pair.  The
+    returned dict is the CLI's JSON payload.
     """
     if grid_size < 3:
         raise GridTooSmall(f"grid_size must be at least 3, got {grid_size}")
     span = _span(params)
     g1 = grid_size + 1
-    vs, wsamp = _law_grid(params, grid_size)
+    vs, ws = _law_grid(params, grid_size)
 
     def p_str(i: int) -> str:
         # list index i holds grid point k = i + 1
         return rat_str(span * (i + 1) / g1)
 
     tol = 1e-12  # float noise floor for adjacent comparisons
-    violations: list[dict] = []
 
-    def check(kind: str, i: int, direction: int) -> None:
-        # direction +1: must not decrease from i to i+1; -1: must not
-        # increase; 0: both ends must equal 1 (v when alpha = beta)
-        left, right = (vs if kind == "v" else wsamp)[i:i + 2]
+    def breaks(xs: list[float], lo: int, hi: int, direction: int) -> list[int]:
+        # the i in [lo, hi) whose pair (i, i+1) breaks ``direction``: +1, must
+        # not decrease; -1, must not increase; 0, both ends must equal 1 (v
+        # when alpha = beta)
+        pairs = zip(range(lo, hi), xs[lo:hi], xs[lo + 1:hi + 1])
         if direction > 0:
-            bad = right < left - tol
-        elif direction < 0:
-            bad = right > left + tol
-        else:
-            bad = abs(left - 1.0) > 1e-9 or abs(right - 1.0) > 1e-9
-        if bad:
-            violations.append({
-                "quantity": kind,
-                "p_left": p_str(i),
-                "p_right": p_str(i + 1),
-                "left": left,
-                "right": right,
-            })
+            return [i for i, left, right in pairs if right < left - tol]
+        if direction < 0:
+            return [i for i, left, right in pairs if right > left + tol]
+        return [i for i, left, right in pairs
+                if abs(left - 1.0) > 1e-9 or abs(right - 1.0) > 1e-9]
 
+    # pair i joins k = i + 1 and i + 2: on the left half when p_{k+1} <= span / 2,
+    # on the right when p_k >= span / 2; the pair straddling the midpoint has
+    # no adjacent constraint.  (i, 0) flags w and (i, 1) flags v, so sorting
+    # puts w before v within a pair
     equal_ab = params.alpha == params.beta
     v_up_first = params.alpha < params.beta  # v rises toward the midpoint
-    for i in range(grid_size - 1):
-        # p_{k+1} <= span / 2 and p_k >= span / 2, for k = i + 1
-        if 2 * (i + 2) <= g1:
-            half = "left"
-        elif 2 * (i + 1) >= g1:
-            half = "right"
-        else:
-            continue  # straddles the midpoint; no adjacent constraint
-        check("w", i, -1 if half == "left" else +1)
-        up = v_up_first if half == "left" else not v_up_first
-        check("v", i, 0 if equal_ab else (+1 if up else -1))
+    flagged = []
+    for lo, hi, left_half in ((0, g1 // 2 - 1, True), ((g1 + 1) // 2 - 1, grid_size - 1, False)):
+        up = v_up_first == left_half
+        flagged += zip(breaks(ws, lo, hi, -1 if left_half else +1), repeat(0))
+        flagged += zip(breaks(vs, lo, hi, 0 if equal_ab else (+1 if up else -1)), repeat(1))
+    violations = [{
+        "quantity": "wv"[q],
+        "p_left": p_str(i),
+        "p_right": p_str(i + 1),
+        "left": (ws, vs)[q][i],
+        "right": (ws, vs)[q][i + 1],
+    } for i, q in sorted(flagged)]
 
     if equal_ab:
         v_ext = rat_str(span / 2)  # v is constant; the branch point is the only natural marker
-    elif v_up_first:
-        v_ext = p_str(max(range(grid_size), key=vs.__getitem__))
     else:
-        v_ext = p_str(min(range(grid_size), key=vs.__getitem__))
+        v_ext = p_str(vs.index(max(vs) if v_up_first else min(vs)))
     return {
         "alpha": rat_str(params.alpha),
         "beta": rat_str(params.beta),
         "grid": grid_size,
         "violations": violations,
         "v_extremum_p": v_ext,
-        "w_extremum_p": p_str(min(range(grid_size), key=wsamp.__getitem__)),
+        "w_extremum_p": p_str(ws.index(min(ws))),
     }

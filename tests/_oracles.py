@@ -8,6 +8,7 @@ code they check.
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
@@ -21,7 +22,7 @@ from solitonlab.errors import (
     DuplicateP,
     ZeroDenominator,
 )
-from solitonlab.lattice import LatticeField, _two_point
+from solitonlab.lattice import LatticeField, SystemParams, _two_point, rat_str
 from solitonlab.solitons import KPParams, _kp_sums
 
 
@@ -52,6 +53,71 @@ def one_soliton_constants(alpha: Fraction, beta: Fraction, p: Fraction,
     c = gamma / (2 * p + dc)
     d = (-dc - p) / p
     return a, b, c, d
+
+
+def laws_longhand(alpha: Fraction, beta: Fraction, p: Fraction) -> tuple[float, float]:
+    """v = -log A / log B and W from the longhand constants.  A B = 1 exactly
+    when alpha = beta or p is the midpoint, and B D = 1 only at the midpoint,
+    where C (and so the longhand constants) is undefined."""
+    if p == (alpha + beta - 1) / 2:
+        return 1.0, 0.0
+    a, b, _, d = one_soliton_constants(alpha, beta, p, Fraction(1))
+    v = 1.0 if alpha == beta else -math.log(float(a)) / math.log(float(b))
+    s, r = math.sqrt(float(b * d)), math.sqrt(float(d / b))
+    return v, abs((1.0 + 1.0 / s) * (1.0 + s) / ((1.0 + r) * (1.0 + 1.0 / r)) - 1.0)
+
+
+def scan_longhand(params: SystemParams, grid_size: int) -> dict:
+    """The monotonicity scan's JSON payload, one neighbour pair at a time.
+
+    The laws come from :func:`laws_longhand` at each ``Fraction`` p_k =
+    span * k / (grid_size + 1); every pair (k, k + 1) is checked in turn,
+    ``w`` before ``v``, against the rule of the half it lies on, and a pair
+    that straddles the midpoint has no rule.
+    """
+    span = params.alpha + params.beta - 1
+    ps = [span * k / (grid_size + 1) for k in range(1, grid_size + 1)]
+    vs, ws = zip(*(laws_longhand(params.alpha, params.beta, p) for p in ps))
+    tol = 1e-12
+    violations = []
+
+    def check(kind: str, i: int, direction: int) -> None:
+        left, right = (vs if kind == "v" else ws)[i:i + 2]
+        if direction > 0:
+            bad = right < left - tol
+        elif direction < 0:
+            bad = right > left + tol
+        else:
+            bad = abs(left - 1.0) > 1e-9 or abs(right - 1.0) > 1e-9
+        if bad:
+            violations.append({"quantity": kind, "p_left": rat_str(ps[i]),
+                               "p_right": rat_str(ps[i + 1]), "left": left, "right": right})
+
+    v_up_first = params.alpha < params.beta
+    for i in range(grid_size - 1):
+        if ps[i + 1] <= span / 2:
+            left_half = True
+        elif ps[i] >= span / 2:
+            left_half = False
+        else:
+            continue
+        check("w", i, -1 if left_half else +1)
+        up = v_up_first if left_half else not v_up_first
+        check("v", i, 0 if params.alpha == params.beta else (+1 if up else -1))
+
+    if params.alpha == params.beta:
+        v_ext = rat_str(span / 2)
+    else:
+        pick = max if v_up_first else min
+        v_ext = rat_str(ps[pick(range(grid_size), key=vs.__getitem__)])
+    return {
+        "alpha": rat_str(params.alpha),
+        "beta": rat_str(params.beta),
+        "grid": grid_size,
+        "violations": violations,
+        "v_extremum_p": v_ext,
+        "w_extremum_p": rat_str(ps[min(range(grid_size), key=ws.__getitem__)]),
+    }
 
 
 def cofactor_tau(alpha: Fraction, beta: Fraction, modes: Sequence[tuple[Fraction, Fraction]],

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -40,9 +41,10 @@ from _oracles import (
     cofactor_tau,
     det_cofactor,
     kp_matrix_longhand,
-    one_soliton_constants,
+    laws_longhand,
     one_soliton_xy,
     random_kp_params_longhand,
+    scan_longhand,
     tau_grid_longhand,
     x_float_longhand,
 )
@@ -90,18 +92,6 @@ def test_speed_and_amplitude_symmetric_about_midpoint(p):
         amplitude(REF_PARAMS, SPAN - p), abs=1e-12)
 
 
-def _laws_longhand(alpha, beta, p):
-    """v = -log A / log B and W from the longhand constants.  A B = 1 exactly
-    when alpha = beta or p is the midpoint, and B D = 1 only at the midpoint,
-    where C (and so the longhand constants) is undefined."""
-    if p == (alpha + beta - 1) / 2:
-        return 1.0, 0.0
-    a, b, _, d = one_soliton_constants(alpha, beta, p, Fraction(1))
-    v = 1.0 if alpha == beta else -math.log(float(a)) / math.log(float(b))
-    s, r = math.sqrt(float(b * d)), math.sqrt(float(d / b))
-    return v, abs((1.0 + 1.0 / s) * (1.0 + s) / ((1.0 + r) * (1.0 + 1.0 / r)) - 1.0)
-
-
 @st.composite
 def wavenumbers(draw):
     """(params, p) in each regime alpha < beta, alpha = beta, alpha > beta;
@@ -125,7 +115,7 @@ def wavenumbers(draw):
 @settings(max_examples=200, deadline=None)
 def test_laws_equal_the_longhand_constants_bit_for_bit(case):
     params, p = case
-    v, w = _laws_longhand(params.alpha, params.beta, p)
+    v, w = laws_longhand(params.alpha, params.beta, p)
     assert velocity(params, p).hex() == v.hex()
     assert amplitude(params, p).hex() == w.hex()
 
@@ -137,8 +127,7 @@ SCAN_IDS = ["lt", "gt", "eq", "lt_7_9_11_13"]
 
 
 def _laws_via_abd(params, p):
-    abd = solitons._ratios(solitons._abd(params, p))
-    return solitons._speed(*abd), solitons._depth(*abd)
+    return velocity(params, p), amplitude(params, p)
 
 
 def _assert_grid_matches_abd(params, grid_size):
@@ -176,8 +165,62 @@ def test_scan_law_grid_matches_the_longhand_constants(params):
     vs, ws = solitons._law_grid(params, grid_size)
     ks = {1, 1001, grid_size, *Random(11).sample(range(1, grid_size + 1), 60)}
     for k in sorted(ks):
-        v, w = _laws_longhand(params.alpha, params.beta, span * k / (grid_size + 1))
+        v, w = laws_longhand(params.alpha, params.beta, span * k / (grid_size + 1))
         assert (vs[k - 1].hex(), ws[k - 1].hex()) == (v.hex(), w.hex()), k
+
+
+def test_law_grid_special_cases_are_exact():
+    # alpha = beta: A B = 1 at every point, so v is 1.0 exactly, not the
+    # quotient of two logs that only nearly cancel
+    vs, _ = solitons._law_grid(SystemParams(Fraction(5, 6), Fraction(5, 6)), 2001)
+    assert set(vs) == {1.0}
+    # an odd grid puts k = 1001 on the midpoint, where B = D = 1 and log B = 0:
+    # decided on the integers, it never reaches a division
+    for params in SCAN_REGIMES:
+        vs, ws = solitons._law_grid(params, 2001)
+        assert (vs[1000], ws[1000]) == (1.0, 0.0)
+        assert math.copysign(1.0, ws[1000]) == 1.0
+
+
+README_SCAN_CASES = [
+    # the README's tiny-span pairs, where the float laws cancel: 997 and 406
+    # false v violations
+    (SystemParams(Fraction(1, 2), Fraction(500001, 1000000)), 997),
+    (SystemParams(Fraction(1, 2), Fraction(5001, 10000)), 406),
+    # near alpha = beta, where every left-half difference is below the tolerance
+    (SystemParams(Fraction(5, 6), Fraction(4166666667, 5000000000)), 0),
+]
+
+
+def _scan_json(params, grid_size):
+    return json.dumps(scan_monotonicity(params, grid_size))
+
+
+@pytest.mark.parametrize("params", SCAN_REGIMES, ids=SCAN_IDS)
+def test_scan_equals_the_longhand_scan(params):
+    assert _scan_json(params, 2001) == json.dumps(scan_longhand(params, 2001))
+
+
+@pytest.mark.parametrize("params, v_breaks", README_SCAN_CASES,
+                         ids=["tiny_span_997", "tiny_span_406", "near_equal"])
+def test_scan_equals_the_longhand_scan_on_the_readme_pairs(params, v_breaks):
+    rep = scan_monotonicity(params, 2001)
+    assert json.dumps(rep) == json.dumps(scan_longhand(params, 2001))
+    assert [b["quantity"] for b in rep["violations"]] == ["v"] * v_breaks
+
+
+@given(st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100),
+                    max_denominator=200),
+       st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100),
+                    max_denominator=200),
+       st.integers(min_value=2, max_value=30), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_scan_equals_the_longhand_scan_on_random_params(alpha, u, half, on_grid):
+    # grid_size + 1 even puts the midpoint on a grid point, odd puts it
+    # between two; beta = 1 - alpha + alpha * u covers every admissible pair
+    grid_size = 2 * half - 1 if on_grid else 2 * half
+    params = SystemParams(alpha, 1 - alpha + alpha * u)
+    assert _scan_json(params, grid_size) == json.dumps(scan_longhand(params, grid_size))
 
 
 @pytest.mark.parametrize("vs, ws, expected", [
@@ -187,10 +230,18 @@ def test_scan_law_grid_matches_the_longhand_constants(params):
      [("w", "23/90", "23/60"), ("w", "23/60", "23/45")]),
     # midpoint between k = 2 and 3 of 4: that pair has no rule
     ([0.7, 0.8, 0.8, 0.7], [0.5, 0.4, 0.45, 0.5], []),
-], ids=["on_grid", "between_points"])
+    # v must rise on the left and fall on the right (alpha < beta), and both
+    # laws break on one pair of each half and on the pair that ends at the
+    # midpoint: pairs ascending, w before v within a pair
+    ([0.9, 0.8, 0.7, 0.6, 0.65], [0.3, 0.4, 0.5, 0.45, 0.4],
+     [("w", "23/180", "23/90"), ("v", "23/180", "23/90"),
+      ("w", "23/90", "23/60"), ("v", "23/90", "23/60"),
+      ("w", "23/60", "23/45"),
+      ("w", "23/45", "23/36"), ("v", "23/45", "23/36")]),
+], ids=["on_grid", "between_points", "both_laws_break"])
 def test_scan_halves_at_the_midpoint(monkeypatch, vs, ws, expected):
-    # W, stubbed, falls toward the midpoint and rises after it except where
-    # a pair touches the midpoint; which half a pair lies on is the only rule
+    # the laws are stubbed; which half a pair lies on is the only rule, and
+    # the report lists the breaks in pair order
     monkeypatch.setattr(solitons, "_law_grid", lambda params, grid_size: (vs, ws))
     rep = scan_monotonicity(REF_PARAMS, len(vs))
     assert [(b["quantity"], b["p_left"], b["p_right"])
