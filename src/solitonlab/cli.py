@@ -24,7 +24,7 @@ from contextlib import nullcontext
 from fractions import Fraction
 from functools import cache, partial
 from random import Random
-from typing import IO, Sequence
+from typing import Sequence
 
 from . import boxball, measure, solitons
 from .errors import OutputNotWritable, SolitonLabError
@@ -145,22 +145,16 @@ def build_parser() -> argparse.ArgumentParser:
     def add_out(p, what):
         p.add_argument("--out", default="-", help=f"{what} path, or - for stdout")
 
-    p = sub.add_parser("exact", help="sample an N-soliton window exactly")
-    add_system(p)
-    add_solitons(p)
-    add_window(p)
-    add_out(p, "CSV")
-    p.add_argument("--values", choices=("float", "exact"), default="float",
-                   help="CSV value format")
-
-    p = sub.add_parser("evolve", help="sweep the lattice map from the exact initial row "
-                       "and left edge; prints what exact prints")
-    add_system(p)
-    add_solitons(p)
-    add_window(p)
-    add_out(p, "CSV")
-    p.add_argument("--values", choices=("float", "exact"), default="float",
-                   help="CSV value format")
+    for name, help_text in (("exact", "sample an N-soliton window exactly"),
+                            ("evolve", "sweep the lattice map from the exact initial row "
+                             "and left edge; prints what exact prints")):
+        p = sub.add_parser(name, help=help_text)
+        add_system(p)
+        add_solitons(p)
+        add_window(p)
+        add_out(p, "CSV")
+        p.add_argument("--values", choices=("float", "exact"), default="float",
+                       help="CSV value format")
 
     p = sub.add_parser("bbsc", help="run the box-ball automaton")
     p.add_argument("--cb", type=_capacity, required=True, help="box capacity")
@@ -272,7 +266,11 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _verify_exactness(args, log: IO[str]) -> bool:
+# each verify suite is ``args -> (lines, ok)``: it checks its inputs and
+# decides its verdict without printing
+
+
+def _verify_exactness(args) -> tuple[list[str], bool]:
     """Count the grid x grid sites that pass ``solitons.check_exactness``: one
     integer equation per site on the unreduced taus, y~ implied by x*y
     conservation."""
@@ -281,65 +279,59 @@ def _verify_exactness(args, log: IO[str]) -> bool:
     sites = solitons.check_exactness(params, args.soliton or _DEFAULT_SOLITONS,
                                      (0, g - 1), (n0, n0 + g - 1))
     good = sum(map(sum, sites))
-    print(f"residual 0 at {good}/{g * g} points", file=log)
-    return good == g * g
+    return [f"residual 0 at {good}/{g * g} points"], good == g * g
 
 
-def _verify_kp_residuals(args, log: IO[str], what: str, constrained: bool,
-                         is_zero) -> bool:
+def _verify_kp_residuals(args, what: str, constrained: bool,
+                         is_zero) -> tuple[list[str], bool]:
     """Count the random probe points where ``is_zero(kp, point)`` holds, for
     a random draw of one mode and one of ``--n-solitons`` modes."""
     rng = Random(args.rng_seed)
-    ok = True
+    lines, ok = [], True
     for n_modes in (1, args.n_solitons):
         kp = random_kp_params(rng, n_modes, constrained=constrained)
         zero = sum(is_zero(kp, tuple(rng.randint(-3, 3) for _ in range(4)))
                    for _ in range(args.points))
-        print(f"{what} residuals 0 at {zero}/{args.points} points (N={n_modes})",
-              file=log)
+        lines.append(f"{what} residuals 0 at {zero}/{args.points} points (N={n_modes})")
         ok = ok and zero == args.points
-    return ok
+    return lines, ok
 
 
-def _udlimit_gaps(args) -> list[tuple[float, float]]:
-    """The udlimit deviations; ``BBSCState`` and ``ud_limit_check`` check
-    the suite's inputs on the way."""
+def _verify_udlimit(args) -> tuple[list[str], bool]:
+    """Sweep ``--init`` ``--steps`` times and compare the rational map with
+    the next sweep at each epsilon; ``BBSCState`` and ``ud_limit_check``
+    check the suite's inputs on the way."""
     state = boxball.BBSCState(args.init, args.cb, args.cc)
     for _ in range(args.steps):  # one state at a time: no history is kept
         state = boxball.evolve_bbsc(state, 1)[1]
-    return boxball.ud_limit_check(state, args.epsilons)
-
-
-def _verify_udlimit(gaps: list[tuple[float, float]], log: IO[str]) -> bool:
-    for e, gap in gaps:
-        print(f"eps={e:g}: max deviation {gap:.3e}", file=log)
+    gaps = boxball.ud_limit_check(state, args.epsilons)
+    lines = [f"eps={e:g}: max deviation {gap:.3e}" for e, gap in gaps]
     # an exact limit (c_box == c_carrier) reads 0 at every eps
     decreasing = all(g2 < g1 or g2 == 0 for (_, g1), (_, g2) in zip(gaps, gaps[1:]))
     final_ok = gaps[-1][1] < 1e-2
     if not decreasing:
-        print("deviations are not strictly decreasing", file=log)
+        lines.append("deviations are not strictly decreasing")
     if not final_ok:
-        print("final deviation is not below 1e-2", file=log)
-    return decreasing and final_ok
+        lines.append("final deviation is not below 1e-2")
+    return lines, decreasing and final_ok
 
 
 def _cmd_verify(args) -> int:
-    # udlimit runs, checking its inputs, before the first header, so a
-    # rejected input leaves stdout empty
-    gaps = _udlimit_gaps(args) if args.suite in ("udlimit", "all") else []
     suites = {
         "exactness": _verify_exactness,
         "kp": partial(_verify_kp_residuals, what="bilinear", constrained=False,
                       is_zero=lambda kp, pt: solitons.check_kp_bilinear(kp, pt) == (0, 0)),
         "reduction": partial(_verify_kp_residuals, what="reduction", constrained=True,
                              is_zero=lambda kp, pt: solitons.check_reduction(kp, pt) == 0),
-        "udlimit": lambda _args, log: _verify_udlimit(gaps, log),
+        "udlimit": _verify_udlimit,
     }
     names = list(suites) if args.suite == "all" else [args.suite]
-    ok = True
-    for name in names:
-        print(f"[{name}]", file=sys.stdout)
-        ok = suites[name](args, sys.stdout) and ok
+    # every selected suite runs, checking its inputs, before the first
+    # header, so a rejected input to any of them leaves stdout empty
+    results = [(name, *suites[name](args)) for name in names]
+    for name, lines, _ in results:
+        print(f"[{name}]", *lines, sep="\n")
+    ok = all(passed for _, _, passed in results)
     print("verify: OK" if ok else "verify: FAILED")
     return 0 if ok else 2
 

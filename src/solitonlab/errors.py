@@ -5,8 +5,9 @@ validation problems to a single exit code.  The raise site writes the
 message and passes the failure's location as keywords, which become
 attributes: ``site`` or ``box`` (a lattice site or box index), ``point``
 ((t, n)), ``index`` (a mode's 0-based position in the caller's parameter
-list), ``pair`` (two such positions) and ``n_modes``.  Only the message is
-in ``args``, so every error pickles and copies with its location.
+list), ``pair`` (two such positions), ``n_modes`` and ``p`` (a wavenumber).
+Only the message is in ``args``, so every error pickles and copies with its
+location.
 """
 
 from __future__ import annotations
@@ -66,6 +67,11 @@ class DuplicateP(SolitonLabError):
 
 class ZeroTau(SolitonLabError):
     """A tau function vanished at a lattice point, so x or y is undefined there."""
+
+
+class FloatLawUndefined(SolitonLabError):
+    """A float quotient of the speed or amplitude law rounds to 1 or 0, or
+    past the float range, where the exact law is finite."""
 
 
 class DrawExhausted(SolitonLabError):

@@ -62,7 +62,8 @@ numerators and denominators of A, B and D, one pass per law: ``velocity``
 and ``amplitude`` are its one-point case, from ``_abd``, and the grid of
 ``scan_monotonicity`` passes integer linear forms in the grid index as
 ranges (``_law_grid``); the scan builds a ``Fraction`` p only for the
-values its report prints.
+values its report prints.  Where a float quotient of a law rounds to 1 or
+0, or past the float range, all three raise FloatLawUndefined naming p.
 """
 
 from __future__ import annotations
@@ -82,6 +83,7 @@ from .errors import (
     DenominatorClash,
     DrawExhausted,
     DuplicateP,
+    FloatLawUndefined,
     GammaSignCondition,
     GridTooSmall,
     InvalidInterval,
@@ -152,11 +154,6 @@ def _abd(params: SystemParams, p: Fraction, mode: int = 0) -> tuple[Fraction, Fr
     return a, b, d
 
 
-def _ratios(abd: Sequence[Fraction]) -> list[tuple[int]]:
-    """an, ad, bn, bd, dn, dd of an A, B, D triple, as one-point sequences."""
-    return [(x,) for q in abd for x in q.as_integer_ratio()]
-
-
 def _laws(an: Sequence[int], ad: Sequence[int], bn: Sequence[int], bd: Sequence[int],
           dn: Sequence[int], dd: Sequence[int]) -> tuple[Iterator[float], Iterator[float]]:
     """The speed law -log A / log B and the amplitude law at every point of
@@ -177,14 +174,27 @@ def _laws(an: Sequence[int], ad: Sequence[int], bn: Sequence[int], bd: Sequence[
     return vs, ws
 
 
+def _law(params: SystemParams, p: Fraction, which: int) -> float:
+    """Law ``which`` of :func:`_laws` at p, 0 the speed and 1 the amplitude.
+    A float quotient that rounds to 1 (log 0 divides), to 0 (log 0, or 1 / 0)
+    or past the float range raises FloatLawUndefined naming p."""
+    one_point = [(x,) for q in _abd(params, p) for x in q.as_integer_ratio()]
+    try:
+        return next(_laws(*one_point)[which])
+    except (ArithmeticError, ValueError):
+        raise FloatLawUndefined(
+            f"the float {('speed', 'amplitude')[which]} law is undefined at p={rat_str(p)}: "
+            "a quotient rounds to 1 or 0, or past the float range", p=Fraction(p)) from None
+
+
 def velocity(params: SystemParams, p: Fraction) -> float:
     """Closed-form speed -log A / log B; exactly 1 at the interval midpoint."""
-    return next(_laws(*_ratios(_abd(params, p)))[0])
+    return _law(params, p, 0)
 
 
 def amplitude(params: SystemParams, p: Fraction) -> float:
     """Closed-form trough amplitude |x_min - 1|; 0 at the interval midpoint."""
-    return next(_laws(*_ratios(_abd(params, p)))[1])
+    return _law(params, p, 1)
 
 
 def _subset_ratios(bases: Sequence[Fraction]) -> list[int]:
@@ -243,27 +253,23 @@ def _tau_grid(kp: KPParams, l1: int, t0: int, n0: int, rows: int, cols: int,
     return away(ta - t0, t_down)[::-1] + [list(map(sum, zip(*anchor)))] + away(t1 - ta, t_up)
 
 
-def _window_taus(params: SystemParams, solitons: Sequence[tuple[Fraction, Fraction]],
-                 t_range: tuple[int, int], n_range: tuple[int, int],
-                 kp: KPParams | None = None) -> list[tuple[list[int], list[int]]]:
+def _window_taus(kp: KPParams, t_range: tuple[int, int], n_range: tuple[int, int],
+                 ) -> list[tuple[list[int], list[int]]]:
     """Integer (f_row, g_row) pairs on the rectangle of times t0..t1 by sites
     n0..n1 + 1, which holds the n-shift column: f_row is the :func:`_tau_grid`
-    row at l1 = 0 and g_row the one at l1 = 1.
+    row at l1 = 0 and g_row the one at l1 = 1, for the ``kp`` of
+    :func:`validate`, which each reader calls before this checks the window.
 
     Each point carries its own positive scale, shared by its f and g up to
     the constant D_a1, so a consumer must be homogeneous per point:
     multiplying the f and g of one point by any positive integer may not
     change what it computes.  Both ranges are inclusive.  Raises ZeroTau
-    naming the first site, row by row, where a tau vanishes.  ``kp``, when
-    given, is ``validate(params, solitons)`` made by the caller, so the
-    modes are not validated twice.
+    naming the first site, row by row, where a tau vanishes.
     """
     t0, t1 = t_range
     n0, n1 = n_range
     if t1 < t0 or n1 < n0:
         raise WindowTooSmall(f"empty range: t {t_range}, n {n_range}")
-    if kp is None:
-        kp = validate(params, solitons)
     shape = (t0, n0, t1 - t0 + 1, n1 - n0 + 2)
     taus = list(zip(_tau_grid(kp, 0, *shape), _tau_grid(kp, 1, *shape)))
     for j, (fs, gs) in enumerate(taus):
@@ -278,13 +284,13 @@ def sample_field(params: SystemParams, solitons: Sequence[tuple[Fraction, Fracti
                  t_range: tuple[int, int], n_range: tuple[int, int]) -> LatticeField:
     """Exact (x, y) window of the N-soliton state.
 
-    Both ranges are inclusive, and an empty one raises WindowTooSmall.  x
-    needs the n-shift column and y the t-shift row, so the taus are the
-    rectangle t0..t1 + 1 by n0..n1 + 1 of :func:`_window_taus`.  Each x and
-    y is one integer ratio, reduced once; :func:`sample_x_float` divides
-    the same integers straight to floats.
+    The modes are validated first; then an empty range, both inclusive,
+    raises WindowTooSmall.  x needs the n-shift column and y the t-shift
+    row, so the taus are the rectangle t0..t1 + 1 by n0..n1 + 1 of
+    :func:`_window_taus`.  Each x and y is one integer ratio, reduced once;
+    :func:`sample_x_float` divides the same integers straight to floats.
     """
-    taus = _window_taus(params, solitons, (t_range[0], t_range[1] + 1), n_range)
+    taus = _window_taus(validate(params, solitons), (t_range[0], t_range[1] + 1), n_range)
     # x = f * gn / (g * fn) and y = g * ft / (f * gt), over shifted row slices
     xs = [list(map(Fraction, map(mul, fs, gs[1:]), map(mul, gs, fs[1:])))
           for fs, gs in taus[:-1]]
@@ -321,7 +327,7 @@ def sample_x_float(params: SystemParams, solitons: Sequence[tuple[Fraction, Frac
     The modes are validated before the window is checked.
     """
     kp = validate(params, solitons)
-    taus = _window_taus(params, solitons, t_range, n_range, kp=kp)
+    taus = _window_taus(kp, t_range, n_range)
     _, _, ((a1_ratios, _, _, _), *_) = kp._subset_tables
     shift = 66 + max(a1_ratios).bit_length()
     rows = []
@@ -354,12 +360,13 @@ def check_exactness(params: SystemParams, solitons: Sequence[tuple[Fraction, Fra
     n0 + k) to the next row's x and the next column's y, as
     :func:`_exact_sites` decides it on the unreduced integer taus of the
     rectangle t0..t1 + 1 by n0..n1 + 1 of :func:`_window_taus`, the sites
-    and their t- and n-shifts.  Both ranges are inclusive.
+    and their t- and n-shifts.  Both ranges are inclusive, and are checked
+    after the modes.
     """
-    t0, t1 = t_range
-    if t1 < t0:
+    kp = validate(params, solitons)
+    if t_range[1] < t_range[0]:
         raise WindowTooSmall(f"empty range: t {t_range}")
-    taus = _window_taus(params, solitons, (t0, t1 + 1), n_range)
+    taus = _window_taus(kp, (t_range[0], t_range[1] + 1), n_range)
     return _exact_sites(taus, _gkdv_constants(params))
 
 
@@ -411,25 +418,21 @@ class KPParams:
     modes: tuple[tuple[Fraction, Fraction, Fraction], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "a1", Fraction(self.a1))
-        object.__setattr__(self, "a2", Fraction(self.a2))
-        object.__setattr__(self, "b", Fraction(self.b))
-        object.__setattr__(self, "c", Fraction(self.c))
+        for name in ("a1", "a2", "b", "c"):
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
         object.__setattr__(self, "modes", tuple(
             (Fraction(p), Fraction(q), Fraction(g)) for p, q, g in self.modes))
         dirs = (self.a1, self.a2, self.b, self.c)
-        ps = [m[0] for m in self.modes]
-        qs = [m[1] for m in self.modes]
         for i, (p, q, _) in enumerate(self.modes):
             if p in dirs or q in dirs:
                 raise DegenerateP(f"soliton {i}: p or q collides with a direction "
                                   "parameter", index=i)
-        for i in range(len(self.modes)):
-            for j in range(len(self.modes)):
-                if i < j and (ps[i] == ps[j] or qs[i] == qs[j]):
+        for i, (pi, qi, _) in enumerate(self.modes):
+            for j, (pj, qj, _) in enumerate(self.modes):
+                if i < j and (pi == pj or qi == qj):
                     raise DuplicateP(f"solitons {i} and {j}: duplicated wavenumber",
                                      pair=(i, j))
-                if ps[i] == qs[j]:
+                if pi == qj:
                     raise DenominatorClash(
                         f"solitons {i} and {j}: denominator vanishes for this pair",
                         pair=(i, j))
@@ -452,11 +455,7 @@ class KPParams:
             pair = [(pj - p) * (q - qj) / ((pj - q) * (p - qj))
                     for pj, qj, _ in self.modes[:i]]
             for s in range(1 << i):
-                term = terms[s] * w
-                for j in range(i):
-                    if s >> j & 1:
-                        term *= pair[j]
-                terms.append(term)
+                terms.append(terms[s] * w * math.prod(pair[j] for j in range(i) if s >> j & 1))
         big_l = math.lcm(*(term.denominator for term in terms))
         coefs = [term.numerator * (big_l // term.denominator) for term in terms]
         dirs = []
@@ -642,20 +641,28 @@ def scan_monotonicity(params: SystemParams, grid_size: int) -> dict:
 
     The grid has ``grid_size`` points p_k = k * span / (grid_size + 1),
     evaluated in one pass per law by :func:`_law_grid` after one check of
-    the interval; raises GridTooSmall below 3 points.  W must fall toward
-    the midpoint and rise after it; v must be monotone on each half with the
-    direction set by sign(alpha - beta), and constant when alpha = beta.
-    Which half a pair of neighbours lies on is an integer test on k, each
-    half and quantity is one comparison pass over list slices, and a
-    violation, with its ``Fraction`` p values, is built only where a pass
-    flags one: pairs ascending, ``w`` before ``v`` within a pair.  The
-    returned dict is the CLI's JSON payload.
+    the interval; raises GridTooSmall below 3 points, and FloatLawUndefined
+    naming the first p_k where a float law fails.  W must fall toward the
+    midpoint and rise after it; v must rise toward it when alpha < beta and
+    fall otherwise (at alpha = beta every v is exactly 1.0).  Which half a
+    pair of neighbours lies on is an integer test on k, each half and
+    quantity is one comparison pass over list slices, and a violation, with
+    its ``Fraction`` p values, is built only where a pass flags one: pairs
+    ascending, ``w`` before ``v`` within a pair.  The returned dict is the
+    CLI's JSON payload.
     """
     if grid_size < 3:
         raise GridTooSmall(f"grid_size must be at least 3, got {grid_size}")
     span = _span(params)
     g1 = grid_size + 1
-    vs, ws = _law_grid(params, grid_size)
+    try:
+        vs, ws = _law_grid(params, grid_size)
+    except (ArithmeticError, ValueError):
+        # the grid's quotients are the one-point laws', bit for bit, so the
+        # first p_k where one raises is where the pass failed
+        for k in range(1, g1):
+            velocity(params, span * k / g1), amplitude(params, span * k / g1)
+        raise
 
     def p_str(i: int) -> str:
         # list index i holds grid point k = i + 1
@@ -663,29 +670,22 @@ def scan_monotonicity(params: SystemParams, grid_size: int) -> dict:
 
     tol = 1e-12  # float noise floor for adjacent comparisons
 
-    def breaks(xs: list[float], lo: int, hi: int, direction: int) -> list[int]:
-        # the i in [lo, hi) whose pair (i, i+1) breaks ``direction``: +1, must
-        # not decrease; -1, must not increase; 0, both ends must equal 1 (v
-        # when alpha = beta)
+    def breaks(xs: list[float], lo: int, hi: int, up: bool) -> list[int]:
+        # the i in [lo, hi) whose pair (i, i+1) falls where ``up``, else rises
         pairs = zip(range(lo, hi), xs[lo:hi], xs[lo + 1:hi + 1])
-        if direction > 0:
+        if up:
             return [i for i, left, right in pairs if right < left - tol]
-        if direction < 0:
-            return [i for i, left, right in pairs if right > left + tol]
-        return [i for i, left, right in pairs
-                if abs(left - 1.0) > 1e-9 or abs(right - 1.0) > 1e-9]
+        return [i for i, left, right in pairs if right > left + tol]
 
     # pair i joins k = i + 1 and i + 2: on the left half when p_{k+1} <= span / 2,
     # on the right when p_k >= span / 2; the pair straddling the midpoint has
     # no adjacent constraint.  (i, 0) flags w and (i, 1) flags v, so sorting
     # puts w before v within a pair
-    equal_ab = params.alpha == params.beta
     v_up_first = params.alpha < params.beta  # v rises toward the midpoint
     flagged = []
     for lo, hi, left_half in ((0, g1 // 2 - 1, True), ((g1 + 1) // 2 - 1, grid_size - 1, False)):
-        up = v_up_first == left_half
-        flagged += zip(breaks(ws, lo, hi, -1 if left_half else +1), repeat(0))
-        flagged += zip(breaks(vs, lo, hi, 0 if equal_ab else (+1 if up else -1)), repeat(1))
+        flagged += zip(breaks(ws, lo, hi, not left_half), repeat(0))
+        flagged += zip(breaks(vs, lo, hi, v_up_first == left_half), repeat(1))
     violations = [{
         "quantity": "wv"[q],
         "p_left": p_str(i),
@@ -694,10 +694,9 @@ def scan_monotonicity(params: SystemParams, grid_size: int) -> dict:
         "right": (ws, vs)[q][i + 1],
     } for i, q in sorted(flagged)]
 
-    if equal_ab:
-        v_ext = rat_str(span / 2)  # v is constant; the branch point is the only natural marker
-    else:
-        v_ext = p_str(vs.index(max(vs) if v_up_first else min(vs)))
+    # v is constant at alpha = beta; the branch point is the only natural marker
+    v_ext = (rat_str(span / 2) if params.alpha == params.beta
+             else p_str(vs.index(max(vs) if v_up_first else min(vs))))
     return {
         "alpha": rat_str(params.alpha),
         "beta": rat_str(params.beta),

@@ -293,6 +293,22 @@ def test_verify_rejects_udlimit_inputs_before_printing(capsys, argv):
     assert err.count("\n") == 1 and "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["all", "--soliton", "9/10:1"],
+    ["all", "--alpha", "1/3", "--beta", "1/3"],
+    ["exactness", "--alpha", "1/3", "--beta", "1/3"],
+    ["exactness", "--soliton", "1/30:1/30"],
+    ["kp", "--n-solitons", "60", "--points", "1"],
+], ids=["all_p_out_of_range", "all_empty_interval", "exactness_empty_interval",
+        "exactness_gamma_sign", "kp_draw_exhausted"])
+def test_verify_rejects_any_suite_input_before_printing(capsys, argv):
+    # every selected suite runs before the first header prints, so a suite
+    # that rejects its input leaves stdout empty, as udlimit's inputs do
+    code, out, err = invoke(capsys, "verify", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_verify_udlimit_passes_at_equal_capacities(capsys):
     # alpha = beta makes the limit exact: every deviation reads 0, which
     # counts as decreasing
@@ -354,6 +370,15 @@ def test_negative_steps_are_a_usage_error(capsys, argv):
     assert code == 0 and out != ""
 
 
+def test_scan_names_the_point_where_a_float_law_fails(capsys):
+    # span 10^-18: B rounds to 1.0, so log B is 0 at the first grid point
+    code, out, err = invoke(capsys, "scan", "--alpha", "1/2", "--beta",
+                            "500000000000000001/1000000000000000000", "--grid", "2001")
+    assert (code, out) == (1, "")
+    assert err == ("error: the float speed law is undefined at p=1/2002000000000000000000: "
+                   "a quotient rounds to 1 or 0, or past the float range\n")
+
+
 def test_scan_rejects_a_grid_below_three(capsys):
     for value in ("2", "0", "-5"):
         code, out, err = invoke(capsys, "scan", "--alpha", "5/6", "--beta", "14/15",
@@ -374,9 +399,9 @@ def _patch_window_taus(monkeypatch, edit):
     """Make ``verify exactness`` check a tau grid altered by ``edit``."""
     real = solitons._window_taus
 
-    def altered(params, modes, t_range, n_range):
-        taus = real(params, modes, t_range, n_range)
-        edit(params, taus)
+    def altered(kp, t_range, n_range):
+        taus = real(kp, t_range, n_range)
+        edit(kp, taus)
         return taus
 
     monkeypatch.setattr(solitons, "_window_taus", altered)
@@ -387,7 +412,7 @@ def test_verify_exactness_catches_a_wrong_value(capsys, monkeypatch):
     # (0..8, -4..4); site (j, k) reads the taus at (j..j+1, k..k+1).  The
     # tau at (3, 4) is read by the four sites (2..3, 3..4), as f, fn, ft and
     # ftn, and a wrong f there fails each of them: 64 - 4 = 60
-    def bump_f(params, taus):
+    def bump_f(kp, taus):
         taus[3][0][4] += 1
 
     _patch_window_taus(monkeypatch, bump_f)
@@ -401,8 +426,8 @@ def test_verify_exactness_counts_a_vanishing_denominator_as_failed(capsys, monke
     # (1-a)*Q + a*P for a = alpha: set the taus at (0, 8) to fn = num(a)*ft
     # and gn = -(den(a) - num(a))*gt.  Only site (0, 7) reads that corner of
     # the 9 x 9 taus, so one site fails: 63/64
-    def singular(params, taus):
-        a = params.alpha
+    def singular(kp, taus):
+        a = kp.c  # alpha, under the reduction
         (fs, gs), (fts, gts) = taus[0], taus[1]
         fs[8], gs[8] = a.numerator * fts[7], -(a.denominator - a.numerator) * gts[7]
 
@@ -448,10 +473,11 @@ def test_exact_sites_match_the_reduced_fraction_verdicts(regime, n_modes, data):
     params, modes, (t0, n0, g), consts, breakage, rng = data.draw(
         exactness_cases(regime, n_modes))
     t_range, n_range = (t0, t0 + g), (n0, n0 + g)
+    kp = solitons.validate(params, modes)
     # the taus sample_field reads: the window's rows and its t-shift row
-    taus = solitons._window_taus(params, modes, (t0, t0 + g + 1), n_range)
+    taus = solitons._window_taus(kp, (t0, t0 + g + 1), n_range)
     # the (g+1)-square block the check reads is the window the command asks for
-    block = solitons._window_taus(params, modes, t_range, (n0, n0 + g - 1))
+    block = solitons._window_taus(kp, t_range, (n0, n0 + g - 1))
     assert block == [(fs[:g + 1], gs[:g + 1]) for fs, gs in taus[:g + 1]]
     if breakage == "taus":
         for _ in range(rng.randint(1, 3)):
@@ -511,7 +537,7 @@ def test_grid_consumers_are_homogeneous_per_point(regime, n_modes, data):
         again = solitons.sample_field(params, modes, t_range, n_range)
     assert (again.xs, again.ys) == (field.xs, field.ys)
     # on honest taus and on taus with a few wrong values, which fail sites
-    taus = real(params, modes, t_range, (n0, n0 + g - 1))
+    taus = real(solitons.validate(params, modes), t_range, (n0, n0 + g - 1))
     if breakage != "none":
         for _ in range(rng.randint(1, 3)):
             j, k = rng.randint(0, g), rng.randint(0, g)
@@ -548,7 +574,7 @@ def test_verify_exactness_reads_taus_scaled_per_point_alike(capsys, monkeypatch)
     rng = Random(17)
     expected = invoke(capsys, "verify", "exactness", "--grid", "8")
 
-    def scale(params, taus):
+    def scale(kp, taus):
         taus[:] = _scale_each_point(taus, rng)
 
     _patch_window_taus(monkeypatch, scale)

@@ -29,10 +29,12 @@ from solitonlab.errors import (
     DenominatorClash,
     DrawExhausted,
     DuplicateP,
+    FloatLawUndefined,
     GammaSignCondition,
     GridTooSmall,
     InvalidInterval,
     POutOfRange,
+    SolitonLabError,
     WindowTooSmall,
     ZeroTau,
 )
@@ -266,6 +268,46 @@ def test_scan_rejects_a_grid_below_three():
 def test_an_empty_interval_raises_invalid_interval(call, alpha, beta):
     with pytest.raises(InvalidInterval, match="alpha \\+ beta must exceed 1"):
         call(SystemParams(alpha, beta))
+
+
+@pytest.mark.parametrize("law, p", [
+    # B rounds to 1.0, so log B is 0 where the integers say A B != 1
+    (velocity, MID + Fraction(1, 10 ** 30)),
+    # B D underflows to 0, so s = 0
+    (amplitude, SPAN - Fraction(1, 10 ** 400)),
+    # B D exceeds the float range
+    (amplitude, Fraction(1, 10 ** 400)),
+], ids=["speed_log_b_zero", "amplitude_underflow", "amplitude_overflow"])
+def test_a_law_whose_float_quotient_fails_raises_naming_p(law, p):
+    with pytest.raises(FloatLawUndefined, match="law is undefined at p=") as info:
+        law(REF_PARAMS, p)
+    assert info.value.p == p
+    assert isinstance(info.value, SolitonLabError)
+
+
+def test_each_law_raises_only_for_its_own_failure():
+    # the amplitude law fails here and the speed law does not
+    assert math.isfinite(velocity(REF_PARAMS, SPAN - Fraction(1, 10 ** 400)))
+    # beside the midpoint the speed law fails and the amplitude law rounds to 0.0
+    assert amplitude(REF_PARAMS, MID + Fraction(1, 10 ** 30)) == 0.0
+
+
+@pytest.mark.parametrize("beta, first_k", [
+    # span 10^-18: B rounds to 1.0 at every grid point, the first included
+    (Fraction(500000000000000001, 10 ** 18), 1),
+    # span 10^-14: B - 1 is proportional to 2 p - span, so B rounds to 1.0
+    # only near the midpoint (k = 1001 is decided exactly on the integers)
+    (Fraction(1, 2) + Fraction(1, 10 ** 14), 999),
+], ids=["every_point", "near_the_midpoint"])
+def test_scan_names_the_first_grid_point_where_a_law_fails(beta, first_k):
+    params = SystemParams(Fraction(1, 2), beta)
+    span = params.alpha + params.beta - 1
+    with pytest.raises(FloatLawUndefined, match="speed law") as info:
+        scan_monotonicity(params, 2001)
+    assert info.value.p == span * first_k / 2002
+    # both laws hold at every grid point before it
+    for k in range(1, first_k):
+        velocity(params, span * k / 2002), amplitude(params, span * k / 2002)
 
 
 def test_velocity_regimes():
@@ -618,7 +660,7 @@ def test_sample_x_float_matches_the_longhand_on_random_windows(monkeypatch):
                     for _ in range(2):
                         params, modes, t_range, n_range = _random_x_window(
                             rng, regime, n_modes, t_side, n_side)
-                        taus = solitons._window_taus(params, modes, t_range, n_range)
+                        taus = solitons._window_taus(validate(params, modes), t_range, n_range)
                         got = sample_x_float(params, modes, t_range, n_range)
                         assert _hex_rows(got) == _hex_rows(x_float_longhand(taus))
                         points += sum(map(len, got))
@@ -632,7 +674,7 @@ def test_sample_x_float_matches_the_longhand_far_from_the_origin():
     # the full-width products cost most
     params = REF_PARAMS
     modes = [(Fraction(1, 30), Fraction(-7, 10)), (Fraction(4, 15), Fraction(-233, 1000))]
-    taus = solitons._window_taus(params, modes, (200, 300), (100, 250))
+    taus = solitons._window_taus(validate(params, modes), (200, 300), (100, 250))
     assert max(tau.bit_length() for fs, gs in taus for tau in fs + gs) > 3000
     got = sample_x_float(params, modes, (200, 300), (100, 250))
     assert _hex_rows(got) == _hex_rows(x_float_longhand(taus))
@@ -671,7 +713,7 @@ def test_sample_x_float_takes_the_exact_path_where_the_bounds_round_apart(monkey
     fallbacks = _spy_exact_x(monkeypatch)
     got = sample_x_float(REF_PARAMS, FALLBACK_MODES, (0, 60), (-30, 90))
     assert len(fallbacks) >= 1
-    taus = solitons._window_taus(REF_PARAMS, FALLBACK_MODES, (0, 60), (-30, 90))
+    taus = solitons._window_taus(validate(REF_PARAMS, FALLBACK_MODES), (0, 60), (-30, 90))
     assert _hex_rows(got) == _hex_rows(x_float_longhand(taus))
 
 
@@ -757,7 +799,7 @@ def test_tau_grid_is_canonical(regime, n_modes, data):
     shape = (t0, n0, t1 - t0 + 1, n1 - n0 + 2)
     grids = [solitons._tau_grid(kp, l1, *shape) for l1 in (0, 1)]
     assert grids == [tau_grid_longhand(kp, l1, *shape) for l1 in (0, 1)]
-    assert solitons._window_taus(params, modes, (t0, t1), (n0, n1)) == list(zip(*grids))
+    assert solitons._window_taus(kp, (t0, t1), (n0, n1)) == list(zip(*grids))
     # the scale M * D_a1^l1 * D_b^|t| * D_c^|n| against the cofactor determinant
     big_l, _, dirs = kp._subset_tables
 
@@ -804,7 +846,7 @@ def test_tau_rows_of_the_readme_window_match_the_pointwise_oracle():
     # (0, 0); its first row is the anchor row, whose lines run both ways
     # from column 30, and its last row is 60 steps of every line away
     kp = validate(REF_PARAMS, REF_SOLITONS)
-    taus = solitons._window_taus(REF_PARAMS, REF_SOLITONS, (0, 60), (-30, 90))
+    taus = solitons._window_taus(kp, (0, 60), (-30, 90))
     assert len(taus) == 61
     for t in (0, 30, 60):
         row = tuple(tau_grid_longhand(kp, l1, t, -30, 1, 122)[0] for l1 in (0, 1))
@@ -832,6 +874,19 @@ def test_sample_field_window_validation():
         for t_range, n_range in (((3, 2), (0, 4)), ((5, 2), (0, 4)), ((0, 4), (3, 2))):
             with pytest.raises(WindowTooSmall):
                 reader(REF_PARAMS, REF_SOLITONS, t_range, n_range)
+
+
+@pytest.mark.parametrize("modes, error", [
+    ([(Fraction(1, 30), Fraction(1, 30))], GammaSignCondition),
+    ([(Fraction(9, 10), Fraction(1))], POutOfRange),
+    ([(Fraction(2, 15), Fraction(-1, 6))] * 2, DuplicateP),
+], ids=["gamma_sign", "p_out_of_range", "duplicate_p"])
+def test_each_reader_checks_the_modes_before_the_window(modes, error):
+    # bad modes on an empty window: every reader names the modes, not the window
+    for reader in (sample_field, sample_x_float, solitons.check_exactness):
+        for t_range, n_range in (((3, 2), (0, 4)), ((0, 4), (3, 2))):
+            with pytest.raises(error):
+                reader(REF_PARAMS, modes, t_range, n_range)
 
 
 def test_vacuum_field_is_flat():
