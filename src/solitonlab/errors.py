@@ -78,6 +78,10 @@ class DrawExhausted(SolitonLabError):
     """A random parameter draw found no admissible value for one mode."""
 
 
+class TooManyModes(SolitonLabError):
+    """A parameter set has more modes than the subset expansion is built for."""
+
+
 class ConstraintViolated(SolitonLabError):
     """A parameter set does not satisfy the constraint required by the check."""
 

@@ -4,7 +4,7 @@ The map is one exact two-point update (x, y) -> (R*y, x/R) with
 R = ((1-beta) + beta*x*y) / ((1-alpha) + alpha*x*y), 0 < alpha, beta < 1.
 It couples a field x, advanced in time, with a carrier field y, advanced in
 space.  The kernel takes R in the form (c1 + d1*x*y) / (c2 + d2*x*y), with
-integer constants from ``_map_constants``.
+integer constants from ``_gkdv_constants``.
 
 :func:`evolve_gkdv` runs the map: it advances a window [n_lo, n_hi] by
 sweeping n left to right, once per time step.  y enters the window at the
@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import IO, Sequence
 
 from .errors import (
@@ -53,30 +53,11 @@ class SystemParams:
                 f"alpha and beta must lie in (0, 1), got {self.alpha}, {self.beta}")
 
 
-def _map_constants(c1: Fraction, d1: Fraction, c2: Fraction, d2: Fraction) -> tuple[int, ...]:
-    """Integer constants of the two-point map with R = (c1 + d1*w) / (c2 + d2*w).
-
-    Each pair is scaled by its own denominator l1 or l2 to integers C1, D1
-    and C2, D2, so that for w = P/Q in lowest terms R = N1*l2 / (N2*l1) with
-    N1 = C1*Q + D1*P and N2 = C2*Q + D2*P.  A prime power dividing N1 and N2
-    divides K*Q and K*P, hence the small integer K = C1*D2 - D1*C2, since P
-    and Q are coprime.  Returns (C1, D1, C2, D2, K, l1, l2), with the common
-    factor of l1 and l2 divided out.
-    """
-    c1, d1, c2, d2 = (Fraction(v) for v in (c1, d1, c2, d2))
-    l1 = lcm(c1.denominator, d1.denominator)
-    l2 = lcm(c2.denominator, d2.denominator)
-    big_c1, big_d1, big_c2, big_d2 = int(c1 * l1), int(d1 * l1), int(c2 * l2), int(d2 * l2)
-    g = gcd(l1, l2)
-    return (big_c1, big_d1, big_c2, big_d2, big_c1 * big_d2 - big_d1 * big_c2,
-            l1 // g, l2 // g)
-
-
 def _two_point(x: Fraction, y: Fraction, k: tuple[int, ...], site: int,
                ) -> tuple[Fraction, Fraction]:
     """The two-point map (x, y) -> (R*y, x/R), on numerators and denominators.
 
-    ``k`` holds the constants of R from :func:`_map_constants`.  Only two
+    ``k`` holds the constants of R from :func:`_gkdv_constants`.  Only two
     gcds per site take two full-size operands, g1 = gcd(xn, yd) and
     g2 = gcd(yn, xd); every other gcd has a small operand or, on solution
     rows, a divisor of the other.  With a = xn/g1, h = yd/g1, b = yn/g2 and
@@ -154,7 +135,24 @@ def _coprime_fraction(num: int, den: int) -> Fraction:
 
 
 def _gkdv_constants(params: SystemParams) -> tuple[int, ...]:
-    return _map_constants(1 - params.beta, params.beta, 1 - params.alpha, params.alpha)
+    """Integer constants of the map, R = (c1 + d1*w) / (c2 + d2*w) with
+    (c1, d1, c2, d2) = (1 - beta, beta, 1 - alpha, alpha).
+
+    1 - beta and beta share the denominator l1 of beta, and 1 - alpha and
+    alpha the denominator l2 of alpha, which scale them to the integers
+    C1 = l1 - D1, D1 and C2 = l2 - D2, D2, the numerators of beta and alpha.
+    So for w = P/Q in lowest terms R = N1*l2 / (N2*l1) with
+    N1 = C1*Q + D1*P and N2 = C2*Q + D2*P.  A prime power dividing N1 and N2
+    divides K*Q and K*P, hence the small integer K = C1*D2 - D1*C2, since P
+    and Q are coprime.  Returns (C1, D1, C2, D2, K, l1, l2), with the common
+    factor of l1 and l2 divided out.
+    """
+    l1, l2 = params.beta.denominator, params.alpha.denominator
+    big_d1, big_d2 = params.beta.numerator, params.alpha.numerator
+    big_c1, big_c2 = l1 - big_d1, l2 - big_d2
+    g = gcd(l1, l2)
+    return (big_c1, big_d1, big_c2, big_d2, big_c1 * big_d2 - big_d1 * big_c2,
+            l1 // g, l2 // g)
 
 
 def _warn_if_escaped(x_right: Fraction, t: int) -> None:

@@ -15,8 +15,10 @@ and rounded once to a float.  Samples taken while another track is within
 intercept per surviving contiguous segment: a collision shifts a soliton's
 phase, so forcing one intercept across the jump would bias the slope.
 The linker's jump gate and the exclusion cone share the speed bound
-``V_MAX``; a detection needs |x - 1| above ``THRESHOLD``, tracks coast at
-most ``MAX_GAP`` rows and need ``MIN_SAMPLES``.
+``V_MAX``; a detection needs |x - 1| above ``THRESHOLD`` and a track needs
+``MIN_SAMPLES``.  A track is never retired: it coasts to the last row, and
+its gate widens with its gap, so a trough hidden for many rows inside a
+slow collision keeps its track when it re-emerges.
 
 Ball-count clusters of the box-ball automaton are linked greedily in
 integer arithmetic; their speeds are exact rationals.  Both kinds build one
@@ -48,7 +50,6 @@ from .errors import InconsistentCapacities, MixedTrackKinds, TooFewSamples
 EXCLUSION_RADIUS = 4.5
 V_MAX = 1.0  # speed bound of the studied regime, in sites per step
 THRESHOLD = 1e-3  # least |x - 1| of a detected trough
-MAX_GAP = 40
 MIN_SAMPLES = 3
 
 
@@ -144,47 +145,40 @@ def track_troughs(rows: Sequence[Sequence[float]], n_lo: int,
     ``rows[j][k]`` is x at time ``t0 + j`` and site ``n_lo + k``, as
     :func:`solitonlab.solitons.sample_x_float` returns it.  A detection
     needs |x - 1| above ``THRESHOLD``.  ``V_MAX`` bounds the per-step
-    jump gate, a track may coast undetected for ``MAX_GAP`` rows (troughs
-    merge during collisions), and tracks with fewer than ``MIN_SAMPLES``
-    detections are discarded as noise.  Tracks are returned sorted by
-    first appearance, then position.
+    jump gate.  A track stays a candidate until the last row: it may coast
+    undetected for any number of rows (troughs merge during collisions),
+    and its gate widens with the rows it has coasted.  Tracks with fewer
+    than ``MIN_SAMPLES`` detections are discarded as noise.  Tracks are
+    returned sorted by first appearance, then position.
     """
     base_gate = max(2.0, math.ceil(2.0 * V_MAX))
-    active: list[Track] = []
-    done: list[Track] = []
+    tracks: list[Track] = []
     for t, row in enumerate(rows, t0):
         dets = [(n_lo + pos, depth) for pos, depth in _row_minima(row)]
-        # retire tracks that have coasted too long
-        still = []
-        for tr in active:
-            (done if t - tr.last_t > MAX_GAP else still).append(tr)
-        active = still
-        if active and dets:
-            assignment = _assign(active, dets, t, base_gate)
+        if tracks and dets:
+            assignment = _assign(tracks, dets, t, base_gate)
         else:
             assignment = {}
+        for ti, di in assignment.items():
+            pos, depth = dets[di]
+            tracks[ti].times.append(t)
+            tracks[ti].positions.append(pos)
+            tracks[ti].sizes.append(depth)
         claimed = set(assignment.values())
-        for ti, tr in enumerate(active):
-            if ti in assignment:
-                pos, depth = dets[assignment[ti]]
-                tr.times.append(t)
-                tr.positions.append(pos)
-                tr.sizes.append(depth)
         for di, (pos, depth) in enumerate(dets):
             if di not in claimed:
-                active.append(Track([t], [pos], [depth]))
-    done.extend(active)
-    done = [tr for tr in done if len(tr.times) >= MIN_SAMPLES]
-    done.sort(key=lambda tr: (tr.first_t, tr.positions[0]))
-    return done
+                tracks.append(Track([t], [pos], [depth]))
+    tracks = [tr for tr in tracks if len(tr.times) >= MIN_SAMPLES]
+    tracks.sort(key=lambda tr: (tr.first_t, tr.positions[0]))
+    return tracks
 
 
-def _assign(active: Sequence[Track], dets: Sequence[tuple[float, float]],
+def _assign(tracks: Sequence[Track], dets: Sequence[tuple[float, float]],
             t: int, base_gate: float) -> dict[int, int]:
     """One-to-one track-to-detection assignment: as many matches as the
     gates allow, and of those the one with the lowest total cost."""
     cand: dict[int, dict[int, float]] = {}
-    for ti, tr in enumerate(active):
+    for ti, tr in enumerate(tracks):
         gap = t - tr.last_t  # >= 1
         gate = base_gate * gap
         # short linear prediction; falls back to last position for singletons

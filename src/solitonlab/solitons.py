@@ -88,6 +88,7 @@ from .errors import (
     GridTooSmall,
     InvalidInterval,
     POutOfRange,
+    TooManyModes,
     WindowTooSmall,
     ZeroTau,
 )
@@ -95,6 +96,10 @@ from .lattice import LatticeField, SystemParams, _gkdv_constants, rat_str
 
 # read only by bench/spans.py, which wraps solitons.det by attribute
 det = None
+
+# most modes of one KPParams: its subset tables hold 2**N terms, and at
+# N = 16 take ~1.6 s and ~75 MB to build (CPython 3.11), doubling per mode
+MAX_MODES = 16
 
 
 def validate(params: SystemParams, solitons: Sequence[tuple[Fraction, Fraction]]) -> KPParams:
@@ -372,7 +377,7 @@ def check_exactness(params: SystemParams, solitons: Sequence[tuple[Fraction, Fra
 
 def _exact_sites(taus: list[tuple[list[int], list[int]]], consts: tuple[int, ...],
                  ) -> list[list[bool]]:
-    """Per-site verdicts of the two-point map with ``lattice._map_constants``
+    """Per-site verdicts of the two-point map with ``lattice._gkdv_constants``
     ``consts`` on integer tau rows (f_row, g_row), making no Fraction and no gcd.
 
     Site (j, k) reads f, g there, fn, gn at (j, k+1), ft, gt at (j+1, k), ftn,
@@ -406,7 +411,8 @@ def _exact_sites(taus: list[tuple[list[int], list[int]]], consts: tuple[int, ...
 class KPParams:
     """Parameters of the four-direction determinant tau.
 
-    ``modes`` holds (p_i, q_i, gamma_i) rows.  All p_i and q_i must be
+    ``modes`` holds (p_i, q_i, gamma_i) rows, at most ``MAX_MODES`` of them
+    (else TooManyModes, with ``n_modes``).  All p_i and q_i must be
     distinct from each other and from the direction parameters a1, a2, b, c,
     so no matrix entry or phase base can blow up.
     """
@@ -418,6 +424,10 @@ class KPParams:
     modes: tuple[tuple[Fraction, Fraction, Fraction], ...]
 
     def __post_init__(self):
+        if len(self.modes) > MAX_MODES:
+            raise TooManyModes(f"{len(self.modes)} modes, more than the {MAX_MODES} "
+                               "that a subset expansion is built for",
+                               n_modes=len(self.modes))
         for name in ("a1", "a2", "b", "c"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
         object.__setattr__(self, "modes", tuple(

@@ -187,6 +187,23 @@ def two_point_longhand(x: Fraction, y: Fraction, c1: Fraction, d1: Fraction,
     return top / bottom * y, bottom / top * x
 
 
+def map_constants_longhand(c1: Fraction, d1: Fraction, c2: Fraction, d2: Fraction,
+                           ) -> tuple[int, ...]:
+    """The constants tuple that ``lattice._two_point`` reads, for any
+    R = (c1 + d1*w) / (c2 + d2*w): (C1, D1, C2, D2, K, l1, l2).
+
+    Each pair is scaled by the lcm of its own denominators, l1 or l2, to
+    integers; K = C1*D2 - D1*C2, and the gcd of l1 and l2 is divided out of
+    both.
+    """
+    c1, d1, c2, d2 = (Fraction(v) for v in (c1, d1, c2, d2))
+    l1 = math.lcm(c1.denominator, d1.denominator)
+    l2 = math.lcm(c2.denominator, d2.denominator)
+    big = [int(v * l) for v, l in ((c1, l1), (d1, l1), (c2, l2), (d2, l2))]
+    g = math.gcd(l1, l2)
+    return (*big, big[0] * big[3] - big[1] * big[2], l1 // g, l2 // g)
+
+
 def bbsc_sweep_longhand(u: Sequence[int], c_box: int, c_carrier
                         ) -> tuple[list[int], list[int]]:
     """One carrier sweep, u' = min(c_box-u, v) + max(0, u+v-c_carrier).

@@ -242,8 +242,9 @@ def test_an_unwritable_out_path_is_an_error_not_a_traceback(capsys, tmp_path, ar
     assert isinstance(info.value, SolitonLabError) and isinstance(info.value, ValueError)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 def test_analyze_tracks_two_troughs_through_a_slow_collision(capsys):
+    # the small trough hides inside the large one for 74 rows, and its
+    # track coasts through them
     code, out, err = invoke(capsys, "analyze", "--alpha", "5/6", "--beta", "14/15",
                             "--soliton", "1/30:-7/10", "--soliton", "4/15:-233/1000",
                             "--t", "-40:60", "--n", "-60:90")
@@ -252,6 +253,38 @@ def test_analyze_tracks_two_troughs_through_a_slow_collision(capsys):
     assert len(measured["tracks"]) == 2
     assert measured["crossing"] is True
     assert measured["anomaly"] == "smaller_faster"
+
+
+# the largest relative speed error on the five collisions below is 1.83 %,
+# on the last; item 1's small mode above reads 2.3 %
+COLLISION_SPEED_RTOL = 0.02
+
+
+@pytest.mark.parametrize("alpha, beta, modes", [
+    ("5/6", "14/15", ["23/500:-499/10000000000000000", "161/750:-197/250000000"]),
+    ("5/6", "14/15", ["23/1500:-137/10000000000", "23/100:-563/1000000"]),
+    ("14/15", "5/6", ["23/1500:-97/25000000000000000000", "92/375:-2/390625"]),
+    ("14/15", "5/6", ["299/1500:-942", "23/375:-380000"]),
+    ("14/15", "5/6", ["299/1500:-171/250000000", "23/300:-413/100000000000000"]),
+], ids=["a_below_b_0", "a_below_b_1", "a_above_b_0", "a_above_b_1", "a_above_b_2"])
+def test_analyze_links_each_mode_through_a_collision_as_one_track(capsys, alpha, beta, modes):
+    # two-mode collisions drawn in a 100-row window, with troughs centred
+    # on one site; a trough hidden in the collision keeps its track, so
+    # each mode is one track and its speed the closed form's
+    args = [arg for mode in modes for arg in ("--soliton", mode)]
+    code, out, err = invoke(capsys, "analyze", "--alpha", alpha, "--beta", beta, *args,
+                            "--t", "-40:60", "--n", "-60:90")
+    assert code == 0, err
+    report = json.loads(out)
+    measured = report["measured"]
+    assert len(measured["tracks"]) == 2
+    assert measured["crossing"] is True
+    small_faster = Fraction(alpha) < Fraction(beta)
+    assert measured["anomaly"] == ("smaller_faster" if small_faster else "none")
+    by_amplitude = lambda row: row["amplitude"]
+    for track, mode in zip(sorted(measured["tracks"], key=by_amplitude),
+                           sorted(report["closed_form"], key=by_amplitude)):
+        assert track["speed"] == pytest.approx(mode["velocity"], rel=COLLISION_SPEED_RTOL)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf,1", "1,0.1,-inf"])
@@ -581,21 +614,25 @@ def test_verify_exactness_reads_taus_scaled_per_point_alike(capsys, monkeypatch)
     assert invoke(capsys, "verify", "exactness", "--grid", "8") == expected
 
 
-@pytest.mark.parametrize("argv", [
-    ["exact", "--alpha", "5/6", "--beta", "14/15", "--soliton", "2/15:-1/6",
-     "--n", "-30:90", "--t", "0:60"],
-    ["bbsc", "--cb", "4", "--cc", "1", "--init", "000244000100030002134100",
-     "--steps", "1000", "--render", "csv"],
-    ["verify", "all"],
+@pytest.mark.parametrize("argv, read_first", [
+    (["exact", "--alpha", "5/6", "--beta", "14/15", "--soliton", "2/15:-1/6",
+      "--n", "-30:90", "--t", "0:60"], True),
+    (["bbsc", "--cb", "4", "--cc", "1", "--init", "000244000100030002134100",
+      "--steps", "1000", "--render", "csv"], True),
+    # verify prints its few hundred bytes in one burst after every suite
+    # has run; they fit the pipe buffer, so a reader that waits for the
+    # first line races the last write, and this reader leaves before any
+    (["verify", "all"], False),
 ], ids=["exact", "bbsc_csv", "verify_all"])
-def test_a_reader_closing_stdout_early_gets_no_traceback(argv):
+def test_a_reader_closing_stdout_early_gets_no_traceback(argv, read_first):
     # as `solitonlab ... | head -1`: the writes after the reader has gone
     # fail with EPIPE, which exits 141 and writes nothing to stderr
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": "1"}
     proc = subprocess.Popen([sys.executable, "-m", "solitonlab", *argv], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline() != b""
+    if read_first:
+        assert proc.stdout.readline() != b""
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()

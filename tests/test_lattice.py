@@ -13,7 +13,7 @@ from solitonlab import (
     rat_str,
     sample_field,
 )
-from solitonlab.lattice import _gkdv_constants, _map_constants, _sweep, _two_point
+from solitonlab.lattice import _gkdv_constants, _sweep, _two_point
 from solitonlab.errors import (
     NegativeSteps,
     ParamOutOfRange,
@@ -26,7 +26,7 @@ from solitonlab.errors import (
     ZeroFieldValue,
 )
 
-from _oracles import gkdv_local_longhand, two_point_longhand
+from _oracles import gkdv_local_longhand, map_constants_longhand, two_point_longhand
 
 # open interval (0, 1), exact
 unit_open = st.fractions(
@@ -205,12 +205,20 @@ def test_two_point_matches_longhand_on_smooth_operands(pair, consts):
         expected = two_point_longhand(x, y, *consts)
     except ZeroDivisionError:
         with pytest.raises(ZeroDenominator):
-            _two_point(x, y, _map_constants(*consts), 0)
+            _two_point(x, y, map_constants_longhand(*consts), 0)
         return
-    got = _two_point(x, y, _map_constants(*consts), 0)
+    got = _two_point(x, y, map_constants_longhand(*consts), 0)
     assert [(v.numerator, v.denominator) for v in got] == [
         (v.numerator, v.denominator) for v in expected]
     assert all(type(v) is Fraction and _lowest_terms(v) for v in got)
+
+
+@given(system_params())
+def test_gkdv_constants_scale_the_map_coefficients(params):
+    # the map's own constants are the general scaling of (1 - beta, beta,
+    # 1 - alpha, alpha) that the kernel test above feeds _two_point
+    assert _gkdv_constants(params) == map_constants_longhand(
+        *_gkdv_set((params.alpha, params.beta)))
 
 
 def test_two_full_size_gcds_per_site_on_a_solution_row(monkeypatch):

@@ -35,6 +35,7 @@ from solitonlab.errors import (
     InvalidInterval,
     POutOfRange,
     SolitonLabError,
+    TooManyModes,
     WindowTooSmall,
     ZeroTau,
 )
@@ -1007,11 +1008,28 @@ def test_random_kp_params_draws_as_the_whole_set_check_did():
     # each candidate is checked against the drawn modes only, yet every
     # seeded draw is the one that rebuilding a whole KPParams per candidate
     # gave; seeds 0..199 cycle N through 1..30, each N with constrained off
-    # (even seed) and on (odd seed)
+    # (even seed) and on (odd seed).  Above MAX_MODES both ways refuse
     for seed in range(200):
         n_modes, constrained = 1 + seed // 2 % 30, bool(seed & 1)
+        if n_modes > solitons.MAX_MODES:
+            for draw in (random_kp_params, random_kp_params_longhand):
+                with pytest.raises(TooManyModes):
+                    draw(Random(seed), n_modes, constrained=constrained)
+            continue
         assert random_kp_params(Random(seed), n_modes, constrained=constrained) == (
             random_kp_params_longhand(Random(seed), n_modes, constrained=constrained))
+
+
+def test_a_kp_params_of_more_modes_than_the_bound_is_refused_at_construction():
+    # 2**17 subset terms would be built on first use; the check comes first,
+    # so no table exists to build
+    modes = tuple((Fraction(i + 10), Fraction(-i - 10), Fraction(1))
+                  for i in range(solitons.MAX_MODES + 1))
+    assert solitons.MAX_MODES == 16
+    KPParams(0, 1, 2, 3, modes[:-1])
+    with pytest.raises(TooManyModes, match="17 modes") as info:
+        KPParams(0, 1, 2, 3, modes)
+    assert info.value.n_modes == 17
 
 
 def test_kp_tau_is_rational_and_nonzero_at_origin():
