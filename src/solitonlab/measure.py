@@ -11,14 +11,15 @@ identities.
 
 Speeds are least-squares slopes, computed exactly from the float positions
 and rounded once to a float.  Samples taken while another track is within
-``EXCLUSION_RADIUS`` lattice units are dropped, and the fit allows a separate
-intercept per surviving contiguous segment: a collision shifts a soliton's
-phase, so forcing one intercept across the jump would bias the slope.
-The linker's jump gate and the exclusion cone share the speed bound
-``V_MAX``; a detection needs |x - 1| above ``THRESHOLD`` and a track needs
-``MIN_SAMPLES``.  A track is never retired: it coasts to the last row, and
-its gate widens with its gap, so a trough hidden for many rows inside a
-slow collision keeps its track when it re-emerges.
+``EXCLUSION_RADIUS`` lattice units are dropped, where outside its life span
+a track runs on along its own line at its net speed.  The fit allows a
+separate intercept per surviving contiguous segment: a collision shifts a
+soliton's phase, so forcing one intercept across the jump would bias the
+slope.  The linker's jump gate is sized by ``V_MAX``; a detection needs
+|x - 1| above ``THRESHOLD`` and a track needs ``MIN_SAMPLES``.  A track is
+never retired: it coasts to the last row, and its gate widens with its gap,
+so a trough hidden for many rows inside a slow collision keeps its track
+when it re-emerges.
 
 Ball-count clusters of the box-ball automaton are linked greedily in
 integer arithmetic; their speeds are exact rationals.  Both kinds build one
@@ -48,7 +49,9 @@ from .errors import InconsistentCapacities, MixedTrackKinds, TooFewSamples
 # refined depth by more than 5e-3 out to roughly 4 units, while velocities
 # stay within 1e-2 already at 3.  One radius serves both measurements.
 EXCLUSION_RADIUS = 4.5
-V_MAX = 1.0  # speed bound of the studied regime, in sites per step
+# sites per step that size the jump gate; speeds exceed it for alpha > beta:
+# 1.39 at (14/15, 5/6), ~8 at (19/20, 1/5) (ROADMAP item 2)
+V_MAX = 1.0
 THRESHOLD = 1e-3  # least |x - 1| of a detected trough
 MIN_SAMPLES = 3
 
@@ -253,30 +256,25 @@ def _usable_samples(track: Track, others: Sequence[Track],
     """(t, position, depth) samples not within ``EXCLUSION_RADIUS`` of any
     other track.
 
-    For times inside another track's life span the radius applies to its
-    interpolated position.  Outside, the other soliton was merged into some
-    trough and unresolved, so its position is only known to lie within a
-    cone |pos - endpoint| <= EXCLUSION_RADIUS + V_MAX * dt from the nearer
-    endpoint; samples inside that cone are excluded too.
+    Inside another track's life span its position is the interpolated
+    :meth:`Track.position_at`.  Outside, the other soliton is hidden in some
+    trough or beyond the window, and it runs on along its own line: from its
+    nearer end position at its net speed :attr:`Track.speed`, taken as a
+    float.  A track seen once holds its position.
     """
+    lines = [(o, float(o.speed) if len(o.times) > 1 else 0.0)
+             for o in others if o is not track and o.times]
     out = []
     for t, pos, dep in zip(track.times, track.positions, track.sizes):
-        clear = True
-        for other in others:
-            if other is track or not other.times:
-                continue
-            if t < other.first_t:
-                near = abs(pos - other.positions[0]) \
-                    <= EXCLUSION_RADIUS + V_MAX * (other.first_t - t)
-            elif t > other.last_t:
-                near = abs(pos - other.positions[-1]) \
-                    <= EXCLUSION_RADIUS + V_MAX * (t - other.last_t)
+        for other, speed in lines:
+            if other.first_t <= t <= other.last_t:
+                gap = abs(other.position_at(t) - pos)
             else:
-                near = abs(other.position_at(t) - pos) <= EXCLUSION_RADIUS
-            if near:
-                clear = False
+                end = 0 if t < other.first_t else -1
+                gap = abs(other.positions[end] + speed * (t - other.times[end]) - pos)
+            if gap <= EXCLUSION_RADIUS:
                 break
-        if clear:
+        else:
             out.append((t, pos, dep))
     return out
 

@@ -287,6 +287,27 @@ def test_analyze_links_each_mode_through_a_collision_as_one_track(capsys, alpha,
         assert track["speed"] == pytest.approx(mode["velocity"], rel=COLLISION_SPEED_RTOL)
 
 
+@pytest.mark.parametrize("modes, rel", [
+    (["1/30:-177/10", "4/15:-121/250"], 4e-3),
+    (["1/30:-927/100000000000", "4/15:-217/100000"], 5e-4),
+    (["1/30:-19/62500", "4/15:-309/10000"], 5e-4),
+])
+def test_a_track_seen_late_excludes_only_its_own_line_before_it(capsys, modes, rel):
+    # the 4/15 trough is detected only over the last 8 or 9 rows; before
+    # that it runs back along its own line, clear of the 1/30 trough.  A
+    # cone growing a site per row from its first detection stripped the
+    # 1/30 track's samples and left its speed 7.9e-3, 2.4e-3 and 2.4e-3
+    # off the closed form; it now reads 3.2e-3, 3.3e-4 and 3.5e-4 off
+    args = [arg for mode in modes for arg in ("--soliton", mode)]
+    code, out, err = invoke(capsys, "analyze", "--alpha", "5/6", "--beta", "14/15", *args,
+                            "--n", "-30:90", "--t", "0:60")
+    assert code == 0, err
+    report = json.loads(out)
+    deep = max(report["measured"]["tracks"], key=lambda row: row["amplitude"])
+    assert deep["first_t"] == 0 and deep["last_t"] == 60
+    assert deep["speed"] == pytest.approx(report["closed_form"][0]["velocity"], rel=rel)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf,1", "1,0.1,-inf"])
 def test_verify_rejects_non_finite_epsilons(capsys, value):
     # nan would print a nan deviation and fail the check instead

@@ -24,7 +24,7 @@ from solitonlab.errors import (
     SolitonLabError,
     TooFewSamples,
 )
-from solitonlab.measure import _assign, _row_minima
+from solitonlab.measure import _assign, _row_minima, _usable_samples
 
 from _oracles import clusters_longhand, detect_bbsc_solitons_longhand, lsq_slope_exact
 
@@ -334,6 +334,21 @@ def test_overtake_report_measures_each_trough_against_the_others():
     assert report == {"tracks": expected, "crossing": False, "anomaly": "none"}
     assert [row["amplitude"] for row in report["tracks"]] == [0.5, 0.3, 0.2]
     assert [row["speed"] for row in report["tracks"]] == [1.0, 0.0, 0.5]
+
+
+def test_a_track_outside_its_life_span_runs_on_along_its_own_line():
+    # B runs 6 sites behind A at A's speed and is lost after t = 10; run on
+    # along its own line it stays 6 sites back, outside the radius, so all
+    # of A counts and A's depth after t = 20 is read
+    a = Track(list(range(41)), [0.7 * t + 6 for t in range(41)],
+              [0.5 if t < 20 else 0.6 for t in range(41)])
+    b = Track(list(range(11)), [0.7 * t for t in range(11)], [0.3] * 11)
+    assert len(_usable_samples(a, [b])) == 41
+    assert track_amplitude(a, [b]) == 0.6
+    # a track seen once holds its position: A is within the radius of 34
+    # at t = 34..40 only
+    c = Track([40], [34.0], [0.3])
+    assert [t for t, _, _ in _usable_samples(a, [c])] == list(range(34))
 
 
 def _cluster_rows(tracks):
