@@ -13,12 +13,14 @@ plain box-ball rule.  :func:`evolve_bbsc` repeats the sweep in time, and
 :func:`bbsc_sweep` is one sweep that also returns the carrier loads.
 
 An empty carrier leaves an empty box as it is, so a sweep runs the rule
-only from each occupied box until the carrier is empty again.  Each state
-carries the ascending indices of its occupied boxes, ``BBSCState.occupied``;
-a sweep jumps between them and collects the new state's as it writes its
-boxes.  So the sweep, the CSV writer and ``measure``'s cluster scan visit
-no empty box in Python: their per-box work is per occupied box, and the
-only whole-row passes left are copies made in C.
+only from each occupied box until the carrier is empty again.  A state is
+sparse: ``BBSCState`` keeps the ascending indices of its occupied boxes,
+``occupied``, their ball counts, ``counts``, and the window ``width``.  A
+sweep works on one row that :func:`evolve_bbsc` keeps for the whole
+history, jumps between the occupied boxes and collects the new ones and
+their counts as it writes them.  So the sweep, the snapshot of each state,
+the CSV writer and ``measure``'s cluster scan all do work per occupied box,
+not per box of the window; only ``BBSCState.u`` builds the whole row.
 
 The rational map x' = y ((1-beta) + beta x y) / ((1-alpha) + alpha x y)
 turns into this automaton inside the soliton regime alpha + beta > 1, as
@@ -46,10 +48,10 @@ images, peaks x > 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, chain, compress, repeat
 from operator import index, sub
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 from .errors import (
     CapacityViolation,
@@ -89,61 +91,75 @@ def _box_values(cells) -> tuple[int, ...]:
     return tuple(u)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class BBSCState:
-    """Box occupancies plus the two capacities.
+    """Box occupancies plus the two capacities, stored sparse.
 
-    Capacity is checked on every state.  A state built here is checked in
-    full: a box that is not an integer (``operator.index`` rejects it, or
-    it is a bool) or lies outside ``[0, c_box]`` raises
+    ``BBSCState(u, c_box, c_carrier=inf)`` takes the full row of boxes
+    ``u``.  Capacity is checked on every state.  A state built here is
+    checked in full: a box that is not an integer (``operator.index``
+    rejects it, or it is a bool) or lies outside ``[0, c_box]`` raises
     :class:`CapacityViolation` naming the first such box.  A sweep output
     is checked by the sweep itself, which range-checks every box it writes
     and raises the same error naming that box; the boxes it does not write
-    are empty copies of boxes of the checked input state.
+    stay empty.
 
-    ``occupied`` is derived: the ascending indices of the nonzero boxes.
-    The constructor computes it and a sweep hands over the indices it
-    collected; it takes no part in ``==``, ``hash`` or ``repr``.
+    The state keeps ``occupied``, the ascending indices of the nonzero
+    boxes, ``counts``, their ball counts, and ``width``, the number of
+    boxes; these and the two capacities are compared and hashed, so two
+    states are equal when their boxes and capacities are, and states that
+    differ only in trailing empty boxes are not.  ``u`` builds the full
+    row on each access, and ``repr`` shows it.
     """
 
-    u: tuple[int, ...]
+    occupied: tuple[int, ...]
+    counts: tuple[int, ...]
+    width: int
     c_box: int
-    c_carrier: Capacity = math.inf
-    occupied: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    c_carrier: Capacity
 
-    def __post_init__(self):
-        u = _box_values(self.u)
-        object.__setattr__(self, "u", u)
-        _check_capacity("c_box", self.c_box)
-        _check_capacity("c_carrier", self.c_carrier)
-        if u and (min(u) < 0 or max(u) > self.c_box):
+    def __init__(self, u: Iterable[int], c_box: int, c_carrier: Capacity = math.inf):
+        u = _box_values(u)
+        _check_capacity("c_box", c_box)
+        _check_capacity("c_carrier", c_carrier)
+        if u and (min(u) < 0 or max(u) > c_box):
             for k, v in enumerate(u):
-                if not 0 <= v <= self.c_box:
+                if not 0 <= v <= c_box:
                     raise CapacityViolation(
-                        f"box {k} holds {v}, outside [0, {self.c_box}]", box=k)
-        object.__setattr__(self, "occupied", tuple(compress(range(len(u)), u)))
+                        f"box {k} holds {v}, outside [0, {c_box}]", box=k)
+        _fill(self, tuple(compress(range(len(u)), u)), tuple(compress(u, u)),
+              len(u), c_box, c_carrier)
+
+    def __repr__(self) -> str:
+        return f"BBSCState(u={self.u!r}, c_box={self.c_box!r}, c_carrier={self.c_carrier!r})"
+
+    @property
+    def u(self) -> tuple[int, ...]:
+        row = [0] * self.width
+        for k, c in zip(self.occupied, self.counts):
+            row[k] = c
+        return tuple(row)
 
     @property
     def balls(self) -> int:
-        return sum(self.u)
+        return sum(self.counts)
 
 
-def _swept(u: tuple[int, ...], occupied: list[int], like: BBSCState) -> BBSCState:
-    """A state with ``like``'s capacities whose boxes :func:`_sweep` has
-    range-checked, and whose nonzero boxes it listed in ``occupied``; skips
-    ``__post_init__``."""
-    state = object.__new__(BBSCState)
-    object.__setattr__(state, "u", u)
-    object.__setattr__(state, "c_box", like.c_box)
-    object.__setattr__(state, "c_carrier", like.c_carrier)
-    object.__setattr__(state, "occupied", tuple(occupied))
+def _fill(state: BBSCState, occupied: tuple[int, ...], counts: tuple[int, ...],
+          width: int, c_box: int, c_carrier: Capacity) -> BBSCState:
+    """Set the fields of ``state``, which is frozen, without any check."""
+    object.__setattr__(state, "occupied", occupied)
+    object.__setattr__(state, "counts", counts)
+    object.__setattr__(state, "width", width)
+    object.__setattr__(state, "c_box", c_box)
+    object.__setattr__(state, "c_carrier", c_carrier)
     return state
 
 
-def _sweep(row: list[int], cb: Capacity, cc: Capacity,
-           occupied: Sequence[int]) -> list[int]:
+def _sweep(row: list[int], cb: Capacity, cc: Capacity, occupied: Sequence[int],
+           ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """One carrier sweep of ``row``, in place; returns the ascending indices
-    of the boxes that hold balls after it.
+    of the boxes that hold balls after it and their ball counts.
 
     ``occupied`` lists, ascending, the indices of the nonzero boxes of
     ``row``.  An empty box passed by an empty carrier is a fixed point: it
@@ -151,13 +167,14 @@ def _sweep(row: list[int], cb: Capacity, cc: Capacity,
     one occupied box to the next and runs the rule from there until the
     carrier is empty again, appending boxes while it still holds balls.
     Every box that holds balls afterwards was written by the sweep, which
-    lists each box it writes nonzero, appended boxes included.  Every box
-    written is range-checked.  The carrier loads are not kept; the ball
-    balance gives them back (see :func:`bbsc_sweep`).
+    collects each box it writes nonzero, with its count, appended boxes
+    included.  Every box written is range-checked.  The carrier loads are
+    not kept; the ball balance gives them back (see :func:`bbsc_sweep`).
     """
     n = len(row)
     end = 0  # the boxes before this one have been swept
     out: list[int] = []
+    counts: list[int] = []
     for start in occupied:
         if start < end:
             continue
@@ -175,6 +192,7 @@ def _sweep(row: list[int], cb: Capacity, cc: Capacity,
             row[k] = u2
             if u2:
                 out.append(k)
+                counts.append(u2)
             if not v:
                 break
         else:
@@ -182,10 +200,11 @@ def _sweep(row: list[int], cb: Capacity, cc: Capacity,
                 u2 = cb if cb < v else v  # an appended empty box; no spill since v <= cc
                 v -= u2
                 out.append(len(row))
+                counts.append(u2)
                 row.append(u2)
-            return out
+            break
         end = k + 1
-    return out
+    return tuple(out), tuple(counts)
 
 
 def bbsc_sweep(state: BBSCState) -> tuple[BBSCState, list[int]]:
@@ -205,7 +224,9 @@ def bbsc_sweep(state: BBSCState) -> tuple[BBSCState, list[int]]:
 def evolve_bbsc(state: BBSCState, steps: int) -> list[BBSCState]:
     """Apply ``steps`` sweeps; returns all ``steps + 1`` states.
 
-    One time step is ``evolve_bbsc(state, 1)[1]``.  The sweep range-checks
+    One time step is ``evolve_bbsc(state, 1)[1]``.  One working row is
+    swept in place for the whole history, and each new state keeps only
+    the sweep's occupied boxes and their counts.  The sweep range-checks
     every box it writes, so each new state skips the constructor's
     whole-row check (see :class:`BBSCState`).
     """
@@ -216,8 +237,8 @@ def evolve_bbsc(state: BBSCState, steps: int) -> list[BBSCState]:
     occupied = state.occupied
     history = [state]
     for _ in range(steps):
-        occupied = _sweep(row, cb, cc, occupied)
-        history.append(_swept(tuple(row), occupied, state))
+        occupied, counts = _sweep(row, cb, cc, occupied)
+        history.append(_fill(object.__new__(BBSCState), occupied, counts, len(row), cb, cc))
     return history
 
 
@@ -232,7 +253,7 @@ def render_ascii(history: Sequence[BBSCState]) -> str:
         raise EmptyField("nothing to render")
     if any(s.c_box > 9 for s in history):
         raise UndrawableCapacity("occupancies above 9 cannot be drawn as single digits")
-    width = max(len(s.u) for s in history)
+    width = max(s.width for s in history)
     cell = ".123456789".__getitem__
     return "\n".join("".join(map(cell, s.u)).ljust(width, ".") for s in history)
 
@@ -241,25 +262,24 @@ def write_bbsc_csv(history: Sequence[BBSCState], stream: IO[str]) -> None:
     """Write rows ``t,n,u`` for every state in the history.
 
     One list holds the pieces ``",n,0\n"`` of an empty state.  For each
-    state the cells listed in ``occupied`` are filled in, the pieces are
-    joined with t and written whole, in one ``stream.write``, and the
-    filled cells are reset, so the work per state beyond the join is per
-    occupied box.
+    state the cells listed in ``occupied`` are filled in from ``counts``,
+    the pieces are joined with t and written whole, in one
+    ``stream.write``, and the filled cells are reset, so the work per state
+    beyond the join is per occupied box.
     """
     stream.write("t,n,u\n")
-    width = max((len(s.u) for s in history), default=0)
+    width = max((s.width for s in history), default=0)
     empty = [f",{n},0\n" for n in range(width)]
     pieces: list[str] = []
     for t, s in enumerate(history):
-        u = s.u
-        m = len(u)
+        m = s.width
         if not m:
             continue
         del pieces[m:]
         pieces += empty[len(pieces):m]
         filled = s.occupied
-        for n in filled:
-            pieces[n] = f",{n},{u[n]}\n"
+        for n, c in zip(filled, s.counts):
+            pieces[n] = f",{n},{c}\n"
         # the lines "t,n,v\n" of one state are t followed by the pieces
         # ",n,v\n" joined with t
         lead = str(t)

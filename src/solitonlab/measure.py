@@ -290,7 +290,11 @@ def measure_velocity(track: Track, others: Sequence[Track] = ()) -> float:
     Raises TooFewSamples when fewer than two usable samples remain or no
     segment has two points.
     """
-    usable = _usable_samples(track, others)
+    return _velocity(_usable_samples(track, others))
+
+
+def _velocity(usable: Sequence[tuple[int, float, float]]) -> float:
+    """:func:`measure_velocity` of the samples :func:`_usable_samples` kept."""
     if len(usable) < 2:
         raise TooFewSamples(f"{len(usable)} usable samples")
     # split into contiguous runs (gap of more than 2 rows starts a new one)
@@ -324,7 +328,11 @@ def track_amplitude(track: Track, others: Sequence[Track] = ()) -> float:
     the true amplitude; collision samples are excluded because overlapping
     solitons distort each other's depth.
     """
-    usable = _usable_samples(track, others)
+    return _amplitude(_usable_samples(track, others))
+
+
+def _amplitude(usable: Sequence[tuple[int, float, float]]) -> float:
+    """:func:`track_amplitude` of the samples :func:`_usable_samples` kept."""
     if not usable:
         raise TooFewSamples("no collision-free samples")
     return max(dep for _, _, dep in usable)
@@ -334,22 +342,28 @@ def track_amplitude(track: Track, others: Sequence[Track] = ()) -> float:
 # box-ball cluster tracks
 
 
-def _clusters(u: Sequence[int], occupied: Sequence[int]) -> list[tuple[int, int, int]]:
+def _clusters(occupied: Sequence[int], counts: Sequence[int],
+              ) -> list[tuple[int, int, int]]:
     """(leftmost, rightmost, ball count) for each run of nonzero boxes.
 
-    ``occupied`` lists the indices of the nonzero boxes of ``u`` in
-    ascending order (``BBSCState.occupied``), so no empty box is visited.
+    ``occupied`` lists the indices of the nonzero boxes in ascending order
+    and ``counts`` their ball counts (``BBSCState.occupied`` and
+    ``BBSCState.counts``), so no empty box is visited: a run is a stretch
+    of consecutive indices, and its ball count the sum of their counts.
     """
     out = []
     start = last = -2
-    for k in occupied:
+    balls = 0
+    for k, c in zip(occupied, counts):
         if k != last + 1:
             if start >= 0:
-                out.append((start, last, sum(u[start:last + 1])))
+                out.append((start, last, balls))
             start = k
+            balls = 0
+        balls += c
         last = k
     if start >= 0:
-        out.append((start, last, sum(u[start:last + 1])))
+        out.append((start, last, balls))
     return out
 
 
@@ -369,7 +383,7 @@ def detect_bbsc_solitons(history: Sequence[BBSCState]) -> list[Track]:
     prev: list[tuple[int, int, int]] = []
     prev_map: list[Track] = []
     for t, s in enumerate(history):
-        cur = _clusters(s.u, s.occupied)
+        cur = _clusters(s.occupied, s.counts)
         new_map: list[Track | None] = [None] * len(cur)
         used = [False] * len(prev)
         matched = 0
@@ -464,9 +478,11 @@ def overtake_report(tracks: Sequence[Track]) -> dict:
         amps = [tr.sizes[0] for tr in tracks]
         speeds = [tr.speed for tr in tracks]
     else:
-        others = [[o for o in tracks if o is not tr] for tr in tracks]
-        amps = [track_amplitude(tr, rest) for tr, rest in zip(tracks, others)]
-        speeds = [measure_velocity(tr, rest) for tr, rest in zip(tracks, others)]
+        # one exclusion pass per track serves both fits; it skips the track
+        # itself among ``tracks``
+        usable = [_usable_samples(tr, tracks) for tr in tracks]
+        amps = [_amplitude(samples) for samples in usable]
+        speeds = [_velocity(samples) for samples in usable]
     rows = [{
         "amplitude": _fraction_or_float(amp),
         "speed": _fraction_or_float(spd),

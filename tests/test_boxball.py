@@ -2,6 +2,7 @@ import dataclasses
 import io
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -276,8 +277,11 @@ def test_occupied_lists_the_nonzero_boxes_of_every_swept_state(setup):
         assert len(evolved[1].u) > len(start.u)
     assert [s.u for s in stepped] == [s.u for s in swept] == [s.u for s in evolved]
     for s in evolved + stepped + swept:
-        assert type(s.occupied) is tuple
-        assert s.occupied == nonzero_boxes(s.u)
+        u = s.u
+        assert type(s.occupied) is tuple and type(s.counts) is tuple
+        assert s.occupied == nonzero_boxes(u)
+        assert s.counts == tuple(u[k] for k in s.occupied)
+        assert s.width == len(u)
     # a swept history and the same states rebuilt through the constructor
     rebuilt = [BBSCState(s.u, s.c_box, s.c_carrier) for s in evolved]
     for a, b in ((evolved, rebuilt), (stepped, rebuilt)):
@@ -298,22 +302,35 @@ def test_occupied_of_the_empty_and_the_all_zero_state():
         assert detect_bbsc_solitons(history) == []
 
 
-def test_occupied_is_left_out_of_eq_hash_and_repr():
-    (f,) = [f for f in dataclasses.fields(BBSCState) if f.name == "occupied"]
-    assert (f.init, f.repr, f.compare) == (False, False, False)
+def test_swept_and_rebuilt_states_agree_and_are_frozen():
     state = evolve_bbsc(BBSCState((3, 0, 0, 0, 1), c_box=3, c_carrier=1), 2)[-1]
-    assert state.occupied == (0, 1, 6)
-    assert repr(state) == "BBSCState(u=(1, 2, 0, 0, 0, 0, 1), c_box=3, c_carrier=1)"
-    # a state whose derived field is wrong still compares and hashes by its
-    # boxes and capacities alone
-    other = BBSCState(state.u, 3, 1)
-    object.__setattr__(other, "occupied", ())
-    assert other == state and hash(other) == hash(state)
-    assert repr(other) == repr(state)
+    rebuilt = BBSCState(state.u, 3, 1)
+    assert (state.occupied, state.counts, state.width) == ((0, 1, 6), (1, 2, 1), 7)
+    assert state == rebuilt and hash(state) == hash(rebuilt)
+    assert repr(state) == repr(rebuilt) == (
+        "BBSCState(u=(1, 2, 0, 0, 0, 0, 1), c_box=3, c_carrier=1)")
+    # the same occupied boxes in a wider window are a different state
+    wider = BBSCState(state.u + (0,), 3, 1)
+    assert (wider.occupied, wider.counts) == (state.occupied, state.counts)
+    assert wider != state
     # slotted: no per-state __dict__
     assert not hasattr(state, "__dict__")
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        state.occupied = ()
+    for f in dataclasses.fields(BBSCState):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(state, f.name, ())
+
+
+def test_a_long_history_keeps_only_the_occupied_boxes():
+    # a lone ball moves one box a sweep, so a dense history would hold
+    # ~2 million boxes (16 MB of tuples) where the sparse one holds 2000
+    tracemalloc.start()
+    try:
+        history = evolve_bbsc(BBSCState((1,), c_box=1), 2000)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert history[-1].occupied == (2000,)
+    assert held < 2_000_000
 
 
 # --- typed errors -------------------------------------------------------------------

@@ -24,6 +24,7 @@ from solitonlab.errors import (
     SolitonLabError,
     TooFewSamples,
 )
+from solitonlab import measure
 from solitonlab.measure import _assign, _row_minima, _usable_samples
 
 from _oracles import clusters_longhand, detect_bbsc_solitons_longhand, lsq_slope_exact
@@ -334,6 +335,35 @@ def test_overtake_report_measures_each_trough_against_the_others():
     assert report == {"tracks": expected, "crossing": False, "anomaly": "none"}
     assert [row["amplitude"] for row in report["tracks"]] == [0.5, 0.3, 0.2]
     assert [row["speed"] for row in report["tracks"]] == [1.0, 0.0, 0.5]
+
+
+def test_overtake_report_runs_one_exclusion_pass_per_trough_track(monkeypatch):
+    times = list(range(20))
+    tracks = [Track(times, [float(t) for t in times], [0.5] * 20),
+              Track(times, [10.0] * 20, [0.3] * 20),
+              Track(times, [100.0 + 0.5 * t for t in times], [0.2] * 20)]
+    expected = overtake_report(tracks)
+    calls = []
+
+    def spy(track, others):
+        calls.append(track)
+        return _usable_samples(track, others)
+
+    monkeypatch.setattr(measure, "_usable_samples", spy)
+    assert overtake_report(tracks) == expected
+    assert calls == tracks
+
+
+def test_overtake_report_raises_an_amplitude_failure_before_a_speed_failure():
+    # A is clear of B and C at t = 5 only, too few samples for a speed; B
+    # and C are never clear, so neither has an amplitude
+    a = Track(list(range(6)), [0.0] * 6, [0.5] * 6)
+    b = Track(list(range(6)), [1.0] * 5 + [10.0], [0.3] * 6)
+    c = Track([5], [12.0], [0.1])
+    with pytest.raises(TooFewSamples, match="^1 usable samples$"):
+        measure_velocity(a, [b, c])
+    with pytest.raises(TooFewSamples, match="^no collision-free samples$"):
+        overtake_report([a, b, c])
 
 
 def test_a_track_outside_its_life_span_runs_on_along_its_own_line():
