@@ -56,6 +56,7 @@ from typing import IO, Iterable, Sequence
 from .errors import (
     CapacityViolation,
     EmptyField,
+    FrozenState,
     NegativeSteps,
     NonPositiveEpsilon,
     NonPositiveParameter,
@@ -91,7 +92,10 @@ def _box_values(cells) -> tuple[int, ...]:
     return tuple(u)
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+# not frozen=True: with slots=True its generated __setattr__ fails with a
+# TypeError on any name but a field's, so the class refuses every name
+# itself; unsafe_hash keeps the field hash that frozen=True gave
+@dataclass(slots=True, init=False, repr=False, unsafe_hash=True)
 class BBSCState:
     """Box occupancies plus the two capacities, stored sparse.
 
@@ -109,7 +113,8 @@ class BBSCState:
     boxes; these and the two capacities are compared and hashed, so two
     states are equal when their boxes and capacities are, and states that
     differ only in trailing empty boxes are not.  ``u`` builds the full
-    row on each access, and ``repr`` shows it.
+    row on each access, and ``repr`` shows it.  A state is immutable:
+    assigning or deleting any attribute raises :class:`FrozenState`.
     """
 
     occupied: tuple[int, ...]
@@ -132,6 +137,12 @@ class BBSCState:
 
     def __repr__(self) -> str:
         return f"BBSCState(u={self.u!r}, c_box={self.c_box!r}, c_carrier={self.c_carrier!r})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenState(f"cannot assign to {name!r} of a frozen BBSCState")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenState(f"cannot delete {name!r} of a frozen BBSCState")
 
     @property
     def u(self) -> tuple[int, ...]:

@@ -12,6 +12,8 @@ location.
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 
 class SolitonLabError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -140,6 +142,14 @@ class UnknownValueMode(SolitonLabError, ValueError):
 
 class OutputNotWritable(SolitonLabError, ValueError):
     """An output path cannot be opened for writing."""
+
+
+# This one is also a FrozenInstanceError, as a frozen dataclass raises, so
+# callers that catch FrozenInstanceError keep working.
+
+
+class FrozenState(SolitonLabError, FrozenInstanceError):
+    """An attribute of an immutable state was assigned or deleted."""
 
 
 class SolitonEscapedWindow(UserWarning):

@@ -24,6 +24,7 @@ from solitonlab import (
 from solitonlab.errors import (
     CapacityViolation,
     EmptyField,
+    FrozenState,
     NegativeSteps,
     NonPositiveEpsilon,
     NonPositiveParameter,
@@ -318,6 +319,24 @@ def test_swept_and_rebuilt_states_agree_and_are_frozen():
     for f in dataclasses.fields(BBSCState):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(state, f.name, ())
+
+
+@pytest.mark.parametrize("change", [
+    lambda state: setattr(state, "u", ()),
+    lambda state: setattr(state, "balls", 0),
+    lambda state: setattr(state, "label", "x"),
+    lambda state: delattr(state, "u"),
+    lambda state: delattr(state, "c_box"),
+], ids=["assign_u", "assign_balls", "assign_unknown", "delete_u", "delete_c_box"])
+def test_a_state_refuses_every_change_with_a_typed_error(change):
+    # properties and unknown names too, not only fields: the error is the
+    # package's own and the FrozenInstanceError a frozen dataclass raises
+    state = BBSCState((3, 0, 1), c_box=3, c_carrier=1)
+    with pytest.raises(FrozenState) as caught:
+        change(state)
+    assert isinstance(caught.value, SolitonLabError)
+    assert isinstance(caught.value, dataclasses.FrozenInstanceError)
+    assert state == BBSCState((3, 0, 1), 3, 1) and state.balls == 4
 
 
 def test_a_long_history_keeps_only_the_occupied_boxes():

@@ -60,16 +60,23 @@ def test_evolve_agrees_with_exact_sampling(capsys):
     # evolve seeds each sweep with the solution's carrier at the left edge,
     # so the lattice sweep reproduces the sampled window byte for byte; that
     # carrier is a one-column window with a t-shift row, sampled here across,
-    # left of and right of n = 0, and from t < 0
-    windows = [("-20:8", "0:4"), ("-40:-25", "0:4"), ("5:30", "0:4"), ("-20:8", "-4:0")]
-    for n_range, t_range in windows:
-        window = ["--n", n_range, "--t", t_range]
+    # left of and right of n = 0, and from t < 0.  The README's one-mode
+    # window warns on stderr; the t-shift row and the n-shift column of the
+    # tau rectangle meet off the origin on both axes, on one row, and on one
+    # site; four modes give 16 subset lines on rows of 8 columns
+    two = ["2/15:-1/6", "1/30:-1/30"]
+    windows = [(two, "-20:8", "0:4"), (two, "-40:-25", "0:4"), (two, "5:30", "0:4"),
+               (two, "-20:8", "-4:0"), (two[:1], "-20:8", "0:4"), (two, "-20:40", "-3:12"),
+               (two, "5:12", "3:7"), (two, "-10:10", "2:2"), (two, "-4:-4", "2:2"),
+               (["1/30:-1/30", "2/15:-1/6", "1/2:1/2", "2/3:1"], "-3:4", "0:5")]
+    for modes, n_range, t_range in windows:
+        window = ["--alpha", "5/6", "--beta", "14/15",
+                  *[arg for mode in modes for arg in ("--soliton", mode)],
+                  "--n", n_range, "--t", t_range]
         for values in ("float", "exact"):
-            code, out_exact, _ = invoke(capsys, "exact", *BASE_ARGS, *window,
-                                        "--values", values)
+            code, out_exact, _ = invoke(capsys, "exact", *window, "--values", values)
             assert code == 0
-            code, out_evolved, _ = invoke(capsys, "evolve", *BASE_ARGS, *window,
-                                          "--values", values)
+            code, out_evolved, _ = invoke(capsys, "evolve", *window, "--values", values)
             assert code == 0
             assert out_evolved == out_exact
 
@@ -156,14 +163,6 @@ def test_scan_json(capsys):
     payload = json.loads(out)
     assert payload["violations"] == []
     assert payload["v_extremum_p"] == "23/60"
-
-
-def test_verify_all(capsys):
-    code, out, _ = invoke(capsys, "verify", "all", "--grid", "8",
-                          "--points", "6", "--steps", "2")
-    assert code == 0
-    assert "verify: OK" in out
-    assert "residual 0 at" in out
 
 
 def test_rat_reads_each_text_form():
@@ -370,6 +369,19 @@ def test_verify_udlimit_passes_at_equal_capacities(capsys):
                           "--init", "4401")
     assert code == 0
     assert out.count("max deviation 0.000e+00") == 4
+    assert out.endswith("verify: OK\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--cb", "3", "--cc", "1"],
+    ["--cb", "1", "--cc", "3", "--init", "1101"],
+    ["--cb", "2", "--cc", "5", "--init", "2201"],
+    ["--cb", "5", "--cc", "2", "--init", "5502"],
+], ids=["cb3_cc1", "cb1_cc3", "cb2_cc5", "cb5_cc2"])
+def test_verify_udlimit_passes_on_both_capacity_orders(capsys, argv):
+    # the in-regime tropical limit, with c_box above and below c_carrier
+    code, out, err = invoke(capsys, "verify", "udlimit", *argv)
+    assert (code, err) == (0, "")
     assert out.endswith("verify: OK\n")
 
 
@@ -635,6 +647,36 @@ def test_verify_exactness_reads_taus_scaled_per_point_alike(capsys, monkeypatch)
     assert invoke(capsys, "verify", "exactness", "--grid", "8") == expected
 
 
+def solitonlab_command(*argv):
+    """``python -m solitonlab *argv`` on the package in ``src``, with -O when
+    these tests run under it, and the environment to run it in."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    optimize = ["-O"] if sys.flags.optimize else []
+    return ([sys.executable, *optimize, "-m", "solitonlab", *argv],
+            {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": "1"})
+
+
+@pytest.mark.parametrize("argv, code, stdout_holds", [
+    (["verify", "all"], 0, lambda out: out.endswith(b"verify: OK\n")),
+    (["exact", *BASE_ARGS, "--n", "-30:90", "--t", "0:60"], 0,
+     lambda out: out.startswith(b"n,t,x,y\n")),
+    # left of and below the origin, where the rows' taus shrink along n
+    # while the README window's grow
+    (["analyze", *BASE_ARGS, "--t", "-60:0", "--n", "-120:0"], 0,
+     lambda out: "measured" in json.loads(out)),
+    # more modes than KPParams takes (its subset tables hold 2**N terms):
+    # refused before any table is built, not an endless draw or build
+    (["verify", "reduction", "--n-solitons", "60", "--points", "1"], 1, lambda out: out == b""),
+    (["verify", "kp", "--n-solitons", "17", "--points", "1"], 1, lambda out: out == b""),
+], ids=["verify_all", "exact_readme", "analyze_lower_left", "reduction_60_modes",
+        "kp_17_modes"])
+def test_the_entry_point_runs_each_command_within_a_minute(argv, code, stdout_holds):
+    command, env = solitonlab_command(*argv)
+    proc = subprocess.run(command, env=env, capture_output=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert stdout_holds(proc.stdout)
+
+
 @pytest.mark.parametrize("argv, read_first", [
     (["exact", "--alpha", "5/6", "--beta", "14/15", "--soliton", "2/15:-1/6",
       "--n", "-30:90", "--t", "0:60"], True),
@@ -648,10 +690,8 @@ def test_verify_exactness_reads_taus_scaled_per_point_alike(capsys, monkeypatch)
 def test_a_reader_closing_stdout_early_gets_no_traceback(argv, read_first):
     # as `solitonlab ... | head -1`: the writes after the reader has gone
     # fail with EPIPE, which exits 141 and writes nothing to stderr
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": "1"}
-    proc = subprocess.Popen([sys.executable, "-m", "solitonlab", *argv], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    command, env = solitonlab_command(*argv)
+    proc = subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     if read_first:
         assert proc.stdout.readline() != b""
     proc.stdout.close()

@@ -185,6 +185,9 @@ def test_law_grid_special_cases_are_exact():
         assert math.copysign(1.0, ws[1000]) == 1.0
 
 
+# the README's scan claims, checked on the dict that `scan` prints;
+# correctly rounded laws (ROADMAP item 3) change these counts, and the
+# README with them
 README_SCAN_CASES = [
     # the README's tiny-span pairs, where the float laws cancel: 997 and 406
     # false v violations
