@@ -119,18 +119,17 @@ def _row_minima(row: Sequence[float]) -> list[tuple[float, float]]:
         xk = row[k]
         if not (xk < 1.0 - THRESHOLD and row[k - 1] > xk and row[k + 1] >= xk):
             continue
-        if min(row[k - 1], xk, row[k + 1]) <= 0.0:
-            out.append((float(k), abs(xk - 1.0)))  # no log refinement possible
-            continue
-        lm, l0, lp = math.log(row[k - 1]), math.log(xk), math.log(row[k + 1])
-        curv = lm - 2.0 * l0 + lp
-        if curv <= 0.0:
+        curv = 0.0
+        if min(row[k - 1], xk, row[k + 1]) > 0.0:
+            lm, l0, lp = math.log(row[k - 1]), math.log(xk), math.log(row[k + 1])
+            curv = lm - 2.0 * l0 + lp
+        if curv > 0.0:
+            off = 0.5 * (lm - lp) / curv
+            off = max(-0.5, min(0.5, off))
+            vertex = l0 - 0.125 * (lm - lp) ** 2 / curv
+            out.append((k + off, abs(math.exp(vertex) - 1.0)))
+        else:  # no log parabola opens upward here: keep the site unrefined
             out.append((float(k), abs(xk - 1.0)))
-            continue
-        off = 0.5 * (lm - lp) / curv
-        off = max(-0.5, min(0.5, off))
-        vertex = l0 - 0.125 * (lm - lp) ** 2 / curv
-        out.append((k + off, abs(math.exp(vertex) - 1.0)))
     return out
 
 

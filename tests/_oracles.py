@@ -4,16 +4,23 @@ These are deliberately the slow, obviously-correct versions: cofactor
 expansion instead of the Cauchy subset sum, scalar closed forms instead
 of determinant assembly.  They were written and frozen before the library
 code they check.
+
+The module also holds the inputs that several test files share: the
+paper's reference pair ``REF_PARAMS`` and ``REF_SOLITONS``,
+``FALLBACK_MODES``, and :func:`soliton_systems`, the one hypothesis
+strategy that draws valid soliton systems in a given regime.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
 from random import Random
+
+from hypothesis import assume, strategies as st
 
 from solitonlab.errors import (
     DegenerateP,
@@ -24,6 +31,48 @@ from solitonlab.errors import (
 )
 from solitonlab.lattice import LatticeField, SystemParams, _two_point, rat_str
 from solitonlab.solitons import KPParams, _kp_sums
+
+# the paper's reference pair: alpha < beta, and the shallower soliton
+# (p = 2/15) outruns the deeper one (p = 1/30)
+REF_PARAMS = SystemParams(Fraction(5, 6), Fraction(14, 15))
+REF_SOLITONS = ((Fraction(2, 15), Fraction(-1, 6)), (Fraction(1, 30), Fraction(-1, 30)))
+# two modes at REF_PARAMS whose README-window analyze sampling has a point
+# where the float sampler's short-quotient bounds round apart
+FALLBACK_MODES = ((Fraction(1, 60), Fraction(-3, 25000)), (Fraction(3, 20), Fraction(-79, 20000)))
+
+# alpha < beta, alpha = beta and alpha > beta
+REGIMES = ("lt", "eq", "gt")
+
+
+def mirror_free(ks: Sequence[int]) -> bool:
+    """No mode p = span * k / 40 at the midpoint (k = 20) and no pair with
+    p_i + p_j = span (k + m = 40): the modes ``validate`` accepts."""
+    return all(k + m != 40 for k in ks for m in ks)
+
+
+@st.composite
+def soliton_systems(draw, regime: str, n_modes: int):
+    """A ``SystemParams`` in ``regime`` (one of ``REGIMES``) and ``n_modes``
+    modes (p, gamma) that validate.
+
+    alpha and beta come from [11/20, 19/20]; each p is span * k / 40 for
+    distinct k that are :func:`mirror_free`, and gamma is negative on the
+    left half of (0, span) and positive on the right, with |gamma| in
+    [1/10, 10].
+    """
+    lo, hi = sorted(draw(st.lists(
+        st.fractions(min_value=Fraction(11, 20), max_value=Fraction(19, 20),
+                     max_denominator=40), min_size=2, max_size=2, unique=True)))
+    alpha, beta = {"lt": (lo, hi), "eq": (lo, lo), "gt": (hi, lo)}[regime]
+    span = alpha + beta - 1
+    ks = draw(st.lists(st.integers(1, 39), min_size=n_modes, max_size=n_modes, unique=True))
+    assume(mirror_free(ks))
+    modes = []
+    for k in ks:
+        mag = draw(st.fractions(min_value=Fraction(1, 10), max_value=Fraction(10),
+                                max_denominator=20))
+        modes.append((span * k / 40, mag if k > 20 else -mag))
+    return SystemParams(alpha, beta), modes
 
 
 def det_cofactor(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -234,14 +283,16 @@ def ud_gaps_longhand(u: Sequence[int], c_box: int, c_carrier: int,
     With 1 - beta = e^(-c_box/eps) and 1 - alpha = e^(-c_carrier/eps), each
     box u and load v of :func:`bbsc_sweep_longhand` give x = e^(-u/eps),
     y = e^(-v/eps) and x' = y ((1-beta) + beta x y) / ((1-alpha) + alpha x y),
-    evaluated directly at 60 digits.  Returns, per eps, the max over the swept
-    boxes of |-eps ln x' - u'| (boxes the sweep appended start empty).
+    evaluated directly at 60 digits, with the widest exponent range so that
+    e^(-(u + v)/eps) does not underflow down to eps = 1e-6.  Returns, per
+    eps, the max over the swept boxes of |-eps ln x' - u'| (boxes the sweep
+    appended start empty).
     """
     new_u, loads = bbsc_sweep_longhand(u, c_box, c_carrier)
     cells = list(u) + [0] * (len(new_u) - len(u))
     gaps = []
     with localcontext() as ctx:
-        ctx.prec = 60
+        ctx.prec, ctx.Emin, ctx.Emax = 60, MIN_EMIN, MAX_EMAX
         for eps in epsilons:
             e = Decimal(eps)
             one_m_beta = (-c_box / e).exp()
@@ -328,6 +379,23 @@ def detect_bbsc_solitons_longhand(history) -> list[tuple[list[int], list[int], i
             owner[ci][1].append(lo)
         prev, prev_tracks = cur, owner
     return sorted(tracks, key=lambda tr: (tr[0][0], tr[1][0]))
+
+
+def interp_longhand(x: float, xp: Sequence[float], fp: Sequence[float]) -> float:
+    """Piecewise-linear interpolation of increasing knots ``xp``, found by a
+    linear scan over floats: the end value at or beyond either end, a knot's
+    own value at a knot, and ``slope * (x - xp[j]) + fp[j]`` inside the
+    segment (xp[j], xp[j + 1]) that holds x."""
+    x, xp, fp = float(x), [float(v) for v in xp], [float(v) for v in fp]
+    if x <= xp[0]:
+        return fp[0]
+    for j in range(len(xp) - 1):
+        if x == xp[j]:
+            return fp[j]
+        if x < xp[j + 1]:
+            slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+            return slope * (x - xp[j]) + fp[j]
+    return fp[-1]
 
 
 def lsq_slope_exact(samples: Sequence[tuple[int, float]]) -> Fraction:

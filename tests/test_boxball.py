@@ -4,7 +4,6 @@ import math
 import re
 import tracemalloc
 from fractions import Fraction
-from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +15,7 @@ from solitonlab import (
     bbsc_sweep,
     detect_bbsc_solitons,
     evolve_bbsc,
+    evolve_gkdv,
     render_ascii,
     sample_field,
     ud_limit_check,
@@ -34,7 +34,13 @@ from solitonlab.errors import (
 )
 from solitonlab.lattice import _gkdv_constants, _two_point
 
-from _oracles import bbsc_csv_longhand, bbsc_sweep_longhand, ud_gaps_longhand
+from _oracles import (
+    REF_PARAMS,
+    REF_SOLITONS,
+    bbsc_csv_longhand,
+    bbsc_sweep_longhand,
+    ud_gaps_longhand,
+)
 
 
 # --- automaton hand traces ----------------------------------------------------
@@ -131,13 +137,6 @@ def test_state_accepts_what_operator_index_accepts():
     assert BBSCState((v for v in (0, 1)), c_box=1).u == (0, 1)
     with pytest.raises(CapacityViolation, match=r"^box 0 holds 4, outside \[0, 3\]$"):
         BBSCState((Index(4),), c_box=3)
-
-
-def test_state_accepts_numpy_integers():
-    np = pytest.importorskip("numpy")
-    state = BBSCState(np.array([0, 2, 1], dtype=np.int64), c_box=2)
-    assert state.u == (0, 2, 1) and all(type(v) is int for v in state.u)
-    assert state.occupied == (1, 2)
 
 
 occupancies = st.integers(1, 6).flatmap(
@@ -494,16 +493,17 @@ def test_ud_limit_is_exact_at_equal_capacities(state):
     assert ud_limit_check(state, [1.0, 0.1, 1e-6]) == [(1.0, 0.0), (0.1, 0.0), (1e-6, 0.0)]
 
 
-def test_ud_limit_gaps_equal_the_decimal_longhand():
-    rng = Random(18)
-    for _ in range(40):
-        cb, cc = rng.randint(1, 5), rng.randint(1, 5)
-        state = evolve_bbsc(BBSCState(tuple(rng.randint(0, cb) for _ in range(rng.randint(1, 10))),
-                                      cb, cc), rng.randint(0, 3))[-1]
-        epsilons = [1.0, 0.1, 0.01, 0.001]
-        got = [g for _, g in ud_limit_check(state, epsilons)]
-        expected = ud_gaps_longhand(state.u, cb, cc, epsilons)
-        assert got == pytest.approx(expected, rel=0, abs=1e-12)
+@given(swept_states(), st.one_of(
+    st.just([1.0, 0.1, 0.01, 0.001]),
+    st.lists(st.floats(1e-6, 3.0), min_size=1, max_size=5, unique=True)))
+@settings(max_examples=100, deadline=None)
+def test_ud_limit_gaps_equal_the_decimal_longhand(state, epsilons):
+    # verify's default ladder, or 1 to 5 distinct epsilons from 3 down to
+    # 1e-6, taken largest first
+    epsilons = sorted(epsilons, reverse=True)
+    got = [g for _, g in ud_limit_check(state, epsilons)]
+    expected = ud_gaps_longhand(state.u, state.c_box, state.c_carrier, epsilons)
+    assert got == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("c_box, c_carrier, match", [
@@ -541,6 +541,36 @@ def test_field_from_state_round_trip():
     assert gaps[-1][1] <= 0.01 * math.log(2) + 1e-12
 
 
+@st.composite
+def padded_states(draw):
+    """States of capacities 1..5 and 3..15 boxes, padded with (ball count +
+    2) empty boxes, so the carrier empties inside the window."""
+    cb, cc = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cells = draw(st.lists(st.integers(0, cb), min_size=3, max_size=15))
+    return BBSCState((*cells, *[0] * (sum(cells) + 2)), cb, cc)
+
+
+def _rounds_to(x: Fraction, k: int, u: int) -> bool:
+    """Whether -log2(x) / k rounds to u, that is
+    2^(k (u - 1/2)) < 1/x <= 2^(k (u + 1/2)), decided on the integers of a
+    positive x for an even k."""
+    return x.numerator << k * u < x.denominator << k // 2 <= x.numerator << k * (u + 1)
+
+
+@given(padded_states(), st.sampled_from([20, 40]))
+@settings(max_examples=100, deadline=None)
+def test_one_lattice_sweep_rounds_to_the_carrier_sweep(state, k):
+    # the lattice kernel in the tropical regime, against the automaton: with
+    # q = 2^-k, x = q^u, y = 1 entering, alpha = 1 - q^c_carrier and
+    # beta = 1 - q^c_box, every x' of one evolve_gkdv step rounds to q^u'
+    q = Fraction(1, 2 ** k)
+    params = SystemParams(1 - q ** state.c_carrier, 1 - q ** state.c_box)
+    x_next = evolve_gkdv([q ** u for u in state.u], params, 1).xs[1]
+    new = bbsc_sweep(state)[0].u
+    assert len(new) == len(x_next)
+    assert [n for n, (x, u) in enumerate(zip(x_next, new)) if not _rounds_to(x, k, u)] == []
+
+
 def test_ud_limit_needs_a_box():
     with pytest.raises(EmptyField):
         ud_limit_check(BBSCState((), c_box=3, c_carrier=1), [1.0])
@@ -560,16 +590,13 @@ def test_ud_limit_epsilon_validation():
             ud_limit_check(state, eps)
 
 
-MIRROR_MODES = [(Fraction(2, 15), Fraction(-1, 6)), (Fraction(1, 30), Fraction(-1, 30))]
-
-
-@pytest.mark.parametrize("alpha, beta", [(Fraction(5, 6), Fraction(14, 15)),
-                                         (Fraction(14, 15), Fraction(5, 6)),
+@pytest.mark.parametrize("alpha, beta", [(REF_PARAMS.alpha, REF_PARAMS.beta),
+                                         (REF_PARAMS.beta, REF_PARAMS.alpha),
                                          (Fraction(3, 4), Fraction(3, 4))])
 def test_inverted_solitons_solve_the_mirror_map(alpha, beta):
-    # (1/x, 1/y) of a solution at (alpha, beta) solves the map at
+    # (1/x, 1/y) of the reference modes at (alpha, beta) solve the map at
     # (1 - beta, 1 - alpha), where alpha + beta < 1: troughs become peaks
-    field = sample_field(SystemParams(alpha, beta), MIRROR_MODES, (0, 3), (-6, 6))
+    field = sample_field(SystemParams(alpha, beta), REF_SOLITONS, (0, 3), (-6, 6))
     mirror = SystemParams(1 - beta, 1 - alpha)
     inv_x = [[1 / x for x in row] for row in field.xs]
     inv_y = [[1 / y for y in row] for row in field.ys]

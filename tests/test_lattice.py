@@ -26,7 +26,13 @@ from solitonlab.errors import (
     ZeroFieldValue,
 )
 
-from _oracles import gkdv_local_longhand, map_constants_longhand, two_point_longhand
+from _oracles import (
+    REF_PARAMS,
+    REF_SOLITONS,
+    gkdv_local_longhand,
+    map_constants_longhand,
+    two_point_longhand,
+)
 
 # open interval (0, 1), exact
 unit_open = st.fractions(
@@ -227,8 +233,7 @@ def test_two_full_size_gcds_per_site_on_a_solution_row(monkeypatch):
     2**64: g1 and g2, and the two gcds with their cofactors, which on a
     solution cost one division each.  Reducing x' and y~ by full-size cross
     gcds, as ``Fraction`` multiplication does, takes six."""
-    params = SystemParams(Fraction(5, 6), Fraction(14, 15))
-    modes = [(Fraction(2, 15), Fraction(-1, 6)), (Fraction(1, 30), Fraction(-1, 30))]
+    params, modes = REF_PARAMS, REF_SOLITONS
     t_range, n_range = (-3, 12), (-20, 40)
     row0 = sample_field(params, modes, (-3, -3), n_range).xs[0]
     edge = sample_field(params, modes, t_range, (-20, -20)).ys
@@ -278,11 +283,7 @@ def test_step_rejects_empty_window():
 def test_evolution_conserves_site_products(row, params, steps):
     # x'(n) y(n+1) = x(n) y(n) at every site, with y(n+1) the carry that
     # x(n) handed on; the window re-seeds y = 1 on the left each sweep
-    import warnings as w
-
-    with w.catch_warnings():
-        w.simplefilter("ignore")
-        field = evolve_gkdv(row, params, steps)
+    field = evolve_gkdv(row, params, steps)
     for j in range(steps):
         assert field.ys[j][0] == 1
         for n in range(len(row) - 1):
@@ -300,13 +301,9 @@ def test_evolve_needs_one_left_carrier_per_row():
 
 
 def test_field_accessors_and_csv():
-    import warnings as w
-
     params = SystemParams(Fraction(1, 2), Fraction(1, 3))
-    with w.catch_warnings():
-        w.simplefilter("ignore")
-        field = evolve_gkdv([Fraction(1), Fraction(2), Fraction(1)], params, 2,
-                            n_lo=-1, t0=5)
+    field = evolve_gkdv([Fraction(1), Fraction(2), Fraction(1)], params, 2,
+                        n_lo=-1, t0=5)
     assert field.n_hi == 1 and field.t1 == 7
     assert list(field.times) == [5, 6, 7]
     assert list(field.sites) == [-1, 0, 1]

@@ -25,13 +25,16 @@ from solitonlab.errors import (
     TooFewSamples,
 )
 from solitonlab import measure
-from solitonlab.measure import _assign, _row_minima, _usable_samples
+from solitonlab.measure import _assign, _interp, _row_minima, _usable_samples
 
-from _oracles import clusters_longhand, detect_bbsc_solitons_longhand, lsq_slope_exact
-
-REF_PARAMS = SystemParams(Fraction(5, 6), Fraction(14, 15))
-REF_SOLITONS = [(Fraction(2, 15), Fraction(-1, 6)),
-                (Fraction(1, 30), Fraction(-1, 30))]
+from _oracles import (
+    REF_PARAMS,
+    REF_SOLITONS,
+    clusters_longhand,
+    detect_bbsc_solitons_longhand,
+    interp_longhand,
+    lsq_slope_exact,
+)
 
 
 def _tracks(params, solitons, t_range, n_range):
@@ -149,6 +152,20 @@ def test_tracks_are_in_lattice_coordinates():
 ], ids=["zero", "flat_log"])
 def test_a_minimum_that_no_parabola_fits_keeps_its_site_and_depth(row):
     assert _row_minima(row) == [(2.0, 1.0)]
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=12),
+       st.integers(-20, 20),
+       st.lists(st.one_of(st.floats(-1e6, 1e6), st.integers(-100, 100)),
+                min_size=12, max_size=12),
+       st.one_of(st.integers(-30, 70), st.floats(-30, 70)))
+@settings(max_examples=300, deadline=None)
+def test_interp_matches_the_longhand_scan(steps, t0, values, x):
+    # integer knot times, float or integer values, x on, between and
+    # beyond the knots: the bisection and the scan agree bit for bit
+    xp = [t0 + sum(steps[:k + 1]) for k in range(len(steps))]
+    fp = values[:len(xp)]
+    assert _interp(x, xp, fp).hex() == interp_longhand(x, xp, fp).hex()
 
 
 def test_velocity_of_a_straight_line_is_one():

@@ -1,6 +1,5 @@
 import json
 import math
-import warnings
 from fractions import Fraction
 from random import Random
 
@@ -41,35 +40,28 @@ from solitonlab.errors import (
 )
 
 from _oracles import (
+    FALLBACK_MODES,
+    REF_PARAMS,
+    REF_SOLITONS,
+    REGIMES,
     cofactor_tau,
     det_cofactor,
     kp_matrix_longhand,
     laws_longhand,
+    mirror_free,
     one_soliton_xy,
     random_kp_params_longhand,
     scan_longhand,
+    soliton_systems,
     tau_grid_longhand,
     x_float_longhand,
 )
 
-REF_PARAMS = SystemParams(Fraction(5, 6), Fraction(14, 15))
-REF_SOLITONS = [(Fraction(2, 15), Fraction(-1, 6)),
-                (Fraction(1, 30), Fraction(-1, 30))]
 SPAN = Fraction(23, 30)
 MID = SPAN / 2
 
 
 # --- closed-form speed and amplitude -----------------------------------------
-
-
-def test_reference_velocities():
-    assert abs(velocity(REF_PARAMS, Fraction(2, 15)) - 0.783) < 1e-3
-    assert abs(velocity(REF_PARAMS, Fraction(1, 30)) - 0.723) < 1e-3
-
-
-def test_reference_amplitudes():
-    assert abs(amplitude(REF_PARAMS, Fraction(2, 15)) - 0.363) < 1e-3
-    assert abs(amplitude(REF_PARAMS, Fraction(1, 30)) - 0.722) < 1e-3
 
 
 def test_midpoint_is_the_fixed_point():
@@ -405,20 +397,9 @@ def test_validate_raises_on_a_nonpositive_constant(monkeypatch):
 
 @st.composite
 def valid_single_mode(draw):
-    alpha = draw(st.fractions(min_value=Fraction(11, 20), max_value=Fraction(19, 20),
-                              max_denominator=40))
-    beta = draw(st.fractions(min_value=Fraction(11, 20), max_value=Fraction(19, 20),
-                             max_denominator=40))
-    span = alpha + beta - 1
-    assume(span > 0)
-    k = draw(st.integers(1, 19))
-    p = span * k / 20
-    mid = span / 2
-    assume(p != mid)
-    mag = draw(st.fractions(min_value=Fraction(1, 10), max_value=Fraction(10),
-                            max_denominator=20))
-    gamma = mag if p > mid else -mag
-    return SystemParams(alpha, beta), p, gamma
+    """A system in one of the three regimes and one mode that validates."""
+    params, [(p, gamma)] = draw(soliton_systems(draw(st.sampled_from(REGIMES)), 1))
+    return params, p, gamma
 
 
 @given(valid_single_mode(), st.integers(-4, 4), st.integers(-4, 4))
@@ -431,8 +412,8 @@ def test_single_mode_matches_scalar_closed_form(mode, t, n):
     assert (field.xs, field.ys) == ([[x]], [[y]])
 
 
-FIVE = REF_SOLITONS + [(Fraction(1, 2), Fraction(1, 5)), (Fraction(3, 5), Fraction(2, 7)),
-                       (Fraction(1, 10), Fraction(-3, 4))]
+FIVE = [*REF_SOLITONS, (Fraction(1, 2), Fraction(1, 5)), (Fraction(3, 5), Fraction(2, 7)),
+        (Fraction(1, 10), Fraction(-3, 4))]
 
 
 def test_tau_assembly_against_cofactor_expansion():
@@ -472,20 +453,7 @@ def test_sample_field_against_cofactor_cross_ratios(n_modes):
 @st.composite
 def valid_modes(draw):
     """A system in one of the three regimes and 1-4 modes that validate."""
-    lo, hi = sorted(draw(st.lists(
-        st.fractions(min_value=Fraction(11, 20), max_value=Fraction(19, 20),
-                     max_denominator=40), min_size=2, max_size=2, unique=True)))
-    alpha, beta = draw(st.sampled_from([(lo, hi), (lo, lo), (hi, lo)]))
-    span = alpha + beta - 1
-    ks = draw(st.lists(st.integers(1, 39), min_size=1, max_size=4, unique=True))
-    # no midpoint mode and no pair with p_i + p_j = span
-    assume(all(2 * k != 40 for k in ks) and all(k + m != 40 for k in ks for m in ks))
-    modes = []
-    for k in ks:
-        mag = draw(st.fractions(min_value=Fraction(1, 10), max_value=Fraction(10),
-                                max_denominator=20))
-        modes.append((span * k / 40, mag if 2 * k > 40 else -mag))
-    return SystemParams(alpha, beta), modes
+    return draw(soliton_systems(draw(st.sampled_from(REGIMES)), draw(st.integers(1, 4))))
 
 
 @given(valid_modes(), st.tuples(*[st.integers(-3, 3)] * 4))
@@ -625,15 +593,16 @@ def _spy_exact_x(monkeypatch) -> list[int]:
 
 def _random_x_window(rng: Random, regime: str, n_modes: int, t_side: str, n_side: str):
     """A system in ``regime`` with ``n_modes`` valid modes drawn as
-    :func:`tau_windows` draws them, and t and n ranges on the given sides of
-    0, up to 40 steps away, so the taus run from a few bits to thousands."""
+    ``soliton_systems`` draws them, and t and n ranges on the given sides
+    of 0, up to 40 steps away, so the taus run from a few bits to
+    thousands."""
     lo, hi = sorted(rng.sample(range(22, 39), 2))
     alpha, beta = {"lt": (lo, hi), "eq": (lo, lo), "gt": (hi, lo)}[regime]
     params = SystemParams(Fraction(alpha, 40), Fraction(beta, 40))
     span = params.alpha + params.beta - 1
     while True:
         ks = rng.sample(range(1, 40), n_modes)
-        if all(k + m != 40 for k in ks for m in ks):
+        if mirror_free(ks):
             break
     modes = [(span * k / 40, Fraction(rng.randint(2, 200), 20) * (1 if k > 20 else -1))
              for k in ks]
@@ -657,7 +626,7 @@ def test_sample_x_float_matches_the_longhand_on_random_windows(monkeypatch):
     rng = Random(31)
     fallbacks = _spy_exact_x(monkeypatch)
     points, narrow = 0, 0
-    for regime in ("lt", "eq", "gt"):
+    for regime in REGIMES:
         for n_modes in range(5):
             for t_side in ("left", "right", "across"):
                 for n_side in ("left", "right", "across"):
@@ -709,10 +678,6 @@ def test_sample_x_float_takes_the_exact_path_on_rows_with_a_quotient_below_one(m
     assert fallbacks == [0, 1, 0, 1]
 
 
-# a two-mode analyze window with a point whose bounds round apart
-FALLBACK_MODES = [(Fraction(1, 60), Fraction(-3, 25000)), (Fraction(3, 20), Fraction(-79, 20000))]
-
-
 def test_sample_x_float_takes_the_exact_path_where_the_bounds_round_apart(monkeypatch):
     fallbacks = _spy_exact_x(monkeypatch)
     got = sample_x_float(REF_PARAMS, FALLBACK_MODES, (0, 60), (-30, 90))
@@ -762,18 +727,7 @@ def test_a_vanishing_tau_raises_zero_tau_naming_its_site(monkeypatch, sampler):
 def tau_windows(draw, regime: str, n_modes: int):
     """A system in ``regime`` with ``n_modes`` valid modes, and the t and n
     ranges of a window, each left of, right of or across 0."""
-    lo, hi = sorted(draw(st.lists(
-        st.fractions(min_value=Fraction(11, 20), max_value=Fraction(19, 20),
-                     max_denominator=40), min_size=2, max_size=2, unique=True)))
-    alpha, beta = {"lt": (lo, hi), "eq": (lo, lo), "gt": (hi, lo)}[regime]
-    span = alpha + beta - 1
-    ks = draw(st.lists(st.integers(1, 39), min_size=n_modes, max_size=n_modes, unique=True))
-    assume(all(k + m != 40 for k in ks for m in ks))
-    modes = []
-    for k in ks:
-        mag = draw(st.fractions(min_value=Fraction(1, 10), max_value=Fraction(10),
-                                max_denominator=20))
-        modes.append((span * k / 40, mag if 2 * k > 40 else -mag))
+    params, modes = draw(soliton_systems(regime, n_modes))
 
     def window_range(longest: int) -> tuple[int, int]:
         size = draw(st.integers(1, longest))
@@ -786,12 +740,12 @@ def tau_windows(draw, regime: str, n_modes: int):
 
     # rows of up to 40 columns at N <= 2, so the number of subset terms
     # falls on both sides of the row length
-    return (SystemParams(alpha, beta), modes, window_range(4),
+    return (params, modes, window_range(4),
             window_range(39 if n_modes <= 2 else 4))
 
 
 @pytest.mark.parametrize("n_modes", [0, 1, 2, 3, 4])
-@pytest.mark.parametrize("regime", ["lt", "eq", "gt"])
+@pytest.mark.parametrize("regime", REGIMES)
 @given(data=st.data())
 @settings(max_examples=15, deadline=None)
 def test_tau_grid_is_canonical(regime, n_modes, data):
@@ -861,9 +815,7 @@ def test_tau_rows_of_the_readme_window_match_the_pointwise_oracle():
 def test_two_soliton_field_solves_the_lattice_equation():
     # the determinant field, fed back through the update sweep, reproduces
     # itself exactly: x and the carries y agree at every site
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        field = sample_field(REF_PARAMS, REF_SOLITONS, (0, 4), (-10, 10))
+    field = sample_field(REF_PARAMS, REF_SOLITONS, (0, 4), (-10, 10))
     for j in range(4):
         x_next, y_row = _sweep(field.xs[j], field.ys[j][0], _gkdv_constants(REF_PARAMS),
                                field.n_lo)
