@@ -493,17 +493,24 @@ def test_ud_limit_is_exact_at_equal_capacities(state):
     assert ud_limit_check(state, [1.0, 0.1, 1e-6]) == [(1.0, 0.0), (0.1, 0.0), (1e-6, 0.0)]
 
 
-@given(swept_states(), st.one_of(
-    st.just([1.0, 0.1, 0.01, 0.001]),
-    st.lists(st.floats(1e-6, 3.0), min_size=1, max_size=5, unique=True)))
-@settings(max_examples=100, deadline=None)
-def test_ud_limit_gaps_equal_the_decimal_longhand(state, epsilons):
-    # verify's default ladder, or 1 to 5 distinct epsilons from 3 down to
-    # 1e-6, taken largest first
-    epsilons = sorted(epsilons, reverse=True)
+def assert_gaps_equal_the_decimal_longhand(state, epsilons):
     got = [g for _, g in ud_limit_check(state, epsilons)]
     expected = ud_gaps_longhand(state.u, state.c_box, state.c_carrier, epsilons)
     assert got == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+@given(swept_states())
+@settings(max_examples=50, deadline=None)
+def test_ud_limit_gaps_equal_the_decimal_longhand(state):
+    # verify's default ladder
+    assert_gaps_equal_the_decimal_longhand(state, [1.0, 0.1, 0.01, 0.001])
+
+
+@given(swept_states(), st.lists(st.floats(1e-6, 3.0), min_size=1, max_size=5, unique=True))
+@settings(max_examples=100, deadline=None)
+def test_ud_limit_check_matches_the_decimal_longhand(state, epsilons):
+    # 1 to 5 distinct epsilons from 3 down to 1e-6, taken largest first
+    assert_gaps_equal_the_decimal_longhand(state, sorted(epsilons, reverse=True))
 
 
 @pytest.mark.parametrize("c_box, c_carrier, match", [
