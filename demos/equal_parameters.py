@@ -1,6 +1,7 @@
 """When the two map parameters coincide, the dynamics degenerates to a pure
 exchange: one step shifts every profile one site right, so all speeds are 1
-and solitons keep their spacing forever.
+and solitons keep their spacing forever.  The trough tracker takes the
+system's (alpha, beta), so its jump gate is sized for that speed of 1.
 """
 
 from fractions import Fraction
@@ -24,7 +25,7 @@ print("  (everything moved one box to the right; y = 1 refilled the edge)\n")
 
 solitons = [(Fraction(1, 15), Fraction(-20)), (Fraction(1, 30), Fraction(-1, 60))]
 rows = sample_x_float(params, solitons, (0, 40), (-10, 50))
-tracks = track_troughs(rows, n_lo=-10, t0=0)
+tracks = track_troughs(params, rows, n_lo=-10, t0=0)
 print(f"two-soliton field, {len(tracks)} tracks measured:")
 for tr in tracks:
     others = [o for o in tracks if o is not tr]

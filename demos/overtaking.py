@@ -3,7 +3,9 @@
 Samples x of the two-soliton field on a 61x121 window as floats, each the
 correctly rounded value of the exact ratio, runs the blind trough tracker
 over those rows, and compares what it measures with the closed-form speed
-and amplitude laws.
+and amplitude laws.  The tracker reads the modes from nothing but the rows;
+of the system it takes (alpha, beta), whose fastest speed sizes its jump
+gate.
 """
 
 from fractions import Fraction
@@ -30,7 +32,7 @@ for p, _ in solitons:
 print("\nsampling t in [0, 60], n in [-30, 90]...")
 rows = sample_x_float(params, solitons, (0, 60), (-30, 90))
 
-tracks = track_troughs(rows, n_lo=-30, t0=0)
+tracks = track_troughs(params, rows, n_lo=-30, t0=0)
 print(f"tracker found {len(tracks)} tracks:")
 for tr in tracks:
     others = [o for o in tracks if o is not tr]

@@ -242,7 +242,7 @@ def _cmd_bbsc(args) -> int:
 def _cmd_analyze(args) -> int:
     params = SystemParams(args.alpha, args.beta)
     rows = solitons.sample_x_float(params, args.soliton, args.t, args.n)
-    tracks = measure.track_troughs(rows, args.n[0], args.t[0])
+    tracks = measure.track_troughs(params, rows, args.n[0], args.t[0])
     closed = [{
         "p": rat_str(p),
         "gamma": rat_str(gamma),

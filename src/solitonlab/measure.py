@@ -15,7 +15,8 @@ and rounded once to a float.  Samples taken while another track is within
 a track runs on along its own line at its net speed.  The fit allows a
 separate intercept per surviving contiguous segment: a collision shifts a
 soliton's phase, so forcing one intercept across the jump would bias the
-slope.  The linker's jump gate is sized by ``V_MAX``; a detection needs
+slope.  The linker's jump gate follows the fastest speed that (alpha, beta)
+allow, :func:`solitonlab.solitons.speed_bound`; a detection needs
 |x - 1| above ``THRESHOLD`` and a track needs ``MIN_SAMPLES``.  A track is
 never retired: it coasts to the last row, and its gate widens with its gap,
 so a trough hidden for many rows inside a slow collision keeps its track
@@ -42,6 +43,8 @@ from typing import Sequence
 
 from .boxball import BBSCState
 from .errors import InconsistentCapacities, MixedTrackKinds, TooFewSamples
+from .lattice import SystemParams
+from .solitons import speed_bound
 
 # How close (lattice units) another soliton may come before a sample is
 # discarded as collision-contaminated.  Calibrated against the closed-form
@@ -49,9 +52,6 @@ from .errors import InconsistentCapacities, MixedTrackKinds, TooFewSamples
 # refined depth by more than 5e-3 out to roughly 4 units, while velocities
 # stay within 1e-2 already at 3.  One radius serves both measurements.
 EXCLUSION_RADIUS = 4.5
-# sites per step that size the jump gate; speeds exceed it for alpha > beta:
-# 1.39 at (14/15, 5/6), ~8 at (19/20, 1/5) (ROADMAP item 2)
-V_MAX = 1.0
 THRESHOLD = 1e-3  # least |x - 1| of a detected trough
 MIN_SAMPLES = 3
 
@@ -140,20 +140,24 @@ def _match_cost(pred_pos: float, pred_depth: float, det_pos: float,
     return abs(pred_pos - det_pos) / gate + 3.0 * abs(pred_depth - det_depth)
 
 
-def track_troughs(rows: Sequence[Sequence[float]], n_lo: int,
-                  t0: int) -> list[Track]:
+def track_troughs(params: SystemParams, rows: Sequence[Sequence[float]],
+                  n_lo: int, t0: int) -> list[Track]:
     """Link per-row trough detections into tracks.
 
-    ``rows[j][k]`` is x at time ``t0 + j`` and site ``n_lo + k``, as
-    :func:`solitonlab.solitons.sample_x_float` returns it.  A detection
-    needs |x - 1| above ``THRESHOLD``.  ``V_MAX`` bounds the per-step
-    jump gate.  A track stays a candidate until the last row: it may coast
-    undetected for any number of rows (troughs merge during collisions),
-    and its gate widens with the rows it has coasted.  Tracks with fewer
-    than ``MIN_SAMPLES`` detections are discarded as noise.  Tracks are
-    returned sorted by first appearance, then position.
+    ``rows[j][k]`` is x of the system ``params`` at time ``t0 + j`` and
+    site ``n_lo + k``, as :func:`solitonlab.solitons.sample_x_float` returns
+    it.  A detection needs |x - 1| above ``THRESHOLD``.  The per-step jump
+    gate is twice the fastest speed of the system,
+    :func:`solitonlab.solitons.speed_bound`, rounded up: 2 sites wherever
+    alpha <= beta, 17 at (19/20, 1/5).  A track stays a candidate until the
+    last row: it may coast undetected for any number of rows (troughs merge
+    during collisions), and its gate widens with the rows it has coasted.
+    A float quotient of the bound that rounds to 1 raises FloatLawUndefined
+    before any row is read.  Tracks with fewer than ``MIN_SAMPLES``
+    detections are discarded as noise.  Tracks are returned sorted by first
+    appearance, then position.
     """
-    base_gate = max(2.0, math.ceil(2.0 * V_MAX))
+    base_gate = math.ceil(2.0 * speed_bound(params))
     tracks: list[Track] = []
     for t, row in enumerate(rows, t0):
         dets = [(n_lo + pos, depth) for pos, depth in _row_minima(row)]

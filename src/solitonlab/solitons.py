@@ -59,11 +59,13 @@ Both laws are exactly symmetric under p -> span - p, which is what makes
 the speed/size ordering flip with the sign of alpha - beta.  One function,
 ``_laws``, evaluates both over parallel integer sequences of the
 numerators and denominators of A, B and D, one pass per law: ``velocity``
-and ``amplitude`` are its one-point case, from ``_abd``, and the grid of
-``scan_monotonicity`` passes integer linear forms in the grid index as
-ranges (``_law_grid``); the scan builds a ``Fraction`` p only for the
-values its report prints.  Where a float quotient of a law rounds to 1 or
-0, or past the float range, all three raise FloatLawUndefined naming p.
+and ``amplitude`` are its one-point case, from ``_abd``; ``speed_bound``,
+the fastest speed of (alpha, beta), is its speed law at the limit of A and
+B as p -> 0; and the grid of ``scan_monotonicity`` passes integer linear
+forms in the grid index as ranges (``_law_grid``); the scan builds a
+``Fraction`` p only for the values its report prints.  Where a float
+quotient of a law rounds to 1 or 0, or past the float range, all four raise
+FloatLawUndefined naming p.
 """
 
 from __future__ import annotations
@@ -187,14 +189,45 @@ def _law(params: SystemParams, p: Fraction, which: int) -> float:
     try:
         return next(_laws(*one_point)[which])
     except (ArithmeticError, ValueError):
-        raise FloatLawUndefined(
-            f"the float {('speed', 'amplitude')[which]} law is undefined at p={rat_str(p)}: "
-            "a quotient rounds to 1 or 0, or past the float range", p=Fraction(p)) from None
+        raise FloatLawUndefined(_undefined_message(which, p), p=Fraction(p)) from None
+
+
+def _undefined_message(which: int, p: Fraction) -> str:
+    return (f"the float {('speed', 'amplitude')[which]} law is undefined at p={rat_str(p)}: "
+            "a quotient rounds to 1 or 0, or past the float range")
 
 
 def velocity(params: SystemParams, p: Fraction) -> float:
     """Closed-form speed -log A / log B; exactly 1 at the interval midpoint."""
     return _law(params, p, 0)
+
+
+def speed_bound(params: SystemParams) -> float:
+    """Supremum of the speed law over (0, span): the fastest a soliton of
+    (alpha, beta) moves, in sites per step.
+
+    When alpha <= beta the midpoint is fastest, and the bound is its exact
+    1.0.  Otherwise the speed grows toward both edges, and the bound is the
+    law's limit as p -> 0, where A -> beta / (1 - alpha) and
+    B -> (1 - beta) / alpha.  A float quotient of these that rounds to 1 or
+    0, or past the float range, raises FloatLawUndefined with p = 0, and an
+    empty interval raises InvalidInterval.
+    """
+    _span(params)
+    if params.alpha <= params.beta:
+        return 1.0
+    a = params.beta / (1 - params.alpha)
+    b = (1 - params.beta) / params.alpha
+    # D = (span - p) / p has no limit at p = 0; the amplitude law goes unread
+    one_point = [(x,) for q in (a, b) for x in q.as_integer_ratio()]
+    try:
+        bound = next(_laws(*one_point, (), ())[0])
+    except (ArithmeticError, ValueError):
+        bound = 0.0
+    # 0.0 also when log A = 0: A's quotient rounded to 1 and B's did not
+    if bound == 0.0:
+        raise FloatLawUndefined(_undefined_message(0, Fraction(0)), p=Fraction(0))
+    return bound
 
 
 def amplitude(params: SystemParams, p: Fraction) -> float:

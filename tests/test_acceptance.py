@@ -84,7 +84,7 @@ def test_criterion_03_exact_solution_property():
 def overtake_run():
     start = time.monotonic()
     rows = sample_x_float(REF_PARAMS, REF_SOLITONS, (0, 60), (-30, 90))
-    tracks = track_troughs(rows, -30, 0)
+    tracks = track_troughs(REF_PARAMS, rows, -30, 0)
     return tracks, time.monotonic() - start
 
 
@@ -117,7 +117,7 @@ def test_criterion_05_equal_parameter_degeneration():
 
     sols = [(Fraction(1, 15), Fraction(-20)), (Fraction(1, 30), Fraction(-1, 60))]
     rows = sample_x_float(params, sols, (0, 40), (-10, 50))
-    tracks = track_troughs(rows, -10, 0)
+    tracks = track_troughs(params, rows, -10, 0)
     speeds = [measure_velocity(tr, [o for o in tracks if o is not tr])
               for tr in tracks]
     speeds_ok = len(tracks) == 2 and all(abs(v - 1.0) <= 1e-6 for v in speeds)

@@ -569,13 +569,16 @@ def _rounds_to(x: Fraction, k: int, u: int) -> bool:
 def test_one_lattice_sweep_rounds_to_the_carrier_sweep(state, k):
     # the lattice kernel in the tropical regime, against the automaton: with
     # q = 2^-k, x = q^u, y = 1 entering, alpha = 1 - q^c_carrier and
-    # beta = 1 - q^c_box, every x' of one evolve_gkdv step rounds to q^u'
+    # beta = 1 - q^c_box, every x' of one evolve_gkdv step rounds to q^u',
+    # and the y carried into each box rounds to q^load
     q = Fraction(1, 2 ** k)
     params = SystemParams(1 - q ** state.c_carrier, 1 - q ** state.c_box)
-    x_next = evolve_gkdv([q ** u for u in state.u], params, 1).xs[1]
-    new = bbsc_sweep(state)[0].u
-    assert len(new) == len(x_next)
-    assert [n for n, (x, u) in enumerate(zip(x_next, new)) if not _rounds_to(x, k, u)] == []
+    field = evolve_gkdv([q ** u for u in state.u], params, 1)
+    new, loads = bbsc_sweep(state)
+    x_next, ys, loads = field.xs[1], field.ys[0], loads[:-1]
+    assert len(new.u) == len(x_next) == len(ys) == len(loads)
+    assert [n for n, (x, u) in enumerate(zip(x_next, new.u)) if not _rounds_to(x, k, u)] == []
+    assert [n for n, (y, v) in enumerate(zip(ys, loads)) if not _rounds_to(y, k, v)] == []
 
 
 def test_ud_limit_needs_a_box():

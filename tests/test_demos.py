@@ -1,4 +1,5 @@
-"""Every script in ``demos/`` runs to the end against the package in ``src``."""
+"""Every script in ``demos/`` runs to the end against the package in ``src``,
+under ``-O`` when the tests run under it."""
 
 import os
 import subprocess
@@ -18,6 +19,7 @@ def test_all_six_demos_are_collected():
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_exits_zero(demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    run = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
-                         text=True)
+    optimize = ["-O"] if sys.flags.optimize else []
+    run = subprocess.run([sys.executable, *optimize, str(demo)], env=env,
+                         capture_output=True, text=True)
     assert run.returncode == 0, run.stderr

@@ -39,7 +39,7 @@ from _oracles import (
 
 def _tracks(params, solitons, t_range, n_range):
     rows = sample_x_float(params, solitons, t_range, n_range)
-    return track_troughs(rows, n_range[0], t_range[0])
+    return track_troughs(params, rows, n_range[0], t_range[0])
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +122,7 @@ def test_equal_parameters_tracks_are_parallel():
 
 def test_single_soliton_measurement():
     rows = sample_x_float(REF_PARAMS, [REF_SOLITONS[1]], (0, 45), (-10, 50))
-    (track,) = track_troughs(rows, -10, 0)
+    (track,) = track_troughs(REF_PARAMS, rows, -10, 0)
     assert measure_velocity(track) == pytest.approx(0.723, abs=0.01)
     assert track_amplitude(track) == pytest.approx(0.722, abs=0.005)
     # the raw row maximum only reads true when the trough sits on a site
@@ -139,7 +139,7 @@ def test_tracks_are_in_lattice_coordinates():
     # times count from t0 and positions from n_lo: each sample lies within
     # half a site of its row's minimum
     rows = sample_x_float(REF_PARAMS, [REF_SOLITONS[1]], (5, 30), (-10, 50))
-    (track,) = track_troughs(rows, -10, 5)
+    (track,) = track_troughs(REF_PARAMS, rows, -10, 5)
     assert track.times == list(range(5, 31))
     for t, pos in zip(track.times, track.positions):
         row = rows[t - 5]

@@ -4,7 +4,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from solitonlab import (
     KPParams,
@@ -258,7 +258,8 @@ def test_scan_rejects_a_grid_below_three():
     lambda params: velocity(params, Fraction(1, 10)),
     lambda params: amplitude(params, Fraction(1, 10)),
     lambda params: scan_monotonicity(params, 5),
-], ids=["validate", "velocity", "amplitude", "scan_monotonicity"])
+    solitons.speed_bound,
+], ids=["validate", "velocity", "amplitude", "scan_monotonicity", "speed_bound"])
 @pytest.mark.parametrize("alpha,beta", [(Fraction(1, 2), Fraction(1, 2)),
                                         (Fraction(1, 3), Fraction(1, 2))])
 def test_an_empty_interval_raises_invalid_interval(call, alpha, beta):
@@ -312,6 +313,51 @@ def test_velocity_regimes():
         p = SPAN * k / 13
         assert velocity(REF_PARAMS, p) <= 1.0
         assert velocity(SystemParams(Fraction(14, 15), Fraction(5, 6)), p) >= 1.0
+
+
+unit_fractions = st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(999, 1000),
+                              max_denominator=1000)
+
+
+@given(unit_fractions, unit_fractions)
+@example(Fraction(260, 493), Fraction(1, 851))
+@settings(max_examples=300, deadline=None)
+def test_the_speed_bound_is_the_supremum_of_the_speed_law(alpha, u):
+    # beta = 1 - alpha + alpha * u covers (1 - alpha, 1): every admissible pair
+    params = SystemParams(alpha, 1 - alpha + alpha * u)
+    beta, span = params.beta, alpha * u
+    bound = solitons.speed_bound(params)
+    edges = [span * k / 10 ** 6 for k in (1, 10 ** 6 - 1)]
+    # the float laws are not correctly rounded (ROADMAP item 3): at
+    # alpha = 260/493, u = 1/851 the speed a millionth of the span from the
+    # right edge reads 2.6e-14 above the bound, relative
+    assert all(velocity(params, p) <= bound * (1 + 1e-12) for p in (*edges, span / 2))
+    if alpha <= beta:
+        # the gate of every alpha <= beta window stays 2 sites per step
+        assert bound == 1.0
+    else:
+        assert bound == pytest.approx(velocity(params, edges[0]), rel=1e-3)
+
+
+def test_the_speed_bound_at_the_fast_and_the_reference_pairs():
+    assert solitons.speed_bound(SystemParams(Fraction(19, 20), Fraction(1, 5))) == \
+        pytest.approx(8.0669, abs=1e-4)
+    assert solitons.speed_bound(SystemParams(Fraction(14, 15), Fraction(5, 6))) == \
+        pytest.approx(1.4661, abs=1e-4)
+    assert solitons.speed_bound(REF_PARAMS) == 1.0
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    # span 2^-56: both limits of A and B round to 1.0
+    (Fraction(3, 5), Fraction(2, 5) + Fraction(1, 2 ** 56)),
+    # span 0.35 * 2^-53 at alpha = 11/20: A's limit rounds to 1.0 and B's
+    # does not, so log A is 0 and the float bound would read 0
+    (Fraction(11, 20), Fraction(9, 20) + Fraction(35, 100 * 2 ** 53)),
+], ids=["both_round_to_1", "a_rounds_to_1"])
+def test_a_speed_bound_whose_float_quotient_rounds_to_1_raises(alpha, beta):
+    with pytest.raises(FloatLawUndefined, match="speed law is undefined at p=0") as info:
+        solitons.speed_bound(SystemParams(alpha, beta))
+    assert info.value.p == 0
 
 
 # --- mode validation ----------------------------------------------------------
