@@ -16,8 +16,13 @@ evaluated by its Cauchy principal-minor expansion,
           * prod_{i<j in S} (p_i - p_j)(q_j - q_i) / ((p_i - q_j)(p_j - q_i)),
 
 as integer subset sums: the c_S over one common denominator and the subset
-ratios of each direction's r and 1/r are built once per ``KPParams``, and a
-point, or a unit shift of it, costs elementwise integer products.
+ratios of each direction's r and 1/r are built once per ``KPParams``, in
+integer arithmetic with one gcd per stored ratio, and a point, or a unit
+shift of it, costs elementwise integer products.  The constants of the
+exact checks, the identities' coefficients and the reduction constraint's
+verdict, are built once per ``KPParams`` in integers too, so a probe point
+of ``check_kp_bilinear`` or ``check_reduction`` costs only integer products
+of its subset sums.
 
 An N-soliton state of the two-parameter map, with modes (p_i, gamma_i), is
 the reduction (``validate`` checks the modes and returns its ``KPParams``)
@@ -183,13 +188,27 @@ def _laws(an: Sequence[int], ad: Sequence[int], bn: Sequence[int], bd: Sequence[
 
 def _law(params: SystemParams, p: Fraction, which: int) -> float:
     """Law ``which`` of :func:`_laws` at p, 0 the speed and 1 the amplitude.
-    A float quotient that rounds to 1 (log 0 divides), to 0 (log 0, or 1 / 0)
-    or past the float range raises FloatLawUndefined naming p."""
+    A float quotient that rounds to 1 (log 0 divides, or the speed reads
+    0.0), to 0 (log 0, or 1 / 0) or past the float range raises
+    FloatLawUndefined naming p."""
     one_point = [(x,) for q in _abd(params, p) for x in q.as_integer_ratio()]
     try:
-        return next(_laws(*one_point)[which])
+        value = next(_laws(*one_point)[which])
     except (ArithmeticError, ValueError):
-        raise FloatLawUndefined(_undefined_message(which, p), p=Fraction(p)) from None
+        value = None
+    if value is None or which == 0 and _undefined_speeds([value]):
+        raise FloatLawUndefined(_undefined_message(which, p), p=Fraction(p))
+    return value
+
+
+def _undefined_speeds(vs: list[float]) -> bool:
+    """Whether a speed of ``vs``, the speed law of :func:`_laws`, is undefined
+    though no quotient raised: it reads 0.0 (or -0.0), which no defined
+    speed does.  A = 1 exactly only at the midpoint, where the law reads
+    1.0, so a 0.0 is log A = 0 from A's float quotient rounding to 1 where
+    B's did not.  The zeros are the only false floats, so this is one
+    ``all`` over the finished list, and the law's own pass stays as it is."""
+    return not all(vs)
 
 
 def _undefined_message(which: int, p: Fraction) -> str:
@@ -223,9 +242,8 @@ def speed_bound(params: SystemParams) -> float:
     try:
         bound = next(_laws(*one_point, (), ())[0])
     except (ArithmeticError, ValueError):
-        bound = 0.0
-    # 0.0 also when log A = 0: A's quotient rounded to 1 and B's did not
-    if bound == 0.0:
+        bound = None
+    if bound is None or _undefined_speeds([bound]):
         raise FloatLawUndefined(_undefined_message(0, Fraction(0)), p=Fraction(0))
     return bound
 
@@ -235,14 +253,21 @@ def amplitude(params: SystemParams, p: Fraction) -> float:
     return _law(params, p, 1)
 
 
-def _subset_ratios(bases: Sequence[Fraction]) -> list[int]:
-    """prod_{i in S} num(base_i) * prod_{i not in S} den(base_i) for every
-    subset S, S the bitmask index (bit i set: base i is in S)."""
+def _subset_ratios(bases: Sequence[tuple[int, int]]) -> list[int]:
+    """prod_{i in S} num_i * prod_{i not in S} den_i for every subset S of
+    the (num_i, den_i) pairs ``bases``, S the bitmask index (bit i set: base
+    i is in S)."""
     ratios = [1]
-    for base in bases:
-        ratios = ([r * base.denominator for r in ratios]
-                  + [r * base.numerator for r in ratios])
+    for num, den in bases:
+        ratios = [r * den for r in ratios] + [r * num for r in ratios]
     return ratios
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num / den in lowest terms with a positive denominator, as ``Fraction``
+    stores it, by one gcd."""
+    g = math.gcd(num, den)
+    return (num // g, den // g) if den > 0 else (-num // g, -den // g)
 
 
 def _line(term: int, left: int, right: int, up: int, down: int) -> list[int]:
@@ -491,23 +516,72 @@ class KPParams:
         a1, a2, b and c in turn, the ``_subset_ratios`` list of the r_{i,d}
         with their shared denominator product D_d, then those of the
         1/r_{i,d}: entry S of the r list is D_d * prod_{i in S} r_{i,d}.
+
+        Everything is built once per ``KPParams`` from the integer numerators
+        and denominators of the modes and directions, with no ``Fraction``:
+        each c_S is its parent subset's reduced c times gamma_i / (p_i - q_i)
+        and its pair factors over one common denominator, reduced by one gcd,
+        and each r_{i,d} by one gcd.  So L, c and dirs are the integers that
+        reduced rational arithmetic gives.
         """
-        terms = [Fraction(1)]
-        for i, (p, q, gamma) in enumerate(self.modes):
-            w = gamma / (p - q)
-            pair = [(pj - p) * (q - qj) / ((pj - q) * (p - qj))
-                    for pj, qj, _ in self.modes[:i]]
-            for s in range(1 << i):
-                terms.append(terms[s] * w * math.prod(pair[j] for j in range(i) if s >> j & 1))
-        big_l = math.lcm(*(term.denominator for term in terms))
-        coefs = [term.numerator * (big_l // term.denominator) for term in terms]
+        modes = [[x.as_integer_ratio() for x in mode] for mode in self.modes]
+        terms = [(1, 1)]  # reduced c_S, S over the modes so far
+        for i, ((pn, pd), (qn, qd), (gn, gd)) in enumerate(modes):
+            # (p_j - p)(q - q_j) / ((p_j - q)(p - q_j)) per earlier mode j: the
+            # four differences' denominators p_j,d p_d q_d q_j,d cancel
+            pair = [((pjn * pd - pn * pjd) * (qn * qjd - qjn * qd),
+                     (pjn * qd - qn * pjd) * (pn * qjd - qjn * pd))
+                    for (pjn, pjd), (qjn, qjd), _ in modes[:i]]
+            # gamma / (p - q), times the pairs of S over all pairs' denominators
+            wn, wd = gn * pd * qd, gd * (pn * qd - qn * pd) * math.prod(d for _, d in pair)
+            terms += [_reduced(n * wn * r, d * wd)
+                      for (n, d), r in zip(terms, _subset_ratios(pair))]
+        big_l = math.lcm(*(d for _, d in terms))
+        coefs = [n * (big_l // d) for n, d in terms]
         dirs = []
-        for d in (self.a1, self.a2, self.b, self.c):
-            rs = [(q - d) / (p - d) for p, q, _ in self.modes]
-            inv = [1 / r for r in rs]
-            dirs.append((_subset_ratios(rs), math.prod(r.denominator for r in rs),
-                         _subset_ratios(inv), math.prod(r.denominator for r in inv)))
+        for dn, dd in (d.as_integer_ratio() for d in (self.a1, self.a2, self.b, self.c)):
+            # r = (q - d) / (p - d) = (q_n d_d - d_n q_d) p_d / ((p_n d_d - d_n p_d) q_d)
+            rs = [_reduced((qn * dd - dn * qd) * pd, (pn * dd - dn * pd) * qd)
+                  for (pn, pd), (qn, qd), _ in modes]
+            inv = [(d, n) if n > 0 else (-d, -n) for n, d in rs]
+            dirs.append((_subset_ratios(rs), math.prod(d for _, d in rs),
+                         _subset_ratios(inv), math.prod(d for _, d in inv)))
         return big_l, coefs, dirs
+
+    @cached_property
+    def _check_constants(self) -> tuple[tuple[int, int, int, int], tuple[int, int, int, int],
+                                        tuple[int, str] | None]:
+        """The rational constants of :func:`check_kp_bilinear` and
+        :func:`check_reduction`, built once per ``KPParams`` in integers, on
+        the first call of either.
+
+        Returns (k1, k2, verdict).  k1 holds a - b, b - c and c - a at a = a1
+        as integer numerators over their lcm m, then m; k2 the same at
+        a = a2.  verdict is (i, message) for the first mode i with
+        p_i + q_i != a1 + a2, or None when every mode meets the reduction
+        constraint.  None of it reads the subset tables.
+        """
+        (an1, ad1), (an2, ad2), (bn, bd), (cn, cd) = (
+            d.as_integer_ratio() for d in (self.a1, self.a2, self.b, self.c))
+
+        def coefficients(an: int, ad: int) -> tuple[int, int, int, int]:
+            # over the common denominator ad bd cd, then cancelled by the gcd
+            # of all four, which leaves the lcm of the reduced denominators
+            ks = ((an * bd - bn * ad) * cd, (bn * cd - cn * bd) * ad,
+                  (cn * ad - an * cd) * bd, ad * bd * cd)
+            g = math.gcd(*ks)
+            return ks[0] // g, ks[1] // g, ks[2] // g, ks[3] // g
+
+        # p + q = a1 + a2, cross-multiplied
+        tn, td = an1 * ad2 + an2 * ad1, ad1 * ad2
+        bad = next((i for i, (p, q, _) in enumerate(self.modes)
+                    if (p.numerator * q.denominator + q.numerator * p.denominator) * td
+                    != tn * p.denominator * q.denominator), None)
+        verdict = None
+        if bad is not None:
+            p, q, _ = self.modes[bad]
+            verdict = (bad, f"mode {bad}: p + q = {p + q}, constraint requires {self.a1 + self.a2}")
+        return coefficients(an1, ad1), coefficients(an2, ad2), verdict
 
 
 def _kp_base(kp: KPParams, point: tuple[int, int, int, int],
@@ -570,36 +644,40 @@ def check_kp_bilinear(kp: KPParams, point: tuple[int, int, int, int],
     returned rather than asserted so callers can report them.  Every product
     of r1 carries total shift (1, 0, 1, 1) and every product of r2 (0, 1, 1,
     1), so each residual is one integer combination over one common scale.
+    The identities' coefficients are integer constants of ``kp``, built once
+    with its tables, so a point costs only integer products of the subset
+    sums of :func:`_kp_sums` and one ``Fraction`` per residual.
     """
     scale, sums = _kp_sums(kp, point, _BILINEAR_SHIFTS)
     tau = dict(zip(_BILINEAR_SHIFTS, sums))  # shift -> (integer sum, extra)
+    k1, k2, _ = kp._check_constants
 
-    def residual(a: Fraction, e1: int, e2: int) -> Fraction:
-        terms = ((a - kp.b, (e1, e2, 1, 0), (0, 0, 0, 1)),
-                 (kp.b - kp.c, (e1, e2, 0, 0), (0, 0, 1, 1)),
-                 (kp.c - a, (e1, e2, 0, 1), (0, 0, 1, 0)))
-        m = math.lcm(*(k.denominator for k, _, _ in terms))
-        total = sum(k.numerator * (m // k.denominator) * tau[u][0] * tau[v][0]
-                    for k, u, v in terms)
-        return Fraction(total, m * scale * scale * tau[e1, e2, 1, 0][1] * tau[0, 0, 0, 1][1])
+    def residual(ks: tuple[int, int, int, int], e1: int, e2: int) -> Fraction:
+        ab, bc, ca, m = ks
+        (t_b, e_b), (t_n, e_n) = tau[e1, e2, 1, 0], tau[0, 0, 0, 1]
+        total = (ab * t_b * t_n + bc * tau[e1, e2, 0, 0][0] * tau[0, 0, 1, 1][0]
+                 + ca * tau[e1, e2, 0, 1][0] * tau[0, 0, 1, 0][0])
+        return Fraction(total, m * scale * scale * e_b * e_n)
 
-    return residual(kp.a1, 1, 0), residual(kp.a2, 0, 1)
+    return residual(k1, 1, 0), residual(k2, 0, 1)
 
 
 def check_reduction(kp: KPParams, point: tuple[int, int, int, int]) -> Fraction:
     """Exact residual tau(l1+1, l2+1, t, n) - tau(l1, l2, t, n).
 
     Requires the reduction constraint p_i + q_i = a1 + a2 on every mode and
-    raises ConstraintViolated otherwise.  Under the constraint the residual
-    is identically zero, and term by term: r_{i,a1} r_{i,a2} = 1 for every
-    mode, so each subset term is unchanged by the shift whatever its c_S.
-    The check therefore tests the a1 and a2 tables, not the c_S.
+    raises ConstraintViolated, naming the first mode that breaks it,
+    otherwise.  Under the constraint the residual is identically zero, and
+    term by term: r_{i,a1} r_{i,a2} = 1 for every mode, so each subset term
+    is unchanged by the shift whatever its c_S.  The check therefore tests
+    the a1 and a2 tables, not the c_S.  The constraint's verdict is a
+    constant of ``kp``, built once with the bilinear coefficients, so a
+    point costs only integer products of the subset sums of
+    :func:`_kp_sums`.
     """
-    target = kp.a1 + kp.a2
-    for i, (p, q, _) in enumerate(kp.modes):
-        if p + q != target:
-            raise ConstraintViolated(
-                f"mode {i}: p + q = {p + q}, constraint requires {target}", index=i)
+    verdict = kp._check_constants[2]
+    if verdict is not None:
+        raise ConstraintViolated(verdict[1], index=verdict[0])
     scale, [(shifted, extra), (base, _)] = _kp_sums(kp, point, _REDUCTION_SHIFTS)
     return Fraction(shifted - base * extra, scale * extra)
 
@@ -701,11 +779,13 @@ def scan_monotonicity(params: SystemParams, grid_size: int) -> dict:
     try:
         vs, ws = _law_grid(params, grid_size)
     except (ArithmeticError, ValueError):
-        # the grid's quotients are the one-point laws', bit for bit, so the
-        # first p_k where one raises is where the pass failed
+        vs = None
+    if vs is None or _undefined_speeds(vs):
+        # the grid's quotients are the one-point laws', bit for bit, and both
+        # read a speed of 0.0 as undefined, so the first p_k where a one-point
+        # law raises is where the pass failed
         for k in range(1, g1):
             velocity(params, span * k / g1), amplitude(params, span * k / g1)
-        raise
 
     def p_str(i: int) -> str:
         # list index i holds grid point k = i + 1

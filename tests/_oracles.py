@@ -443,6 +443,44 @@ def kp_matrix_longhand(a1: Fraction, a2: Fraction, b: Fraction, c: Fraction,
     return rows
 
 
+def subset_tables_longhand(kp: KPParams,
+                           ) -> tuple[int, list[int], list[tuple[list[int], int, list[int], int]]]:
+    """``KPParams._subset_tables`` in ``Fraction`` arithmetic, one subset at a
+    time.
+
+    Each c_S is its closed form, prod_{i in S} gamma_i / (p_i - q_i) times
+    prod_{i<j in S} (p_i - p_j)(q_j - q_i) / ((p_i - q_j)(p_j - q_i)), L is
+    the lcm of their reduced denominators, and entry S of a direction's r
+    (or 1/r) list is prod_{i in S} num_i * prod_{i not in S} den_i of the
+    reduced r_{i,d} = (q_i - d) / (p_i - d) (or its inverse), next to the
+    product of all den_i.
+    """
+    modes, subsets = kp.modes, range(1 << len(kp.modes))
+
+    def c(s: int) -> Fraction:
+        members = [i for i in range(len(modes)) if s >> i & 1]
+        term = math.prod((modes[i][2] / (modes[i][0] - modes[i][1]) for i in members),
+                         start=Fraction(1))
+        for a, i in enumerate(members):
+            for j in members[a + 1:]:
+                (pi, qi, _), (pj, qj, _) = modes[i], modes[j]
+                term *= (pi - pj) * (qj - qi) / ((pi - qj) * (pj - qi))
+        return term
+
+    def ratios(bases: list[Fraction]) -> tuple[list[int], int]:
+        return ([math.prod(b.numerator if s >> i & 1 else b.denominator
+                           for i, b in enumerate(bases)) for s in subsets],
+                math.prod(b.denominator for b in bases))
+
+    terms = [c(s) for s in subsets]
+    big_l = math.lcm(*(term.denominator for term in terms))
+    dirs = []
+    for d in (kp.a1, kp.a2, kp.b, kp.c):
+        rs = [(q - d) / (p - d) for p, q, _ in modes]
+        dirs.append((*ratios(rs), *ratios([1 / r for r in rs])))
+    return big_l, [term.numerator * (big_l // term.denominator) for term in terms], dirs
+
+
 def random_kp_params_longhand(rng: Random, n_modes: int, *,
                               constrained: bool = False) -> KPParams:
     """``solitons.random_kp_params`` as first written: each candidate (p, q)

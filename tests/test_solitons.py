@@ -53,6 +53,7 @@ from _oracles import (
     random_kp_params_longhand,
     scan_longhand,
     soliton_systems,
+    subset_tables_longhand,
     tau_grid_longhand,
     x_float_longhand,
 )
@@ -292,9 +293,11 @@ def test_each_law_raises_only_for_its_own_failure():
 @pytest.mark.parametrize("beta, first_k", [
     # span 10^-18: B rounds to 1.0 at every grid point, the first included
     (Fraction(500000000000000001, 10 ** 18), 1),
-    # span 10^-14: B - 1 is proportional to 2 p - span, so B rounds to 1.0
-    # only near the midpoint (k = 1001 is decided exactly on the integers)
-    (Fraction(1, 2) + Fraction(1, 10 ** 14), 999),
+    # span 10^-14: A - 1 and B - 1 are proportional to 2 p - span, so they
+    # round to 1.0 only near the midpoint (k = 1001 is decided exactly on
+    # the integers): A first, at k = 996, where a speed of 0.0 is undefined
+    # too, and B from k = 999
+    (Fraction(1, 2) + Fraction(1, 10 ** 14), 996),
 ], ids=["every_point", "near_the_midpoint"])
 def test_scan_names_the_first_grid_point_where_a_law_fails(beta, first_k):
     params = SystemParams(Fraction(1, 2), beta)
@@ -358,6 +361,38 @@ def test_a_speed_bound_whose_float_quotient_rounds_to_1_raises(alpha, beta):
     with pytest.raises(FloatLawUndefined, match="speed law is undefined at p=0") as info:
         solitons.speed_bound(SystemParams(alpha, beta))
     assert info.value.p == 0
+
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (Fraction(5, 6), Fraction(14, 15)),
+    (Fraction(3, 5), Fraction(4, 5)),
+], ids=["reference", "three_fifths"])
+def test_a_speed_whose_a_quotient_alone_rounds_to_1_raises(alpha, beta):
+    # just left of the midpoint A's float quotient rounds to 1 and B's does
+    # not, so log A = 0 and the law would read 0.0 where the exact speed is
+    # 0.818 (reference) or 0.667.  At (14/15, 5/6) the same p reads
+    # 1.9999999999999998 against an exact 1.222: neither quotient rounds to
+    # 1 there, and that error belongs to the accuracy of the float laws
+    # (ROADMAP item 3), not to this rule
+    params = SystemParams(alpha, beta)
+    p = (alpha + beta - 1) / 2 - Fraction(1, 2 ** 55)
+    with pytest.raises(FloatLawUndefined, match="speed law is undefined at p=") as info:
+        velocity(params, p)
+    assert info.value.p == p
+
+
+def test_a_scan_whose_a_quotient_alone_rounds_to_1_names_that_grid_point():
+    # span 10^-13 at alpha = 1/10: the one grid point where A's quotient
+    # rounds to 1 and no quotient raises is k = 1000; its speed read 0.0, and
+    # the scan reported monotonicity breaks around it instead of failing
+    params = SystemParams(Fraction(1, 10), Fraction(9, 10) + Fraction(1, 10 ** 13))
+    span = params.alpha + params.beta - 1
+    with pytest.raises(FloatLawUndefined, match="speed law") as info:
+        scan_monotonicity(params, 2001)
+    assert info.value.p == span * 1000 / 2002
+    for k in range(1, 1000):
+        velocity(params, span * k / 2002), amplitude(params, span * k / 2002)
 
 
 # --- mode validation ----------------------------------------------------------
@@ -918,9 +953,38 @@ def test_kp_reduction_needs_the_constraint():
     free = random_kp_params(rng, 2)
     assert any(p + q != free.a1 + free.a2 for p, q, _ in free.modes)
     bad = next(i for i, (p, q, _) in enumerate(free.modes) if p + q != free.a1 + free.a2)
-    with pytest.raises(ConstraintViolated, match=rf"^mode {bad}: p \+ q = ") as info:
-        check_reduction(free, (0, 0, 0, 0))
-    assert info.value.index == bad
+    p, q, _ = free.modes[bad]
+    message = f"mode {bad}: p + q = {p + q}, constraint requires {free.a1 + free.a2}"
+    # the verdict is a constant of the KPParams, built once with the
+    # bilinear coefficients: the same error at every point, whichever check
+    # built the constants first
+    for bilinear_first in (False, True):
+        kp = KPParams(free.a1, free.a2, free.b, free.c, free.modes)
+        if bilinear_first:
+            check_kp_bilinear(kp, (1, -2, 0, 3))
+            assert "_check_constants" in vars(kp)
+        for point in ((0, 0, 0, 0), (2, -1, 3, -2)):
+            with pytest.raises(ConstraintViolated) as info:
+                check_reduction(kp, point)
+            assert (str(info.value), info.value.index) == (message, bad)
+
+
+def test_subset_tables_match_the_fraction_longhand_on_seeded_draws():
+    # 1-5 modes, constrained or not: the integer build gives the L, the c_S
+    # list and the direction tables of reduced Fraction arithmetic, integer
+    # for integer
+    for seed in range(20):
+        for n_modes in range(1, 6):
+            for constrained in (False, True):
+                kp = random_kp_params(Random(seed), n_modes, constrained=constrained)
+                assert kp._subset_tables == subset_tables_longhand(kp)
+
+
+@given(st.sampled_from(REGIMES), st.integers(1, 5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_subset_tables_match_the_fraction_longhand_on_reductions(regime, n_modes, data):
+    kp = validate(*data.draw(soliton_systems(regime, n_modes)))
+    assert kp._subset_tables == subset_tables_longhand(kp)
 
 
 def _with_tables(kp: KPParams, coefs: list[int], dirs: list) -> KPParams:
@@ -953,6 +1017,28 @@ def test_kp_reduction_fails_on_a_wrong_a1_ratio():
     bumped = _with_tables(random_kp_params(Random(0), 2, constrained=True),
                           coefs[:3] + [coefs[3] + 1], dirs)
     assert check_reduction(bumped, (0, 0, 0, 0)) == 0
+
+
+def test_kp_bilinear_residuals_are_the_three_term_sums_of_their_taus():
+    # with one c_S off by 1 the residuals are not 0, and each must still be
+    # its identity's three-term sum of taus, exactly: the coefficients and
+    # their common denominator are right, not only the sign of the result
+    rng = Random(5)
+    for n_modes in (1, 2, 3):
+        _, coefs, dirs = random_kp_params(Random(n_modes), n_modes)._subset_tables
+        for s in range(1 << n_modes):
+            kp = _with_tables(random_kp_params(Random(n_modes), n_modes),
+                              [c + (k == s) for k, c in enumerate(coefs)], dirs)
+            point = tuple(rng.randint(-3, 3) for _ in range(4))
+
+            def tau(*shift: int) -> Fraction:
+                return kp_tau(kp, *(l + e for l, e in zip(point, shift)))
+
+            assert check_kp_bilinear(kp, point) == tuple(
+                (a - kp.b) * tau(*e, 1, 0) * tau(0, 0, 0, 1)
+                + (kp.b - kp.c) * tau(*e, 0, 0) * tau(0, 0, 1, 1)
+                + (kp.c - a) * tau(*e, 0, 1) * tau(0, 0, 1, 0)
+                for a, e in ((kp.a1, (1, 0)), (kp.a2, (0, 1))))
 
 
 def test_check_exactness_fails_at_the_sites_that_read_a_wrong_tau(monkeypatch):
