@@ -53,32 +53,41 @@ class SystemParams:
                 f"alpha and beta must lie in (0, 1), got {self.alpha}, {self.beta}")
 
 
-def _two_point(x: Fraction, y: Fraction, k: tuple[int, ...], site: int,
-               ) -> tuple[Fraction, Fraction]:
-    """The two-point map (x, y) -> (R*y, x/R), on numerators and denominators.
+def _two_point(xn: int, xd: int, yn: int, yd: int, k: tuple[int, ...], site: int,
+               ) -> tuple[int, int, int, int]:
+    """The two-point map (x, y) -> (R*y, x/R) on reduced integer pairs,
+    (xn, xd, yn, yd) -> (xn', xd', yn', yd'), with positive denominators.
 
-    ``k`` holds the constants of R from :func:`_gkdv_constants`.  Only two
-    gcds per site take two full-size operands, g1 = gcd(xn, yd) and
-    g2 = gcd(yn, xd); every other gcd has a small operand or, on solution
-    rows, a divisor of the other.  With a = xn/g1, h = yd/g1, b = yn/g2 and
-    e = xd/g2, the product w = x*y is a*b / (e*h) in lowest terms, since a
-    and h, b and e, a and e, and b and h are coprime.
+    ``k`` holds the constants of R from :func:`_gkdv_constants`.  Two gcds
+    with two full-size operands are taken at every site, g1 = gcd(xn, yd)
+    and g2 = gcd(yn, xd).  With a = xn/g1, h = yd/g1, b = yn/g2 and e = xd/g2,
+    the product w = x*y is a*b / (e*h) in lowest terms, since a and h, b
+    and e, a and e, and b and h are coprime.
 
-    R is reduced by a gcd with the small K and by the scales, to rn/rd.
-    Then N1 = C1*e*h + D1*a*b shares with h only factors of D1 and with a
-    only factors of C1; likewise N2 shares with b only factors of C2 and
-    with e only factors of D2.  A factor of rn beyond N1 divides l2, and
-    one of rd beyond N2 divides l1.  For u1 = gcd(rn, g1), rn/u1 and g1/u1
-    are coprime, so gcd(rn, yd) = gcd(rn, g1*h) = u1 * gcd(rn/u1, h), and
-    gcd(rn/u1, h) divides D1*l2; gcd(xn, rn) = u1 * gcd(rn/u1, a) likewise,
-    through C1*l2.  u2 = gcd(rd, g2) gives gcd(yn, rd) through C2*l1 and
-    gcd(rd, xd) through D2*l1.  These four cross gcds reduce x' = rn*yn /
-    (rd*yd) and y~ = rd*xn / (rn*xd), as ``Fraction`` multiplication does.
-    Raises :class:`ZeroDenominator` naming ``site`` when N1 or N2 vanishes.
+    R = N1*l2 / (N2*l1) with N1 = C1*e*h + D1*a*b and N2 = C2*e*h + D2*a*b,
+    and g = gcd(N1, N2) divides K.  For K != 0 one remainder per side by a
+    small operand, a1 = gcd(N1, K*l1) and a2 = gcd(N2, K*l2), gives
+    g = gcd(a1, a2), as l1 and l2 are coprime; and as g | K, a1 holds
+    gcd(N1, g*l1) = g*s1, the factor N1 shares with l1 once g is out, and
+    a2 likewise for N2 and l2.  For K = 0 (alpha = beta) g is the
+    full-size gcd(N1, N2).  That leaves R = rn/rd in lowest terms.
+
+    On a solution row g1 is mostly the tau f at the site and g2 the tau
+    g, which x' = R*y and y~ = x/R no longer hold, so rn cancels g1 and rd
+    cancels g2: one division each finds that.  Where the remainder is not
+    0, the full-size u1 = gcd(rn mod g1, g1) is their common part, and u2
+    likewise.  N1 shares with h only factors of D1 and with a only factors
+    of C1, N2 with b only factors of C2 and with e only factors of D2, and
+    a factor of rn beyond N1 divides l2, one of rd beyond N2 divides l1.
+    So gcd(rn, C1*D1*l2) = 1, one remainder by a small operand, shows that
+    rn shares nothing with h or a, and gcd(rd, C2*D2*l1) = 1 the same for
+    rd with b and e.  Otherwise the four gcds gcd(h, D1*l2, rn),
+    gcd(a, C1*l2, rn), gcd(b, C2*l1, rd) and gcd(e, D2*l1, rd), each
+    through a small operand, divide out what is left, as ``Fraction``
+    multiplication would.  Raises :class:`ZeroDenominator` naming ``site``
+    when N1 or N2 vanishes.
     """
     c1, d1, c2, d2, big_k, l1, l2 = k
-    xn, xd = x.numerator, x.denominator
-    yn, yd = y.numerator, y.denominator
     g1 = gcd(xn, yd)
     g2 = gcd(yn, xd)
     a, h = xn // g1, yd // g1
@@ -89,37 +98,40 @@ def _two_point(x: Fraction, y: Fraction, k: tuple[int, ...], site: int,
     n2 = c2 * q + d2 * p
     if not n1 or not n2:
         raise ZeroDenominator(f"map denominator vanished at site n={site}", site=site)
-    # gcd(n1, n2) divides K; when K is 0 this is gcd(n1, n2) itself
-    g = gcd(gcd(n1, big_k), n2)
-    n1 //= g
-    n2 //= g
-    s1 = gcd(n1, l1)
-    s2 = gcd(n2, l2)
-    rn = (n1 // s1) * (l2 // s2)
-    rd = (n2 // s2) * (l1 // s1)
+    if big_k:
+        a1, a2 = gcd(n1, big_k * l1), gcd(n2, big_k * l2)
+        g = gcd(a1, a2)
+    else:
+        a1, a2, g = n1, n2, gcd(n1, n2)
+    s1, s2 = gcd(a1 // g, l1), gcd(a2 // g, l2)
+    rn = n1 // (g * s1) * (l2 // s2)
+    rd = n2 // (g * s2) * (l1 // s1)
     if rd < 0:
         rn, rd = -rn, -rd
-    # on solution rows g1 divides rn and g2 divides rd, so each costs one division
-    u1 = gcd(rn, g1)
-    u2 = gcd(rd, g2)
-    rn //= u1
-    rd //= u2
-    g1 //= u1
-    g2 //= u2
-    # now x' = rn*b*g2 / (rd*h*g1) and y~ = rd*a*g1 / (rn*e*g2), and only
-    # the small-factor gcds gcd(rn, h), gcd(b, rd), gcd(rd, e) and
-    # gcd(a, rn) are left to divide out
-    f1 = gcd(gcd(h, d1 * l2), rn)
-    f2 = gcd(gcd(b, c2 * l1), rd)
-    x_up = _coprime_fraction((rn // f1) * (b // f2) * g2,
-                             (rd // f2) * (h // f1) * g1)
-    f3 = gcd(gcd(e, d2 * l1), rd)
-    f4 = gcd(gcd(a, c1 * l2), rn)
-    num = (rd // f3) * (a // f4) * g1
-    den = (rn // f4) * (e // f3) * g2
+    rn, g1 = _cancel(rn, g1)
+    rd, g2 = _cancel(rd, g2)
+    # x' = rn*b*g2 / (rd*h*g1) and y~ = rd*a*g1 / (rn*e*g2)
+    xrn = yrn = rn
+    xrd = yrd = rd
+    if gcd(rn, c1 * d1 * l2) != 1 or gcd(rd, c2 * d2 * l1) != 1:
+        f1, f4 = gcd(gcd(h, d1 * l2), rn), gcd(gcd(a, c1 * l2), rn)
+        f2, f3 = gcd(gcd(b, c2 * l1), rd), gcd(gcd(e, d2 * l1), rd)
+        xrn, h, yrn, a = rn // f1, h // f1, rn // f4, a // f4
+        xrd, b, yrd, e = rd // f2, b // f2, rd // f3, e // f3
+    num, den = yrd * a * g1, yrn * e * g2
     if den < 0:
         num, den = -num, -den
-    return x_up, _coprime_fraction(num, den)
+    return xrn * b * g2, xrd * h * g1, num, den
+
+
+def _cancel(v: int, g: int) -> tuple[int, int]:
+    """(v/u, g/u) for u = gcd(v, g) and g > 0: one division when g | v,
+    else the gcd of g with the remainder, which is u too."""
+    quo, rem = divmod(v, g)
+    if not rem:
+        return quo, 1
+    u = gcd(rem, g)
+    return v // u, g // u
 
 
 def _coprime_fraction(num: int, den: int) -> Fraction:
@@ -169,14 +181,17 @@ def _sweep(xs: list[Fraction], y_left: Fraction, k: tuple[int, ...], n_lo: int,
 
     Returns ``(x_next, y_row)``, where ``y_row[i]`` is the same-time
     carrier entering site ``i``, and its one extra trailing entry is the
-    value carried past the right edge.
+    value carried past the right edge.  The carrier moves between sites as
+    an integer pair.
     """
+    y = Fraction(y_left)
+    yn, yd = y.numerator, y.denominator
     x_next: list[Fraction] = []
-    y_row: list[Fraction] = [Fraction(y_left)]
+    y_row: list[Fraction] = [y]
     for i, x in enumerate(xs):
-        x_up, y_right = _two_point(x, y_row[-1], k, n_lo + i)
-        x_next.append(x_up)
-        y_row.append(y_right)
+        xn, xd, yn, yd = _two_point(x.numerator, x.denominator, yn, yd, k, n_lo + i)
+        x_next.append(_coprime_fraction(xn, xd))
+        y_row.append(_coprime_fraction(yn, yd))
     return x_next, y_row
 
 
@@ -256,14 +271,15 @@ class LatticeField:
         if values not in ("float", "exact"):
             raise UnknownValueMode(f"unknown value mode {values!r}")
         stream.write("n,t,x,y\n")
-        for j, t in enumerate(self.times):
-            for k, n in enumerate(self.sites):
-                x, y = self.xs[j][k], self.ys[j][k]
-                if values == "exact":
-                    stream.write(f"{n},{t},{rat_str(x)},{rat_str(y)}\n")
-                else:
-                    stream.write(f"{n},{t},{x.numerator / x.denominator:.12g},"
-                                 f"{y.numerator / y.denominator:.12g}\n")
+        for t, xr, yr in zip(self.times, self.xs, self.ys):
+            if values == "exact":
+                lines = [f"{n},{t},{rat_str(x)},{rat_str(y)}\n"
+                         for n, x, y in zip(self.sites, xr, yr)]
+            else:
+                lines = [f"{n},{t},{x.numerator / x.denominator:.12g},"
+                         f"{y.numerator / y.denominator:.12g}\n"
+                         for n, x, y in zip(self.sites, xr, yr)]
+            stream.write("".join(lines))
 
 
 def evolve_gkdv(x0_row: Sequence[Fraction], params: SystemParams, steps: int, *,

@@ -29,7 +29,13 @@ from solitonlab.errors import (
     DuplicateP,
     ZeroDenominator,
 )
-from solitonlab.lattice import LatticeField, SystemParams, _two_point, rat_str
+from solitonlab.lattice import (
+    LatticeField,
+    SystemParams,
+    _coprime_fraction,
+    _two_point,
+    rat_str,
+)
 from solitonlab.solitons import KPParams, _kp_sums
 
 # the paper's reference pair: alpha < beta, and the shallower soliton
@@ -222,6 +228,32 @@ def gkdv_local_longhand(x: Fraction, y: Fraction, alpha: Fraction,
     return den_b / den_a * y, den_a / den_b * x
 
 
+def evolve_longhand(x0_row: Sequence[Fraction], alpha: Fraction, beta: Fraction, steps: int,
+                    y_left: Sequence[Fraction] | None = None,
+                    ) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
+    """Rows of x and of the same-time y over ``steps`` time steps, from
+    :func:`gkdv_local_longhand` swept left to right once per row.
+
+    y enters each row at ``y_left[j]``, or 1 when ``y_left`` is None, and
+    the value carried past the right edge is dropped, as ``evolve_gkdv``
+    documents.  Every value is ``Fraction`` arithmetic.
+    """
+    lefts = [Fraction(1)] * (steps + 1) if y_left is None else [Fraction(v) for v in y_left]
+    row = [Fraction(v) for v in x0_row]
+    xs: list[list[Fraction]] = []
+    ys: list[list[Fraction]] = []
+    for y in lefts:
+        xs.append(row)
+        ys.append([])
+        next_row = []
+        for x in row:
+            ys[-1].append(y)
+            x_up, y = gkdv_local_longhand(x, y, alpha, beta)
+            next_row.append(x_up)
+        row = next_row
+    return xs, ys
+
+
 def two_point_longhand(x: Fraction, y: Fraction, c1: Fraction, d1: Fraction,
                        c2: Fraction, d2: Fraction) -> tuple[Fraction, Fraction]:
     """The two-point map as ``Fraction`` arithmetic.
@@ -234,6 +266,19 @@ def two_point_longhand(x: Fraction, y: Fraction, c1: Fraction, d1: Fraction,
     top = c1 + d1 * w
     bottom = c2 + d2 * w
     return top / bottom * y, bottom / top * x
+
+
+def two_point(x: Fraction, y: Fraction, consts: tuple[int, ...], site: int = 0,
+              ) -> tuple[Fraction, Fraction]:
+    """``lattice._two_point`` on ``Fraction`` values: (x, y) -> (x', y~).
+
+    The kernel's two integer pairs become fractions as they stand, with no
+    reduction, so a pair that is not in lowest terms, or has a negative
+    denominator, compares unequal to the reduced value.
+    """
+    xn, xd, yn, yd = _two_point(x.numerator, x.denominator, y.numerator, y.denominator,
+                                consts, site)
+    return _coprime_fraction(xn, xd), _coprime_fraction(yn, yd)
 
 
 def map_constants_longhand(c1: Fraction, d1: Fraction, c2: Fraction, d2: Fraction,
@@ -553,7 +598,7 @@ def exactness_longhand(field: LatticeField, consts: tuple[int, ...]) -> list[lis
     """
     def exact_at(j: int, k: int) -> bool:
         try:
-            return _two_point(field.xs[j][k], field.ys[j][k], consts, field.n_lo + k) == (
+            return two_point(field.xs[j][k], field.ys[j][k], consts, field.n_lo + k) == (
                 field.xs[j + 1][k], field.ys[j][k + 1])
         except ZeroDenominator:
             return False

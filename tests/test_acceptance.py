@@ -34,9 +34,9 @@ from solitonlab import (
     ud_limit_check,
     velocity,
 )
-from solitonlab.lattice import _gkdv_constants, _sweep, _two_point
+from solitonlab.lattice import _gkdv_constants, _sweep
 
-from _oracles import REF_PARAMS, REF_SOLITONS
+from _oracles import REF_PARAMS, REF_SOLITONS, two_point
 
 
 def _record(num: int, desc: str, ok: bool) -> None:
@@ -71,7 +71,7 @@ def test_criterion_03_exact_solution_property():
         field = sample_field(REF_PARAMS, modes, (0, 41), (-20, 21))
         for j in range(41):
             for k in range(41):
-                xp, yn = _two_point(field.xs[j][k], field.ys[j][k], consts, field.n_lo + k)
+                xp, yn = two_point(field.xs[j][k], field.ys[j][k], consts, field.n_lo + k)
                 ok = ok and xp == field.xs[j + 1][k] and yn == field.ys[j][k + 1]
         if not ok:
             break

@@ -32,13 +32,14 @@ from solitonlab.errors import (
     UndrawableCapacity,
     UnorderedEpsilons,
 )
-from solitonlab.lattice import _gkdv_constants, _two_point
+from solitonlab.lattice import _gkdv_constants
 
 from _oracles import (
     REF_PARAMS,
     REF_SOLITONS,
     bbsc_csv_longhand,
     bbsc_sweep_longhand,
+    two_point,
     ud_gaps_longhand,
 )
 
@@ -613,7 +614,7 @@ def test_inverted_solitons_solve_the_mirror_map(alpha, beta):
     consts = _gkdv_constants(mirror)
     for j in range(3):
         for k in range(12):
-            assert _two_point(inv_x[j][k], inv_y[j][k], consts, field.n_lo + k) == (
+            assert two_point(inv_x[j][k], inv_y[j][k], consts, field.n_lo + k) == (
                 inv_x[j + 1][k], inv_y[j][k + 1])
     assert max(map(max, inv_x)) > 1
 

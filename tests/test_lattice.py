@@ -13,7 +13,7 @@ from solitonlab import (
     rat_str,
     sample_field,
 )
-from solitonlab.lattice import _gkdv_constants, _sweep, _two_point
+from solitonlab.lattice import _gkdv_constants, _sweep
 from solitonlab.errors import (
     NegativeSteps,
     ParamOutOfRange,
@@ -29,8 +29,10 @@ from solitonlab.errors import (
 from _oracles import (
     REF_PARAMS,
     REF_SOLITONS,
+    evolve_longhand,
     gkdv_local_longhand,
     map_constants_longhand,
+    two_point,
     two_point_longhand,
 )
 
@@ -51,7 +53,7 @@ def system_params(draw):
 @given(positive, positive, system_params())
 @settings(max_examples=200, deadline=None)
 def test_product_is_conserved_pointwise(x, y, params):
-    xp, yn = _two_point(x, y, _gkdv_constants(params), 0)
+    xp, yn = two_point(x, y, _gkdv_constants(params), 0)
     assert xp * yn == x * y
 
 
@@ -59,7 +61,7 @@ def test_product_is_conserved_pointwise(x, y, params):
 @settings(max_examples=100, deadline=None)
 def test_equal_parameters_swap_the_pair(x, y, params):
     eq = SystemParams(params.alpha, params.alpha)
-    assert _two_point(x, y, _gkdv_constants(eq), 0) == (y, x)
+    assert two_point(x, y, _gkdv_constants(eq), 0) == (y, x)
 
 
 def test_param_validation():
@@ -111,9 +113,9 @@ def test_local_map_matches_longhand_fractions(pair, ab):
         expected = gkdv_local_longhand(x, y, params.alpha, params.beta)
     except ZeroDivisionError:
         with pytest.raises(ZeroDenominator):
-            _two_point(x, y, _gkdv_constants(params), 0)
+            two_point(x, y, _gkdv_constants(params), 0)
         return
-    got = _two_point(x, y, _gkdv_constants(params), 0)
+    got = two_point(x, y, _gkdv_constants(params), 0)
     assert got == expected
     assert all(_lowest_terms(v) for v in got)
 
@@ -127,7 +129,7 @@ def test_local_map_vanishing_denominator_names_the_site(yn, sign, ab, use_beta, 
     y = Fraction(sign * yn, 7)
     x = (c - 1) / (c * y)  # (1-c) + c*x*y = 0
     with pytest.raises(ZeroDenominator) as info:
-        _two_point(x, y, _gkdv_constants(params), site)
+        two_point(x, y, _gkdv_constants(params), site)
     assert info.value.site == site and f"n={site}" in str(info.value)
 
 
@@ -136,7 +138,7 @@ def test_local_map_zero_denominator():
     # alpha*x*y = -(1-alpha) makes the denominator vanish
     x = -Fraction(1, 2) / Fraction(1, 2)
     with pytest.raises(ZeroDenominator):
-        _two_point(x, Fraction(1), _gkdv_constants(params), 0)
+        two_point(x, Fraction(1), _gkdv_constants(params), 0)
 
 
 def test_window_sweep_names_the_site_of_a_vanishing_denominator():
@@ -191,7 +193,7 @@ big_const = st.one_of(
 )
 
 # (c1, d1, c2, d2): the map's own constants, and the other shapes of
-# constants that ``_two_point`` accepts
+# constants that ``lattice._two_point`` accepts
 two_point_constants = st.one_of(
     shared_denominators.map(_gkdv_set),                        # the two-parameter map
     smooth_unit.map(lambda a: _gkdv_set((a, a))),              # alpha = beta, K = 0
@@ -211,18 +213,83 @@ def test_two_point_matches_longhand_on_smooth_operands(pair, consts):
         expected = two_point_longhand(x, y, *consts)
     except ZeroDivisionError:
         with pytest.raises(ZeroDenominator):
-            _two_point(x, y, map_constants_longhand(*consts), 0)
+            two_point(x, y, map_constants_longhand(*consts), 0)
         return
-    got = _two_point(x, y, map_constants_longhand(*consts), 0)
+    got = two_point(x, y, map_constants_longhand(*consts), 0)
     assert [(v.numerator, v.denominator) for v in got] == [
         (v.numerator, v.denominator) for v in expected]
     assert all(type(v) is Fraction and _lowest_terms(v) for v in got)
 
 
+def _kernel_branches(x: Fraction, y: Fraction, consts) -> dict:
+    """The branches the kernel takes on (x, y) with R = (c1 + d1*w) /
+    (c2 + d2*w), found from R reduced by ``Fraction``: whether g1 =
+    gcd(xn, yd) is 1, divides R's numerator or leaves a remainder, g2 =
+    gcd(yn, xd) against R's denominator alike, whether the two small
+    remainder tests skip f1-f4, the four gcds f1-f4 the fallback takes, and
+    the sign of K."""
+    big_c1, big_d1, big_c2, big_d2, big_k, l1, l2 = map_constants_longhand(*consts)
+    c1, d1, c2, d2 = consts
+    w = x * y
+    r = (c1 + d1 * w) / (c2 + d2 * w)
+    g1, g2 = gcd(x.numerator, y.denominator), gcd(y.numerator, x.denominator)
+    rn, rd = r.numerator // gcd(r.numerator, g1), r.denominator // gcd(r.denominator, g2)
+    a, h = x.numerator // g1, y.denominator // g1
+    b, e = y.numerator // g2, x.denominator // g2
+
+    def division(g, v):
+        return "one" if g == 1 else "divides" if v % g == 0 else "remainder"
+
+    return {"g1": division(g1, r.numerator), "g2": division(g2, r.denominator),
+            "f_skipped": gcd(rn, big_c1 * big_d1 * l2) == 1 == gcd(rd, big_c2 * big_d2 * l1),
+            "f": (gcd(h, big_d1 * l2, rn), gcd(b, big_c2 * l1, rd),
+                  gcd(e, big_d2 * l1, rd), gcd(a, big_c1 * l2, rn)),
+            "k": (big_k > 0) - (big_k < 0)}
+
+
+README_CONSTS = _gkdv_set((REF_PARAMS.alpha, REF_PARAMS.beta))  # K = -9
+# one (x, y, (c1, d1, c2, d2)) per kernel branch, with the branches that
+# _kernel_branches must find it takes
+PINNED_BRANCHES = {
+    "g1_divides_rn": (Fraction(2), Fraction(1, 4), README_CONSTS, {"g1": "divides"}),
+    "g1_leaves_a_remainder": (Fraction(6), Fraction(1, 12), README_CONSTS, {"g1": "remainder"}),
+    "g2_divides_rd": (Fraction(1, 2), Fraction(2, 3), README_CONSTS, {"g2": "divides"}),
+    "g2_leaves_a_remainder": (Fraction(1, 4), Fraction(4, 7), README_CONSTS,
+                              {"g2": "remainder"}),
+    "f1_to_f4_skipped": (Fraction(4, 5), Fraction(5, 2), README_CONSTS,
+                         {"g1": "divides", "g2": "divides", "f_skipped": True}),
+    "f1_to_f4_taken": (Fraction(2), Fraction(5, 7), README_CONSTS,
+                       {"f_skipped": False, "f": (7, 5, 1, 2)}),
+    "f1_to_f4_taken_for_rd_alone": (Fraction(1), Fraction(5), README_CONSTS,
+                                    {"f_skipped": False, "f": (1, 5, 1, 1)}),
+    "k_zero": (Fraction(2, 3), Fraction(3, 4), _gkdv_set((Fraction(5, 6), Fraction(5, 6))),
+               {"k": 0}),
+    "k_negative_readme_pair": (Fraction(3, 5), Fraction(7, 4), README_CONSTS, {"k": -1}),
+    "k_positive": (Fraction(3, 5), Fraction(7, 4), _gkdv_set((REF_PARAMS.beta, REF_PARAMS.alpha)),
+                   {"k": 1}),
+    "c1_zero": (Fraction(6), Fraction(1, 6),
+                (Fraction(0), Fraction(2, 3), Fraction(1, 2), Fraction(3, 4)), {"g1": "remainder"}),
+    "d1_zero": (Fraction(1, 3), Fraction(9),
+                (Fraction(5, 3), Fraction(0), Fraction(1), Fraction(2, 3)),
+                {"g2": "divides", "f_skipped": False}),
+}
+
+
+@pytest.mark.parametrize("branch", PINNED_BRANCHES)
+def test_two_point_matches_longhand_on_each_pinned_branch(branch):
+    # hypothesis reaches each branch only by chance; these reach it by
+    # construction, and _kernel_branches checks that they do
+    x, y, consts, taken = PINNED_BRANCHES[branch]
+    found = _kernel_branches(x, y, consts)
+    assert {key: found[key] for key in taken} == taken
+    got = two_point(x, y, map_constants_longhand(*consts), 0)
+    assert got == two_point_longhand(x, y, *consts)
+
+
 @given(system_params())
 def test_gkdv_constants_scale_the_map_coefficients(params):
     # the map's own constants are the general scaling of (1 - beta, beta,
-    # 1 - alpha, alpha) that the kernel test above feeds _two_point
+    # 1 - alpha, alpha) that the kernel test above feeds lattice._two_point
     assert _gkdv_constants(params) == map_constants_longhand(
         *_gkdv_set((params.alpha, params.beta)))
 
@@ -230,14 +297,16 @@ def test_gkdv_constants_scale_the_map_coefficients(params):
 def test_two_full_size_gcds_per_site_on_a_solution_row(monkeypatch):
     """A cost guard that needs no timing.  On a sampled two-soliton row the
     kernel takes at most four gcds per site whose operands both exceed
-    2**64: g1 and g2, and the two gcds with their cofactors, which on a
-    solution cost one division each.  Reducing x' and y~ by full-size cross
-    gcds, as ``Fraction`` multiplication does, takes six."""
+    2**64: g1 and g2, and the gcds of g1 and g2 with the remainders of R's
+    numerator and denominator, which on a solution are mostly 0 and cost
+    one division each.  Reducing x' and y~ by full-size cross gcds, as
+    ``Fraction`` multiplication does, takes six."""
     params, modes = REF_PARAMS, REF_SOLITONS
     t_range, n_range = (-3, 12), (-20, 40)
     row0 = sample_field(params, modes, (-3, -3), n_range).xs[0]
     edge = sample_field(params, modes, t_range, (-20, -20)).ys
     per_site: list[int] = []
+    kernel = lattice._two_point
 
     def counting_gcd(a, b):
         if abs(a) >> 64 and abs(b) >> 64:
@@ -246,7 +315,7 @@ def test_two_full_size_gcds_per_site_on_a_solution_row(monkeypatch):
 
     def counting_two_point(*args):
         per_site.append(0)
-        return _two_point(*args)
+        return kernel(*args)
 
     monkeypatch.setattr(lattice, "gcd", counting_gcd)
     monkeypatch.setattr(lattice, "_two_point", counting_two_point)
@@ -255,8 +324,9 @@ def test_two_full_size_gcds_per_site_on_a_solution_row(monkeypatch):
     assert field == sample_field(params, modes, t_range, n_range)
     assert len(per_site) == 16 * 61
     assert max(per_site) <= 4
-    # the operands are full size: most sites do take four
-    assert per_site.count(4) > len(per_site) // 2
+    # g1 divides rn and g2 divides rd at most sites, so most take g1 and
+    # g2 alone, or fewer near the background where the values are short
+    assert sum(c <= 2 for c in per_site) > len(per_site) // 2
 
 
 def test_step_equal_parameters_is_a_shift():
@@ -289,6 +359,18 @@ def test_evolution_conserves_site_products(row, params, steps):
         for n in range(len(row) - 1):
             assert (field.xs[j + 1][n] * field.ys[j][n + 1]
                     == field.xs[j][n] * field.ys[j][n])
+
+
+@given(st.lists(positive, min_size=1, max_size=8), any_regime, st.integers(1, 4), st.data())
+@settings(max_examples=100, deadline=None)
+def test_evolution_matches_the_fraction_longhand_sweep(row, ab, steps, data):
+    # a generic row takes the kernel's gcd fallbacks, and a drawn left
+    # carrier enters the integer-pair carry at other values than 1
+    params = SystemParams(*ab)
+    y_left = data.draw(st.none() | st.lists(positive, min_size=steps + 1, max_size=steps + 1))
+    field = evolve_gkdv(row, params, steps, y_left=y_left)
+    assert (field.xs, field.ys) == evolve_longhand(row, params.alpha, params.beta, steps,
+                                                   y_left)
 
 
 def test_evolve_needs_one_left_carrier_per_row():
