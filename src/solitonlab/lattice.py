@@ -65,12 +65,13 @@ def _two_point(xn: int, xd: int, yn: int, yd: int, k: tuple[int, ...], site: int
     and e, a and e, and b and h are coprime.
 
     R = N1*l2 / (N2*l1) with N1 = C1*e*h + D1*a*b and N2 = C2*e*h + D2*a*b,
-    and g = gcd(N1, N2) divides K.  For K != 0 one remainder per side by a
-    small operand, a1 = gcd(N1, K*l1) and a2 = gcd(N2, K*l2), gives
+    and g = gcd(N1, N2) divides K.  One remainder per side by a small
+    operand, a1 = gcd(N1, K*l1) and a2 = gcd(N2, K*l2), gives
     g = gcd(a1, a2), as l1 and l2 are coprime; and as g | K, a1 holds
     gcd(N1, g*l1) = g*s1, the factor N1 shares with l1 once g is out, and
-    a2 likewise for N2 and l2.  For K = 0 (alpha = beta) g is the
-    full-size gcd(N1, N2).  That leaves R = rn/rd in lowest terms.
+    a2 likewise for N2 and l2.  K = 0 (alpha = beta) needs no branch of its
+    own: there a1 = |N1| and a2 = |N2|, so g is the full-size gcd(N1, N2).
+    That leaves R = rn/rd in lowest terms.
 
     On a solution row g1 is mostly the tau f at the site and g2 the tau
     g, which x' = R*y and y~ = x/R no longer hold, so rn cancels g1 and rd
@@ -98,11 +99,8 @@ def _two_point(xn: int, xd: int, yn: int, yd: int, k: tuple[int, ...], site: int
     n2 = c2 * q + d2 * p
     if not n1 or not n2:
         raise ZeroDenominator(f"map denominator vanished at site n={site}", site=site)
-    if big_k:
-        a1, a2 = gcd(n1, big_k * l1), gcd(n2, big_k * l2)
-        g = gcd(a1, a2)
-    else:
-        a1, a2, g = n1, n2, gcd(n1, n2)
+    a1, a2 = gcd(n1, big_k * l1), gcd(n2, big_k * l2)
+    g = gcd(a1, a2)
     s1, s2 = gcd(a1 // g, l1), gcd(a2 // g, l2)
     rn = n1 // (g * s1) * (l2 // s2)
     rd = n2 // (g * s2) * (l1 // s1)
