@@ -1,9 +1,11 @@
 """How speed and size depend on the wavenumber, in all three regimes.
 
 The closed forms make the pattern visible: amplitude always dips to zero at
-the interval midpoint; speed crosses 1 there, from below when beta > alpha
-and from above when alpha > beta, and is identically 1 when they coincide.
-The scan() report certifies the monotone branches on a fine grid.
+the interval midpoint; speed is extremal there, at
+(1 + alpha - beta) / (1 + beta - alpha): a maximum below 1 when
+beta > alpha, a minimum above 1 when alpha > beta, and identically 1 when
+they coincide.  The scan() report checks the monotone branches on a fine
+grid.
 """
 
 import json

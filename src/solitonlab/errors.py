@@ -72,8 +72,9 @@ class ZeroTau(SolitonLabError):
 
 
 class FloatLawUndefined(SolitonLabError):
-    """A float quotient of the speed or amplitude law rounds to 1 or 0, or
-    past the float range, where the exact law is finite."""
+    """A float quotient of the speed law leaves the float range, which needs
+    both 1 - alpha or 1 - beta and p's distance from an interval edge below
+    ~1e-308 of scale; ``p`` names the point."""
 
 
 class DrawExhausted(SolitonLabError):

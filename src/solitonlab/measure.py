@@ -148,14 +148,14 @@ def track_troughs(params: SystemParams, rows: Sequence[Sequence[float]],
     site ``n_lo + k``, as :func:`solitonlab.solitons.sample_x_float` returns
     it.  A detection needs |x - 1| above ``THRESHOLD``.  The per-step jump
     gate is twice the fastest speed of the system,
-    :func:`solitonlab.solitons.speed_bound`, rounded up: 2 sites wherever
-    alpha <= beta, 17 at (19/20, 1/5).  A track stays a candidate until the
-    last row: it may coast undetected for any number of rows (troughs merge
-    during collisions), and its gate widens with the rows it has coasted.
-    A float quotient of the bound that rounds to 1 raises FloatLawUndefined
-    before any row is read.  Tracks with fewer than ``MIN_SAMPLES``
-    detections are discarded as noise.  Tracks are returned sorted by first
-    appearance, then position.
+    :func:`solitonlab.solitons.speed_bound`, rounded up: 2 sites at the
+    reference pair, 1 wherever beta - alpha >= 1/3, 17 at (19/20, 1/5).  A
+    track stays a candidate until the last row: it may coast undetected for
+    any number of rows (troughs merge during collisions), and its gate
+    widens with the rows it has coasted.  A bound whose quotient leaves the
+    float range raises FloatLawUndefined before any row is read.  Tracks
+    with fewer than ``MIN_SAMPLES`` detections are discarded as noise.
+    Tracks are returned sorted by first appearance, then position.
     """
     base_gate = math.ceil(2.0 * speed_bound(params))
     tracks: list[Track] = []

@@ -54,22 +54,34 @@ point, and is the exact x rounded once: where the quotients' enclosure of
 x cannot decide the rounding, that point takes the exact ratio of the
 full-width products instead.  A mode is a genuine soliton when
 0 < p < span and gamma has the sign of (p - midpoint); then all four
-constants A_i, B_i, C_i, D_i are positive and the mode has
+constants A_i, B_i, C_i, D_i are positive.  With u = p - span / 2,
+h_A = (1 + beta - alpha) / 2, h_B = (1 + alpha - beta) / 2 and s = span / 2,
+A = (h_A - u) / (h_A + u), B = (h_B + u) / (h_B - u), D = (s - u) / (s + u),
+and the mode has
 
-    speed      v(p) = -log A / log B          (1 at the midpoint)
-    amplitude  W(p) = |(1 + 1/s)(1 + s) / ((1 + r)(1 + 1/r)) - 1|,
-               s = sqrt(B * D_i), r = sqrt(D_i / B).
+    speed      v(p) = -log A / log B = artanh(u / h_A) / artanh(u / h_B)
+    amplitude  W(p) = |(1 + 1/S)(1 + S) / ((1 + r)(1 + 1/r)) - 1|,
+               S = sqrt(B D), r = sqrt(D / B),
+               W(p) = 2P / (1 + P + sqrt(R)),  P = u^2 / (h_B s),
+               R = (1 - u^2 / h_B^2)(1 - u^2 / s^2).
 
-Both laws are exactly symmetric under p -> span - p, which is what makes
-the speed/size ordering flip with the sign of alpha - beta.  One function,
-``_laws``, evaluates both over parallel integer sequences of the
-numerators and denominators of A, B and D, one pass per law: ``velocity``
-and ``amplitude`` are its one-point case, from ``_abd``; ``speed_bound``,
-the fastest speed of (alpha, beta), is its speed law at the limit of A and
-B as p -> 0; and the grid of ``scan_monotonicity`` passes integer linear
-forms in the grid index as ranges (``_law_grid``); the scan builds a
-``Fraction`` p only for the values its report prints.  Where a float
-quotient of a law rounds to 1 or 0, or past the float range, all four raise
+Both are even in u, and v's limit at the midpoint is h_B / h_A.  With
+c = h_B / h_A and z = |u| / h_B, v = artanh(c z) / artanh(z), where z and
+c z are below 1 as h_B - s = 1 - beta and h_A - s = 1 - alpha.  Over z,
+both are power series in z^2 with positive coefficients, whose ratio
+c^(2k+1) falls with k when c < 1 and rises when c > 1.  By the
+Biernacki-Krzyz lemma (Ann. Univ. Mariae Curie-Sklodowska A 9, 1955), v
+falls strictly with |u| when alpha < beta and rises when alpha > beta; W
+rises, as P rises and R falls.  So on each half of the interval the larger
+soliton is slower when alpha < beta and faster when alpha > beta, and the
+fastest speed is the larger of v at u = 0 and at |u| -> s.
+
+``_laws`` evaluates both forms, where every sum adds positive terms, over
+integers |u|, h_A, h_B and s with one common denominator: ``velocity`` and
+``amplitude`` are its one-point case, ``speed_bound`` its speed at u = 0
+and |u| = s, and ``scan_monotonicity`` passes its grid's |u| as an integer
+range (``_law_grid``), building a ``Fraction`` p only for the values its
+report prints.  A speed quotient that leaves the float range raises
 FloatLawUndefined naming p.
 """
 
@@ -151,106 +163,108 @@ def _span(params: SystemParams) -> Fraction:
     return span
 
 
-def _abd(params: SystemParams, p: Fraction, mode: int = 0) -> tuple[Fraction, Fraction, Fraction]:
-    """A, B, D of wavenumber p, after the one admissibility check of p: the
-    interval (0, alpha + beta - 1) must exist and hold p, else POutOfRange
-    names ``mode``.  Unlike C, all three are defined at the midpoint too."""
+def _admissible(params: SystemParams, p: Fraction, mode: int = 0) -> Fraction:
+    """p as a ``Fraction``, after its one admissibility check: the interval
+    (0, alpha + beta - 1) must exist and hold p, else POutOfRange names
+    ``mode``."""
     span = _span(params)
     p = Fraction(p)
     if not (0 < p < span):
         raise POutOfRange(f"soliton {mode}: p outside the admissible interval "
                           f"(p={p}, interval (0, {span}))", index=mode)
+    return p
+
+
+def _abd(params: SystemParams, p: Fraction, mode: int = 0) -> tuple[Fraction, Fraction, Fraction]:
+    """A, B, D of wavenumber p, after :func:`_admissible`.  Unlike C, all
+    three are defined at the midpoint too."""
+    p = _admissible(params, p, mode)
     a = (-p + params.beta) / (p + 1 - params.alpha)
     b = (p + 1 - params.beta) / (-p + params.alpha)
-    d = (span - p) / p
+    d = (params.alpha + params.beta - 1 - p) / p
     return a, b, d
 
 
-def _laws(an: Sequence[int], ad: Sequence[int], bn: Sequence[int], bd: Sequence[int],
-          dn: Sequence[int], dd: Sequence[int]) -> tuple[Iterator[float], Iterator[float]]:
-    """The speed law -log A / log B and the amplitude law at every point of
-    parallel integer sequences, A = an / ad, B = bn / bd and D = dn / dd,
-    reduced or not: ``int / int`` is correctly rounded, so each quotient is
-    the float of the rational whatever its form.  Each law is one pass over
-    the sequences, run only as far as it is read, so neither law's failure
-    reaches a caller of the other.  The exact cases are decided on the
-    integers before any division: A B = 1 gives v = 1.0 (alpha = beta, or
-    the midpoint, where log B = 0) and B D = 1 gives W = 0.0 (the midpoint).
+# below this, log1p(y) / y rounds to 1
+_TINY = 2.0 ** -54
+
+
+def _laws(us: Sequence[int], ha: int, hb: int, s: int, p: Fraction,
+          ) -> tuple[Iterator[float], Iterator[float]]:
+    """The speed and the amplitude law, lazily, at every |u| of ``us``, with
+    h_A, h_B and s over the same denominator, and ``p`` the wavenumber of
+    the largest |u|.
+
+    v = log1p(y_A) / log1p(y_B), y = 2|u| / (h - |u|), or (h_B - |u|) /
+    (h_A - |u|), the ratio of the y, where both y are below 2^-54, which
+    covers u = 0.  W = 2P / (1 + P + sqrt(R)).  Each y, P and R is one
+    correctly rounded ``int / int``, so equal rationals give equal floats
+    whatever the denominator.  As P < 1 and 0 <= R <= 1, W never raises; a
+    speed quotient that leaves the float range raises FloatLawUndefined
+    naming ``p``, since every quotient that can do so grows with |u|.
     """
-    vs = (1.0 if a * b == c * d else -math.log(a / c) / math.log(b / d)
-          for a, c, b, d in zip(an, ad, bn, bd))
-    ws = (0.0 if b * n == d * e else
-          abs((1.0 + 1.0 / (s := math.sqrt(b * n / (d * e)))) * (1.0 + s)
-              / ((1.0 + (r := math.sqrt(n * d / (e * b)))) * (1.0 + 1.0 / r)) - 1.0)
-          for b, d, n, e in zip(bn, bd, dn, dd))
-    return vs, ws
+    log1p, sqrt = math.log1p, math.sqrt
+
+    def speeds() -> Iterator[float]:
+        try:
+            for u in us:
+                a, b = ha - u, hb - u
+                ya, yb = 2 * u / a, 2 * u / b
+                yield b / a if ya < _TINY and yb < _TINY else log1p(ya) / log1p(yb)
+        except OverflowError:
+            raise FloatLawUndefined(f"the float speed law leaves the float range at "
+                                    f"p={rat_str(p)}", p=p) from None
+
+    hs = hb * s
+    hb2, s2, hs2 = hb * hb, s * s, hs * hs
+    ws = (2 * (q := u2 / hs) / (1 + q + sqrt((hb2 - u2) * (s2 - u2) / hs2))
+          for u2 in map(mul, us, us))
+    return speeds(), ws
 
 
-def _law(params: SystemParams, p: Fraction, which: int) -> float:
-    """Law ``which`` of :func:`_laws` at p, 0 the speed and 1 the amplitude.
-    A float quotient that rounds to 1 (log 0 divides, or the speed reads
-    0.0), to 0 (log 0, or 1 / 0) or past the float range raises
-    FloatLawUndefined naming p."""
-    one_point = [(x,) for q in _abd(params, p) for x in q.as_integer_ratio()]
-    try:
-        value = next(_laws(*one_point)[which])
-    except (ArithmeticError, ValueError):
-        value = None
-    if value is None or which == 0 and _undefined_speeds([value]):
-        raise FloatLawUndefined(_undefined_message(which, p), p=Fraction(p))
-    return value
+def _law_constants(params: SystemParams) -> tuple[int, int, int]:
+    """h_A, h_B and s of ``params``, whose interval the caller has checked,
+    over the common denominator 2 lcm(den alpha, den beta); as
+    h_A + h_B = 1, that denominator is the sum of the first two."""
+    lc = math.lcm(params.alpha.denominator, params.beta.denominator)
+    la = params.alpha.numerator * (lc // params.alpha.denominator)
+    lb = params.beta.numerator * (lc // params.beta.denominator)
+    return lc + lb - la, lc + la - lb, la + lb - lc
 
 
-def _undefined_speeds(vs: list[float]) -> bool:
-    """Whether a speed of ``vs``, the speed law of :func:`_laws`, is undefined
-    though no quotient raised: it reads 0.0 (or -0.0), which no defined
-    speed does.  A = 1 exactly only at the midpoint, where the law reads
-    1.0, so a 0.0 is log A = 0 from A's float quotient rounding to 1 where
-    B's did not.  The zeros are the only false floats, so this is one
-    ``all`` over the finished list, and the law's own pass stays as it is."""
-    return not all(vs)
-
-
-def _undefined_message(which: int, p: Fraction) -> str:
-    return (f"the float {('speed', 'amplitude')[which]} law is undefined at p={rat_str(p)}: "
-            "a quotient rounds to 1 or 0, or past the float range")
+def _law_point(params: SystemParams, p: Fraction) -> tuple[list[int], int, int, int, Fraction]:
+    """The arguments of :func:`_laws` at one admissible p."""
+    p = _admissible(params, p)
+    ha, hb, s = _law_constants(params)
+    n, d = p.as_integer_ratio()
+    return [abs((ha + hb) * n - s * d)], ha * d, hb * d, s * d, p
 
 
 def velocity(params: SystemParams, p: Fraction) -> float:
-    """Closed-form speed -log A / log B; exactly 1 at the interval midpoint."""
-    return _law(params, p, 0)
+    """Closed-form speed -log A / log B, in the form of :func:`_laws`;
+    (1 + alpha - beta) / (1 + beta - alpha) at the interval midpoint."""
+    return next(_laws(*_law_point(params, p))[0])
 
 
 def speed_bound(params: SystemParams) -> float:
     """Supremum of the speed law over (0, span): the fastest a soliton of
     (alpha, beta) moves, in sites per step.
 
-    When alpha <= beta the midpoint is fastest, and the bound is its exact
-    1.0.  Otherwise the speed grows toward both edges, and the bound is the
-    law's limit as p -> 0, where A -> beta / (1 - alpha) and
-    B -> (1 - beta) / alpha.  A float quotient of these that rounds to 1 or
-    0, or past the float range, raises FloatLawUndefined with p = 0, and an
-    empty interval raises InvalidInterval.
+    The speed is monotone in |u| (module docstring), so the bound is the
+    larger of the law at u = 0, h_B / h_A, and its limit at |u| -> s, where
+    h_A - s = 1 - alpha and h_B - s = 1 - beta.  A quotient that leaves the
+    float range raises FloatLawUndefined with p = 0, and an empty interval
+    raises InvalidInterval.
     """
     _span(params)
-    if params.alpha <= params.beta:
-        return 1.0
-    a = params.beta / (1 - params.alpha)
-    b = (1 - params.beta) / params.alpha
-    # D = (span - p) / p has no limit at p = 0; the amplitude law goes unread
-    one_point = [(x,) for q in (a, b) for x in q.as_integer_ratio()]
-    try:
-        bound = next(_laws(*one_point, (), ())[0])
-    except (ArithmeticError, ValueError):
-        bound = None
-    if bound is None or _undefined_speeds([bound]):
-        raise FloatLawUndefined(_undefined_message(0, Fraction(0)), p=Fraction(0))
-    return bound
+    ha, hb, s = _law_constants(params)
+    return max(_laws((0, s), ha, hb, s, Fraction(0))[0])
 
 
 def amplitude(params: SystemParams, p: Fraction) -> float:
-    """Closed-form trough amplitude |x_min - 1|; 0 at the interval midpoint."""
-    return _law(params, p, 1)
+    """Closed-form trough amplitude |x_min - 1|, in the form of
+    :func:`_laws`; 0 at the interval midpoint."""
+    return next(_laws(*_law_point(params, p))[1])
 
 
 def _subset_ratios(bases: Sequence[tuple[int, int]]) -> list[int]:
@@ -731,44 +745,36 @@ def random_kp_params(rng: Random, n_modes: int, *, constrained: bool = False) ->
 
 def _law_grid(params: SystemParams, grid_size: int) -> tuple[list[float], list[float]]:
     """v and W at p_k = span * k / (grid_size + 1), k = 1..grid_size, for
-    params whose interval (0, span) the caller has checked.
+    params whose interval the caller has checked: ``velocity`` and
+    ``amplitude`` at p_k, bit for bit.
 
-    With L = lcm(den alpha, den beta) * (grid_size + 1) and the integer
-    S = L * span / (grid_size + 1), each of A, B, D at p_k is a ratio of
-    integer linear forms in k:
-
-        A = (L beta - S k) / (S k + L - L alpha)
-        B = (S k + L - L beta) / (L alpha - S k)
-        D = (grid_size + 1 - k) / k
-
-    Every p_k lies inside the interval, so no point needs a range check.  The
-    six forms go to :func:`_laws` as ``range`` objects, unreduced, and give
-    what ``velocity`` and ``amplitude``, its one-point case, give at p_k,
-    bit for bit.
+    Over g1 = grid_size + 1 times the denominator of :func:`_law_constants`,
+    |u_k| = s |2k - g1| is linear in k.  The laws are even in u, so
+    :func:`_laws` runs once per |u|, from k = 1 to the midpoint, and the
+    lists are mirrored: v(p) = v(span - p) bit for bit.
     """
+    ha, hb, s = _law_constants(params)
     g1 = grid_size + 1
-    big_l = math.lcm(params.alpha.denominator, params.beta.denominator) * g1
-    la = params.alpha.numerator * (big_l // params.alpha.denominator)
-    lb = params.beta.numerator * (big_l // params.beta.denominator)
-    s = (la + lb - big_l) // g1
-    vs, ws = _laws(range(lb - s, lb - s * g1, -s), range(s + big_l - la, s * g1 + big_l - la, s),
-                   range(s + big_l - lb, s * g1 + big_l - lb, s), range(la - s, la - s * g1, -s),
-                   range(grid_size, 0, -1), range(1, g1))
-    return list(vs), list(ws)
+    laws = _laws(range(s * (g1 - 2), -1, -2 * s), ha * g1, hb * g1, s * g1,
+                 (params.alpha + params.beta - 1) / g1)
+    vs, ws = map(list, laws)
+    m = grid_size - len(vs)  # the points right of the midpoint
+    return vs + vs[m - 1::-1], ws + ws[m - 1::-1]
 
 
 def scan_monotonicity(params: SystemParams, grid_size: int) -> dict:
     """Probe v(p) and W(p) on an interior grid and report monotonicity breaks.
 
     The grid has ``grid_size`` points p_k = k * span / (grid_size + 1),
-    evaluated in one pass per law by :func:`_law_grid` after one check of
-    the interval; raises GridTooSmall below 3 points, and FloatLawUndefined
-    naming the first p_k where a float law fails.  W must fall toward the
-    midpoint and rise after it; v must rise toward it when alpha < beta and
-    fall otherwise (at alpha = beta every v is exactly 1.0).  Which half a
-    pair of neighbours lies on is an integer test on k, each half and
-    quantity is one comparison pass over list slices, and a violation, with
-    its ``Fraction`` p values, is built only where a pass flags one: pairs
+    evaluated by :func:`_law_grid` after one check of the interval; raises
+    GridTooSmall below 3 points, and FloatLawUndefined naming p_1 where a
+    speed quotient leaves the float range.  W must fall toward the midpoint
+    and rise after it; v must rise toward it when alpha < beta and fall
+    otherwise (at alpha = beta every v is exactly 1.0); the exact laws do,
+    by the module docstring's theorem.  Which half a pair of
+    neighbours lies on is an integer test on k, each half and quantity is
+    one comparison pass over list slices, and a violation, with its
+    ``Fraction`` p values, is built only where a pass flags one: pairs
     ascending, ``w`` before ``v`` within a pair.  The returned dict is the
     CLI's JSON payload.
     """
@@ -776,16 +782,7 @@ def scan_monotonicity(params: SystemParams, grid_size: int) -> dict:
         raise GridTooSmall(f"grid_size must be at least 3, got {grid_size}")
     span = _span(params)
     g1 = grid_size + 1
-    try:
-        vs, ws = _law_grid(params, grid_size)
-    except (ArithmeticError, ValueError):
-        vs = None
-    if vs is None or _undefined_speeds(vs):
-        # the grid's quotients are the one-point laws', bit for bit, and both
-        # read a speed of 0.0 as undefined, so the first p_k where a one-point
-        # law raises is where the pass failed
-        for k in range(1, g1):
-            velocity(params, span * k / g1), amplitude(params, span * k / g1)
+    vs, ws = _law_grid(params, grid_size)
 
     def p_str(i: int) -> str:
         # list index i holds grid point k = i + 1

@@ -110,22 +110,49 @@ def one_soliton_constants(alpha: Fraction, beta: Fraction, p: Fraction,
     return a, b, c, d
 
 
+def laws_decimal(alpha: Fraction, beta: Fraction, p: Fraction) -> tuple[Decimal, Decimal]:
+    """v = -ln A / ln B and W = |(1 + 1/S)(1 + S) / ((1 + r)(1 + 1/r)) - 1|,
+    S = sqrt(B D), r = sqrt(D / B), from the longhand constants in
+    ``decimal``, at the limits (1 + alpha - beta) / (1 + beta - alpha) and 0
+    at the midpoint, where A = B = D = 1.
+
+    The precision is 80 digits plus twice the digits of the denominators of
+    alpha, beta and p.  Away from the midpoint, A - 1, B - 1 and D - 1 are
+    at least 2|u| = |2p - span| in magnitude, which is at least one over
+    the product of those denominators, and W is at least of the order of
+    u^2, so 80 digits survive every cancellation in these forms.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 80 + 2 * sum(len(str(x.denominator)) for x in (alpha, beta, p))
+        ctx.Emin, ctx.Emax = MIN_EMIN, MAX_EMAX
+
+        def dec(x: Fraction) -> Decimal:
+            return Decimal(x.numerator) / Decimal(x.denominator)
+
+        if p == (alpha + beta - 1) / 2:
+            return dec((1 + alpha - beta) / (1 + beta - alpha)), Decimal(0)
+        a, b, _, d = map(dec, one_soliton_constants(alpha, beta, p, Fraction(1)))
+        s, r = (b * d).sqrt(), (d / b).sqrt()
+        return -a.ln() / b.ln(), abs((1 + 1 / s) * (1 + s) / ((1 + r) * (1 + 1 / r)) - 1)
+
+
 def laws_longhand(alpha: Fraction, beta: Fraction, p: Fraction) -> tuple[float, float]:
-    """v = -log A / log B and W from the longhand constants.  A B = 1 exactly
-    when alpha = beta or p is the midpoint, and B D = 1 only at the midpoint,
-    where C (and so the longhand constants) is undefined."""
-    if p == (alpha + beta - 1) / 2:
-        return 1.0, 0.0
-    a, b, _, d = one_soliton_constants(alpha, beta, p, Fraction(1))
-    v = 1.0 if alpha == beta else -math.log(float(a)) / math.log(float(b))
-    s, r = math.sqrt(float(b * d)), math.sqrt(float(d / b))
-    return v, abs((1.0 + 1.0 / s) * (1.0 + s) / ((1.0 + r) * (1.0 + 1.0 / r)) - 1.0)
+    """:func:`laws_decimal` rounded to the nearest floats."""
+    v, w = laws_decimal(alpha, beta, p)
+    return float(v), float(w)
+
+
+def ulps(x: float, exact: Decimal) -> float:
+    """|x - exact| in units of the last place of the float nearest
+    ``exact``."""
+    return float(abs(Decimal(x) - exact) / Decimal(math.ulp(float(exact))))
 
 
 def scan_longhand(params: SystemParams, grid_size: int) -> dict:
     """The monotonicity scan's JSON payload, one neighbour pair at a time.
 
-    The laws come from :func:`laws_longhand` at each ``Fraction`` p_k =
+    The laws come from :func:`laws_longhand`, the ``decimal`` laws rounded
+    to the nearest floats, at each ``Fraction`` p_k =
     span * k / (grid_size + 1); every pair (k, k + 1) is checked in turn,
     ``w`` before ``v``, against the rule of the half it lies on, and a pair
     that straddles the midpoint has no rule.

@@ -317,15 +317,18 @@ def test_a_track_seen_late_excludes_only_its_own_line_before_it(capsys, modes, r
 
 # (alpha, beta, speed rtol, amplitude rtol) of one mode per run: the worst
 # relative errors over k = 1, 10, 40, 49 read 3.4e-8 and 2.2e-10, 9.0e-6 and
-# 6.1e-6, 1.0e-5 and 3.3e-7, 1.6e-4 and 7.8e-6, 2.2e-16 and 3.1e-3.  At
-# alpha = beta every row samples the trough at one sub-lattice phase, which
-# biases the depth (ROADMAP item 2)
+# 6.1e-6, 1.0e-5 and 3.3e-7, 1.6e-4 and 7.8e-6, 2.2e-16 and 3.1e-3, and
+# 7.3e-5 and 9.8e-6.  At alpha = beta every row samples the trough at one
+# sub-lattice phase, which biases the depth (ROADMAP item 2).  At (3/5,
+# 19/20), beta - alpha >= 1/3 puts the speed bound h_B / h_A at or below
+# 1/2, so the linker's gate is 1 site per step
 SINGLE_MODE_REGIMES = [
     ("19/20", "1/5", 1e-7, 1e-9),
     ("14/15", "5/6", 3e-5, 2e-5),
     ("3/5", "4/5", 3e-5, 1e-6),
     ("5/6", "14/15", 5e-4, 3e-5),
     ("4/5", "4/5", 1e-15, 1e-2),
+    ("3/5", "19/20", 1e-4, 2e-5),
 ]
 
 
@@ -498,12 +501,12 @@ def test_negative_steps_are_a_usage_error(capsys, argv):
 
 
 def test_scan_names_the_point_where_a_float_law_fails(capsys):
-    # span 10^-18: B rounds to 1.0, so log B is 0 at the first grid point
-    code, out, err = invoke(capsys, "scan", "--alpha", "1/2", "--beta",
-                            "500000000000000001/1000000000000000000", "--grid", "2001")
+    # 1 - alpha = 10^-400 and span 10^-800: h_B / h_A, the speed law's
+    # quotient at every grid point, exceeds the float range, and most at p_1
+    code, out, err = invoke(capsys, "scan", "--alpha", f"{10 ** 400 - 1}/{10 ** 400}",
+                            "--beta", f"{10 ** 400 + 1}/{10 ** 800}", "--grid", "2001")
     assert (code, out) == (1, "")
-    assert err == ("error: the float speed law is undefined at p=1/2002000000000000000000: "
-                   "a quotient rounds to 1 or 0, or past the float range\n")
+    assert err == f"error: the float speed law leaves the float range at p=1/{2002 * 10 ** 800}\n"
 
 
 def test_scan_rejects_a_grid_below_three(capsys):
