@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 from typing import IO, Sequence
 
 from .errors import (
@@ -166,10 +166,19 @@ def _gkdv_constants(params: SystemParams) -> tuple[int, ...]:
 
 
 def _warn_if_escaped(x_right: Fraction, t: int) -> None:
-    if abs(float(x_right) - 1.0) > ESCAPE_TOL:
+    """Warn SolitonEscapedWindow when |x_right - 1| exceeds ESCAPE_TOL,
+    decided exactly on the integers of ``x_right``; the message gives the
+    deviation in floats, inf past the float range."""
+    n, d = x_right.numerator, x_right.denominator
+    tol_n, tol_d = ESCAPE_TOL.as_integer_ratio()
+    if abs(n - d) * tol_d > tol_n * d:
+        try:
+            deviation = abs(n / d - 1.0)
+        except OverflowError:
+            deviation = inf
         warnings.warn(SolitonEscapedWindow(
             f"right window edge at t={t} deviates from the background by "
-            f"{abs(float(x_right) - 1.0):.3e}; content is being truncated"))
+            f"{deviation:.3e}; content is being truncated"))
 
 
 def _sweep(xs: list[Fraction], y_left: Fraction, k: tuple[int, ...], n_lo: int,

@@ -39,13 +39,15 @@ r_{i,b} = A_i, r_{i,c} = B_i and r_{i,a1} = D_i, with
     D_i = (span - p_i) / p_i,
 
 gamma_i / (p_i - q_i) = C_i = gamma_i / (2 p_i - span), and the pair
-factor of c_S is ((p_i - p_j) / (p_i + p_j - span))^2.  A window of one
-tau is a list of integer rows, one per time (``_tau_grid``), and a window
-of f and g pairs the rows at l1 = 0 and l1 = 1 (``_window_taus``).  Each
-subset term changes by a constant factor per step, so a row of one term is
-a geometric sequence: the rows are built as per-term lines from the
-rectangle's point nearest the origin, one small-integer product per line
-entry and step, and summed by column.
+factor of c_S is ((p_i - p_j) / (p_i + p_j - span))^2.  A window of f
+and g is a list of (f_row, g_row) integer pairs, one per time
+(``_tau_grid``, checked by ``_window_taus``).  Each subset term changes by
+a constant factor per step, so a row of one term is a geometric sequence:
+the rows are built as per-term lines from the rectangle's point nearest
+the origin, one small-integer product per line entry and step.  g's
+subset term S is f's times entry S of the a1 ratio list, so one set of
+lines serves both: f's row is their column sums, and g's the column sums
+of the same lines times those entries, each a bounded chain of C maps.
 
 The lattice fields are the cross ratios x = f * g(n+1) / (g * f(n+1)) and
 y = g * f(t+1) / (f * g(t+1)), exact in ``sample_field``.  The float x of
@@ -92,9 +94,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
-from operator import floordiv, lshift, mul, ne, truediv
+from operator import add, floordiv, lshift, mul, ne, truediv
 from random import Random
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     ConstraintViolated,
@@ -195,13 +197,16 @@ def _laws(us: Sequence[int], ha: int, hb: int, s: int, p: Fraction,
     h_A, h_B and s over the same denominator, and ``p`` the wavenumber of
     the largest |u|.
 
-    v = log1p(y_A) / log1p(y_B), y = 2|u| / (h - |u|), or (h_B - |u|) /
-    (h_A - |u|), the ratio of the y, where both y are below 2^-54, which
-    covers u = 0.  W = 2P / (1 + P + sqrt(R)).  Each y, P and R is one
-    correctly rounded ``int / int``, so equal rationals give equal floats
-    whatever the denominator.  As P < 1 and 0 <= R <= 1, W never raises; a
-    speed quotient that leaves the float range raises FloatLawUndefined
-    naming ``p``, since every quotient that can do so grows with |u|.
+    v = log1p(y_A) / log1p(y_B), y = 2|u| / (h - |u|).  Where y_A is below
+    2^-54, log1p(y_A) is y_A: v is (h_B - |u|) / (h_A - |u|), the ratio of
+    the y, where y_B is below 2^-54 too, which covers u = 0, and otherwise
+    2|u| / ((h_A - |u|) log1p(y_B)), one ``int / int`` over the exact ratio
+    of the float log1p(y_B), so a subnormal y_A loses no bits.
+    W = 2P / (1 + P + sqrt(R)).  Each y, P and R is one correctly rounded
+    ``int / int``, so equal rationals give equal floats whatever the
+    denominator.  As P < 1 and 0 <= R <= 1, W never raises; a speed
+    quotient that leaves the float range raises FloatLawUndefined naming
+    ``p``, since every quotient that can do so grows with |u|.
     """
     log1p, sqrt = math.log1p, math.sqrt
 
@@ -210,7 +215,13 @@ def _laws(us: Sequence[int], ha: int, hb: int, s: int, p: Fraction,
             for u in us:
                 a, b = ha - u, hb - u
                 ya, yb = 2 * u / a, 2 * u / b
-                yield b / a if ya < _TINY and yb < _TINY else log1p(ya) / log1p(yb)
+                if ya >= _TINY:
+                    yield log1p(ya) / log1p(yb)
+                elif yb < _TINY:
+                    yield b / a
+                else:
+                    n, d = log1p(yb).as_integer_ratio()
+                    yield 2 * u * d / (a * n)
         except OverflowError:
             raise FloatLawUndefined(f"the float speed law leaves the float range at "
                                     f"p={rat_str(p)}", p=p) from None
@@ -292,50 +303,78 @@ def _line(term: int, left: int, right: int, up: int, down: int) -> list[int]:
     return below[:0:-1] + list(accumulate(repeat(up, right), mul, initial=term))
 
 
-def _tau_grid(kp: KPParams, l1: int, t0: int, n0: int, rows: int, cols: int,
-              ) -> list[list[int]]:
-    """Integer rows of tau(l1, 0, t, n) on the rectangle (t0 + j, n0 + k),
-    j < rows, k < cols, for the reduced ``kp`` of :func:`validate`: entry j
-    is the row at time t0 + j, a list of ``cols`` integers.
+# most lazily chained ``map(add)`` objects in one row sum: CPython walks a
+# chain of nested maps on its C stack, which tens of thousands overflow
+_CHAIN = 16
 
-    A point's integer is the subset sum of :func:`_kp_base` at (l1, 0, t,
-    n), which is tau there times the positive scale M * D_a1^l1 * D_b^{|t|}
-    * D_c^{|n|} (M the common denominator of the c_S, D_d the denominator
-    product of d's r or 1/r list).  So the grid is canonical: a point's
-    integer does not depend on the window it was read from, and the scale
-    cancels from every cross ratio of f (l1 = 0) and g (l1 = 1).
+
+def _row_sum(lines: Iterable[Iterable[int]]) -> list[int]:
+    """Column sums of one or more equal-length integer lines: a chain of
+    ``map(add)`` over them, materialised every ``_CHAIN`` lines, so no tuple
+    per column is built and the nesting depth stays bounded."""
+    lines = iter(lines)
+    total = next(lines)
+    for k, line in enumerate(lines, 1):
+        total = map(add, total, line)
+        if not k % _CHAIN:
+            total = list(total)
+    return list(total)
+
+
+def _tau_grid(kp: KPParams, t0: int, n0: int, rows: int, cols: int,
+              ) -> list[tuple[list[int], list[int]]]:
+    """Integer (f_row, g_row) pairs of f = tau(0, 0, t, n) and g = tau(1, 0,
+    t, n) on the rectangle (t0 + j, n0 + k), j < rows, k < cols, for the
+    reduced ``kp`` of :func:`validate`: entry j holds the two rows at time
+    t0 + j, lists of ``cols`` integers each.
+
+    A point's f is the subset sum of :func:`_kp_base` at (0, 0, t, n), which
+    is tau there times the positive scale M * D_b^{|t|} * D_c^{|n|} (M the
+    common denominator of the c_S, D_d the denominator product of d's r or
+    1/r list), and its g is the sum of the same terms, each times its entry
+    of the a1 ratio list: the subset sum at (1, 0, t, n), scaled by D_a1
+    more.  So the grid is canonical: a point's integers do not depend on
+    the window they were read from, and the scale cancels from every cross
+    ratio of f and g.
 
     Each subset term is a geometric sequence along a row, so the grid is
     built from one :func:`_line` per term through the anchor, the
     rectangle's point nearest the origin.  Each further row multiplies
     every line by its term's entry of t's r list for a step towards +t, or
-    of its 1/r list for a step towards -t, and a row is the column sums of
-    its lines: one small-integer product per line entry and step, in C
-    loops with no Python bytecode per point.
+    of its 1/r list for a step towards -t.  A row's f is the
+    :func:`_row_sum` of its lines and its g that of the lines times their
+    a1 entries, mapped lazily, so no g line is stored: one small-integer
+    product per line entry and step, in C loops with no Python bytecode per
+    point.
     """
     t1, n1 = t0 + rows - 1, n0 + cols - 1
     ta, na = min(max(0, t0), t1), min(max(0, n0), n1)
-    _, terms, dirs = _kp_base(kp, (l1, 0, ta, na))
-    _, _, (t_up, _, t_down, _), (n_up, _, n_down, _) = dirs
+    _, terms, dirs = _kp_base(kp, (0, 0, ta, na))
+    (a1_up, _, _, _), _, (t_up, _, t_down, _), (n_up, _, n_down, _) = dirs
     anchor = [_line(term, na - n0, n1 - na, up, down)
               for term, up, down in zip(terms, n_up, n_down)]
 
-    def away(steps: int, ratios: list[int]) -> list[list[int]]:
+    def pair(lines: list[list[int]]) -> tuple[list[int], list[int]]:
+        return _row_sum(lines), _row_sum(map(mul, line, repeat(e))
+                                         for line, e in zip(lines, a1_up))
+
+    def away(steps: int, ratios: list[int]) -> list[tuple[list[int], list[int]]]:
         lines, out = anchor, []
         for _ in range(steps):
             lines = [list(map(mul, line, repeat(r))) for line, r in zip(lines, ratios)]
-            out.append(list(map(sum, zip(*lines))))
+            out.append(pair(lines))
         return out
 
-    return away(ta - t0, t_down)[::-1] + [list(map(sum, zip(*anchor)))] + away(t1 - ta, t_up)
+    return away(ta - t0, t_down)[::-1] + [pair(anchor)] + away(t1 - ta, t_up)
 
 
 def _window_taus(kp: KPParams, t_range: tuple[int, int], n_range: tuple[int, int],
                  ) -> list[tuple[list[int], list[int]]]:
     """Integer (f_row, g_row) pairs on the rectangle of times t0..t1 by sites
-    n0..n1 + 1, which holds the n-shift column: f_row is the :func:`_tau_grid`
-    row at l1 = 0 and g_row the one at l1 = 1, for the ``kp`` of
-    :func:`validate`, which each reader calls before this checks the window.
+    n0..n1 + 1, which holds the n-shift column: the rows of one
+    :func:`_tau_grid` build, whose f and g sum the same subset-term lines,
+    for the ``kp`` of :func:`validate`, which each reader calls before this
+    checks the window.
 
     Each point carries its own positive scale, shared by its f and g up to
     the constant D_a1, so a consumer must be homogeneous per point:
@@ -347,8 +386,7 @@ def _window_taus(kp: KPParams, t_range: tuple[int, int], n_range: tuple[int, int
     n0, n1 = n_range
     if t1 < t0 or n1 < n0:
         raise WindowTooSmall(f"empty range: t {t_range}, n {n_range}")
-    shape = (t0, n0, t1 - t0 + 1, n1 - n0 + 2)
-    taus = list(zip(_tau_grid(kp, 0, *shape), _tau_grid(kp, 1, *shape)))
+    taus = _tau_grid(kp, t0, n0, t1 - t0 + 1, n1 - n0 + 2)
     for j, (fs, gs) in enumerate(taus):
         if not (all(fs) and all(gs)):
             k = next(k for k, (f, g) in enumerate(zip(fs, gs)) if not (f and g))

@@ -588,13 +588,15 @@ def random_kp_params_longhand(rng: Random, n_modes: int, *,
 
 def tau_grid_longhand(kp: KPParams, l1: int, t0: int, n0: int, rows: int, cols: int,
                       ) -> list[list[int]]:
-    """The rows of ``solitons._tau_grid``, one point at a time.
+    """The f rows (l1 = 0) or the g rows (l1 = 1) of ``solitons._tau_grid``,
+    one point at a time.
 
     The integer at (t, n) is the subset sum of ``_kp_sums`` at (0, 0, t, n)
-    shifted l1 steps along a1, which multiplies the same factors as the grid
-    takes at (l1, 0, t, n) in another order.  Each point is built from the
-    expansion's tables with its own powers, with no line and no window, so
-    a grid that equals it is canonical.
+    shifted l1 steps along a1: each subset term times its entry of the a1
+    ratio list when l1 = 1, the same factors the grid's g multiplies in
+    another order.  Each point is built from the expansion's tables with its
+    own powers, with no line, no shared f and g terms and no window, so a
+    grid that equals it is canonical.
     """
     return [[_kp_sums(kp, (0, 0, t0 + j, n0 + k), [(l1, 0, 0, 0)])[1][0][0]
              for k in range(cols)]

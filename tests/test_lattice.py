@@ -341,6 +341,34 @@ def test_step_equal_parameters_is_a_shift():
     assert y_row == [Fraction(1)] + row
 
 
+@pytest.mark.parametrize("row, t_escaped", [
+    ([Fraction(1), Fraction(10 ** 400)], 0),
+    ([Fraction(10 ** 400), Fraction(1)], 1),
+], ids=["first_row", "second_row"])
+def test_a_right_edge_past_the_float_range_warns_with_an_infinite_deviation(row, t_escaped):
+    with pytest.warns(SolitonEscapedWindow) as record:
+        field = evolve_gkdv(row, REF_PARAMS, 1)
+    assert len(field.xs) == 2 and field.xs[0] == row
+    messages = {str(w.message) for w in record}
+    assert (f"right window edge at t={t_escaped} deviates from the background by inf; "
+            "content is being truncated") in messages
+
+
+def test_the_escape_is_decided_on_the_exact_right_edge(recwarn):
+    # 1 + ESCAPE_TOL and the float next above it both round to the same
+    # float, whose distance from 1.0 reads below ESCAPE_TOL; only the exact
+    # value beyond it escapes, and its message keeps the float deviation
+    tol = Fraction(lattice.ESCAPE_TOL)
+    evolve_gkdv([Fraction(1), 1 + tol], REF_PARAMS, 0)
+    assert not recwarn.list
+    with pytest.warns(SolitonEscapedWindow, match=r"^right window edge at t=0 deviates "
+                      r"from the background by 1\.000e-06; content is being truncated$"):
+        evolve_gkdv([Fraction(1), 1 + tol + Fraction(1, 10 ** 30)], REF_PARAMS, 0)
+    with pytest.warns(SolitonEscapedWindow, match=r"^right window edge at t=3 deviates "
+                      r"from the background by 2\.500e-01; content is being truncated$"):
+        evolve_gkdv([Fraction(3, 4)], REF_PARAMS, 0, t0=3)
+
+
 def test_step_rejects_empty_window():
     params = SystemParams(Fraction(1, 2), Fraction(1, 2))
     with pytest.raises(WindowTooSmall):

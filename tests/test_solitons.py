@@ -341,6 +341,32 @@ def test_each_law_raises_only_for_its_own_failure():
     assert amplitude(REF_PARAMS, MID + Fraction(1, 10 ** 30)) > 0.0
 
 
+# alpha = 10^-300, beta = 1 - alpha + 10^-310: y_A = 2|u| / (h_A - |u|) is
+# subnormal and y_B is not, where log1p(y_A) kept ~44 bits and the speed read
+# 180-316 ulp from the decimal law
+TINY_SPAN_PARAMS = SystemParams(Fraction(1, 10 ** 300),
+                                1 - Fraction(1, 10 ** 300) + Fraction(1, 10 ** 310))
+
+
+@pytest.mark.parametrize("k", [4, 3, 5])
+def test_the_speed_keeps_its_bits_where_y_a_is_subnormal(k):
+    params = TINY_SPAN_PARAMS
+    span = params.alpha + params.beta - 1
+    v, _ = laws_decimal(params.alpha, params.beta, span / k)
+    assert ulps(velocity(params, span / k), v) <= V_ULPS
+    # grid point 60 / k of 59 is span / k
+    vs, _ = solitons._law_grid(params, 59)
+    assert vs[60 // k - 1] == velocity(params, span / k)
+
+
+@pytest.mark.parametrize("c", [Fraction(9, 10), Fraction(99, 100), Fraction(1, 2)])
+def test_the_speed_beside_the_midpoint_where_only_y_b_reaches_2_to_the_minus_54(c):
+    # y_A = c 2^-54 and y_B = 11/9 of it at the README pair: the speed is
+    # y_A / log1p(y_B), about 9/11, with no subnormal in it
+    h_a = (1 + REF_PARAMS.beta - REF_PARAMS.alpha) / 2
+    _assert_laws_near_decimal(REF_PARAMS, MID + c * h_a / 2 ** 55)
+
+
 def _assert_grid_near_decimal(params, ks):
     span = params.alpha + params.beta - 1
     vs, ws = solitons._law_grid(params, 2001)
@@ -828,18 +854,43 @@ def test_each_reader_asks_for_the_tau_rectangle_it_reads(monkeypatch):
     calls = []
     real = solitons._tau_grid
 
-    def spy(kp, l1, t0, n0, rows, cols):
-        calls.append((l1, t0, n0, rows, cols))
-        return real(kp, l1, t0, n0, rows, cols)
+    def spy(kp, t0, n0, rows, cols):
+        calls.append((t0, n0, rows, cols))
+        return real(kp, t0, n0, rows, cols)
 
     monkeypatch.setattr(solitons, "_tau_grid", spy)
     for window in (((2, 5), (-3, 6)), ((2, 2), (-3, -3))):
         for reader in (sample_field, sample_x_float, solitons.check_exactness):
             reader(REF_PARAMS, REF_SOLITONS, *window)
-    # f at l1 = 0, then g at l1 = 1, on the same rectangle
-    assert calls == [(l1, *shape) for shape in [(2, -3, 5, 11), (2, -3, 4, 11), (2, -3, 5, 11),
-                                                (2, -3, 2, 2), (2, -3, 1, 2), (2, -3, 2, 2)]
-                     for l1 in (0, 1)]
+    # one build per reader gives f and g on the same rectangle
+    assert calls == [(2, -3, 5, 11), (2, -3, 4, 11), (2, -3, 5, 11),
+                     (2, -3, 2, 2), (2, -3, 1, 2), (2, -3, 2, 2)]
+
+
+def test_each_reader_builds_the_subset_terms_once_per_window(monkeypatch):
+    # f and g step one set of lines from one anchor, so the subset terms of
+    # a window come from one _kp_base call, at l1 = 0
+    calls = []
+    real = solitons._kp_base
+
+    def spy(kp, point):
+        calls.append(point)
+        return real(kp, point)
+
+    monkeypatch.setattr(solitons, "_kp_base", spy)
+    for reader in (sample_field, sample_x_float, solitons.check_exactness):
+        calls.clear()
+        reader(REF_PARAMS, REF_SOLITONS, (-4, 3), (2, 9))
+        assert calls == [(0, 0, 0, 2)]
+
+
+def test_row_sum_chains_any_number_of_lines():
+    # 2^17 lines, past MAX_MODES' 2^16 subset terms, sum without overflowing
+    # the C stack that a chain of nested maps would need
+    assert solitons._row_sum([k] for k in range(1 << 17)) == [(1 << 17) * ((1 << 17) - 1) // 2]
+    lines = [[k, 2 * k, -k] for k in range(40)]
+    assert solitons._row_sum(iter(lines)) == [780, 1560, -780]
+    assert solitons._row_sum([[5, 6]]) == [5, 6]
 
 
 @pytest.mark.parametrize("sampler", [sample_field, sample_x_float])
@@ -847,10 +898,9 @@ def test_a_vanishing_tau_raises_zero_tau_naming_its_site(monkeypatch, sampler):
     real = solitons._tau_grid
     for which in (0, 1):  # f, then g, vanishes at (t0 + 2, n0 + 3)
 
-        def with_a_zero(kp, l1, t0, n0, rows, cols):
-            grid = real(kp, l1, t0, n0, rows, cols)
-            if l1 == which:
-                grid[2][3] = 0
+        def with_a_zero(kp, t0, n0, rows, cols):
+            grid = real(kp, t0, n0, rows, cols)
+            grid[2][which][3] = 0
             return grid
 
         monkeypatch.setattr(solitons, "_tau_grid", with_a_zero)
@@ -891,9 +941,10 @@ def test_tau_grid_is_canonical(regime, n_modes, data):
     params, modes, (t0, t1), (n0, n1) = data.draw(tau_windows(regime, n_modes))
     kp = validate(params, modes)
     shape = (t0, n0, t1 - t0 + 1, n1 - n0 + 2)
-    grids = [solitons._tau_grid(kp, l1, *shape) for l1 in (0, 1)]
+    taus = solitons._tau_grid(kp, *shape)
+    grids = [[row[l1] for row in taus] for l1 in (0, 1)]
     assert grids == [tau_grid_longhand(kp, l1, *shape) for l1 in (0, 1)]
-    assert solitons._window_taus(kp, (t0, t1), (n0, n1)) == list(zip(*grids))
+    assert solitons._window_taus(kp, (t0, t1), (n0, n1)) == taus
     # the scale M * D_a1^l1 * D_b^|t| * D_c^|n| against the cofactor determinant
     big_l, _, dirs = kp._subset_tables
 
@@ -917,21 +968,23 @@ def _side_range(side: str, size: int) -> tuple[int, int]:
     return first, first + size - 1
 
 
-@pytest.mark.parametrize("n_modes", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("n_modes", [0, 1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("n_side", ["left", "right", "across"])
 @pytest.mark.parametrize("t_side", ["left", "right", "across"])
 def test_tau_grid_matches_the_pointwise_oracle_on_fixed_windows(t_side, n_side, n_modes):
     # every side of the origin on both axes, in both regimes, with rows
-    # shorter than the 2^N subset terms (from N = 2 on) and longer than them
+    # shorter than the 2^N subset terms (from N = 2 on) and longer than them;
+    # from N = 5 on a row sums more lines than one chain of maps holds
     for params in (REF_PARAMS, SystemParams(Fraction(14, 15), Fraction(5, 6))):
         span = params.alpha + params.beta - 1
-        modes = [(span * k / 40, Fraction(k - 20, 7)) for k in (3, 11, 26, 33)[:n_modes]]
+        modes = [(span * k / 40, Fraction(k - 20, 7)) for k in (3, 11, 26, 33, 17, 36)[:n_modes]]
         kp = validate(params, modes)
         for cols in (2, 2 ** n_modes + 3):
             t0, _ = _side_range(t_side, 3)
             n0, _ = _side_range(n_side, cols)
+            taus = solitons._tau_grid(kp, t0, n0, 3, cols)
             for l1 in (0, 1):
-                assert (solitons._tau_grid(kp, l1, t0, n0, 3, cols)
+                assert ([row[l1] for row in taus]
                         == tau_grid_longhand(kp, l1, t0, n0, 3, cols))
 
 
@@ -1101,10 +1154,9 @@ def test_check_exactness_fails_at_the_sites_that_read_a_wrong_tau(monkeypatch):
     # with j in {1, 2} and k in {2, 3}, and by no other
     real = solitons._tau_grid
 
-    def with_f_off_by_one(kp, l1, t0, n0, rows, cols):
-        grid = real(kp, l1, t0, n0, rows, cols)
-        if l1 == 0:
-            grid[2][3] += 1
+    def with_f_off_by_one(kp, t0, n0, rows, cols):
+        grid = real(kp, t0, n0, rows, cols)
+        grid[2][0][3] += 1
         return grid
 
     monkeypatch.setattr(solitons, "_tau_grid", with_f_off_by_one)
